@@ -37,7 +37,7 @@ def main() -> int:
     nh = run.import_nhomlie()
     path = workloads.input_path("baseline", "so3x4")
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    write_algebra(nh, so3_sum(nh, 4), path)
+    write_algebra(so3_sum(nh, 4), path)
 
     rows = [
         ("check_prop31 so(3)+so(3) kmax 2",

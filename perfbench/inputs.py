@@ -1,12 +1,15 @@
 """Input algebras of the benchmark, built from structure constants.
 
 Every constructor here returns an ``NHomAlgebra``; ``write_algebra``
-stores it as the canonical algebra JSON the CLI reads.  The ``nhomlie`` package is passed in
-by the caller, so set-up can time a fresh import of it.
+stores it as the canonical algebra JSON the CLI reads, with a serializer of
+its own, so that the input files (and the report digests keyed by them) do
+not change when nhomlie's serializer does.  The ``nhomlie`` package is
+passed in by the caller, so set-up can time a fresh import of it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -55,6 +58,21 @@ def dense_copy(nh, alg, rng: random.Random):
     return nh.transport(alg, nh.random_even_invertible(alg.parity, rng))
 
 
-def write_algebra(nh, alg, path) -> None:
+def _rational(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def write_algebra(alg, path) -> None:
+    """Canonical algebra JSON: sorted keys, compact, lowest-term rationals."""
+    doc = {
+        "arity": alg.arity,
+        "dim": alg.dim,
+        "parity": list(alg.parity),
+        "alpha": [[_rational(x) for x in row] for row in alg.alpha.entries],
+        "brackets": [{"args": list(args),
+                      "value": [{"index": j, "coeff": _rational(x)}
+                                for j, x in enumerate(alg.table[args]) if x]}
+                     for args in sorted(alg.table)],
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(nh.serialize_algebra(alg))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

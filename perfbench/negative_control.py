@@ -35,18 +35,20 @@ def main() -> int:
              ("corrupt_jacobi", nh.fixtures.corrupt_jacobi(), False, True),
              ("aff1", nh.fixtures.aff1(), False, False)]
     os.makedirs(os.path.join(workloads.INPUT_DIR, "negative_control"), exist_ok=True)
-    gate = check.Gate({"reports": {}, "dims": {}}, require_digest=False)
+    gate = check.Gate({"reports": {}, "dims": {}}, default_seed=False)
     ok = True
     for stem, alg, wrong_digest, must_fail in cases:
         path = workloads.input_path("negative_control", stem)
-        write_algebra(nh, alg, path)
+        write_algebra(alg, path)
         with open(path, "rb") as fh:
-            key = check.report_key(["validate", path], check.sha256(fh.read()))
+            digest = check.sha256(fh.read())
+        job = check.Job(workloads.Command(("validate", path), stem, fixed=False),
+                        workloads.Input(stem, alg, stem), digest)
         if wrong_digest:
-            gate.digests[key] = WRONG_DIGEST
-        rc, out, _ = run.run_command(nh.cli, ["validate", path])
-        problem = gate.problem(key, ["validate", path], stem, alg.dim, rc, out)
-        gate.digests.pop(key, None)
+            gate.digests[job.key] = WRONG_DIGEST
+        rc, out, _ = run.run_command(nh.cli, job.argv)
+        problem = gate.problem(job, rc, out)
+        gate.digests.pop(job.key, None)
         fired = problem is not None
         ok &= fired == must_fail
         print(f"{'FAILED' if fired else 'passed'} validate {stem}"

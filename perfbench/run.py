@@ -73,16 +73,6 @@ def import_nhomlie():
     return nh
 
 
-class Job:
-    """One command of the plan, with what the gate needs to judge it."""
-
-    def __init__(self, cmd, plan_input, digest):
-        self.argv = list(cmd.argv)
-        self.key = check.report_key(cmd.argv, digest)
-        self.source = plan_input.source
-        self.base_dim = plan_input.alg.dim
-
-
 def _set_up_once(workload: str, seed: int):
     t0 = time.perf_counter()
     nh = import_nhomlie()
@@ -90,7 +80,7 @@ def _set_up_once(workload: str, seed: int):
     os.makedirs(os.path.join(workloads.INPUT_DIR, workload), exist_ok=True)
     for inp in plan.inputs:
         path = workloads.input_path(workload, inp.stem)
-        write_algebra(nh, inp.alg, path)
+        write_algebra(inp.alg, path)
         report = nh.validate(nh.parse_algebra(path))
         if not report.all_ok:
             raise SystemExit(f"error: generated input {path} fails validate: "
@@ -110,7 +100,7 @@ def set_up(workload: str, seed: int):
     for stem in by_stem:
         with open(workloads.input_path(workload, stem), "rb") as fh:
             digests[stem] = check.sha256(fh.read())
-    jobs = [Job(cmd, by_stem[cmd.stem], digests[cmd.stem]) for cmd in plan.commands]
+    jobs = [check.Job(cmd, by_stem[cmd.stem], digests[cmd.stem]) for cmd in plan.commands]
     return nh, jobs, times
 
 
@@ -158,7 +148,7 @@ class Pass:
 
 def judge(gate, jobs, results, failures):
     for job, (rc, out) in zip(jobs, results):
-        problem = gate.problem(job.key, job.argv, job.source, job.base_dim, rc, out)
+        problem = gate.problem(job, rc, out)
         if problem is not None:
             failures.append(f"{' '.join(job.argv)}: {problem}")
 
@@ -239,7 +229,7 @@ def record():
     nh = import_nhomlie()
     path = workloads.input_path("record", "so3x2")
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    write_algebra(nh, so3_sum(nh, 2), path)
+    write_algebra(so3_sum(nh, 2), path)
     for kind in workloads.KINDS:
         rc, out, _ = run_command(nh.cli, ["solve", path, "--kind", kind, "--kmax", "2"])
         if rc != 0:
@@ -269,7 +259,7 @@ def main(argv=None) -> int:
     if args.workload is None:
         ap.error("--workload is required")
     expected = check.load_expected()
-    gate = check.Gate(expected, require_digest=args.seed == expected["default_seed"])
+    gate = check.Gate(expected, default_seed=args.seed == expected["default_seed"])
 
     nh, jobs, setup_times = set_up(args.workload, args.seed)
     plain, marked, failures, tr = measure(nh, jobs, args.seconds, gate, traced=bool(args.trace))

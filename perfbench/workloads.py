@@ -3,8 +3,8 @@
 A workload's ``plan(nh, seed)`` returns its inputs and its command list.
 Inputs are written to ``.bench_inputs/<workload>/<stem>.json`` and passed to
 the CLI by that relative path, so reports (which embed the path) are the
-same in every checkout.  The seed fixes the order of the commands and, on
-``solve_dense`` and ``fixtures_props``, the inputs themselves.
+same in every checkout.  The seed fixes the order of the commands, the
+inputs of ``solve_dense`` and the ``props --seed`` of ``fixtures_props``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ class Input:
 class Command:
     argv: tuple
     stem: str
+    fixed: bool = True  # the report is the same at every seed
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ def input_path(workload: str, stem: str) -> str:
     return f"{INPUT_DIR}/{workload}/{stem}.json"
 
 
-def _solve_commands(name, stems_kinds):
-    return [Command(("solve", input_path(name, stem), "--kind", kind, "--kmax", "2"), stem)
+def _solve_commands(name, stems_kinds, fixed):
+    return [Command(("solve", input_path(name, stem), "--kind", kind, "--kmax", "2"),
+                    stem, fixed)
             for stem, kinds in stems_kinds for kind in kinds]
 
 
@@ -52,7 +54,7 @@ def solve_sparse(nh, seed):
     algs = [Input("so3x3", inputs.so3_sum(nh, 3), "so3x3"),
             Input("so3x4", inputs.so3_sum(nh, 4), "so3x4"),
             Input("osp12yau", inputs.osp12_yau(nh), "osp12yau")]
-    commands = _solve_commands("solve_sparse", [(a.stem, KINDS) for a in algs])
+    commands = _solve_commands("solve_sparse", [(a.stem, KINDS) for a in algs], True)
     random.Random(f"solve_sparse:{seed}").shuffle(commands)
     return Plan(tuple(algs), tuple(commands))
 
@@ -75,7 +77,7 @@ def solve_dense(nh, seed):
             stem = f"{source}_dense{copy}"
             algs.append(Input(stem, inputs.dense_copy(nh, alg, rng), source))
             stems_kinds.append((stem, kinds))
-    commands = _solve_commands("solve_dense", stems_kinds)
+    commands = _solve_commands("solve_dense", stems_kinds, False)
     random.Random(f"solve_dense:order:{seed}").shuffle(commands)
     return Plan(tuple(algs), tuple(commands))
 
@@ -89,7 +91,7 @@ def fixtures_props(nh, seed):
         path = input_path("fixtures_props", a.stem)
         commands.append(Command(("validate", path), a.stem))
         commands.append(Command(("props", path, "--kmax", "2",
-                                 "--seed", str(PROPS_SEED + seed)), a.stem))
+                                 "--seed", str(PROPS_SEED + seed)), a.stem, False))
     return Plan(tuple(algs), tuple(commands))
 
 
