@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .linalg import (  # noqa: F401
     Mat,
-    Scalar,
     SubspaceBasis,
     contains,
     extend_to_complement,

@@ -1,20 +1,29 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are tuples of tuples of ``Fraction``; subspaces are stored as the
-unique reduced row-echelon basis, so two equal subspaces compare equal as
-values.  Internally, elimination runs on integer rows (each row scaled by
-the lcm of its denominators), which keeps the hot loops on machine ints.
-No floating point appears anywhere.
+Matrices hold their entries as tuples of tuples of ``Fraction``, which is
+what they compare, hash and serialize by.  Each matrix also carries a
+lazily built integer form, :attr:`Mat.ints`: a grid of integer numerators
+over one common denominator, the lcm of the entries' denominators.
+Matrix arithmetic (products, sums, scaling, :func:`product_sum`,
+:func:`linear_combination`) and :func:`commutes_with` run on that form
+in Python ints and build one ``Fraction`` per result entry; each result
+keeps its own integer form, so chained arithmetic never converts back.
+Subspaces are stored as the unique reduced row-echelon basis, so two
+equal subspaces compare equal as values.  Elimination runs on integer
+rows (each row scaled by the lcm of its denominators).  No floating
+point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-Scalar = Fraction
+IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -48,10 +57,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vector:
@@ -95,34 +100,63 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
 
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, grid: IntGrid, den: int) -> "Mat":
+        """The matrix ``grid / den``, keeping its reduced integer form."""
+        g = gcd(den, *(x for row in grid for x in row)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            grid = tuple(tuple(x // g for x in row) for row in grid)
+        m = cls(rows, cols, tuple(tuple(_fraction(x, den) for x in row) for row in grid))
+        object.__setattr__(m, "_ints", (grid, den))
+        return m
+
+    @property
+    def ints(self) -> tuple[IntGrid, int]:
+        """``(numerators, denominator)`` with ``entries == numerators / denominator``.
+
+        The denominator is the lcm of the entries' denominators; the pair is
+        built on first use and cached on the matrix.
+        """
+        form = self.__dict__.get("_ints")
+        if form is None:
+            den = 1
+            for row in self.entries:
+                for x in row:
+                    den = lcm(den, x.denominator)
+            grid = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                         for row in self.entries)
+            form = (grid, den)
+            object.__setattr__(self, "_ints", form)
+        return form
+
+    def is_identity(self) -> bool:
+        grid, den = self.ints
+        return den == 1 and self.rows == self.cols and grid == _identity_grid(self.rows)
+
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        bt = other.transpose().entries
-        grid = tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in self.entries
-        )
-        return Mat(self.rows, other.cols, grid)
+        a, da = self.ints
+        b, db = other.ints
+        return Mat._from_ints(self.rows, other.cols, _int_matmul(a, b, other.cols), da * db)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self) -> "Mat":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = as_scalar(c)
-        return Mat(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
+        a, den = self.ints
+        num = c.numerator
+        return Mat._from_ints(self.rows, self.cols,
+                              tuple(tuple(num * x for x in row) for row in a),
+                              den * c.denominator)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -137,18 +171,66 @@ class Mat:
         return tuple(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(r) for r in self.entries)
+        return not any(map(any, self.ints[0]))
 
     def flatten(self) -> Vector:
         """Row-major flattening, used to treat matrices as vectors."""
         return tuple(x for row in self.entries for x in row)
 
 
-def mat_from_flat(rows: int, cols: int, flat: Sequence[Fraction]) -> Mat:
-    if len(flat) != rows * cols:
-        raise ValueError("flat length does not match shape")
-    grid = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
-    return Mat(rows, cols, grid)
+@lru_cache(maxsize=1 << 12)
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``; entries recur, and a Fraction is immutable."""
+    return Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def _identity_grid(n: int) -> IntGrid:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _int_matmul(a: IntGrid, b: IntGrid, cols: int) -> IntGrid:
+    """Integer grid product; ``cols`` is the column count of ``b``."""
+    bt = tuple(zip(*b)) if b else ((),) * cols
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def commutes_with(a: Mat, b: Mat) -> bool:
+    """True iff ``a b == b a``; decided on the integer forms, at once for an identity."""
+    if a.is_identity() or b.is_identity():
+        return True
+    (na, _), (nb, _) = a.ints, b.ints
+    return _int_matmul(na, nb, b.cols) == _int_matmul(nb, na, a.cols)
+
+
+def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
+    """``sum(c * m)`` over integer coefficients and same-shape matrices, in one integer pass."""
+    rows, cols = mats[0].rows, mats[0].cols
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ValueError("shape mismatch")
+    den = lcm(*(m.ints[1] for m in mats))
+    acc = [[0] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        grid, d = m.ints
+        f = c * (den // d)
+        if f:
+            acc = [[a + f * x for a, x in zip(arow, row)] for arow, row in zip(acc, grid)]
+    return Mat._from_ints(rows, cols, tuple(map(tuple, acc)), den)
+
+
+def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
+    """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, in one integer pass."""
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
+        raise ValueError("product_sum needs two square matrices of one size")
+    (na, da), (nb, db) = a.ints, b.ints
+    bt = tuple(zip(*nb))
+    at = tuple(zip(*na))
+    grid = tuple(
+        tuple(sum(map(mul, ra, cb)) + sign * sum(map(mul, rb, ca))
+              for cb, ca in zip(bt, at))
+        for ra, rb in zip(na, nb)
+    )
+    return Mat._from_ints(a.rows, a.cols, grid, da * db * divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +449,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(v) if x) for v in self.vectors)
 
 
 def contains(a: SubspaceBasis, v: Sequence[Fraction]) -> bool:

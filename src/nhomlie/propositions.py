@@ -4,6 +4,13 @@ Each check returns a :class:`PropReport` whose claims are backed either by
 definition-level membership (:func:`~nhomlie.solver.in_space`) or by exact
 subspace containment, never by dimension counting.  Claims whose hypothesis
 fails are reported as skipped, with the reason.
+
+A failing claim reports its first failure and stops there.  Grade-indexed
+claims walk their grades in order: pairs (k1, xi1, k2, xi2) in the order of
+:func:`_grades`, single grades (k, xi) by k, then xi, and basis elements in
+basis order within a grade.  The witness is the failing grade and the
+offending matrix.  Claims over the commutant report the first failing pair
+or quadruple in the order they are enumerated.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     contains,
+    linear_combination,
     subspace_sum,
 )
 from .solver import (
@@ -84,65 +92,128 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
     return tuple(sorted(out))
 
 
-def _grades(kmax: int):
-    """Pairs of (k, xi) grades whose product grade stays below the cutoff."""
+def _grades(kmax: int, bound: int | None = None):
+    """Pairs of (k, xi) grades with k1, k2 <= kmax and k1 + k2 <= bound (default kmax)."""
+    bound = kmax if bound is None else bound
     for k1, k2 in product(range(kmax + 1), repeat=2):
-        if k1 + k2 > kmax:
+        if k1 + k2 > bound:
             continue
         for x1, x2 in product((0, 1), repeat=2):
             yield k1, x1, k2, x2
 
 
+def _levels(kmax: int):
+    """Single (k, xi) grades with k <= kmax."""
+    return product(range(kmax + 1), (0, 1))
+
+
+class _Spaces:
+    """Solved spaces of one algebra, under keys that coincide for equal spaces.
+
+    A space at twist power k is determined by alpha^k, so its key carries
+    the least j with alpha^j == alpha^k instead of k.
+    """
+
+    def __init__(self, alg: NHomAlgebra, kmax: int):
+        self.alg = alg
+        pows = [alg.alpha_power(k) for k in range(kmax + 1)]
+        self.level = [pows.index(p) for p in pows]
+
+    def basis(self, kinds, k: int, xi: int):
+        """(key, basis) of one kind, or of the sum of a tuple of kinds."""
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        basis = tuple(g for kind in kinds for g in solve(self.alg, kind, k, xi).basis)
+        return (kinds, self.level[k], xi), basis
+
+    def inputs(self, *kinds):
+        """Input spaces at a grade (k1, x1, k2, x2, ...), one kind per (k, xi)."""
+        return lambda g: tuple(self.basis(kind, g[2 * i], g[2 * i + 1])
+                               for i, kind in enumerate(kinds))
+
+    def into(self, kind, shift: int = 0):
+        """Membership target at the total grade of g, its power raised by ``shift``."""
+        def target(g):
+            k, xi = sum(g[0::2]) + shift, sum(g[1::2]) % 2
+            return (kind, self.level[k], xi), (kind, k, xi)
+        return target
+
+    def member(self, target, endo: GradedEndo) -> bool:
+        return in_space(self.alg, *target, endo)
+
+
+def _nowhere(g):
+    return None, None
+
+
+def _values(spaces, op, memo: dict):
+    """``op`` on every tuple of basis elements, one from each input space.
+
+    Values are memoized on the spaces' keys and the basis indices.
+    """
+    keys = tuple(key for key, _ in spaces)
+    bases = [basis for _, basis in spaces]
+    for idx in product(*(range(len(basis)) for basis in bases)):
+        value = memo.get((keys, idx))
+        if value is None:
+            value = memo[keys, idx] = op(*(basis[i] for basis, i in zip(bases, idx)))
+        yield value
+
+
+def _first_failure(grades, inputs, target, op, holds, memo: dict):
+    """The closure-check loop shared by every grade-indexed claim.
+
+    For each grade ``g`` in order, ``op`` is applied to basis elements of
+    the spaces ``inputs(g)`` and each value must satisfy ``holds(t, value)``
+    for ``(key, t) = target(g)``.  A grade whose input and target keys all
+    match an earlier grade's would repeat its checks and is skipped.
+    Returns ``(g, value)`` for the first failure, or None.
+    """
+    seen = set()
+    for g in grades:
+        spaces = inputs(g)
+        tkey, t = target(g)
+        key = (tuple(k for k, _ in spaces), tkey)
+        if key in seen:
+            continue
+        seen.add(key)
+        for value in _values(spaces, op, memo):
+            if not holds(t, value):
+                return g, value
+    return None
+
+
+def _claim(claim_id: str, failure, detail: str = "") -> Claim:
+    if failure is None:
+        return Claim(claim_id, "pass", detail)
+    g, value = failure
+    return Claim(claim_id, "fail", detail, (g, _mat_witness(value.mat)))
+
+
+def _same(endo: GradedEndo) -> GradedEndo:
+    return endo
+
+
 def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
     _require_valid(alg)
+    sp = _Spaces(alg, kmax)
+    brackets: dict = {}
+
+    def twist(endo):
+        return alpha_twist(alg, endo)
+
     claims = []
     for kind in (Kind.GDER, Kind.QDER, Kind.C):
-        bad = None
-        for k1, x1, k2, x2 in _grades(kmax):
-            a = solve(alg, kind, k1, x1)
-            b = solve(alg, kind, k2, x2)
-            for da in a.basis:
-                for db in b.basis:
-                    c = supercommutator(da, db)
-                    if not in_space(alg, kind, k1 + k2, (x1 + x2) % 2, c):
-                        bad = ((k1, x1, k2, x2), _mat_witness(c.mat))
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        claims.append(Claim(f"31.1.{kind.value}.bracket",
-                            "fail" if bad else "pass",
-                            witness=bad or ()))
-        bad = None
-        for k in range(kmax):
-            for xi in (0, 1):
-                for da in solve(alg, kind, k, xi).basis:
-                    t = alpha_twist(alg, da)
-                    if not in_space(alg, kind, k + 1, xi, t):
-                        bad = ((k, xi), _mat_witness(t.mat))
-                        break
-        claims.append(Claim(f"31.1.{kind.value}.twist",
-                            "fail" if bad else "pass",
-                            witness=bad or ()))
-
-    bad = None
-    for k1, x1, k2, x2 in _grades(kmax):
-        for da in solve(alg, Kind.DER, k1, x1).basis:
-            for db in solve(alg, Kind.ZDER, k2, x2).basis:
-                c = supercommutator(da, db)
-                if not in_space(alg, Kind.ZDER, k1 + k2, (x1 + x2) % 2, c):
-                    bad = ((k1, x1, k2, x2), _mat_witness(c.mat))
-    claims.append(Claim("31.2.ZDer.ideal", "fail" if bad else "pass", witness=bad or ()))
-    bad = None
-    for k in range(kmax):
-        for xi in (0, 1):
-            for da in solve(alg, Kind.ZDER, k, xi).basis:
-                t = alpha_twist(alg, da)
-                if not in_space(alg, Kind.ZDER, k + 1, xi, t):
-                    bad = ((k, xi), _mat_witness(t.mat))
-    claims.append(Claim("31.2.ZDer.twist", "fail" if bad else "pass", witness=bad or ()))
+        claims.append(_claim(f"31.1.{kind.value}.bracket", _first_failure(
+            _grades(kmax), sp.inputs(kind, kind), sp.into(kind), supercommutator,
+            sp.member, brackets)))
+        claims.append(_claim(f"31.1.{kind.value}.twist", _first_failure(
+            _levels(kmax - 1), sp.inputs(kind), sp.into(kind, 1), twist, sp.member, {})))
+    claims.append(_claim("31.2.ZDer.ideal", _first_failure(
+        _grades(kmax), sp.inputs(Kind.DER, Kind.ZDER), sp.into(Kind.ZDER), supercommutator,
+        sp.member, brackets)))
+    claims.append(_claim("31.2.ZDer.twist", _first_failure(
+        _levels(kmax - 1), sp.inputs(Kind.ZDER), sp.into(Kind.ZDER, 1), twist, sp.member, {})))
     return _report("3.1", claims, solved_dims(alg, kmax))
 
 
@@ -150,61 +221,47 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """The six inclusion statements tying Der, C, QC, QDer and GDer together."""
     _require_valid(alg)
     n = alg.arity
+    sp = _Spaces(alg, kmax)
+    brackets: dict = {}
     claims = []
 
-    def pair_claim(cid, kind_a, kind_b, target, op):
-        bad = None
-        for k1, x1, k2, x2 in _grades(kmax):
-            for da in solve(alg, kind_a, k1, x1).basis:
-                for db in solve(alg, kind_b, k2, x2).basis:
-                    c = op(da, db)
-                    if not in_space(alg, target, k1 + k2, (x1 + x2) % 2, c):
-                        bad = ((k1, x1, k2, x2), _mat_witness(c.mat))
-        claims.append(Claim(cid, "fail" if bad else "pass", witness=bad or ()))
+    def pair_claim(cid, kind_a, kind_b, target, op, memo):
+        claims.append(_claim(cid, _first_failure(
+            _grades(kmax), sp.inputs(kind_a, kind_b), sp.into(target), op, sp.member, memo)))
 
-    pair_claim("32.1.[Der,C]_in_C", Kind.DER, Kind.C, Kind.C, supercommutator)
-    pair_claim("32.2.[QDer,QC]_in_QC", Kind.QDER, Kind.QC, Kind.QC, supercommutator)
-    pair_claim("32.3.C.Der_in_Der", Kind.C, Kind.DER, Kind.DER, compose)
+    def qder_with_witness(target, da):
+        return sp.member(target, da) and qder_identity_holds(alg, *target[1:], da,
+                                                             da.mat.scale(n))
 
-    bad = None
-    for k in range(kmax + 1):
-        for xi in (0, 1):
-            for da in solve(alg, Kind.C, k, xi).basis:
-                witness = da.mat.scale(n)
-                if not in_space(alg, Kind.QDER, k, xi, da) or \
-                        not qder_identity_holds(alg, k, xi, da, witness):
-                    bad = ((k, xi), _mat_witness(da.mat))
-    claims.append(Claim("32.4.C_in_QDer", "fail" if bad else "pass",
-                        detail="witness n*D verified", witness=bad or ()))
-
-    pair_claim("32.5.[QC,QC]_in_QDer", Kind.QC, Kind.QC, Kind.QDER, supercommutator)
-
-    bad = None
-    for k in range(kmax + 1):
-        for xi in (0, 1):
-            gens = solve(alg, Kind.QDER, k, xi).basis + solve(alg, Kind.QC, k, xi).basis
-            for da in gens:
-                if not in_space(alg, Kind.GDER, k, xi, da):
-                    bad = ((k, xi), _mat_witness(da.mat))
-    claims.append(Claim("32.6.QDer+QC_in_GDer", "fail" if bad else "pass",
-                        witness=bad or ()))
+    pair_claim("32.1.[Der,C]_in_C", Kind.DER, Kind.C, Kind.C, supercommutator, brackets)
+    pair_claim("32.2.[QDer,QC]_in_QC", Kind.QDER, Kind.QC, Kind.QC, supercommutator, brackets)
+    pair_claim("32.3.C.Der_in_Der", Kind.C, Kind.DER, Kind.DER, compose, {})
+    claims.append(_claim("32.4.C_in_QDer", _first_failure(
+        _levels(kmax), sp.inputs(Kind.C), sp.into(Kind.QDER), _same, qder_with_witness, {}),
+        detail="witness n*D verified"))
+    pair_claim("32.5.[QC,QC]_in_QDer", Kind.QC, Kind.QC, Kind.QDER, supercommutator, brackets)
+    claims.append(_claim("32.6.QDer+QC_in_GDer", _first_failure(
+        _levels(kmax), sp.inputs((Kind.QDER, Kind.QC)), sp.into(Kind.GDER), _same,
+        sp.member, {})))
     return _report("3.2", claims, solved_dims(alg, kmax))
 
 
-def _qc_plus_brackets(alg: NHomAlgebra, kmax: int):
+def _qc_plus_brackets(sp: _Spaces, kmax: int, brackets: dict):
     """Graded pieces of QC + [QC, QC], as flattened-matrix subspaces."""
-    d2 = alg.dim ** 2
+    d2 = sp.alg.dim ** 2
+    qc_pairs = sp.inputs(Kind.QC, Kind.QC)
     pieces: dict[tuple[int, int], SubspaceBasis] = {}
-    for k in range(kmax + 1):
-        for xi in (0, 1):
-            vecs = [g.mat.flatten() for g in solve(alg, Kind.QC, k, xi).basis]
-            for k1, x1, k2, x2 in _grades(kmax):
-                if k1 + k2 != k or (x1 + x2) % 2 != xi:
-                    continue
-                for da in solve(alg, Kind.QC, k1, x1).basis:
-                    for db in solve(alg, Kind.QC, k2, x2).basis:
-                        vecs.append(supercommutator(da, db).mat.flatten())
-            pieces[(k, xi)] = SubspaceBasis.span(d2, vecs)
+    for k, xi in _levels(kmax):
+        vecs = [g.mat.flatten() for g in sp.basis(Kind.QC, k, xi)[1]]
+        seen = set()
+        for g in _grades(kmax):
+            spaces = qc_pairs(g)
+            keys = tuple(key for key, _ in spaces)
+            if g[0] + g[2] != k or (g[1] + g[3]) % 2 != xi or keys in seen:
+                continue
+            seen.add(keys)
+            vecs.extend(c.mat.flatten() for c in _values(spaces, supercommutator, brackets))
+        pieces[(k, xi)] = SubspaceBasis.span(d2, vecs)
     return pieces
 
 
@@ -212,26 +269,27 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """QC + [QC, QC] sits inside GDer and is closed under the bracket."""
     _require_valid(alg)
     d = alg.dim
-    pieces = _qc_plus_brackets(alg, kmax)
-    claims = []
-    bad = None
-    for (k, xi), piece in sorted(pieces.items()):
-        for v in piece.vectors:
-            g = GradedEndo(_unflatten(d, v), xi)
-            if not in_space(alg, Kind.GDER, k, xi, g):
-                bad = ((k, xi), _mat_witness(g.mat))
-    claims.append(Claim("33.S_in_GDer", "fail" if bad else "pass", witness=bad or ()))
-    bad = None
-    for k1, x1, k2, x2 in _grades(kmax):
-        target = pieces[(k1 + k2, (x1 + x2) % 2)]
-        for va in pieces[(k1, x1)].vectors:
-            for vb in pieces[(k2, x2)].vectors:
-                c = supercommutator(GradedEndo(_unflatten(d, va), x1),
-                                    GradedEndo(_unflatten(d, vb), x2))
-                if not contains(target, c.mat.flatten()):
-                    bad = ((k1, x1, k2, x2), _mat_witness(c.mat))
-    claims.append(Claim("33.S_bracket_closed", "fail" if bad else "pass",
-                        witness=bad or ()))
+    sp = _Spaces(alg, kmax)
+    brackets: dict = {}
+    pieces = _qc_plus_brackets(sp, kmax, brackets)
+    # a piece's key is the first grade of its parity holding an equal piece
+    keyed = {}
+    for (k, xi), piece in pieces.items():
+        first = next(g for g, p in pieces.items() if g[1] == xi and p == piece)
+        keyed[(k, xi)] = (("S",) + first, tuple(GradedEndo(_unflatten(d, v), xi)
+                                                for v in piece.vectors))
+
+    def into_piece(g):
+        grade = (g[0] + g[2], (g[1] + g[3]) % 2)
+        return keyed[grade][0], pieces[grade]
+
+    claims = [
+        _claim("33.S_in_GDer", _first_failure(
+            _levels(kmax), lambda g: (keyed[g],), sp.into(Kind.GDER), _same, sp.member, {})),
+        _claim("33.S_bracket_closed", _first_failure(
+            _grades(kmax), lambda g: (keyed[g[:2]], keyed[g[2:]]), into_piece, supercommutator,
+            lambda piece, c: contains(piece, c.mat.flatten()), brackets)),
+    ]
     return _report("3.3", claims, solved_dims(alg, kmax))
 
 
@@ -249,23 +307,25 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         return _report("3.4", claims, solved_dims(alg, kmax))
     z_even, z_odd = center(alg)
     z_full = subspace_sum(z_even, z_odd)
-    bad = None
-    bad_zero = None
-    for k1, x1, k2, x2 in product(range(kmax + 1), (0, 1), range(kmax + 1), (0, 1)):
-        for da in solve(alg, Kind.C, k1, x1).basis:
-            for db in solve(alg, Kind.QC, k2, x2).basis:
-                c = supercommutator(da, db)
-                for j in range(alg.dim):
-                    col = c.mat.col(j)
-                    if not contains(z_full, col):
-                        bad = ((k1, x1, k2, x2, j), _mat_witness(c.mat))
-                if not c.mat.is_zero():
-                    bad_zero = ((k1, x1, k2, x2), _mat_witness(c.mat))
-    claims.append(Claim("34.1.image_in_center", "fail" if bad else "pass",
-                        witness=bad or ()))
+    sp = _Spaces(alg, kmax)
+    brackets: dict = {}
+    inputs = sp.inputs(Kind.C, Kind.QC)
+
+    def outside_center(c):
+        return [j for j in range(alg.dim) if not contains(z_full, c.mat.col(j))]
+
+    bad = _first_failure(_grades(kmax, 2 * kmax), inputs, _nowhere, supercommutator,
+                         lambda _, c: not outside_center(c), brackets)
+    if bad is None:
+        claims.append(Claim("34.1.image_in_center", "pass"))
+    else:
+        g, c = bad
+        claims.append(Claim("34.1.image_in_center", "fail",
+                            witness=(g + (outside_center(c)[0],), _mat_witness(c.mat))))
     if z_full.dim == 0:
-        claims.append(Claim("34.2.zero_when_centerless",
-                            "fail" if bad_zero else "pass", witness=bad_zero or ()))
+        claims.append(_claim("34.2.zero_when_centerless", _first_failure(
+            _grades(kmax, 2 * kmax), inputs, _nowhere, supercommutator,
+            lambda _, c: c.mat.is_zero(), brackets)))
     else:
         claims.append(Claim("34.2.zero_when_centerless", "skipped",
                             detail="center is nonzero"))
@@ -282,10 +342,9 @@ def _hom_jordan_residual(alg, x: GradedEndo, y: GradedEndo, z: GradedEndo,
     def sgn(e):
         return -1 if (e % 2) else 1
 
-    t1 = term(x, y, z).mat.scale(sgn(z.xi * (x.xi + w.xi)))
-    t2 = term(y, z, x).mat.scale(sgn(x.xi * (y.xi + w.xi)))
-    t3 = term(z, x, y).mat.scale(sgn(y.xi * (z.xi + w.xi)))
-    return t1 + t2 + t3
+    return linear_combination(
+        (sgn(z.xi * (x.xi + w.xi)), sgn(x.xi * (y.xi + w.xi)), sgn(y.xi * (z.xi + w.xi))),
+        (term(x, y, z).mat, term(y, z, x).mat, term(z, x, y).mat))
 
 
 def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo | None:
@@ -297,11 +356,19 @@ def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo | Non
     coeffs = [rng.randint(-3, 3) for _ in basis]
     if not any(coeffs):
         coeffs[rng.randrange(len(coeffs))] = 1
-    acc = Mat.zero(basis[0].mat.rows, basis[0].mat.cols)
-    for c, g in zip(coeffs, basis):
-        if c:
-            acc = acc + g.mat.scale(c)
-    return GradedEndo(acc, xi)
+    return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
+
+
+def _hom_jordan_quadruples(basis_by_parity, samples: int, rng: random.Random):
+    """All basis quadruples when there are at most 10^4, then random ones."""
+    all_basis = basis_by_parity[0] + basis_by_parity[1]
+    if all_basis and len(all_basis) ** 4 <= 10 ** 4:
+        yield from product(all_basis, repeat=4)
+    for _ in range(samples):
+        quad = [_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
+        if any(q is None for q in quad):
+            return
+        yield quad
 
 
 def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
@@ -313,62 +380,45 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     all_basis = basis_by_parity[0] + basis_by_parity[1]
 
     bad = None
-    for da in all_basis:
-        for db in all_basis:
-            sign = -1 if (da.xi and db.xi) else 1
-            lhs = jordan_product(da, db)
-            rhs = jordan_product(db, da)
-            if lhs.mat != rhs.mat.scale(sign):
-                bad = ((da.xi, db.xi), _mat_witness(lhs.mat))
+    for da, db in product(all_basis, repeat=2):
+        sign = -1 if (da.xi and db.xi) else 1
+        lhs = jordan_product(da, db)
+        if lhs.mat != jordan_product(db, da).mat.scale(sign):
+            bad = ((da.xi, db.xi), _mat_witness(lhs.mat))
+            break
     claims.append(Claim("38.1.supercommutative", "fail" if bad else "pass",
                         witness=bad or ()))
 
     bad = None
     checked = 0
-    if all_basis and len(all_basis) ** 4 <= 10 ** 4:
-        for x, y, z, w in product(all_basis, repeat=4):
-            if not _hom_jordan_residual(alg, x, y, z, w).is_zero():
-                bad = ((x.xi, y.xi, z.xi, w.xi), _mat_witness(x.mat))
-            checked += 1
-    rng = random.Random(seed)
-    for _ in range(samples):
-        quad = [_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
-        if any(q is None for q in quad):
-            break
-        if not _hom_jordan_residual(alg, *quad).is_zero():
-            bad = (tuple(q.xi for q in quad), _mat_witness(quad[0].mat))
+    for quad in _hom_jordan_quadruples(basis_by_parity, samples, random.Random(seed)):
         checked += 1
+        residual = _hom_jordan_residual(alg, *quad)
+        if not residual.is_zero():
+            bad = (tuple(q.xi for q in quad), _mat_witness(residual))
+            break
     claims.append(Claim("38.1.hom_jordan_identity", "fail" if bad else "pass",
                         detail=f"checked {checked} quadruples, seed {seed}",
                         witness=bad or ()))
 
-    bad = None
-    for k1, x1, k2, x2 in _grades(kmax):
-        for da in solve(alg, Kind.QC, k1, x1).basis:
-            for db in solve(alg, Kind.QC, k2, x2).basis:
-                p = jordan_product(da, db)
-                if not in_space(alg, Kind.QC, k1 + k2, (x1 + x2) % 2, p):
-                    bad = ((k1, x1, k2, x2), _mat_witness(p.mat))
-    claims.append(Claim("38.2.QC_jordan_closed", "fail" if bad else "pass",
-                        witness=bad or ()))
+    sp = _Spaces(alg, kmax)
+    claims.append(_claim("38.2.QC_jordan_closed", _first_failure(
+        _grades(kmax), sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC), jordan_product,
+        sp.member, {})))
     return _report("3.8", claims, solved_dims(alg, kmax))
 
 
 def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Bracket closure of QC versus composition closure and commutativity."""
     _require_valid(alg)
-    p1 = p2 = p3 = True
-    for k1, x1, k2, x2 in _grades(kmax):
-        for da in solve(alg, Kind.QC, k1, x1).basis:
-            for db in solve(alg, Kind.QC, k2, x2).basis:
-                k, xi = k1 + k2, (x1 + x2) % 2
-                c = supercommutator(da, db)
-                if not in_space(alg, Kind.QC, k, xi, c):
-                    p1 = False
-                if not in_space(alg, Kind.QC, k, xi, compose(da, db)):
-                    p2 = False
-                if not c.mat.is_zero():
-                    p3 = False
+    sp = _Spaces(alg, kmax)
+    brackets: dict = {}
+    qc_pairs, into_qc = sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC)
+    p1 = _first_failure(_grades(kmax), qc_pairs, into_qc, supercommutator, sp.member,
+                        brackets) is None
+    p2 = _first_failure(_grades(kmax), qc_pairs, into_qc, compose, sp.member, {}) is None
+    p3 = _first_failure(_grades(kmax), qc_pairs, _nowhere, supercommutator,
+                        lambda _, c: c.mat.is_zero(), brackets) is None
     claims = [Claim("39.predicates", "pass",
                     detail=f"bracket_closed={p1} composition_closed={p2} "
                            f"brackets_vanish={p3}")]

@@ -32,7 +32,9 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     Vector,
+    commutes_with,
     is_zero_vector,
+    product_sum,
     vec_add,
     vec_scale,
     zero_vector,
@@ -105,12 +107,8 @@ def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
     return True
 
 
-def commutes_with(mat: Mat, other: Mat) -> bool:
-    return mat @ other == other @ mat
-
-
 def _alpha_key(alg: NHomAlgebra, k: int):
-    return alg.alpha_power(k).entries
+    return alg.alpha_power(k).ints
 
 
 def _slot_tables(alg: NHomAlgebra, k: int):
@@ -127,7 +125,7 @@ def _slot_tables(alg: NHomAlgebra, k: int):
     d, n = alg.dim, alg.arity
     a = alg.alpha_power(k)
     ft = alg.full_table
-    if a == Mat.identity(d):
+    if a.is_identity():
         tables = [ft] * n
     else:
         cols = [a.col(i) for i in range(d)]
@@ -169,7 +167,7 @@ def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
     """Rows encoding (D alpha - alpha D) = 0 for one unknown block."""
     d = alg.dim
     a = alg.alpha
-    if a == Mat.identity(d):
+    if a.is_identity():
         return []
     rows = []
     for l in range(d):
@@ -349,7 +347,7 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
 
 def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
     """Commutant of alpha among homogeneous maps of degree xi."""
-    cache_key = ("solve", Kind.OMEGA, xi, alg.alpha.entries)
+    cache_key = ("solve", Kind.OMEGA, xi, alg.alpha.ints)
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return hit
@@ -386,7 +384,7 @@ def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEn
         raise ValueError("endomorphism size does not match the algebra")
     if not is_homogeneous(alg.parity, xi, endo.mat):
         raise ValueError("endomorphism is not homogeneous of the stated parity")
-    cache_key = ("member", kind, xi, _alpha_key(alg, k), endo.mat.entries)
+    cache_key = ("member", kind, xi, _alpha_key(alg, k), endo.mat.ints)
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return hit
@@ -562,17 +560,14 @@ def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
 
 def supercommutator(d1: GradedEndo, d2: GradedEndo) -> GradedEndo:
     """D E - (-1)^{xi eta} E D, of degree xi + eta."""
-    sign = -1 if (d1.xi and d2.xi) else 1
-    prod2 = (d2.mat @ d1.mat).scale(sign)
-    return GradedEndo((d1.mat @ d2.mat) - prod2, (d1.xi + d2.xi) % 2)
+    sign = 1 if (d1.xi and d2.xi) else -1
+    return GradedEndo(product_sum(d1.mat, d2.mat, sign), (d1.xi + d2.xi) % 2)
 
 
 def jordan_product(d1: GradedEndo, d2: GradedEndo) -> GradedEndo:
     """(D E + (-1)^{xi eta} E D) / 2, of degree xi + eta."""
     sign = -1 if (d1.xi and d2.xi) else 1
-    prod2 = (d2.mat @ d1.mat).scale(sign)
-    return GradedEndo(((d1.mat @ d2.mat) + prod2).scale(Fraction(1, 2)),
-                      (d1.xi + d2.xi) % 2)
+    return GradedEndo(product_sum(d1.mat, d2.mat, sign, 2), (d1.xi + d2.xi) % 2)
 
 
 def compose(d1: GradedEndo, d2: GradedEndo) -> GradedEndo:
@@ -580,7 +575,13 @@ def compose(d1: GradedEndo, d2: GradedEndo) -> GradedEndo:
 
 
 def alpha_twist(alg: NHomAlgebra, endo: GradedEndo) -> GradedEndo:
-    """Composition with alpha; only defined on the commutant of alpha."""
+    """Composition with alpha; only defined on the commutant of alpha.
+
+    When alpha is the identity the twist is the identity and ``endo`` is
+    returned as it is.
+    """
+    if alg.alpha.is_identity():
+        return endo
     if not commutes_with(endo.mat, alg.alpha):
         raise ValueError("alpha twist requires the map to commute with alpha")
     return GradedEndo(endo.mat @ alg.alpha, endo.xi)

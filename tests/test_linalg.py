@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -189,3 +190,65 @@ def test_complement_direct_sum(data):
     comp = extend_to_complement(inner, allowed)
     assert inner.dim + comp.dim == len(allowed)
     assert subspace_intersect(inner, comp).dim == 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the integer kernel against plain Fraction loops
+# ---------------------------------------------------------------------------
+
+mixed_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+
+def grid(rows, cols):
+    return st.lists(st.lists(mixed_rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def ref_matmul(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+            for row in a]
+
+
+@given(st.data())
+def test_matmul_matches_triple_loop(data):
+    r, m, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(grid(r, m)), data.draw(grid(m, c))
+    prod = Mat.from_rows(a, cols=m) @ Mat.from_rows(b, cols=c)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.entries == tuple(tuple(row) for row in ref_matmul(a, b, m, c))
+
+
+@given(st.data())
+def test_linear_operations_match_entrywise_arithmetic(data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a, b = data.draw(grid(r, c)), data.draw(grid(r, c))
+    s = data.draw(mixed_rationals)
+    ma, mb = Mat.from_rows(a, cols=c), Mat.from_rows(b, cols=c)
+    assert (ma + mb).entries == tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
+    assert (ma - mb).entries == tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a, b))
+    assert ma.scale(s).entries == tuple(tuple(s * x for x in u) for u in a)
+    assert (-ma).entries == tuple(tuple(-x for x in u) for u in a)
+    assert ma.is_zero() == all(x == 0 for u in a for x in u)
+
+
+@given(st.data())
+def test_integer_form_is_the_lcm_form(data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = data.draw(grid(r, c))
+    m = Mat.from_rows(a, cols=c)
+    nums, den = m.ints
+    expected_den = 1
+    for x in (x for u in a for x in u):
+        expected_den = expected_den * x.denominator // gcd(expected_den, x.denominator)
+    assert den == expected_den
+    assert tuple(tuple(F(n, den) for n in u) for u in nums) == m.entries
+    # a product keeps the same canonical form as a matrix built from its entries
+    prod = m @ Mat.identity(c)
+    assert prod.ints == Mat(r, c, prod.entries).ints
+
+
+def test_identity_detection():
+    assert Mat.identity(3).is_identity()
+    assert Mat.identity(0).is_identity()
+    assert not Mat.from_rows([[1, 0], [0, 2]]).is_identity()
+    assert not Mat.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()

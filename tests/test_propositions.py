@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from nhomlie.fixtures import FIXTURES, abelian2, aff1, nonsurjective_abelian2, super2
+from nhomlie import propositions
+from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, nonsurjective_abelian2, super2
 from nhomlie.linalg import Mat
 from nhomlie.propositions import (
+    _mat_witness,
     check_basis_change,
     check_prop31,
     check_prop32,
@@ -15,6 +19,9 @@ from nhomlie.propositions import (
     random_even_invertible,
     solved_dims,
 )
+from nhomlie.solver import Kind, alpha_twist, omega, solve, supercommutator
+
+F = Fraction
 
 ALL_CHECKS = [check_prop31, check_prop32, check_prop33, check_prop34,
               check_prop38, check_prop39]
@@ -113,3 +120,60 @@ def test_random_basis_changes_preserve_dims(name):
     for _ in range(3):
         p = random_even_invertible(alg.parity, rng)
         assert check_basis_change(alg, p, 1).passed
+
+
+def _reject_centroid_levels(monkeypatch, levels):
+    """Make membership in C fail at the given twist powers."""
+    real = propositions.in_space
+
+    def fake(alg, kind, k, xi, endo):
+        if kind is Kind.C and k in levels:
+            return False
+        return real(alg, kind, k, xi, endo)
+
+    monkeypatch.setattr(propositions, "in_space", fake)
+
+
+def test_pair_claim_reports_the_first_failing_grade(monkeypatch):
+    alg = homaff1()  # alpha = diag(1, 2): every twist power is a different space
+    _reject_centroid_levels(monkeypatch, {1, 2})
+    claim = check_prop32(alg, 2).claim("32.1.[Der,C]_in_C")
+    assert claim.status == "fail"
+    # (0, 0, 1, 0) reaches C at k = 1 before (0, 0, 2, 0) and (2, 0, 0, 0) reach k = 2
+    grade, witness = claim.witness
+    assert grade == (0, 0, 1, 0)
+    der = solve(alg, Kind.DER, 0, 0).basis[0]
+    cen = solve(alg, Kind.C, 1, 0).basis[0]
+    assert witness == _mat_witness(supercommutator(der, cen).mat)
+
+
+def test_twist_claim_reports_the_first_failing_grade(monkeypatch):
+    alg = homaff1()
+    _reject_centroid_levels(monkeypatch, {1, 2})
+    claim = check_prop31(alg, 2).claim("31.1.C.twist")
+    assert claim.status == "fail"
+    grade, witness = claim.witness
+    assert grade == (0, 0)
+    assert witness == _mat_witness(alpha_twist(alg, solve(alg, Kind.C, 0, 0).basis[0]).mat)
+
+
+def test_hom_jordan_failure_records_a_rebuildable_witness(monkeypatch):
+    alg = super2()
+    bad_parities = (0, 1, 1, 0)
+    residual = Mat.from_rows([[0, 1], [F(-1, 2), 0]])
+    real = propositions._hom_jordan_residual
+
+    def fake(alg_, x, y, z, w):
+        if (x.xi, y.xi, z.xi, w.xi) == bad_parities:
+            return residual
+        return real(alg_, x, y, z, w)
+
+    monkeypatch.setattr(propositions, "_hom_jordan_residual", fake)
+    claim = check_prop38(alg, 1, samples=5, seed=7).claim("38.1.hom_jordan_identity")
+    assert claim.status == "fail"
+    assert claim.witness == (bad_parities, _mat_witness(residual))
+    # every basis quadruple is enumerated first; the walk stops at the first failure
+    basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
+    first = next(i for i, quad in enumerate(product(basis, repeat=4))
+                 if tuple(q.xi for q in quad) == bad_parities)
+    assert claim.detail == f"checked {first + 1} quadruples, seed 7"

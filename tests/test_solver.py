@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from nhomlie.algebra import NHomAlgebra
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, super2, threeLie4
-from nhomlie.linalg import Mat, contains, is_subspace_of
+from nhomlie.linalg import Mat, commutes_with, contains, is_subspace_of
 from nhomlie.solver import (
     GradedEndo,
     Kind,
     allowed_positions,
     alpha_twist,
+    compose,
     hom_associator,
     in_space,
     jordan_product,
@@ -248,3 +250,91 @@ class TestEndoOperations:
         classical = jordan_product(jordan_product(x, y), z).mat - \
             jordan_product(x, jordan_product(y, z)).mat
         assert hom_associator(a, x, y, z).mat == classical
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the endomorphism operations against textbook formulas
+# ---------------------------------------------------------------------------
+
+def twisted_super():
+    """Abelian superalgebra, parity (0, 1, 0, 1), with a non-identity even twist."""
+    alpha = Mat.from_rows([[2, 0, F(1, 2), 0], [0, 2, 0, F(1, 2)], [0, 0, 2, 0], [0, 0, 0, 2]])
+    return NHomAlgebra(2, 4, (0, 1, 0, 1), {}, alpha, name="twisted_super")
+
+
+def plain(m):
+    return [list(row) for row in m.entries]
+
+
+def ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def ref_comb(ca, a, cb, b):
+    return [[ca * x + cb * y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+
+def ref_jordan(x, y):
+    sign = -1 if (x.xi and y.xi) else 1
+    return GradedEndo(Mat.from_rows(ref_comb(F(1, 2), ref_mul(plain(x.mat), plain(y.mat)),
+                                             F(sign, 2), ref_mul(plain(y.mat), plain(x.mat)))),
+                      (x.xi + y.xi) % 2)
+
+
+def ref_twist(alg, x):
+    return GradedEndo(Mat.from_rows(ref_mul(plain(x.mat), plain(alg.alpha))), x.xi)
+
+
+def commutant_samples(alg, count=4):
+    """Basis of the commutant of alpha plus seeded rational combinations, per parity."""
+    rng = random.Random(5)
+    out = []
+    for xi in (0, 1):
+        basis = omega(alg, xi).basis
+        out.extend(basis)
+        for _ in range(count if basis else 0):
+            acc = Mat.zero(alg.dim, alg.dim)
+            for g in basis:
+                acc = acc + g.mat.scale(F(rng.randint(-5, 5), rng.randint(1, 6)))
+            out.append(GradedEndo(acc, xi))
+    return out
+
+
+@pytest.mark.parametrize("build", [homaff1, twisted_super])
+def test_endo_operations_match_textbook_formulas(build):
+    alg = build()
+    assert not alg.alpha.is_identity()
+    samples = commutant_samples(alg)
+    assert any(g.xi for g in samples) == (build is twisted_super)
+    for x in samples:
+        assert alpha_twist(alg, x) == ref_twist(alg, x)
+        for y in samples:
+            xy, yx = ref_mul(plain(x.mat), plain(y.mat)), ref_mul(plain(y.mat), plain(x.mat))
+            sign = -1 if (x.xi and y.xi) else 1
+            bracket = Mat.from_rows(ref_comb(1, xy, -sign, yx))
+            assert supercommutator(x, y) == GradedEndo(bracket, (x.xi + y.xi) % 2)
+            assert jordan_product(x, y) == ref_jordan(x, y)
+            assert compose(x, y) == GradedEndo(Mat.from_rows(xy), (x.xi + y.xi) % 2)
+    for x, y, z in zip(samples, samples[1:] + samples[:1], samples[2:] + samples[:2]):
+        left = ref_jordan(ref_jordan(x, y), ref_twist(alg, z))
+        right = ref_jordan(ref_twist(alg, x), ref_jordan(y, z))
+        assert hom_associator(alg, x, y, z).mat == \
+            Mat.from_rows(ref_comb(1, plain(left.mat), -1, plain(right.mat)))
+
+
+@pytest.mark.parametrize("build", [homaff1, twisted_super])
+def test_alpha_twist_rejects_a_non_commuting_map(build):
+    alg = build()
+    bad = GradedEndo(Mat.from_rows([[1 if (r, c) == (0, 1) else 0 for c in range(alg.dim)]
+                                    for r in range(alg.dim)]), alg.parity[0] ^ alg.parity[1])
+    assert not commutes_with(bad.mat, alg.alpha)
+    with pytest.raises(ValueError):
+        alpha_twist(alg, bad)
+
+
+def test_identity_twist_is_skipped():
+    alg = aff1()
+    d = endo([[1, 2], [3, 4]])
+    assert alpha_twist(alg, d) is d
+    assert commutes_with(d.mat, alg.alpha)
