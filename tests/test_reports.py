@@ -1,0 +1,152 @@
+"""Golden digests of whole CLI reports.
+
+Each case runs one CLI command and compares the SHA-256 of its report
+with a digest pinned here.  Reports embed the input path, so bundled
+fixtures are read from the repository root as ``src/nhomlie/data/<name>.json``
+and transported copies from a scratch directory as ``<name>~.json``; both
+paths are relative to the working directory of the run.
+
+The transported copies are ``transport`` of each fixture through
+``random_even_invertible`` with ``random.Random(TRANSPORT_SEED)``, so
+their coefficients are dense.  ``decompose`` on threeLie4 is not pinned
+here: it is slow, and the benchmark gate already pins it.
+"""
+
+import hashlib
+import pathlib
+import random
+
+import pytest
+
+from nhomlie.algebra import transport
+from nhomlie.cli import main
+from nhomlie.fixtures import FIXTURES
+from nhomlie.io import serialize_algebra
+from nhomlie.propositions import random_even_invertible
+from nhomlie.solver import Kind
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRANSPORT_SEED = 2016
+
+DIGESTS = {
+    "decompose-abelian2": "a6062db66bc9081eb5f446d1a124b8e40ae4d6a94a0b462c0c8e5005b0ad8850",
+    "decompose-aff1": "9d8c4447401f540cbb2681c996f5081346e689d445e284eab95fdbd52fe597e7",
+    "decompose-homaff1": "b6f89497b9bad19adfe0e8e9eb79ab44eb918b670edf3a6608ac11a7174634e7",
+    "decompose-super2": "d6996e89c470135f9a6dec085bcfd5c6466e3dba40454170632ea9e376bec871",
+    "props-abelian2": "11466554d832bcf53ae1b170c01291b28a4a6347b22e79100830dc36d6302bb7",
+    "props-aff1": "62ce1700828f841b194ee334d71225913963e1d8a1a23def9f9279cc361c9edb",
+    "props-homaff1": "b875698202b75b828916859e4bb08dea9332711e92207c533392e26c7fa96401",
+    "props-super2": "3bcb26ec89ec1ecfce533a4eebf2ea5d57b11d3df9d8ff180f52c1269ed4f341",
+    "props-threeLie4": "6b9f179b05e2268362f1caf513cf1f5718e636158a1f6f861e53e12668fe207d",
+    "solve-C-abelian2": "f0afcc1b16f7a24dc344dcf1a27747215642c9abadabaeaf299abe76ffe8d402",
+    "solve-C-abelian2~": "10908b8a9bc690380b0a61d8228ace1d91302b54e21d44d471db8cb490279393",
+    "solve-C-aff1": "4acdd7e9bd004626933187b794608c132733d1e3ab2a4017936bc2b431f53235",
+    "solve-C-aff1~": "42f3bb50aa1d900f07e251b95d1dae7d5ce6a36225b7e02238cc1b03bbefc544",
+    "solve-C-homaff1": "086309eb34903cb0002b30062e50569d756f2a326de359e1e0eeb348353ef3b9",
+    "solve-C-homaff1~": "05f8c70d87e2038a1144088a4129f7ef7599206d1df5efdaed01225464701c60",
+    "solve-C-super2": "be17dc92227f023eba0b1617d977d6d62bb316dde3c4236e996499f015cd6d7e",
+    "solve-C-super2~": "ff15576da744855364fd8ef13cd08157cb0c1235beb1162a63b2297ca702da77",
+    "solve-C-threeLie4": "f460b0cf01aa520ffd7987e52a9718050810953328b8a8686ba63fe264de5fa2",
+    "solve-C-threeLie4~": "3aa26d280853546e63b470543cdc990ba9ba2a6b77aca890d3ceaf06cfc5528e",
+    "solve-Der-abelian2": "d5864b99d3a4afee934c0f104aa4b55aa5b658afeafcd53734a190e37a1df5e4",
+    "solve-Der-abelian2~": "21d979c3a60431a368cfbe903e613e7a5d288e396c8971254395a52c1d84b491",
+    "solve-Der-aff1": "1404b2a635392d8d3f6417e5e0d42e1f375e31527198ff37cf4502670eca9604",
+    "solve-Der-aff1~": "118940348bc64b0da9030a8eb82828154c8e9c4503774e68f2296352cf29c54f",
+    "solve-Der-homaff1": "6a69515e8b78996d11f3e9e561df3b9c2ecc02e7379e2ce2548576eba9e1a2c9",
+    "solve-Der-homaff1~": "b0ab00ae9ba31307bc8ba475307e3c73ddc60f91c6484656b250e5291a3b5305",
+    "solve-Der-super2": "6378f5d8b6831d4a738f7477f543b2996ee0b0ae9355bc7b77c5bebd84100d43",
+    "solve-Der-super2~": "d66a874d05bdd2a717514905f3101706164099483f62e3c493162045e067bb31",
+    "solve-Der-threeLie4": "5cd8c0d0ff192950612e436cc22de1bf73440134a0f15070d13147ad6331ecd0",
+    "solve-Der-threeLie4~": "7ab67f3215cb85f8b26ad2d8820bf4135cb504943f2eaec97b974ebc6d9fb719",
+    "solve-GDer-abelian2": "1cba8e7847150588ca505e13f80650aa2b70f405d03046f28d804f760f599183",
+    "solve-GDer-abelian2~": "e50d68d7907fcc4e5d8cc3950fd0cc40d11c53205a8d7d148de8601b6dedc096",
+    "solve-GDer-aff1": "cd8116f62ae1816ce1a2ce8bd00f9d2cc77f477a03fe5f01b13d50fd9a32402b",
+    "solve-GDer-aff1~": "a377c3d308c04d651826198c25ec6f9d3c0f38666a100214bc87fd614f370f4e",
+    "solve-GDer-homaff1": "ebcd3b8c5403d015666fb1239afdaf632790519d2693d0c30be043288c5176ca",
+    "solve-GDer-homaff1~": "a283cf4277b9debf142849985659538ff1a8ea47139e53349463f371236f5bc5",
+    "solve-GDer-super2": "86ac5337ae9c3c66e3f6f7f31e741ed8e5e8105792a785d35d4c5fe7a569407b",
+    "solve-GDer-super2~": "613399cccec5e36c8b9473c31bd83a365b325dab12b15a065207a5bd24ff013a",
+    "solve-GDer-threeLie4": "2f14ba25177a2e091f6cb6c3dc813273d5c0dcc3eef937488e5beaa9af8b99ec",
+    "solve-GDer-threeLie4~": "f2587c968303622bf328b9cb196197637b2a70192d737749042e1aeb5c23eece",
+    "solve-Omega-abelian2": "410053e508c097762fda7784c5f169058c25720681193e1aa1d7223ec11d3449",
+    "solve-Omega-abelian2~": "272e6ca5d90f04900681880482a1ad4a9034c36f605bfb0dc65a1cbf393158b2",
+    "solve-Omega-aff1": "09ceb098ebdb1cd21b7ff4bf29179bdcb8af6f2840b2dabb33ad18d3a8dfc700",
+    "solve-Omega-aff1~": "5ece869d3d743dc0f49dc123dec73468041de5f6703d3d80d7497c775d9a8ed2",
+    "solve-Omega-homaff1": "3f4bc1f390897405868ccb8be5c9f11f38538236b06ed7f0501f03ba72c2c584",
+    "solve-Omega-homaff1~": "c4bdc4dccdf9a85736e15688bca7d911809225e30ca75d206f48825423c6908f",
+    "solve-Omega-super2": "86781c0713e43d922231ccafba3e1cc2e9a66d7979d1db8dffc2e103ec7888f9",
+    "solve-Omega-super2~": "e441223472d36aeb8228d7fdcff1a336cac25045914a485865f81f89c772b4e2",
+    "solve-Omega-threeLie4": "a314f36f1df91936344d5a5773f676e6096ecf8ff6e04759f53b005281effa72",
+    "solve-Omega-threeLie4~": "0617dd6921d1f279cbcde904cd3d463c99f5a90b22e3402c7e26713bb1fd240d",
+    "solve-QC-abelian2": "bcf474521e961fb1783b91389be7f5db9873fb7b5234a36f65b500dd0bfa3995",
+    "solve-QC-abelian2~": "e2898c1389bab2a8c5eba37bb21405371d92b7b40d59bb55041725cd79c84e99",
+    "solve-QC-aff1": "f10698e08ddda0754c5c43517fccac23d9745c01b72b30f354aa0fc35a9b4214",
+    "solve-QC-aff1~": "415664d071a093d72b798fe5c775ed7f3e59214206fc2889dc553b64f4f6472e",
+    "solve-QC-homaff1": "ec4a2b3ca588db878498fc7158f2f55134bc206b4750132579ef70f3a440bc19",
+    "solve-QC-homaff1~": "354872d47a9eaffee01365411cfdb74edd9c20c6b5d56d4bdee1a86917a6825b",
+    "solve-QC-super2": "398ffce66d141d35a0f4d5641ced0de8f4aa2361e7b059c17903977af411715d",
+    "solve-QC-super2~": "6d09dae487e4fcd4bd4dd0c45f79f374f167b5ea9eab207dd96e667914b73b9c",
+    "solve-QC-threeLie4": "7ad570b693e03a62859442bc789525e312818b26ec9be0dc6d49cf1015dce474",
+    "solve-QC-threeLie4~": "45d1ff489793b86de67ca86f6a792fcc50e37ce7985b6218a01d3230f8ce1d5d",
+    "solve-QDer-abelian2": "93b8d1c330624643b63952cada136ef4e391ee9de618383afddb58219595974d",
+    "solve-QDer-abelian2~": "6dd2820619b13c57caa3ed14b428f436c9289dd076196fefaf5b935425d65a5e",
+    "solve-QDer-aff1": "010c99463c2ee2c9b0a4476e1055896f8df48047e4b6a1b0f5ce5d5f93d65354",
+    "solve-QDer-aff1~": "7eb2354df2ca26d1a21bff3d5ae7bc3aa9a496bd65fe39b5e2d7ec162959daef",
+    "solve-QDer-homaff1": "69cc17bc46f83401c903955e5e54e37d8afb7c4ac54a9c9016f1a9ebf79901a1",
+    "solve-QDer-homaff1~": "38460e6baefca34899b5fb3435af6587a7bfcaaf3663addbf1f6409fc33d3db8",
+    "solve-QDer-super2": "1dfda4b63f7f976af0b5a5a978f69a8e080e4ac0b233f291aec05396a66dc41d",
+    "solve-QDer-super2~": "9557802d0887f5e9a639fa9360c42c04df5dd2edcdd35f1fd7294c021b784a41",
+    "solve-QDer-threeLie4": "02390351b38b293f80c8b7580c9a6d506b8ed47380b890dc1aae18fd342ae2b8",
+    "solve-QDer-threeLie4~": "aed98f4db89e5566e2434386f76eec32e37f1ea9f72ea88f9f94555ebcfd3b67",
+    "solve-ZDer-abelian2": "19638302272700ff66f053938deaa54648f47cbe321c3f0432914a1ddb1e58b5",
+    "solve-ZDer-abelian2~": "bca5289c9845c99c43d9f4267735989bc03b63a5fbeacd3bc5fdc79857af6572",
+    "solve-ZDer-aff1": "241fa62f4b307150552b132eb742532f0f5d9df4d5a7a93e006cb3f6d554d8ea",
+    "solve-ZDer-aff1~": "ab69334cb2d25805aac021206dfa22c87b8c25fc0ca660fa9e344c3e5361d14d",
+    "solve-ZDer-homaff1": "70221f6c77747ca7f6b8cfc3434be8de1c5da6a3657621d9177b96e690715c52",
+    "solve-ZDer-homaff1~": "a119b2f021b42274f9afb9a17752907704b9b4985ed744f7de6033328abbccb0",
+    "solve-ZDer-super2": "9f8cd3e98127d28fcb4eaf11e5e766cbf5dab208ab9cdbe5fe64079a7e4c2e8f",
+    "solve-ZDer-super2~": "bd98197e301c235ace9305e91c6138a1966475c7fba3e71e21fee866dc62cfdb",
+    "solve-ZDer-threeLie4": "955ac51c4920671590ad1270be42408216e9671f00dd54e6fd46d8333eae2d26",
+    "solve-ZDer-threeLie4~": "1e7da5567c162c281f80046a49838e94a277ef862babe61c502aceb8904647c8",
+}
+
+
+def _cases():
+    for name in sorted(FIXTURES):
+        for source in (name, name + "~"):
+            for kind in Kind:
+                yield f"solve-{kind.value}-{source}", ["solve", "--kind", kind.value]
+        yield f"props-{name}", ["props"]
+        if name != "threeLie4":
+            yield f"decompose-{name}", ["decompose"]
+
+
+CASES = dict(_cases())
+
+
+@pytest.fixture(scope="module")
+def transported_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("transported")
+    for name, make in FIXTURES.items():
+        alg = make()
+        moved = transport(alg, random_even_invertible(alg.parity, random.Random(TRANSPORT_SEED)))
+        (out / f"{name}~.json").write_text(serialize_algebra(moved), encoding="utf-8")
+    return out
+
+
+def _report(case, transported_dir, monkeypatch, capsys):
+    source = case.rsplit("-", 1)[1]
+    if source.endswith("~"):
+        monkeypatch.chdir(transported_dir)
+        path = f"{source}.json"
+    else:
+        monkeypatch.chdir(ROOT)
+        path = f"src/nhomlie/data/{source}.json"
+    assert main(CASES[case] + [path, "--kmax", "2"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_digest(case, transported_dir, monkeypatch, capsys):
+    text = _report(case, transported_dir, monkeypatch, capsys)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[case]
