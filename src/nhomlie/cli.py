@@ -34,7 +34,7 @@ from .propositions import (
     check_prop39,
     solved_dims,
 )
-from .solver import Kind, omega, solve
+from .solver import TUPLE_KINDS, Kind, solve
 
 KIND_NAMES = [k.value for k in Kind]
 
@@ -90,16 +90,13 @@ def _cmd_solve(args) -> int:
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
     spaces = []
     dims = []
+    # Omega's identities do not involve the twist, so it has one grade per parity
+    kmax = args.kmax if kind in TUPLE_KINDS else 0
     for xi in parities:
-        if kind is Kind.OMEGA:
-            space = omega(alg, xi)
+        for k in range(kmax + 1):
+            space = solve(alg, kind, k, xi)
             spaces.append(space)
-            dims.append((kind.value, 0, xi, space.dim))
-        else:
-            for k in range(args.kmax + 1):
-                space = solve(alg, kind, k, xi)
-                spaces.append(space)
-                dims.append((kind.value, k, xi, space.dim))
+            dims.append((kind.value, k, xi, space.dim))
     body = {
         "dims": dims_doc(sorted(dims)),
         "spaces": [endospace_doc(s) for s in spaces],

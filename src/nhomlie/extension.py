@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .algebra import NHomAlgebra, center, derived_subspace, invert, validate
 from .linalg import (
-    Echelon,
     Mat,
     SubspaceBasis,
     subspace_intersect,
@@ -33,7 +32,9 @@ from .propositions import Claim, PropReport, _mat_witness, _report
 from .solver import (
     GradedEndo,
     Kind,
-    allowed_positions,
+    _echelonize,
+    _mat_from_positions,
+    _rows,
     in_space,
     is_homogeneous,
     qder_identity_holds,
@@ -106,98 +107,65 @@ def phi(text: TExtension, endo: GradedEndo, witness: Mat, k: int) -> GradedEndo:
     return GradedEndo(Mat.from_rows(grid, cols=2 * d), xi)
 
 
-def _witness_slack_directions(text: TExtension, xi: int) -> list[Mat]:
+def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
     """Witness perturbations invisible to phi: maps killing the derived part.
 
     These are exactly the degree-xi maps W with W alpha = alpha W and
-    W([N,...,N]) = 0, i.e. valid second components for the zero map.
+    W([N,...,N]) = 0, i.e. valid second components for the zero map: the
+    nullspace of the witness rows of QDer at k = 0.  Those rows say
+    W([e_t]) = 0 for every basis tuple t, and the values [e_t] span the
+    derived subspace.
     """
-    base = text.base
-    d = base.dim
-    pos = allowed_positions(base.parity, xi)
-    posidx = {rc: m for m, rc in enumerate(pos)}
-    width = len(pos)
-    ech = Echelon(width)
-    derived = list(text.derived_even.vectors) + list(text.derived_odd.vectors)
-    for v in derived:
-        for l in range(d):
-            row = [0] * width
-            hit = False
-            for j in range(d):
-                col = posidx.get((l, j))
-                if col is not None and v[j]:
-                    row[col] = v[j]
-                    hit = True
-            if hit:
-                ech.add(row)
-    if base.alpha != Mat.identity(d):
-        a = base.alpha
-        for l in range(d):
-            for m in range(d):
-                row = [0] * width
-                for j in range(d):
-                    col = posidx.get((l, j))
-                    if col is not None and a.entries[j][m]:
-                        row[col] += a.entries[j][m]
-                    col = posidx.get((j, m))
-                    if col is not None and a.entries[l][j]:
-                        row[col] -= a.entries[l][j]
-                if any(row):
-                    ech.add(row)
-    out = []
-    for v in ech.nullspace_vectors():
-        grid = [[0] * d for _ in range(d)]
-        for (r, c), x in zip(pos, v):
-            grid[r][c] = x
-        out.append(Mat.from_rows(grid, cols=d))
-    return out
+    rows, _, pos = _rows(alg, Kind.QDER, 0, xi, known={0})
+    ech = _echelonize([row[len(pos):] for row in rows], len(pos))
+    return [_mat_from_positions(alg.dim, pos, v) for v in ech.nullspace_vectors()]
 
 
 def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropReport:
-    """Parity preservation, injectivity, witness independence, image in Der."""
+    """Parity preservation, injectivity, witness independence, image in Der.
+
+    Each claim's witness is its first failure in (k, xi) order.
+    """
     text = build_check(alg)
     ext = text.ext
     d2 = (2 * alg.dim) ** 2
     rng = random.Random(seed)
-    claims = []
     bad_parity = bad_inject = bad_witness = bad_der = None
+    slack = {xi: _witness_slack_directions(alg, xi) for xi in (0, 1)}
     for k in range(kmax + 1):
         for xi in (0, 1):
             qd = solve(alg, Kind.QDER, k, xi)
-            images = []
-            for g, w in zip(qd.basis, qd.witnesses):
-                img = phi(text, g, w, k)
-                images.append(img)
-                if not is_homogeneous(ext.parity, xi, img.mat):
+            images = [phi(text, g, w, k) for g, w in zip(qd.basis, qd.witnesses)]
+            for img in images:
+                if bad_parity is None and not is_homogeneous(ext.parity, xi, img.mat):
                     bad_parity = ((k, xi), _mat_witness(img.mat))
-                if not in_space(ext, Kind.DER, k, xi, img):
+                if bad_der is None and not in_space(ext, Kind.DER, k, xi, img):
                     bad_der = ((k, xi), _mat_witness(img.mat))
             stacked = SubspaceBasis.span(d2, [g.mat.flatten() for g in images])
-            if stacked.dim != qd.dim:
+            if bad_inject is None and stacked.dim != qd.dim:
                 bad_inject = ((k, xi, qd.dim, stacked.dim), ())
-            slack = _witness_slack_directions(text, xi)
-            if slack:
-                for g, w in zip(qd.basis, qd.witnesses):
+            if bad_witness is None and slack[xi]:
+                for g, w, img in zip(qd.basis, qd.witnesses, images):
                     noise = Mat.zero(alg.dim, alg.dim)
-                    for s in slack:
+                    for s in slack[xi]:
                         noise = noise + s.scale(rng.randint(-3, 3))
-                    other = phi(text, g, w + noise, k)
-                    if other.mat != phi(text, g, w, k).mat:
+                    if phi(text, g, w + noise, k).mat != img.mat:
                         bad_witness = ((k, xi), _mat_witness(noise))
-    claims.append(Claim("42.1.parity_preserving",
-                        "fail" if bad_parity else "pass", witness=bad_parity or ()))
-    claims.append(Claim("42.2.injective",
-                        "fail" if bad_inject else "pass", witness=bad_inject or ()))
-    claims.append(Claim("42.2.witness_independent",
-                        "fail" if bad_witness else "pass",
-                        detail=f"seed {seed}", witness=bad_witness or ()))
-    claims.append(Claim("42.3.image_in_Der",
-                        "fail" if bad_der else "pass", witness=bad_der or ()))
+                        break
+    claims = [Claim(name, "fail" if bad else "pass", detail=detail, witness=bad or ())
+              for name, bad, detail in (
+                  ("42.1.parity_preserving", bad_parity, ""),
+                  ("42.2.injective", bad_inject, ""),
+                  ("42.2.witness_independent", bad_witness, f"seed {seed}"),
+                  ("42.3.image_in_Der", bad_der, ""))]
     return _report("4.2", claims)
 
 
 def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """Der(ext) splits as the embedded quasiderivations plus ZDer(ext)."""
+    """Der(ext) splits as the embedded quasiderivations plus ZDer(ext).
+
+    The direct-sum witness is the first failing grade in (k, xi) order.
+    """
     z_even, z_odd = center(alg)
     if z_even.dim or z_odd.dim:
         claims = [
@@ -231,9 +199,9 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
             b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)
             c_sub = solve(ext, Kind.DER, k, xi).as_subspace(d2)
             dims_seen.append((k, xi, a_sub.dim, b_sub.dim, c_sub.dim))
-            if subspace_intersect(a_sub, b_sub).dim != 0:
+            if bad is None and subspace_intersect(a_sub, b_sub).dim != 0:
                 bad = ((k, xi), "intersection is nonzero")
-            if subspace_sum(a_sub, b_sub) != c_sub:
+            elif bad is None and subspace_sum(a_sub, b_sub) != c_sub:
                 bad = ((k, xi), "sum does not exhaust the derivation space")
     claims.append(Claim("43.direct_sum", "fail" if bad else "pass",
                         detail="; ".join(

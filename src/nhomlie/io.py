@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from . import __version__
@@ -43,12 +44,32 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Bounds on a rational string literal, checked before ``Fraction`` parses
+# it: its length in characters, and the magnitude of a decimal exponent
+# (``"1e100000000"`` is short but would build a 100-million-digit integer).
+MAX_LITERAL_CHARS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)")
+
+
+def _bounded_int(text: str):
+    """JSON integer hook: an over-long integer stays a string, so the
+    field check that reads it rejects it and names the field."""
+    return int(text) if len(text) <= MAX_LITERAL_CHARS else text
+
+
 def parse_rational(value, fld: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError("expected a rational, got a boolean", fld)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_LITERAL_CHARS:
+            raise SchemaError(f"literal longer than {MAX_LITERAL_CHARS} characters", fld)
+        exp = _EXPONENT.search(value)
+        if exp and abs(int(exp.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
+            raise SchemaError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}", fld)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -141,7 +162,7 @@ def parse_algebra(path) -> NHomAlgebra:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_int=_bounded_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
     import os

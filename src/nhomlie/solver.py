@@ -16,6 +16,13 @@ and vectorized column-major, blocks in definition order.  ``QDer`` and
 ``GDer`` are solved jointly with their witnesses and projected onto the
 leading block; witness representatives aligned with the returned basis are
 kept for reporting and for the extension embedding.
+
+``_EQUATIONS`` is the one description of these identities; :func:`_rows`
+turns it into rows for :func:`solve`, for the QDer/GDer witness system and
+for the extension's witness slack.  :func:`in_space` re-evaluates each
+definition through :func:`bracket` without reading the table, so it is a
+cross-check of the table rather than a copy of it; only the witness blocks
+it solves for come from the table.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -31,13 +39,13 @@ from .linalg import (
     Echelon,
     Mat,
     SubspaceBasis,
-    Vector,
+    _first_nonzero,
+    _int_row,
     commutes_with,
     is_zero_vector,
     product_sum,
     vec_add,
     vec_scale,
-    zero_vector,
 )
 
 
@@ -154,13 +162,23 @@ def _prefix_signs(alg: NHomAlgebra, t: tuple[int, ...], xi: int) -> list[int]:
     return signs
 
 
-_BLOCKS = {Kind.DER: 1, Kind.ZDER: 1, Kind.C: 1, Kind.QC: 1, Kind.QDER: 2}
+# Each kind's defining identities: kind -> arity -> (block count, equations).
+# An equation holds for every basis tuple t; it is a list of terms
+# (block b, slot s, coefficient c).  A slot term is c times the prefix sign
+# of slot s times [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}];
+# a VALUE term is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block
+# also commutes with alpha.
+VALUE = None
 
-
-def _block_count(kind: Kind, arity: int) -> int:
-    if kind is Kind.GDER:
-        return arity + 1
-    return _BLOCKS[kind]
+_EQUATIONS = {
+    Kind.OMEGA: lambda n: (1, []),
+    Kind.DER: lambda n: (1, [[(0, s, 1) for s in range(n)] + [(0, VALUE, -1)]]),
+    Kind.ZDER: lambda n: (1, [[(0, 0, 1)], [(0, VALUE, 1)]]),
+    Kind.C: lambda n: (1, [[(0, s, 1), (0, VALUE, -1)] for s in range(n)]),
+    Kind.QC: lambda n: (1, [[(0, 0, 1), (0, s, -1)] for s in range(1, n)]),
+    Kind.QDER: lambda n: (2, [[(0, s, 1) for s in range(n)] + [(1, VALUE, -1)]]),
+    Kind.GDER: lambda n: (n + 1, [[(s, s, 1) for s in range(n)] + [(n, VALUE, -1)]]),
+}
 
 
 def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
@@ -173,108 +191,70 @@ def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
     for l in range(d):
         for m in range(d):
             row = [Fraction(0)] * width
-            hit = False
             for j in range(d):
                 col = posidx.get((l, j))
                 if col is not None and a.entries[j][m]:
                     row[offset + col] += a.entries[j][m]
-                    hit = True
                 col = posidx.get((j, m))
                 if col is not None and a.entries[l][j]:
                     row[offset + col] -= a.entries[l][j]
-                    hit = True
-            if hit and any(row):
+            if any(row):
                 rows.append(row)
     return rows
 
 
-def _assemble(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
-    """Constraint rows over the vectorized unknown blocks."""
+def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
+    """Rows of the equations of ``kind`` over its vectorized blocks.
+
+    Rows come tuple by tuple, then equation by equation, then component by
+    component, followed by the commutation rows of every block not in
+    ``known``.  Terms of the ``known`` blocks are left out.  Without known
+    blocks only nonzero rows are kept; with them all d rows of each
+    (tuple, equation) are kept, so a right-hand side computed for the known
+    blocks lines up with the rows.  Returns (rows, block count, positions).
+    """
     d, n = alg.dim, alg.arity
+    nblocks, equations = _EQUATIONS[kind](n)
     pos = allowed_positions(alg.parity, xi)
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
-    nblocks = _block_count(kind, n)
     width = nblocks * npos
     ft = alg.full_table
     slots = _slot_tables(alg, k)
     rows: list[list[Fraction]] = []
-
-    def slot_term(block_rows, offset, s, t, factor):
-        ts = t[s]
-        for j in range(d):
-            col = posidx.get((j, ts))
-            if col is None:
-                continue
-            vec = slots[s][t[:s] + (j,) + t[s + 1:]]
-            for l in range(d):
-                c = vec[l]
-                if c:
-                    block_rows[l][offset + col] += factor * c
-
-    def value_term(block_rows, offset, value, factor):
-        # contribution of B(value), B the block at ``offset``
-        for j in range(d):
-            vj = value[j]
-            if not vj:
-                continue
-            for l in range(d):
-                col = posidx.get((l, j))
-                if col is not None:
-                    block_rows[l][offset + col] += factor * vj
-
     for t in product(range(d), repeat=n):
         signs = _prefix_signs(alg, t, xi)
-        val = ft[t]
-        if kind is Kind.DER:
+        for eq in equations:
             block_rows = [[Fraction(0)] * width for _ in range(d)]
-            for s in range(n):
-                slot_term(block_rows, 0, s, t, signs[s])
-            value_term(block_rows, 0, val, -1)
-            rows.extend(r for r in block_rows if any(r))
-        elif kind is Kind.ZDER:
-            block_rows = [[Fraction(0)] * width for _ in range(d)]
-            slot_term(block_rows, 0, 0, t, 1)
-            rows.extend(r for r in block_rows if any(r))
-            block_rows = [[Fraction(0)] * width for _ in range(d)]
-            value_term(block_rows, 0, val, 1)
-            rows.extend(r for r in block_rows if any(r))
-        elif kind is Kind.C:
-            for s in range(n):
-                block_rows = [[Fraction(0)] * width for _ in range(d)]
-                slot_term(block_rows, 0, s, t, signs[s])
-                value_term(block_rows, 0, val, -1)
-                rows.extend(r for r in block_rows if any(r))
-        elif kind is Kind.QC:
-            for s in range(1, n):
-                block_rows = [[Fraction(0)] * width for _ in range(d)]
-                slot_term(block_rows, 0, 0, t, 1)
-                slot_term(block_rows, 0, s, t, -signs[s])
-                rows.extend(r for r in block_rows if any(r))
-        elif kind is Kind.QDER:
-            block_rows = [[Fraction(0)] * width for _ in range(d)]
-            for s in range(n):
-                slot_term(block_rows, 0, s, t, signs[s])
-            value_term(block_rows, npos, val, -1)
-            rows.extend(r for r in block_rows if any(r))
-        elif kind is Kind.GDER:
-            block_rows = [[Fraction(0)] * width for _ in range(d)]
-            slot_term(block_rows, 0, 0, t, 1)
-            for s in range(1, n):
-                slot_term(block_rows, s * npos, s, t, signs[s])
-            value_term(block_rows, n * npos, val, -1)
-            rows.extend(r for r in block_rows if any(r))
-        else:
-            raise ValueError(f"kind {kind} has no tuple constraints")
-
+            for b, s, c in eq:
+                if b in known:
+                    continue
+                off = b * npos
+                if s is VALUE:
+                    for j, vj in enumerate(ft[t]):
+                        if vj:
+                            for l in range(d):
+                                col = posidx.get((l, j))
+                                if col is not None:
+                                    block_rows[l][off + col] += c * vj
+                    continue
+                c *= signs[s]
+                for j in range(d):
+                    col = posidx.get((j, t[s]))
+                    if col is None:
+                        continue
+                    vec = slots[s][t[:s] + (j,) + t[s + 1:]]
+                    for l in range(d):
+                        if vec[l]:
+                            block_rows[l][off + col] += c * vec[l]
+            rows.extend(block_rows if known else (r for r in block_rows if any(r)))
     for b in range(nblocks):
-        rows.extend(_commutation_rows(alg, posidx, width, b * npos))
-    return rows, nblocks, pos, width
+        if b not in known:
+            rows.extend(_commutation_rows(alg, posidx, width, b * npos))
+    return rows, nblocks, pos
 
 
 def _echelonize(rows, width: int) -> Echelon:
-    from .linalg import _first_nonzero, _int_row
-
     ech = Echelon(width)
     seen = set()
     for row in rows:
@@ -300,77 +280,70 @@ def _mat_from_positions(d: int, pos, coeffs) -> Mat:
 
 
 def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
-    """Canonical basis of the requested space at twist power k and parity xi."""
+    """Canonical basis of the requested space at twist power k and parity xi.
+
+    Omega does not depend on k and is returned with k = 0.
+    """
     kind = Kind(kind)
     if k < 0:
         raise ValueError("twist power must be nonnegative")
-    if kind is Kind.OMEGA:
-        return omega(alg, xi)
+    if kind not in TUPLE_KINDS:
+        k = 0
     cache_key = ("solve", kind, xi, _alpha_key(alg, k))
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return EndoSubspace(kind, k, xi, hit.basis, hit.witnesses)
     d = alg.dim
-    rows, nblocks, pos, width = _assemble(alg, kind, k, xi)
+    rows, nblocks, pos = _rows(alg, kind, k, xi)
     npos = len(pos)
-    ech = _echelonize(rows, width)
-    joint = ech.nullspace_vectors()
-    if nblocks == 1:
-        sub = SubspaceBasis.span(width, joint)
-        basis = tuple(GradedEndo(_mat_from_positions(d, pos, v), xi) for v in sub.vectors)
-        witnesses = None
-    else:
-        # RREF the joint solution space with the leading block first: rows
-        # pivoted inside the leading block restrict to the canonical basis of
-        # its projection, and their trailing blocks are the minimal-echelon
-        # witness representatives; rows pivoted later have zero leading part.
-        joint_ech = Echelon(width)
-        for v in joint:
-            joint_ech.add(v)
-        basis = []
-        witnesses = []
-        for pivot, row in joint_ech.rref_rows():
-            if pivot >= npos:
-                continue
-            basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos]), xi))
-            blocks = tuple(
-                _mat_from_positions(d, pos, row[b * npos:(b + 1) * npos])
-                for b in range(1, nblocks)
-            )
-            witnesses.append(blocks[0] if kind is Kind.QDER else blocks)
-        basis = tuple(basis)
-        witnesses = tuple(witnesses)
-    result = EndoSubspace(kind, k, xi, basis, witnesses)
+    width = nblocks * npos
+    # RREF the joint solution space with the leading block first: rows
+    # pivoted inside the leading block restrict to the canonical basis of
+    # its projection, and their trailing blocks are the minimal-echelon
+    # witness representatives; rows pivoted later have zero leading part.
+    joint = SubspaceBasis.span(width, _echelonize(rows, width).nullspace_vectors())
+    basis = []
+    witnesses = []
+    for row in joint.vectors:
+        if not any(row[:npos]):
+            break
+        basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos]), xi))
+        blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos])
+                       for b in range(1, nblocks))
+        witnesses.append(blocks[0] if kind is Kind.QDER else blocks)
+    result = EndoSubspace(kind, k, xi, tuple(basis),
+                          tuple(witnesses) if nblocks > 1 else None)
     alg._cache[cache_key] = result
     return result
 
 
 def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
     """Commutant of alpha among homogeneous maps of degree xi."""
-    cache_key = ("solve", Kind.OMEGA, xi, alg.alpha.ints)
-    hit = alg._cache.get(cache_key)
-    if hit is not None:
-        return hit
-    d = alg.dim
-    pos = allowed_positions(alg.parity, xi)
-    posidx = {rc: m for m, rc in enumerate(pos)}
-    rows = _commutation_rows(alg, posidx, len(pos), 0)
-    ech = _echelonize(rows, len(pos))
-    sub = SubspaceBasis.span(len(pos), ech.nullspace_vectors())
-    basis = tuple(GradedEndo(_mat_from_positions(d, pos, v), xi) for v in sub.vectors)
-    result = EndoSubspace(Kind.OMEGA, 0, xi, basis)
-    alg._cache[cache_key] = result
-    return result
+    return solve(alg, Kind.OMEGA, 0, xi)
 
 
 # ---------------------------------------------------------------------------
 # membership by direct evaluation (the cross-validation path)
 # ---------------------------------------------------------------------------
 
-def _slot_bracket(alg: NHomAlgebra, acols, t, s, vec) -> Vector:
-    """Bracket with alpha^k columns everywhere except ``vec`` in slot s."""
-    args = [acols[t[m]] if m != s else vec for m in range(alg.arity)]
-    return bracket(alg, args)
+def _slot_terms(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo):
+    """``terms(t, slots)``: the signed slot-bracket terms of ``endo`` at tuple t.
+
+    For each listed slot s, lazily, (-1)^(xi |X_{s-1}|) times the bracket of
+    (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}).
+    """
+    n = alg.arity
+    a = alg.alpha_power(k)
+    acols = [a.col(i) for i in range(alg.dim)]
+    dcols = [endo.mat.col(i) for i in range(alg.dim)]
+
+    def terms(t, slots=range(n)):
+        signs = _prefix_signs(alg, t, xi)
+        for s in slots:
+            term = bracket(alg, [acols[t[m]] if m != s else dcols[t[s]] for m in range(n)])
+            yield vec_scale(Fraction(-1), term) if signs[s] < 0 else term
+
+    return terms
 
 
 def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEndo) -> bool:
@@ -399,159 +372,66 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    a = alg.alpha_power(k)
-    acols = [a.col(i) for i in range(d)]
-    dcols = [endo.mat.col(i) for i in range(d)]
+    terms = _slot_terms(alg, k, xi, endo)
     ft = alg.full_table
-
-    if kind in (Kind.DER, Kind.C, Kind.QC, Kind.ZDER):
-        for t in product(range(d), repeat=n):
-            signs = _prefix_signs(alg, t, xi)
-            if kind is Kind.DER:
-                rhs = endo.mat.apply(ft[t])
-                acc = zero_vector(d)
-                for s in range(n):
-                    term = _slot_bracket(alg, acols, t, s, dcols[t[s]])
-                    if signs[s] < 0:
-                        term = vec_scale(Fraction(-1), term)
-                    acc = vec_add(acc, term)
-                if acc != rhs:
-                    return False
-            elif kind is Kind.C:
-                rhs = endo.mat.apply(ft[t])
-                for s in range(n):
-                    term = _slot_bracket(alg, acols, t, s, dcols[t[s]])
-                    if signs[s] < 0:
-                        term = vec_scale(Fraction(-1), term)
-                    if term != rhs:
-                        return False
-            elif kind is Kind.QC:
-                first = _slot_bracket(alg, acols, t, 0, dcols[t[0]])
-                for s in range(1, n):
-                    term = _slot_bracket(alg, acols, t, s, dcols[t[s]])
-                    if signs[s] < 0:
-                        term = vec_scale(Fraction(-1), term)
-                    if term != first:
-                        return False
-            else:  # ZDer
-                if not is_zero_vector(endo.mat.apply(ft[t])):
-                    return False
-                if not is_zero_vector(_slot_bracket(alg, acols, t, 0, dcols[t[0]])):
-                    return False
-        return True
+    tuples = product(range(d), repeat=n)
 
     if kind in (Kind.QDER, Kind.GDER):
-        ech, rowspec = _witness_system(alg, kind, k, xi)
+        # the leading block's terms, for the witness blocks to match
         rhs = []
-        for t, s_known in rowspec:
-            signs = _prefix_signs(alg, t, xi)
-            if kind is Kind.QDER:
-                acc = zero_vector(d)
-                for s in range(n):
-                    term = _slot_bracket(alg, acols, t, s, dcols[t[s]])
-                    if signs[s] < 0:
-                        term = vec_scale(Fraction(-1), term)
-                    acc = vec_add(acc, term)
-                rhs.extend(acc)
-            else:
-                term = _slot_bracket(alg, acols, t, 0, dcols[t[0]])
-                rhs.extend(vec_scale(Fraction(-1), term))
+        for t in tuples:
+            rhs.extend(reduce(vec_add, terms(t)) if kind is Kind.QDER else next(terms(t, (0,))))
+        ech = _witness_system(alg, kind, k, xi)
         rhs.extend([Fraction(0)] * (ech.width - len(rhs)))
         return ech.contains_int(rhs)
 
-    raise ValueError(f"unsupported kind {kind}")
+    for t in tuples:
+        if kind is Kind.DER:
+            ok = reduce(vec_add, terms(t)) == endo.mat.apply(ft[t])
+        elif kind is Kind.C:
+            rhs = endo.mat.apply(ft[t])
+            ok = all(term == rhs for term in terms(t))
+        elif kind is Kind.QC:
+            rest = terms(t)
+            first = next(rest)
+            ok = all(term == first for term in rest)
+        else:  # ZDer
+            ok = (is_zero_vector(endo.mat.apply(ft[t]))
+                  and is_zero_vector(next(terms(t, (0,)))))
+        if not ok:
+            return False
+    return True
 
 
-def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
-    """Column-space echelon of the witness-block system, cached.
+def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> Echelon:
+    """Column-space echelon of the witness blocks of QDer or GDer, cached.
 
-    Rows are indexed by (tuple, component) then commutation constraints;
-    membership of a candidate right-hand side in the transposed row space
-    decides witness existence.
+    The rows are :func:`_rows` with the leading block known; a right-hand
+    side for them has a witness iff it lies in the span of the columns.
     """
     cache_key = ("witness", kind, xi, _alpha_key(alg, k))
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return hit
-    d, n = alg.dim, alg.arity
-    pos = allowed_positions(alg.parity, xi)
-    npos = len(pos)
-    posidx = {rc: m for m, rc in enumerate(pos)}
-    ft = alg.full_table
-    slots = _slot_tables(alg, k)
-    nblocks = 1 if kind is Kind.QDER else n
-    rowspec = [(t, None) for t in product(range(d), repeat=n)]
-    width = nblocks * npos
-    rows: list[list[Fraction]] = []
-    for t, _ in rowspec:
-        signs = _prefix_signs(alg, t, xi)
-        block_rows = [[Fraction(0)] * width for _ in range(d)]
-        if kind is Kind.QDER:
-            val = ft[t]
-            for j in range(d):
-                vj = val[j]
-                if vj:
-                    for l in range(d):
-                        col = posidx.get((l, j))
-                        if col is not None:
-                            block_rows[l][col] += -vj
-        else:
-            for s in range(1, n):
-                ts = t[s]
-                off = (s - 1) * npos
-                for j in range(d):
-                    col = posidx.get((j, ts))
-                    if col is None:
-                        continue
-                    vec = slots[s][t[:s] + (j,) + t[s + 1:]]
-                    for l in range(d):
-                        if vec[l]:
-                            block_rows[l][off + col] += signs[s] * vec[l]
-            val = ft[t]
-            off = (n - 1) * npos
-            for j in range(d):
-                vj = val[j]
-                if vj:
-                    for l in range(d):
-                        col = posidx.get((l, j))
-                        if col is not None:
-                            block_rows[l][off + col] += -vj
-        rows.extend(block_rows)
-    for b in range(nblocks):
-        rows.extend(_commutation_rows(alg, posidx, width, b * npos))
-    # column-space echelon: transpose and accumulate
-    total = len(rows)
-    ech = Echelon(total)
-    for c in range(width):
-        ech.add([rows[r][c] for r in range(total)])
-    result = (ech, rowspec)
-    alg._cache[cache_key] = result
-    return result
+    rows, nblocks, pos = _rows(alg, kind, k, xi, known={0})
+    ech = Echelon(len(rows))
+    for c in range(len(pos), nblocks * len(pos)):
+        ech.add([row[c] for row in rows])
+    alg._cache[cache_key] = ech
+    return ech
 
 
 def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
                         witness: Mat) -> bool:
     """Check the quasiderivation identity for a *fixed* right-hand witness."""
-    d, n = alg.dim, alg.arity
     if not is_homogeneous(alg.parity, xi, witness):
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    a = alg.alpha_power(k)
-    acols = [a.col(i) for i in range(d)]
-    dcols = [endo.mat.col(i) for i in range(d)]
+    terms = _slot_terms(alg, k, xi, endo)
     ft = alg.full_table
-    for t in product(range(d), repeat=n):
-        signs = _prefix_signs(alg, t, xi)
-        acc = zero_vector(d)
-        for s in range(n):
-            term = _slot_bracket(alg, acols, t, s, dcols[t[s]])
-            if signs[s] < 0:
-                term = vec_scale(Fraction(-1), term)
-            acc = vec_add(acc, term)
-        if acc != witness.apply(ft[t]):
-            return False
-    return True
+    return all(reduce(vec_add, terms(t)) == witness.apply(ft[t])
+               for t in product(range(alg.dim), repeat=alg.arity))
 
 
 # ---------------------------------------------------------------------------

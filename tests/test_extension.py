@@ -1,13 +1,17 @@
 from fractions import Fraction
 from itertools import product
 
+import random
+
 import pytest
 
-from nhomlie.algebra import bracket, center, validate
+from nhomlie import extension
+from nhomlie.algebra import bracket, center, derived_subspace, transport, validate
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
-from nhomlie.linalg import Mat, unit_vector, vector
-from nhomlie.solver import GradedEndo, Kind, solve
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, rref, unit_vector, vector
+from nhomlie.propositions import _mat_witness, random_even_invertible
+from nhomlie.solver import GradedEndo, Kind, is_homogeneous, omega, solve
 
 F = Fraction
 
@@ -113,6 +117,30 @@ class TestPhi:
                         assert in_space(text.ext, Kind.DER, k, xi, img)
 
 
+class TestWitnessSlack:
+    @pytest.mark.parametrize("name", [n + s for n in sorted(FIXTURES) for s in ("", "~")])
+    def test_directions_are_the_maps_killing_the_derived_part(self, name):
+        alg = FIXTURES[name.rstrip("~")]()
+        if name.endswith("~"):
+            alg = transport(alg, random_even_invertible(alg.parity, random.Random(3)))
+        derived = [v for part in derived_subspace(alg) for v in part.vectors]
+        d = alg.dim
+        for xi in (0, 1):
+            slack = extension._witness_slack_directions(alg, xi)
+            for w in slack:
+                assert is_homogeneous(alg.parity, xi, w)
+                assert commutes_with(w, alg.alpha)
+                assert all(w.apply(v) == vector([0] * d) for v in derived)
+            flat = [w.flatten() for w in slack]
+            assert SubspaceBasis.span(d * d, flat).dim == len(slack)
+            # no direction is missing: count the maps commuting with alpha
+            # that kill the derived part, as a kernel inside Omega
+            basis = omega(alg, xi).basis
+            images = [tuple(x for v in derived for x in b.mat.apply(v)) for b in basis]
+            rank = rref(Mat.from_rows(images, cols=d * len(derived))).rank if images else 0
+            assert len(slack) == len(basis) - rank
+
+
 class TestProp42:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_embedding_checks_pass(self, name):
@@ -125,7 +153,29 @@ class TestProp42:
         assert check_prop42(super2(), 1).passed
 
 
+    def test_image_in_der_witness_is_the_first_failing_grade(self, monkeypatch):
+        real = extension.in_space
+
+        def fake(alg, kind, k, xi, endo):
+            return (k, xi) not in {(1, 0), (2, 0)} and real(alg, kind, k, xi, endo)
+
+        monkeypatch.setattr(extension, "in_space", fake)
+        alg = aff1()
+        report = check_prop42(alg, 2)
+        claim = report.claim("42.3.image_in_Der")
+        assert claim.status == "fail"
+        qd = solve(alg, Kind.QDER, 1, 0)
+        first = phi(build_check(alg), qd.basis[0], qd.witnesses[0], 1)
+        assert claim.witness == ((1, 0), _mat_witness(first.mat))
+
+
 class TestProp43:
+    def test_direct_sum_witness_is_the_first_failing_grade(self, monkeypatch):
+        monkeypatch.setattr(extension, "subspace_sum", lambda a, b: None)
+        claim = check_prop43(aff1(), 2).claim("43.direct_sum")
+        assert claim.status == "fail"
+        assert claim.witness == (((0, 0), "sum does not exhaust the derivation space"),)
+
     def test_aff1_decomposition_dimensions(self):
         report = check_prop43(aff1(), 2)
         assert report.passed

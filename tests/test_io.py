@@ -7,6 +7,8 @@ from nhomlie.algebra import validate
 from nhomlie.cli import main
 from nhomlie.fixtures import FIXTURES
 from nhomlie.io import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_LITERAL_CHARS,
     PrecheckError,
     SchemaError,
     algebra_from_doc,
@@ -40,6 +42,31 @@ class TestRationals:
             parse_rational("x", "t")
         with pytest.raises(SchemaError):
             parse_rational(1.5, "t")
+
+    def test_literal_bounds(self):
+        # each of these would build an integer of millions of digits
+        for literal in ("1e100000000", "1E-1_000_000", "7" * (MAX_LITERAL_CHARS + 1)):
+            with pytest.raises(SchemaError) as info:
+                parse_rational(literal, "alpha[0][0]")
+            assert info.value.field == "alpha[0][0]"
+        bound = f"1e{MAX_DECIMAL_EXPONENT}"
+        assert parse_rational(bound, "t") == 10 ** MAX_DECIMAL_EXPONENT
+        assert str(parse_rational("2.5e-1", "t")) == "1/4"
+
+    def test_literal_bound_names_the_field_in_a_document(self):
+        doc = doc_for("aff1")
+        doc["brackets"][0]["value"][0]["coeff"] = "1e100000000"
+        with pytest.raises(SchemaError) as info:
+            algebra_from_doc(doc)
+        assert info.value.field == "brackets[0].value[0].coeff"
+
+    def test_overlong_json_integer_names_the_field(self, tmp_path):
+        doc = doc_for("homaff1")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"2"', "1" * 5000, 1))
+        with pytest.raises(SchemaError) as info:
+            parse_algebra(path)
+        assert info.value.field == "alpha[1][1]"
 
     def test_canonical_strings(self):
         from fractions import Fraction
