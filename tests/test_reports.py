@@ -3,13 +3,18 @@
 Each case runs one CLI command and compares the SHA-256 of its report
 with a digest pinned here.  Reports embed the input path, so bundled
 fixtures are read from the repository root as ``src/nhomlie/data/<name>.json``
-and transported copies from a scratch directory as ``<name>~.json``; both
+and every other input from a scratch directory as ``<name>.json``; both
 paths are relative to the working directory of the run.
 
-The transported copies are ``transport`` of each fixture through
-``random_even_invertible`` with ``random.Random(TRANSPORT_SEED)``, so
-their coefficients are dense.  ``decompose`` on threeLie4 is not pinned
-here: it is slow, and the benchmark gate already pins it.
+The transported fixtures ``<name>~`` are ``transport`` of each fixture
+through ``random_even_invertible`` with ``random.Random(TRANSPORT_SEED)``,
+so their coefficients are dense.
+
+The corrupted fixtures are pinned in-process, as the ``repr`` of their
+``validate`` report (the parser rejects ``corrupt_degree`` before the CLI
+could validate it): as they are and as ``<name>~``, transported through
+``mixed_change``, so every failure's witness and residual is pinned, with
+mixed denominators in the copies.
 """
 
 import hashlib
@@ -18,9 +23,9 @@ import random
 
 import pytest
 
-from nhomlie.algebra import transport
+from nhomlie.algebra import transport, validate
 from nhomlie.cli import main
-from nhomlie.fixtures import FIXTURES
+from nhomlie.fixtures import CORRUPTED, FIXTURES, mixed_change
 from nhomlie.io import serialize_algebra
 from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import Kind
@@ -33,6 +38,8 @@ DIGESTS = {
     "decompose-aff1": "9d8c4447401f540cbb2681c996f5081346e689d445e284eab95fdbd52fe597e7",
     "decompose-homaff1": "b6f89497b9bad19adfe0e8e9eb79ab44eb918b670edf3a6608ac11a7174634e7",
     "decompose-super2": "d6996e89c470135f9a6dec085bcfd5c6466e3dba40454170632ea9e376bec871",
+    "decompose-threeLie4": "1f1e4068b260add931d35106aaade07a8c2528b4182c3c5dbd2090c780545757",
+    "extend-threeLie4": "347d67a27dc4adef6d01db3bd8ce611ca5719738e2ebdb7043a4bef865b5cba1",
     "props-abelian2": "11466554d832bcf53ae1b170c01291b28a4a6347b22e79100830dc36d6302bb7",
     "props-aff1": "62ce1700828f841b194ee334d71225913963e1d8a1a23def9f9279cc361c9edb",
     "props-homaff1": "b875698202b75b828916859e4bb08dea9332711e92207c533392e26c7fa96401",
@@ -108,17 +115,24 @@ DIGESTS = {
     "solve-ZDer-super2~": "bd98197e301c235ace9305e91c6138a1966475c7fba3e71e21fee866dc62cfdb",
     "solve-ZDer-threeLie4": "955ac51c4920671590ad1270be42408216e9671f00dd54e6fd46d8333eae2d26",
     "solve-ZDer-threeLie4~": "1e7da5567c162c281f80046a49838e94a277ef862babe61c502aceb8904647c8",
+    "validate-corrupt_degree": "1e8ab197cdbd7a1be9ff0458afef7f7ac35473f1cba49275361978900147215d",
+    "validate-corrupt_degree~": "b79583e3d4a75a24bc8f21b0ceb2c65ae733f2aeecdf373ee3fa9a824966d49c",
+    "validate-corrupt_jacobi": "3c12fee1e6a1e3a14e6b521e5c0a4c29a16586a8dc6d86305180fea68dc7a510",
+    "validate-corrupt_jacobi~": "e98abcfd21e9cce3f4dcadcd2ab980ec6bc048baf862d0522c35dca1d1a84ef5",
+    "validate-corrupt_multiplicative": "c0dc1cc4d3d3397a55a8bb57ea531dc051f2ddae3909a871d8858c2259b22592",
+    "validate-corrupt_multiplicative~": "8e4648ed11e36c3b5dae0c39b36a0cfc3497245de56d3e8f4e3370e7ce7eef0f",
 }
 
 
 def _cases():
+    """case -> argv without the input path."""
     for name in sorted(FIXTURES):
         for source in (name, name + "~"):
             for kind in Kind:
-                yield f"solve-{kind.value}-{source}", ["solve", "--kind", kind.value]
-        yield f"props-{name}", ["props"]
-        if name != "threeLie4":
-            yield f"decompose-{name}", ["decompose"]
+                yield f"solve-{kind.value}-{source}", ["solve", "--kind", kind.value, "--kmax", "2"]
+        yield f"props-{name}", ["props", "--kmax", "2"]
+        yield f"decompose-{name}", ["decompose", "--kmax", "2"]
+    yield "extend-threeLie4", ["extend"]
 
 
 CASES = dict(_cases())
@@ -136,13 +150,14 @@ def transported_dir(tmp_path_factory):
 
 def _report(case, transported_dir, monkeypatch, capsys):
     source = case.rsplit("-", 1)[1]
-    if source.endswith("~"):
-        monkeypatch.chdir(transported_dir)
-        path = f"{source}.json"
-    else:
+    if source in FIXTURES:
         monkeypatch.chdir(ROOT)
         path = f"src/nhomlie/data/{source}.json"
-    assert main(CASES[case] + [path, "--kmax", "2"]) == 0
+    else:
+        monkeypatch.chdir(transported_dir)
+        path = f"{source}.json"
+    argv = CASES[case]
+    assert main([argv[0], path] + argv[1:]) == 0
     return capsys.readouterr().out
 
 
@@ -150,3 +165,18 @@ def _report(case, transported_dir, monkeypatch, capsys):
 def test_report_digest(case, transported_dir, monkeypatch, capsys):
     text = _report(case, transported_dir, monkeypatch, capsys)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[case]
+
+
+VALIDATION_CASES = {f"validate-{name}{suffix}": (name, suffix)
+                    for name in sorted(CORRUPTED) for suffix in ("", "~")}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_digest(case):
+    name, suffix = VALIDATION_CASES[case]
+    alg = CORRUPTED[name]()
+    if suffix:
+        alg = transport(alg, mixed_change(alg.parity))
+    report = validate(alg)
+    assert not report.all_ok
+    assert hashlib.sha256(repr(report).encode("utf-8")).hexdigest() == DIGESTS[case]
