@@ -7,6 +7,17 @@ adjacent swap of homogeneous slots multiplies by -(-1)^{|x||y|}, and a
 repeated even index forces the value to vanish (a repeated odd index does
 not).
 
+Brackets are evaluated on one integer structure tensor per algebra,
+:attr:`NHomAlgebra.tensor`: the values on all d^n ordered basis tuples as
+integer numerators over one common denominator, each stored as a sparse
+tuple of ``(index, int)`` pairs (empty for zero).  :func:`bracket_ints` is
+the one kernel: it adds the bracket of sparse integer vectors to an integer
+accumulator.  :func:`validate` and the membership tests of the solver
+compare integer numerators whose denominators they track; ``Fraction``
+remains in the stored table, in :attr:`NHomAlgebra.full_table`, in the
+arguments and value of :func:`bracket`, and in a validation failure's
+residual, which is converted only when the failure is recorded.
+
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
 identity, are checked by :func:`validate` so that deliberately broken
@@ -18,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -29,14 +41,15 @@ from .linalg import (
     is_zero_vector,
     rref,
     unit_vector,
-    vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
 
 EVEN = 0
 ODD = 1
+
+# a sparse integer vector: (index, nonzero int) pairs in increasing index order
+SparseInts = tuple[tuple[int, int], ...]
 
 
 def canonicalize_tuple(indices: Sequence[int], parity: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -71,7 +84,7 @@ class NHomAlgebra:
     """Multiplicative n-ary Hom-Lie superalgebra given by structure constants."""
 
     __slots__ = ("arity", "dim", "parity", "table", "alpha", "name",
-                 "_alpha_pows", "_full_table", "_cache")
+                 "_alpha_pows", "_full_table", "_tensor", "_cache")
 
     def __init__(self, arity: int, dim: int, parity: Sequence[int],
                  table: Mapping[Sequence[int], Sequence], alpha: Mat,
@@ -107,6 +120,7 @@ class NHomAlgebra:
         self.name = name
         self._alpha_pows: dict[int, Mat] = {0: Mat.identity(dim)}
         self._full_table: dict[tuple[int, ...], Vector] | None = None
+        self._tensor: tuple[list[SparseInts], int] | None = None
         self._cache: dict = {}
 
     def __eq__(self, other):
@@ -149,6 +163,26 @@ class NHomAlgebra:
             self._full_table = ft
         return self._full_table
 
+    @property
+    def tensor(self) -> tuple[list[SparseInts], int]:
+        """``(values, denominator)``: the integer structure tensor (built lazily).
+
+        ``values[i]`` is the bracket of the i-th ordered basis tuple in
+        ``product(range(dim), repeat=arity)`` order, i.e. of the tuple whose
+        base-``dim`` digits are i, as integer numerators over
+        ``denominator``, the lcm of the table's denominators.
+        """
+        if self._tensor is None:
+            den = 1
+            for val in self.table.values():
+                den = lcm(den, *(x.denominator for x in val))
+            ft = self.full_table
+            values = [tuple((j, x.numerator * (den // x.denominator))
+                            for j, x in enumerate(ft[t]) if x)
+                      for t in product(range(self.dim), repeat=self.arity)]
+            self._tensor = (values, den)
+        return self._tensor
+
     def alpha_power(self, k: int) -> Mat:
         if k < 0:
             raise ValueError("alpha power must be nonnegative")
@@ -162,30 +196,83 @@ class NHomAlgebra:
         return pows[k]
 
 
+def _flat_index(t: Sequence[int], dim: int) -> int:
+    """Position of the basis tuple ``t`` in :attr:`NHomAlgebra.tensor`."""
+    i = 0
+    for x in t:
+        i = i * dim + x
+    return i
+
+
+def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
+    """The columns of ``m``'s integer form as sparse vectors, and its denominator."""
+    grid, den = m.ints
+    return [tuple((r, row[c]) for r, row in enumerate(grid) if row[c])
+            for c in range(m.cols)], den
+
+
+def apply_ints(cols: Sequence[SparseInts], vec: SparseInts, dim: int) -> list[int]:
+    """Dense integer image of ``vec`` under the matrix with sparse columns ``cols``."""
+    out = [0] * dim
+    for j, v in vec:
+        for r, x in cols[j]:
+            out[r] += x * v
+    return out
+
+
+def bracket_ints(alg: NHomAlgebra, acc: list[int], args: Sequence[SparseInts],
+                 coeff: int = 1) -> None:
+    """Add ``coeff`` times the bracket of ``args`` to the dense list ``acc``.
+
+    ``args`` are ``n`` sparse integer vectors.  What is added is numerators
+    over the tensor's denominator times the product of the arguments' own
+    denominators; callers keep track of the latter.
+    """
+    values, _ = alg.tensor
+    d = alg.dim
+    terms = [(0, coeff)]
+    for arg in args:
+        terms = [(i * d + j, c * x) for i, c in terms for j, x in arg]
+    for i, c in terms:
+        for j, v in values[i]:
+            acc[j] += c * v
+
+
+def _sparse_ints(vec: Sequence) -> tuple[SparseInts, int]:
+    """A rational vector as sparse integer numerators over the lcm of its denominators."""
+    vec = [as_scalar(x) for x in vec]
+    den = lcm(1, *(x.denominator for x in vec))
+    return tuple((j, x.numerator * (den // x.denominator))
+                 for j, x in enumerate(vec) if x), den
+
+
 def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     """Multilinear bracket of ``n`` coefficient vectors."""
     if len(args) != alg.arity:
         raise ValueError(f"bracket expects {alg.arity} arguments")
     d = alg.dim
-    supports = []
+    den = alg.tensor[1]
+    sparse = []
     for a in args:
         if len(a) != d:
             raise ValueError("argument length does not match algebra dimension")
-        sup = [(i, as_scalar(c)) for i, c in enumerate(a) if c != 0]
-        if not sup:
-            return zero_vector(d)
-        supports.append(sup)
-    acc = [Fraction(0)] * d
-    for combo in product(*supports):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        val = alg.basis_value(tuple(i for i, _ in combo))
-        if not is_zero_vector(val):
-            for j, x in enumerate(val):
-                if x:
-                    acc[j] += coeff * x
-    return tuple(acc)
+        vec, a_den = _sparse_ints(a)
+        sparse.append(vec)
+        den *= a_den
+    acc = [0] * d
+    bracket_ints(alg, acc, sparse)
+    return tuple(Fraction(x, den) for x in acc)
+
+
+def _dense(vec: SparseInts, dim: int) -> list[int]:
+    out = [0] * dim
+    for j, x in vec:
+        out[j] = x
+    return out
+
+
+def _residual(lhs: Sequence[int], rhs: Sequence[int], den: int) -> Vector:
+    return tuple(Fraction(x - y, den) for x, y in zip(lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -252,56 +339,66 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
                     ValidationFailure("even_alpha", (r, c),
                                       (alg.alpha.entries[r][c],)))
 
+    # Brackets below are integer numerators: the tensor's values are over
+    # tden, alpha's columns over aden, so a bracket with m alpha arguments
+    # and one value argument is over tden^2 aden^m.
+    values, tden = alg.tensor
+    alpha_cols, aden = sparse_columns(alg.alpha)
+    tuples = list(product(range(d), repeat=n))
+
     # sign consistency of the evaluated bracket under adjacent transpositions
-    ft = alg.full_table
-    for t in product(range(d), repeat=n):
-        base = ft[t]
+    for i, t in enumerate(tuples):
+        base = values[i]
         for s in range(n - 1):
             swapped = list(t)
             swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
             factor = 1 if (parity[t[s]] and parity[t[s + 1]]) else -1
-            expect = vec_scale(Fraction(factor), base)
-            got = ft[tuple(swapped)]
+            expect = tuple((j, factor * x) for j, x in base)
+            got = values[_flat_index(swapped, d)]
             if got != expect:
                 skew_ok = False
                 failures.append(ValidationFailure(
-                    "skew", (t, s), tuple(x - y for x, y in zip(got, expect))))
+                    "skew", (t, s), _residual(_dense(got, d), _dense(expect, d), tden)))
 
-    # multiplicativity on canonical tuples (extends multilinearly)
+    # multiplicativity on canonical tuples (extends multilinearly):
+    # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden
     multiplicative_ok = True
-    alpha_cols = [alg.alpha.col(i) for i in range(d)]
+    lift = aden ** (n - 1)
     for t in _canonical_tuples(d, n):
-        lhs = alg.alpha.apply(ft[t]) if t in ft else alg.alpha.apply(alg.basis_value(t))
-        rhs = bracket(alg, [alpha_cols[i] for i in t])
+        lhs = [x * lift for x in apply_ints(alpha_cols, values[_flat_index(t, d)], d)]
+        rhs = [0] * d
+        bracket_ints(alg, rhs, [alpha_cols[i] for i in t])
         if lhs != rhs:
             multiplicative_ok = False
             failures.append(ValidationFailure(
-                "multiplicative", t, tuple(x - y for x, y in zip(lhs, rhs))))
+                "multiplicative", t, _residual(lhs, rhs, aden ** n * tden)))
 
-    # twisted Jacobi identity on all d^(2n-1) pairs of basis tuples
+    # twisted Jacobi identity on all d^(2n-1) pairs of basis tuples; both
+    # sides are over tden^2 aden^(n-1)
     jacobi_ok = True
+    jden = tden ** 2 * aden ** (n - 1)
     for xs in product(range(d), repeat=n - 1):
         px = alg.tuple_parity(xs)
         ax = [alpha_cols[i] for i in xs]
-        for ys in product(range(d), repeat=n):
-            inner = ft[ys]
-            lhs = bracket(alg, ax + [inner])
-            rhs = [Fraction(0)] * d
+        start = _flat_index(xs, d) * d
+        plugs = values[start:start + d]  # [e_xs, e_y] for each y
+        for inner, ys in zip(values, tuples):
+            lhs = [0] * d
+            if inner:
+                bracket_ints(alg, lhs, ax + [inner])
+            rhs = [0] * d
             pprefix = 0
             for i in range(n):
-                plug = ft[xs + (ys[i],)]
-                if not is_zero_vector(plug):
+                plug = plugs[ys[i]]
+                if plug:
                     args = [alpha_cols[j] for j in ys[:i]] + [plug] + \
                            [alpha_cols[j] for j in ys[i + 1:]]
-                    term = bracket(alg, args)
-                    if (px & pprefix) == 1:
-                        term = vec_scale(Fraction(-1), term)
-                    rhs = list(vec_add(rhs, term))
+                    bracket_ints(alg, rhs, args, -1 if px & pprefix else 1)
                 pprefix ^= parity[ys[i]]
-            if lhs != tuple(rhs):
+            if lhs != rhs:
                 jacobi_ok = False
                 failures.append(ValidationFailure(
-                    "jacobi", (xs, ys), tuple(x - y for x, y in zip(lhs, rhs))))
+                    "jacobi", (xs, ys), _residual(lhs, rhs, jden)))
 
     report = ValidationReport(skew_ok, jacobi_ok, multiplicative_ok,
                               even_alpha_ok, degree_ok, tuple(failures))

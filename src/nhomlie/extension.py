@@ -55,7 +55,13 @@ class TExtension:
 
 
 def build_check(alg: NHomAlgebra) -> TExtension:
-    """Construct the two-block extension and validate it end to end."""
+    """Construct the two-block extension and validate it end to end.
+
+    The result is cached on ``alg``, so every check on one source algebra
+    shares one extension, with its validation and solver caches.
+    """
+    if "build_check" in alg._cache:
+        return alg._cache["build_check"]
     if not validate(alg).all_ok:
         raise ValueError("source algebra does not satisfy its axioms")
     d, n = alg.dim, alg.arity
@@ -84,7 +90,9 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     selector = Mat.from_rows(
         [zero_vector(d)] * n_u + [unit_vector(d, i) for i in range(n_u, d)], cols=d)
     projection = change @ selector @ change_inv
-    return TExtension(alg, ext, u_even, u_odd, der_even, der_odd, projection)
+    text = TExtension(alg, ext, u_even, u_odd, der_even, der_odd, projection)
+    alg._cache["build_check"] = text
+    return text
 
 
 def phi(text: TExtension, endo: GradedEndo, witness: Mat, k: int) -> GradedEndo:

@@ -55,14 +55,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero_vector(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 

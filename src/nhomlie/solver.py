@@ -20,7 +20,8 @@ kept for reporting and for the extension embedding.
 ``_EQUATIONS`` is the one description of these identities; :func:`_rows`
 turns it into rows for :func:`solve`, for the QDer/GDer witness system and
 for the extension's witness slack.  :func:`in_space` re-evaluates each
-definition through :func:`bracket` without reading the table, so it is a
+definition on the integer structure tensor through
+:func:`~nhomlie.algebra.bracket_ints` without reading the table, so it is a
 cross-check of the table rather than a copy of it; only the witness blocks
 it solves for come from the table.
 """
@@ -30,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from typing import Sequence
 
-from .algebra import NHomAlgebra, bracket
+from .algebra import NHomAlgebra, apply_ints, bracket, bracket_ints, sparse_columns
 from .linalg import (
     Echelon,
     Mat,
@@ -42,10 +42,7 @@ from .linalg import (
     _first_nonzero,
     _int_row,
     commutes_with,
-    is_zero_vector,
     product_sum,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -326,31 +323,45 @@ def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
 # membership by direct evaluation (the cross-validation path)
 # ---------------------------------------------------------------------------
 
-def _slot_terms(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo):
-    """``terms(t, slots)``: the signed slot-bracket terms of ``endo`` at tuple t.
+def _slot_terms(alg: NHomAlgebra, k: int, xi: int, dcols):
+    """``(terms, total, lift)``: the signed slot-bracket terms of a map D.
 
-    For each listed slot s, lazily, (-1)^(xi |X_{s-1}|) times the bracket of
-    (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}).
+    ``dcols`` are D's sparse integer columns (see
+    :func:`~nhomlie.algebra.sparse_columns`).  ``terms(t, slots)`` yields,
+    for each listed slot s and lazily, (-1)^(xi |X_{s-1}|) times the
+    bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}});
+    ``total(t)`` is the sum over all slots.  Both are dense integer
+    numerators over the tensor's denominator times den(D) times ``lift`` =
+    den(alpha^k)^(n-1).
     """
-    n = alg.arity
-    a = alg.alpha_power(k)
-    acols = [a.col(i) for i in range(alg.dim)]
-    dcols = [endo.mat.col(i) for i in range(alg.dim)]
+    d, n = alg.dim, alg.arity
+    acols, aden = sparse_columns(alg.alpha_power(k))
+
+    def add(acc, t, s, sign):
+        bracket_ints(alg, acc, [acols[t[m]] if m != s else dcols[t[s]] for m in range(n)], sign)
 
     def terms(t, slots=range(n)):
         signs = _prefix_signs(alg, t, xi)
         for s in slots:
-            term = bracket(alg, [acols[t[m]] if m != s else dcols[t[s]] for m in range(n)])
-            yield vec_scale(Fraction(-1), term) if signs[s] < 0 else term
+            acc = [0] * d
+            add(acc, t, s, signs[s])
+            yield acc
 
-    return terms
+    def total(t):
+        acc = [0] * d
+        for s, sign in enumerate(_prefix_signs(alg, t, xi)):
+            add(acc, t, s, sign)
+        return acc
+
+    return terms, total, aden ** (n - 1)
 
 
 def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEndo) -> bool:
     """Definition-level membership test, independent of :func:`solve`.
 
-    Identities are re-evaluated through :func:`bracket` on explicit image
-    vectors; for QDer/GDer the witness blocks are solved for afresh.
+    Identities are re-evaluated on the integer structure tensor for the
+    explicit images of the basis; for QDer/GDer the witness blocks are
+    solved for afresh.
     """
     kind = Kind(kind)
     if endo.mat.rows != alg.dim:
@@ -372,32 +383,34 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    terms = _slot_terms(alg, k, xi, endo)
-    ft = alg.full_table
+    dcols, _ = sparse_columns(endo.mat)
+    terms, total, lift = _slot_terms(alg, k, xi, dcols)
+    values = alg.tensor[0]
     tuples = product(range(d), repeat=n)
 
     if kind in (Kind.QDER, Kind.GDER):
-        # the leading block's terms, for the witness blocks to match
+        # the leading block's terms, for the witness blocks to match; the
+        # witness system is homogeneous, so their common denominator drops out
         rhs = []
         for t in tuples:
-            rhs.extend(reduce(vec_add, terms(t)) if kind is Kind.QDER else next(terms(t, (0,))))
+            rhs.extend(total(t) if kind is Kind.QDER else next(terms(t, (0,))))
         ech = _witness_system(alg, kind, k, xi)
-        rhs.extend([Fraction(0)] * (ech.width - len(rhs)))
+        rhs.extend([0] * (ech.width - len(rhs)))
         return ech.contains_int(rhs)
 
-    for t in tuples:
+    for value, t in zip(values, tuples):
+        # D [e_t], lifted to the slot terms' denominator
+        image = [x * lift for x in apply_ints(dcols, value, d)]
         if kind is Kind.DER:
-            ok = reduce(vec_add, terms(t)) == endo.mat.apply(ft[t])
+            ok = total(t) == image
         elif kind is Kind.C:
-            rhs = endo.mat.apply(ft[t])
-            ok = all(term == rhs for term in terms(t))
+            ok = all(term == image for term in terms(t))
         elif kind is Kind.QC:
             rest = terms(t)
             first = next(rest)
             ok = all(term == first for term in rest)
         else:  # ZDer
-            ok = (is_zero_vector(endo.mat.apply(ft[t]))
-                  and is_zero_vector(next(terms(t, (0,)))))
+            ok = not any(image) and not any(next(terms(t, (0,))))
         if not ok:
             return False
     return True
@@ -428,10 +441,14 @@ def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    terms = _slot_terms(alg, k, xi, endo)
-    ft = alg.full_table
-    return all(reduce(vec_add, terms(t)) == witness.apply(ft[t])
-               for t in product(range(alg.dim), repeat=alg.arity))
+    dcols, dden = sparse_columns(endo.mat)
+    wcols, wden = sparse_columns(witness)
+    _, total, lift = _slot_terms(alg, k, xi, dcols)
+    d = alg.dim
+    # the left side is over tden dden lift, W [e_t] over tden wden
+    return all([x * wden for x in total(t)] ==
+               [y * dden * lift for y in apply_ints(wcols, value, d)]
+               for value, t in zip(alg.tensor[0], product(range(d), repeat=alg.arity)))
 
 
 # ---------------------------------------------------------------------------

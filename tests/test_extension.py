@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import product
 
+import pathlib
 import random
 
 import pytest
 
 from nhomlie import extension
+from nhomlie.cli import main
 from nhomlie.algebra import bracket, center, derived_subspace, transport, validate
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
@@ -14,6 +16,7 @@ from nhomlie.propositions import _mat_witness, random_even_invertible
 from nhomlie.solver import GradedEndo, Kind, is_homogeneous, omega, solve
 
 F = Fraction
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
 
 class TestBuildCheck:
@@ -63,6 +66,19 @@ class TestBuildCheck:
     def test_rejects_invalid_source(self):
         with pytest.raises(ValueError):
             build_check(corrupt_jacobi())
+
+
+    def test_decompose_validates_the_extension_once(self, monkeypatch):
+        # check_prop42 and check_prop43 share one cached extension
+        counted = []
+
+        def counting_validate(alg):
+            counted.append(alg.name)
+            return validate(alg)
+
+        monkeypatch.setattr(extension, "validate", counting_validate)
+        assert main(["decompose", str(DATA / "aff1.json"), "--kmax", "0"]) == 0
+        assert counted.count("aff1^ext") == 1
 
 
 class TestPhi:
