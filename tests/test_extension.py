@@ -7,8 +7,8 @@ import random
 import pytest
 
 from nhomlie import extension
-from nhomlie.cli import main
 from nhomlie.algebra import bracket, center, derived_subspace, transport, validate
+from nhomlie.cli import main
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
 from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, rref, unit_vector, vector
@@ -66,7 +66,6 @@ class TestBuildCheck:
     def test_rejects_invalid_source(self):
         with pytest.raises(ValueError):
             build_check(corrupt_jacobi())
-
 
     def test_decompose_validates_the_extension_once(self, monkeypatch):
         # check_prop42 and check_prop43 share one cached extension

@@ -3,7 +3,7 @@
 Each case runs one CLI command and compares the SHA-256 of its report
 with a digest pinned here.  Reports embed the input path, so bundled
 fixtures are read from the repository root as ``src/nhomlie/data/<name>.json``
-and every other input from a scratch directory as ``<name>.json``; both
+and transported copies from a scratch directory as ``<name>~.json``; both
 paths are relative to the working directory of the run.
 
 The transported fixtures ``<name>~`` are ``transport`` of each fixture
@@ -150,14 +150,13 @@ def transported_dir(tmp_path_factory):
 
 def _report(case, transported_dir, monkeypatch, capsys):
     source = case.rsplit("-", 1)[1]
-    if source in FIXTURES:
-        monkeypatch.chdir(ROOT)
-        path = f"src/nhomlie/data/{source}.json"
-    else:
+    if source.endswith("~"):
         monkeypatch.chdir(transported_dir)
         path = f"{source}.json"
-    argv = CASES[case]
-    assert main([argv[0], path] + argv[1:]) == 0
+    else:
+        monkeypatch.chdir(ROOT)
+        path = f"src/nhomlie/data/{source}.json"
+    assert main(CASES[case] + [path]) == 0
     return capsys.readouterr().out
 
 
