@@ -13,10 +13,11 @@ integer numerators over one common denominator, each stored as a sparse
 tuple of ``(index, int)`` pairs (empty for zero).  :func:`bracket_ints` is
 the one kernel: it adds the bracket of sparse integer vectors to an integer
 accumulator.  :func:`validate` and the membership tests of the solver
-compare integer numerators whose denominators they track; ``Fraction``
-remains in the stored table, in :attr:`NHomAlgebra.full_table`, in the
-arguments and value of :func:`bracket`, and in a validation failure's
-residual, which is converted only when the failure is recorded.
+compare integer numerators whose denominators they track, and the
+solver builds its constraint rows from the tensor.  ``Fraction`` remains
+only in the stored table, in the arguments and value of :func:`bracket`,
+and in a validation failure's residual, which is converted only when the
+failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
@@ -84,7 +85,7 @@ class NHomAlgebra:
     """Multiplicative n-ary Hom-Lie superalgebra given by structure constants."""
 
     __slots__ = ("arity", "dim", "parity", "table", "alpha", "name",
-                 "_alpha_pows", "_full_table", "_tensor", "_cache")
+                 "_alpha_pows", "_tensor", "_cache")
 
     def __init__(self, arity: int, dim: int, parity: Sequence[int],
                  table: Mapping[Sequence[int], Sequence], alpha: Mat,
@@ -119,7 +120,6 @@ class NHomAlgebra:
         self.alpha = alpha
         self.name = name
         self._alpha_pows: dict[int, Mat] = {0: Mat.identity(dim)}
-        self._full_table: dict[tuple[int, ...], Vector] | None = None
         self._tensor: tuple[list[SparseInts], int] | None = None
         self._cache: dict = {}
 
@@ -154,16 +154,6 @@ class NHomAlgebra:
         return tuple(-x for x in val)
 
     @property
-    def full_table(self) -> dict[tuple[int, ...], Vector]:
-        """Bracket values on all d^n ordered basis tuples (built lazily)."""
-        if self._full_table is None:
-            ft = {}
-            for t in product(range(self.dim), repeat=self.arity):
-                ft[t] = self.basis_value(t)
-            self._full_table = ft
-        return self._full_table
-
-    @property
     def tensor(self) -> tuple[list[SparseInts], int]:
         """``(values, denominator)``: the integer structure tensor (built lazily).
 
@@ -176,9 +166,8 @@ class NHomAlgebra:
             den = 1
             for val in self.table.values():
                 den = lcm(den, *(x.denominator for x in val))
-            ft = self.full_table
             values = [tuple((j, x.numerator * (den // x.denominator))
-                            for j, x in enumerate(ft[t]) if x)
+                            for j, x in enumerate(self.basis_value(t)) if x)
                       for t in product(range(self.dim), repeat=self.arity)]
             self._tensor = (values, den)
         return self._tensor
@@ -412,7 +401,7 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     if key in alg._cache:
         return alg._cache[key]
     d, n = alg.dim, alg.arity
-    ft = alg.full_table
+    values = alg.tensor[0]
     out = []
     for par in (EVEN, ODD):
         idxs = [i for i in range(d) if alg.parity[i] == par]
@@ -421,10 +410,11 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
             continue
         ech = Echelon(len(idxs))
         for rest in product(range(d), repeat=n - 1):
+            brackets = [dict(values[_flat_index((i,) + rest, d)]) for i in idxs]
             for l in range(d):
-                row = [ft[(i,) + rest][l] for i in idxs]
+                row = [b.get(l, 0) for b in brackets]
                 if any(row):
-                    ech.add(row)
+                    ech.add_int(row)
         vecs = []
         for v in ech.nullspace_vectors():
             full = [Fraction(0)] * d

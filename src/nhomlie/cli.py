@@ -39,6 +39,14 @@ from .solver import TUPLE_KINDS, Kind, solve
 KIND_NAMES = [k.value for k in Kind]
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of ``--kmax``: a negative twist power is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -174,13 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one operator-space family")
     common(p)
     p.add_argument("--kind", required=True, choices=KIND_NAMES)
-    p.add_argument("--kmax", type=int, default=2, help="largest twist power (default 2)")
+    p.add_argument("--kmax", type=nonnegative_int, default=2,
+                   help="largest twist power (default 2)")
     p.add_argument("--parity", choices=["0", "1", "both"], default="both")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("props", help="machine-check the structural propositions")
     common(p)
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--kmax", type=nonnegative_int, default=2)
     p.add_argument("--seed", type=int, default=20260811,
                    help="seed for the sampled identity checks")
     p.set_defaults(func=_cmd_props)
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="check the derivation embedding and splitting")
     common(p)
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--kmax", type=nonnegative_int, default=2)
     p.set_defaults(func=_cmd_decompose)
     return ap
 

@@ -19,7 +19,11 @@ kept for reporting and for the extension embedding.
 
 ``_EQUATIONS`` is the one description of these identities; :func:`_rows`
 turns it into rows for :func:`solve`, for the QDer/GDer witness system and
-for the extension's witness slack.  :func:`in_space` re-evaluates each
+for the extension's witness slack.  The rows are integer numerators built
+from the structure tensor through :func:`~nhomlie.algebra.bracket_ints`:
+every equation row is over the tensor's denominator times
+den(alpha^k)^(n-1), and every commutation row over den(alpha).
+:func:`in_space` re-evaluates each
 definition on the integer structure tensor through
 :func:`~nhomlie.algebra.bracket_ints` without reading the table, so it is a
 cross-check of the table rather than a copy of it; only the witness blocks
@@ -32,15 +36,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Sequence
 
-from .algebra import NHomAlgebra, apply_ints, bracket, bracket_ints, sparse_columns
+from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
 from .linalg import (
     Echelon,
     Mat,
     SubspaceBasis,
     _first_nonzero,
-    _int_row,
     commutes_with,
     product_sum,
 )
@@ -116,37 +120,6 @@ def _alpha_key(alg: NHomAlgebra, k: int):
     return alg.alpha_power(k).ints
 
 
-def _slot_tables(alg: NHomAlgebra, k: int):
-    """Bracket values with alpha^k in every slot except one plain slot.
-
-    ``tables[s][t]`` is the bracket of (alpha^k e_{t_0}, ..., e_{t_s}, ...,
-    alpha^k e_{t_{n-1}}).  When alpha^k is the identity these all coincide
-    with the plain table.
-    """
-    key = ("slots", _alpha_key(alg, k))
-    cached = alg._cache.get(key)
-    if cached is not None:
-        return cached
-    d, n = alg.dim, alg.arity
-    a = alg.alpha_power(k)
-    ft = alg.full_table
-    if a.is_identity():
-        tables = [ft] * n
-    else:
-        cols = [a.col(i) for i in range(d)]
-        units = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-                 for i in range(d)]
-        tables = []
-        for s in range(n):
-            tab = {}
-            for t in product(range(d), repeat=n):
-                args = [cols[t[m]] if m != s else units[t[m]] for m in range(n)]
-                tab[t] = bracket(alg, args)
-            tables.append(tab)
-    alg._cache[key] = tables
-    return tables
-
-
 def _prefix_signs(alg: NHomAlgebra, t: tuple[int, ...], xi: int) -> list[int]:
     """(-1)^(xi * |X_{s-1}|) for each slot s."""
     if xi == 0:
@@ -179,36 +152,40 @@ _EQUATIONS = {
 
 
 def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
-    """Rows encoding (D alpha - alpha D) = 0 for one unknown block."""
-    d = alg.dim
-    a = alg.alpha
-    if a.is_identity():
+    """Integer rows encoding (D alpha - alpha D) = 0 for one unknown block."""
+    if alg.alpha.is_identity():
         return []
+    d = alg.dim
+    a, _ = alg.alpha.ints
     rows = []
     for l in range(d):
         for m in range(d):
-            row = [Fraction(0)] * width
+            row = [0] * width
             for j in range(d):
                 col = posidx.get((l, j))
-                if col is not None and a.entries[j][m]:
-                    row[offset + col] += a.entries[j][m]
+                if col is not None and a[j][m]:
+                    row[offset + col] += a[j][m]
                 col = posidx.get((j, m))
-                if col is not None and a.entries[l][j]:
-                    row[offset + col] -= a.entries[l][j]
+                if col is not None and a[l][j]:
+                    row[offset + col] -= a[l][j]
             if any(row):
                 rows.append(row)
     return rows
 
 
 def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
-    """Rows of the equations of ``kind`` over its vectorized blocks.
+    """Integer rows of the equations of ``kind`` over its vectorized blocks.
 
     Rows come tuple by tuple, then equation by equation, then component by
     component, followed by the commutation rows of every block not in
     ``known``.  Terms of the ``known`` blocks are left out.  Without known
     blocks only nonzero rows are kept; with them all d rows of each
     (tuple, equation) are kept, so a right-hand side computed for the known
-    blocks lines up with the rows.  Returns (rows, block count, positions).
+    blocks lines up with the rows.  Every equation row is the rational row
+    times one factor, the tensor's denominator times den(alpha^k)^(n-1), and
+    rows are not normalized one by one, so such a right-hand side needs only
+    to share that factor.  Returns (an iterator over the rows, block count,
+    positions); ``solve`` consumes the rows as they are built.
     """
     d, n = alg.dim, alg.arity
     nblocks, equations = _EQUATIONS[kind](n)
@@ -216,56 +193,63 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
     width = nblocks * npos
-    ft = alg.full_table
-    slots = _slot_tables(alg, k)
-    rows: list[list[Fraction]] = []
-    for t in product(range(d), repeat=n):
-        signs = _prefix_signs(alg, t, xi)
-        for eq in equations:
-            block_rows = [[Fraction(0)] * width for _ in range(d)]
-            for b, s, c in eq:
-                if b in known:
-                    continue
-                off = b * npos
-                if s is VALUE:
-                    for j, vj in enumerate(ft[t]):
-                        if vj:
+    values = alg.tensor[0]
+    # slot terms: alpha^k columns over aden in n - 1 slots, a unit vector in
+    # slot s; VALUE terms are lifted to the same denominator
+    acols, aden = sparse_columns(alg.alpha_power(k))
+    lift = aden ** (n - 1)
+    units = [((j, 1),) for j in range(d)]
+
+    def rows():
+        for value, t in zip(values, product(range(d), repeat=n)):
+            signs = _prefix_signs(alg, t, xi)
+            args = [acols[i] for i in t]
+            for eq in equations:
+                block_rows = [[0] * width for _ in range(d)]
+                for b, s, c in eq:
+                    if b in known:
+                        continue
+                    off = b * npos
+                    if s is VALUE:
+                        for j, v in value:
                             for l in range(d):
                                 col = posidx.get((l, j))
                                 if col is not None:
-                                    block_rows[l][off + col] += c * vj
-                    continue
-                c *= signs[s]
-                for j in range(d):
-                    col = posidx.get((j, t[s]))
-                    if col is None:
+                                    block_rows[l][off + col] += c * v * lift
                         continue
-                    vec = slots[s][t[:s] + (j,) + t[s + 1:]]
-                    for l in range(d):
-                        if vec[l]:
-                            block_rows[l][off + col] += c * vec[l]
-            rows.extend(block_rows if known else (r for r in block_rows if any(r)))
-    for b in range(nblocks):
-        if b not in known:
-            rows.extend(_commutation_rows(alg, posidx, width, b * npos))
-    return rows, nblocks, pos
+                    for j in range(d):
+                        col = posidx.get((j, t[s]))
+                        if col is None:
+                            continue
+                        vec = [0] * d
+                        bracket_ints(alg, vec, args[:s] + [units[j]] + args[s + 1:], c * signs[s])
+                        for l, x in enumerate(vec):
+                            if x:
+                                block_rows[l][off + col] += x
+                yield from (block_rows if known else (r for r in block_rows if any(r)))
+        for b in range(nblocks):
+            if b not in known:
+                yield from _commutation_rows(alg, posidx, width, b * npos)
+
+    return rows(), nblocks, pos
 
 
 def _echelonize(rows, width: int) -> Echelon:
+    """Echelon of integer rows; zero rows and repeats up to scale are skipped."""
     ech = Echelon(width)
     seen = set()
     for row in rows:
-        r = _int_row(row)
-        j = _first_nonzero(r, 0)
+        j = _first_nonzero(row, 0)
         if j is None:
             continue
-        if r[j] < 0:
-            r = [-x for x in r]
-        key = tuple(r)
+        g = gcd(*row)
+        if row[j] < 0:
+            g = -g
+        key = tuple(x // g for x in row)
         if key in seen:
             continue
         seen.add(key)
-        ech.add_int(list(r))
+        ech.add_int(list(key))
     return ech
 
 
@@ -427,9 +411,10 @@ def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> Echelon:
     if hit is not None:
         return hit
     rows, nblocks, pos = _rows(alg, kind, k, xi, known={0})
+    rows = list(rows)
     ech = Echelon(len(rows))
     for c in range(len(pos), nblocks * len(pos)):
-        ech.add([row[c] for row in rows])
+        ech.add_int([row[c] for row in rows])
     alg._cache[cache_key] = ech
     return ech
 

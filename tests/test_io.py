@@ -163,6 +163,15 @@ class TestCli:
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/algebra.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [["solve", "--kind", "Der"], ["props"], ["decompose"]])
+    def test_negative_kmax_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(DATA / "aff1.json"), "--kmax", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--kmax: must be nonnegative" in captured.err
+        assert captured.out == ""
+
     def test_solve_reports_the_known_dimension(self, capsys):
         assert main(["solve", str(DATA / "aff1.json"), "--kind", "Der",
                      "--kmax", "0"]) == 0

@@ -4,6 +4,9 @@
 ``basis_value``; ``in_space`` for the six tuple kinds and
 ``qder_identity_holds`` are compared with their definitions evaluated in
 ``Fraction`` arithmetic, with the QDer/GDer witnesses solved for by rank.
+The solver's integer constraint rows are compared with the same rows built
+in ``Fraction`` arithmetic through ``bracket``, scaled by the one
+denominator the witness system relies on.
 The algebras are aff1, homaff1, super2 and threeLie4, three Heisenberg
 algebras on which QDer and GDer are proper subspaces of Omega (so their
 witness systems can fail), and a copy of each transported through
@@ -15,6 +18,7 @@ same map plus a random alpha-commuting perturbation (mostly a non-member).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -24,9 +28,13 @@ from nhomlie.algebra import NHomAlgebra, bracket, transport
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
 from nhomlie.linalg import Mat, nullspace
 from nhomlie.solver import (
+    _EQUATIONS,
     TUPLE_KINDS,
+    VALUE,
     GradedEndo,
     Kind,
+    _rows,
+    allowed_positions,
     in_space,
     omega,
     qder_identity_holds,
@@ -216,6 +224,59 @@ def ref_qder_identity(name, k, xi, m, w):
     return True
 
 
+@lru_cache(maxsize=None)
+def unit_slot_bracket(name, k, t, s, r):
+    """``bracket`` of (alpha^k e_{t_0}, ..., e_r in slot s, ..., alpha^k e_{t_{n-1}})."""
+    alg = ALGEBRAS[name]
+    a = alg.alpha_power(k)
+    args = [col(a, i) for i in t]
+    args[s] = [F(int(i == r)) for i in range(alg.dim)]
+    return bracket(alg, args)
+
+
+def ref_rows(name, kind, k, xi, known):
+    """``(equation rows, commutation rows)`` of ``kind`` in ``Fraction`` arithmetic.
+
+    The order is that of the solver's rows: tuple, equation, component, then
+    the commutation rows of each block not in ``known``; unknowns are the
+    blocks' allowed positions.  Zero rows are dropped, except the equation
+    rows when ``known`` is not empty.
+    """
+    alg = ALGEBRAS[name]
+    d, n = alg.dim, alg.arity
+    nblocks, equations = _EQUATIONS[kind](n)
+    pos = allowed_positions(alg.parity, xi)
+    width = nblocks * len(pos)
+    eq_rows = []
+    for t in product(range(d), repeat=n):
+        for eq in equations:
+            block = [[F(0)] * width for _ in range(d)]
+            for b, s, c in eq:
+                if b in known:
+                    continue
+                for m, (r, cc) in enumerate(pos):
+                    j = b * len(pos) + m
+                    if s is VALUE:  # E_{r cc} [e_t]
+                        block[r][j] += c * alg.basis_value(t)[cc]
+                    elif t[s] == cc:  # E_{r cc} e_{t_s} = e_r
+                        for l, x in enumerate(unit_slot_bracket(name, k, t, s, r)):
+                            block[l][j] += c * sign(alg, t, s, xi) * x
+            eq_rows.extend(block if known else [row for row in block if any(row)])
+    alpha = alg.alpha.entries
+    comm_rows = []
+    for b in range(nblocks):
+        if b in known:
+            continue
+        for l in range(d):
+            for m in range(d):
+                row = [F(0)] * width
+                for p, (r, cc) in enumerate(pos):  # (E_{r cc} alpha - alpha E_{r cc})[l][m]
+                    row[b * len(pos) + p] = int(l == r) * alpha[cc][m] - alpha[l][r] * int(cc == m)
+                if any(row):
+                    comm_rows.append(row)
+    return eq_rows, comm_rows
+
+
 # ---------------------------------------------------------------------------
 # the tests
 # ---------------------------------------------------------------------------
@@ -278,3 +339,22 @@ def test_qder_identity_matches_reference(name, data):
     for dm, dw in ((m, w), (m + combination(data, outside, d), w + combination(data, outside, d))):
         got = qder_identity_holds(alg, k, xi, GradedEndo(dm, xi), dw)
         assert got == ref_qder_identity(name, k, xi, dm, dw)
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_are_the_reference_over_one_denominator(name, kind):
+    # every equation row is over tden den(alpha^k)^(n-1), every commutation
+    # row over den(alpha); the witness system relies on the first
+    alg = ALGEBRAS[name]
+    tden = lcm(1, *(x.denominator for value in alg.table.values() for x in value))
+    aden = lcm(1, *(x.denominator for row in alg.alpha.entries for x in row))
+    for k, xi, known in product(range(3), (0, 1), ((), {0})):
+        kden = lcm(1, *(x.denominator for row in alg.alpha_power(k).entries for x in row))
+        eq_rows, comm_rows = ref_rows(name, kind, k, xi, known)
+        factor = tden * kden ** (alg.arity - 1)
+        expected = ([[x * factor if x else 0 for x in row] for row in eq_rows] +
+                    [[x * aden if x else 0 for x in row] for row in comm_rows])
+        rows = list(_rows(alg, kind, k, xi, known)[0])
+        assert all(type(x) is int for row in rows for x in row)
+        assert rows == expected
