@@ -34,12 +34,12 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
-    Echelon,
     Mat,
     SubspaceBasis,
     Vector,
     as_scalar,
     is_zero_vector,
+    kernel,
     rref,
     unit_vector,
     vector,
@@ -408,20 +408,18 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
         if not idxs:
             out.append(SubspaceBasis.zero(d))
             continue
-        ech = Echelon(len(idxs))
+        rows = []
         for rest in product(range(d), repeat=n - 1):
             brackets = [dict(values[_flat_index((i,) + rest, d)]) for i in idxs]
-            for l in range(d):
-                row = [b.get(l, 0) for b in brackets]
-                if any(row):
-                    ech.add_int(row)
+            rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
+        # spread over the increasing idxs, a reduced basis stays reduced
         vecs = []
-        for v in ech.nullspace_vectors():
-            full = [Fraction(0)] * d
+        for v in kernel(rows, len(idxs)):
+            full = list(zero_vector(d))
             for pos, i in enumerate(idxs):
                 full[i] = v[pos]
             vecs.append(tuple(full))
-        out.append(SubspaceBasis.span(d, vecs))
+        out.append(SubspaceBasis(d, tuple(vecs)))
     result = (out[0], out[1])
     alg._cache[key] = result
     return result

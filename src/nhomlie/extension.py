@@ -27,12 +27,12 @@ from .linalg import (
     unit_vector,
     zero_vector,
     extend_to_complement,
+    kernel,
 )
 from .propositions import Claim, PropReport, _mat_witness, _report
 from .solver import (
     GradedEndo,
     Kind,
-    _echelonize,
     _mat_from_positions,
     _rows,
     in_space,
@@ -125,8 +125,8 @@ def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
     derived subspace.
     """
     rows, _, pos = _rows(alg, Kind.QDER, 0, xi, known={0})
-    ech = _echelonize([row[len(pos):] for row in rows], len(pos))
-    return [_mat_from_positions(alg.dim, pos, v) for v in ech.nullspace_vectors()]
+    return [_mat_from_positions(alg.dim, pos, v)
+            for v in kernel([row[len(pos):] for row in rows], len(pos))]
 
 
 def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropReport:

@@ -9,9 +9,14 @@ Matrix arithmetic (products, sums, scaling, :func:`product_sum`,
 in Python ints and build one ``Fraction`` per result entry; each result
 keeps its own integer form, so chained arithmetic never converts back.
 Subspaces are stored as the unique reduced row-echelon basis, so two
-equal subspaces compare equal as values.  Elimination runs on integer
-rows (each row scaled by the lcm of its denominators).  No floating
-point appears anywhere.
+equal subspaces compare equal as values.  Each subspace comes from one
+elimination on integer rows (each row scaled by the lcm of its
+denominators), back-substituted in integers by :meth:`Echelon.reduced`;
+a ``Fraction`` is built only for the nonzero entries of the returned
+basis.  A nullspace is read off the same way by :func:`kernel`: its rows
+are eliminated right to left, and the free columns then give the
+nullspace's reduced basis directly, with no second elimination.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -238,18 +243,19 @@ def _int_row(row: Sequence) -> list[int]:
             if d != 1:
                 den = den * d // gcd(den, d)
     if den == 1:
-        out = [int(x) for x in row]
-    else:
-        out = [int(x * den) if isinstance(x, Fraction) else x * den for x in row]
+        return _primitive([int(x) for x in row])
+    return _primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a zero row as it is)."""
     g = 0
-    for x in out:
+    for x in row:
         if x:
             g = gcd(g, x)
             if g == 1:
-                break
-    if g > 1:
-        out = [x // g for x in out]
-    return out
+                return row
+    return [x // g for x in row] if g > 1 else row
 
 
 def _first_nonzero(row: Sequence[int], start: int) -> int | None:
@@ -278,10 +284,27 @@ class Echelon:
 
     def add(self, row: Sequence) -> bool:
         """Fold one (rational or integer) row in; True if the rank grew."""
-        r = _int_row(row)
-        return self.add_int(r)
+        return self.add_int(_int_row(row))
 
     def add_int(self, row: list[int]) -> bool:
+        row, j = self._reduce(row)
+        if j is None:
+            return False
+        row = _primitive(row)
+        if row[j] < 0:
+            row = [-x for x in row]
+        self.pivots[j] = row
+        return True
+
+    def contains_int(self, row: Sequence[int]) -> bool:
+        """True iff the integer row already lies in the accumulated row space."""
+        return self._reduce(row)[1] is None
+
+    def _reduce(self, row: Sequence[int]) -> tuple[Sequence[int], int | None]:
+        """``row`` reduced by the pivots, and its first column without a pivot.
+
+        The column is None when the row reduces to zero.
+        """
         pivots = self.pivots
         j = _first_nonzero(row, 0)
         while j is not None:
@@ -296,50 +319,18 @@ class Echelon:
             else:
                 row = [am * x - bm * y for x, y in zip(row, p)]
                 if max(map(abs, row)) > _GROWTH_LIMIT:
-                    gg = 0
-                    for x in row:
-                        if x:
-                            gg = gcd(gg, x)
-                            if gg == 1:
-                                break
-                    if gg > 1:
-                        row = [x // gg for x in row]
+                    row = _primitive(row)
             j = _first_nonzero(row, j + 1)
-        if j is None:
-            return False
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g > 1:
-            row = [x // g for x in row]
-        if row[j] < 0:
-            row = [-x for x in row]
-        self.pivots[j] = row
-        return True
+        return row, j
 
-    def contains_int(self, row: Sequence) -> bool:
-        """True iff the row already lies in the accumulated row space."""
-        r = _int_row(row)
-        pivots = self.pivots
-        j = _first_nonzero(r, 0)
-        while j is not None:
-            p = pivots.get(j)
-            if p is None:
-                return False
-            a, b = p[j], r[j]
-            g = gcd(a, b)
-            am, bm = a // g, b // g
-            r = [am * x - bm * y for x, y in zip(r, p)]
-            j = _first_nonzero(r, j + 1)
-        return True
+    def reduced(self) -> list[tuple[int, list[int]]]:
+        """The reduced integer rows as (pivot column, row), by pivot column.
 
-    def rref_rows(self) -> list[tuple[int, Vector]]:
-        """Fully reduced rows as (pivot column, unit-pivot rational row)."""
+        Back-substitution in integers: every pivot column is cleared from
+        the other rows, each row stays primitive with a positive pivot.
+        """
         cols = sorted(self.pivots)
-        rows = [list(self.pivots[c]) for c in cols]
+        rows = [self.pivots[c] for c in cols]
         for i in range(len(cols) - 1, -1, -1):
             c = cols[i]
             prow = rows[i]
@@ -353,30 +344,54 @@ class Echelon:
                 if am == 1:
                     rows[m] = [x - bm * y for x, y in zip(rows[m], prow)]
                 else:
-                    row = [am * x - bm * y for x, y in zip(rows[m], prow)]
-                    gg = 0
-                    for x in row:
-                        if x:
-                            gg = gcd(gg, x)
-                            if gg == 1:
-                                break
-                    rows[m] = [x // gg for x in row] if gg > 1 else row
-        return [(c, tuple(Fraction(x, r[c]) for x in r)) for c, r in zip(cols, rows)]
+                    rows[m] = _primitive([am * x - bm * y for x, y in zip(rows[m], prow)])
+        return list(zip(cols, rows))
 
-    def nullspace_vectors(self) -> list[Vector]:
-        """Canonical basis of the right nullspace of the accumulated rows."""
-        reduced = self.rref_rows()
-        pivot_cols = {c for c, _ in reduced}
-        free_cols = [c for c in range(self.width) if c not in pivot_cols]
-        out = []
-        for f in free_cols:
-            v = [_ZERO] * self.width
-            v[f] = _ONE
-            for c, row in reduced:
-                if row[f]:
-                    v[c] = -row[f]
-            out.append(tuple(v))
-        return out
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced row-echelon basis of the row space, pivots scaled to 1."""
+        return tuple(tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
+                     for c, r in self.reduced())
+
+
+def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
+    """Reduced row-echelon basis of ``{v : r v = 0 for every row r}``.
+
+    The integer rows are eliminated once, each folded in reversed, so the
+    echelon picks its pivots greedily from the right; zero rows and rows
+    equal up to scale are skipped first.  For each free column f the basis
+    vector is 1 at f, 0 at the other free columns and -r[f]/r[c] at the
+    pivot c of each reduced row r.  That is already the nullspace's own
+    reduced echelon form.  A reduced row pivoted at c is nonzero only at c
+    and at free columns left of c, so the vector of f leads at f and is
+    zero at every other free column: the free columns are its pivots.  (In
+    matroid terms, the complement of the column basis chosen greedily from
+    the right is the basis of the dual matroid chosen greedily from the
+    left, and those are the pivot columns of the nullspace's RREF.)  A
+    ``Fraction`` is built only for the nonzero entries.
+    """
+    ech = Echelon(width)
+    seen = set()
+    for row in rows:
+        j = _first_nonzero(row, 0)
+        if j is None:
+            continue
+        g = gcd(*row)
+        if row[j] < 0:
+            g = -g
+        key = tuple(x // g for x in reversed(row))
+        if key not in seen:
+            seen.add(key)
+            ech.add_int(list(key))
+    last = width - 1
+    out = {f: [_ZERO] * width for f in range(width) if last - f not in ech.pivots}
+    for f, v in out.items():
+        v[f] = _ONE
+    for c, r in ech.reduced():
+        pl = r[c]
+        for j, x in enumerate(r):
+            if x and j != c:
+                out[last - j][last - c] = Fraction(-x, pl)
+    return tuple(map(tuple, out.values()))
 
 
 class RrefResult(NamedTuple):
@@ -388,21 +403,16 @@ class RrefResult(NamedTuple):
 def rref(m: Mat) -> RrefResult:
     """Unique reduced row-echelon form of ``m`` over the rationals."""
     ech = Echelon(m.cols)
-    for row in m.entries:
-        ech.add(row)
-    reduced_rows = [row for _, row in ech.rref_rows()]
+    for row in m.ints[0]:
+        ech.add_int(list(row))
+    reduced_rows = ech.basis() + (zero_vector(m.cols),) * (m.rows - ech.rank)
     pivots = tuple(sorted(ech.pivots))
-    while len(reduced_rows) < m.rows:
-        reduced_rows.append(zero_vector(m.cols))
-    return RrefResult(Mat(m.rows, m.cols, tuple(reduced_rows)), pivots, len(pivots))
+    return RrefResult(Mat(m.rows, m.cols, reduced_rows), pivots, len(pivots))
 
 
 def nullspace(m: Mat) -> "SubspaceBasis":
     """Canonical basis of ``{v : m v = 0}``."""
-    ech = Echelon(m.cols)
-    for row in m.entries:
-        ech.add(row)
-    return SubspaceBasis.span(m.cols, ech.nullspace_vectors())
+    return SubspaceBasis(m.cols, kernel(m.ints[0], m.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +438,7 @@ class SubspaceBasis:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector length does not match ambient dimension")
             ech.add(v)
-        return cls(ambient_dim, tuple(row for _, row in ech.rref_rows()))
+        return cls(ambient_dim, ech.basis())
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -463,7 +473,11 @@ def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Zassenhaus: echelonize [A|A] over [B|0]; zero-left rows span a ∩ b."""
+    """Zassenhaus: echelonize [A|A] over [B|0]; zero-left rows span a ∩ b.
+
+    The zero-left rows of the reduced basis are already reduced, so their
+    right halves are the canonical basis of the intersection.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
@@ -472,11 +486,7 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         ech.add(tuple(v) + tuple(v))
     for v in b.vectors:
         ech.add(tuple(v) + zero_vector(n))
-    inter = []
-    for c, row in ech.rref_rows():
-        if c >= n:
-            inter.append(row[n:])
-    return SubspaceBasis.span(n, inter)
+    return SubspaceBasis(n, tuple(row[n:] for row in ech.basis() if not any(row[:n])))
 
 
 def is_subspace_of(a: SubspaceBasis, b: SubspaceBasis) -> bool:
@@ -487,7 +497,8 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
     """Greedy complement of ``inner`` inside span{e_i : i in allowed}.
 
     Standard basis vectors are tried in increasing index order, so the
-    result is deterministic.
+    result is deterministic, and the chosen ones are already its reduced
+    basis.
     """
     n = inner.ambient_dim
     allowed = sorted(set(allowed))
@@ -507,4 +518,4 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
         e[i] = 1
         if ech.add_int(e):
             chosen.append(unit_vector(n, i))
-    return SubspaceBasis.span(n, chosen)
+    return SubspaceBasis(n, tuple(chosen))

@@ -12,10 +12,13 @@ linear system over the entries of one or more unknown matrices:
 * ``GDer``:  one independent witness per slot plus a right-hand witness.
 
 Unknown matrices are restricted to the homogeneity pattern of parity xi
-and vectorized column-major, blocks in definition order.  ``QDer`` and
-``GDer`` are solved jointly with their witnesses and projected onto the
-leading block; witness representatives aligned with the returned basis are
-kept for reporting and for the extension embedding.
+and vectorized column-major, blocks in definition order.  Each space is
+read off one integer elimination of its rows: :func:`~nhomlie.linalg.kernel`
+returns the reduced row-echelon basis of the joint solution space of all
+blocks.  ``QDer`` and ``GDer`` are solved jointly with their witnesses in
+that one RREF and projected onto the leading block; the witness blocks of
+the rows that lead in it are the witness representatives aligned with the
+returned basis, kept for reporting and for the extension embedding.
 
 ``_EQUATIONS`` is the one description of these identities; :func:`_rows`
 turns it into rows for :func:`solve`, for the QDer/GDer witness system and
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import gcd
 from typing import Sequence
 
 from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
@@ -44,8 +46,8 @@ from .linalg import (
     Echelon,
     Mat,
     SubspaceBasis,
-    _first_nonzero,
     commutes_with,
+    kernel,
     product_sum,
 )
 
@@ -94,10 +96,8 @@ class EndoSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def as_subspace(self, ambient_dim: int | None = None) -> SubspaceBasis:
+    def as_subspace(self, ambient_dim: int) -> SubspaceBasis:
         """The space as row-major flattened vectors, canonicalized."""
-        if ambient_dim is None:
-            ambient_dim = (self.basis[0].mat.rows ** 2) if self.basis else 0
         return SubspaceBasis.span(ambient_dim, [g.mat.flatten() for g in self.basis])
 
 
@@ -234,25 +234,6 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     return rows(), nblocks, pos
 
 
-def _echelonize(rows, width: int) -> Echelon:
-    """Echelon of integer rows; zero rows and repeats up to scale are skipped."""
-    ech = Echelon(width)
-    seen = set()
-    for row in rows:
-        j = _first_nonzero(row, 0)
-        if j is None:
-            continue
-        g = gcd(*row)
-        if row[j] < 0:
-            g = -g
-        key = tuple(x // g for x in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        ech.add_int(list(key))
-    return ech
-
-
 def _mat_from_positions(d: int, pos, coeffs) -> Mat:
     grid = [[Fraction(0)] * d for _ in range(d)]
     for (r, c), x in zip(pos, coeffs):
@@ -282,10 +263,9 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     # pivoted inside the leading block restrict to the canonical basis of
     # its projection, and their trailing blocks are the minimal-echelon
     # witness representatives; rows pivoted later have zero leading part.
-    joint = SubspaceBasis.span(width, _echelonize(rows, width).nullspace_vectors())
     basis = []
     witnesses = []
-    for row in joint.vectors:
+    for row in kernel(rows, width):
         if not any(row[:npos]):
             break
         basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos]), xi))

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 
 from nhomlie.algebra import NHomAlgebra, bracket, transport
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
-from nhomlie.linalg import Mat, nullspace
+from nhomlie.linalg import Mat
 from nhomlie.solver import (
     _EQUATIONS,
     TUPLE_KINDS,
@@ -167,8 +167,34 @@ def witness_map(name, kind, a, xi):
     kept = [i for i, row in enumerate(zip(*columns)) if any(row)]
     if not kept:
         return kept, []
-    transposed = Mat.from_rows([[column[i] for i in kept] for column in columns])
-    return kept, [[(p, y) for p, y in enumerate(v) if y] for v in nullspace(transposed).vectors]
+    transposed = [[column[i] for i in kept] for column in columns]
+    return kept, [[(p, y) for p, y in enumerate(v) if y]
+                  for v in ref_nullspace(transposed, len(kept))]
+
+
+def ref_nullspace(rows, width):
+    """A basis of {v : row . v = 0}, by textbook Gauss-Jordan elimination in Fractions."""
+    rows = [list(map(F, row)) for row in rows]
+    pivots = []
+    for c in range(width):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[top])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [F(0)] * width
+        v[f] = F(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][f]
+        basis.append(v)
+    return basis
 
 
 def has_witness(name, kind, k, xi, defect):

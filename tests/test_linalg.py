@@ -9,6 +9,7 @@ from nhomlie.linalg import (
     SubspaceBasis,
     contains,
     extend_to_complement,
+    kernel,
     nullspace,
     rref,
     subspace_intersect,
@@ -252,3 +253,161 @@ def test_identity_detection():
     assert Mat.identity(0).is_identity()
     assert not Mat.from_rows([[1, 0], [0, 2]]).is_identity()
     assert not Mat.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the one-elimination bases against the two-elimination
+# reference: reduced rows built as Fractions, a nullspace from them, then a
+# second elimination of that nullspace to make it canonical
+# ---------------------------------------------------------------------------
+
+def ref_int_row(row):
+    den = 1
+    for x in row:
+        den = den * F(x).denominator // gcd(den, F(x).denominator)
+    out = [int(F(x) * den) for x in row]
+    g = gcd(*out) if out else 0
+    return [x // g for x in out] if g > 1 else out
+
+
+class RefEchelon:
+    def __init__(self, width):
+        self.width = width
+        self.pivots = {}
+
+    def add(self, row):
+        row = ref_int_row(row)
+        j = next((c for c, x in enumerate(row) if x), None)
+        while j is not None and j in self.pivots:
+            p = self.pivots[j]
+            g = gcd(p[j], row[j])
+            am, bm = p[j] // g, row[j] // g
+            row = [am * x - bm * y for x, y in zip(row, p)]
+            j = next((c for c, x in enumerate(row) if x), None)
+        if j is None:
+            return
+        g = gcd(*row)
+        row = [x // g for x in row]
+        self.pivots[j] = [-x for x in row] if row[j] < 0 else row
+
+    def rref_rows(self):
+        cols = sorted(self.pivots)
+        rows = [list(self.pivots[c]) for c in cols]
+        for i in range(len(cols) - 1, -1, -1):
+            c, prow = cols[i], rows[i]
+            for m in range(i):
+                b = rows[m][c]
+                if b:
+                    g = gcd(prow[c], b)
+                    row = [prow[c] // g * x - b // g * y for x, y in zip(rows[m], prow)]
+                    rows[m] = [x // gcd(*row) for x in row]
+        return [(c, tuple(F(x, r[c]) for x in r)) for c, r in zip(cols, rows)]
+
+    def nullspace_vectors(self):
+        reduced = self.rref_rows()
+        out = []
+        for f in range(self.width):
+            if f in self.pivots:
+                continue
+            v = [F(0)] * self.width
+            v[f] = F(1)
+            for c, row in reduced:
+                if row[f]:
+                    v[c] = -row[f]
+            out.append(tuple(v))
+        return out
+
+
+def ref_span(width, vectors):
+    ech = RefEchelon(width)
+    for v in vectors:
+        ech.add(v)
+    return tuple(row for _, row in ech.rref_rows())
+
+
+def ref_kernel(rows, width):
+    ech = RefEchelon(width)
+    for row in rows:
+        ech.add(row)
+    return ref_span(width, ech.nullspace_vectors())
+
+
+def ref_intersect(n, a, b):
+    ech = RefEchelon(2 * n)
+    for v in a:
+        ech.add(tuple(v) + tuple(v))
+    for v in b:
+        ech.add(tuple(v) + (F(0),) * n)
+    return ref_span(n, [row[n:] for c, row in ech.rref_rows() if c >= n])
+
+
+# small entries, so rank deficiency is common, and entries past 2^63 so the
+# elimination's growth compression runs (multiples of 2^64 give it a factor)
+int_entries = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                        st.integers(-3, 3).map(lambda x: x << 64),
+                        st.integers(-(1 << 90), 1 << 90).filter(lambda x: abs(x) > 1 << 63))
+rat_entries = st.one_of(int_entries, st.builds(F, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def row_lists(draw, entries):
+    """Rows of one width (possibly 0), with zero rows and rows repeated up to scale."""
+    width = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    extra = [[0] * width] * draw(st.integers(0, 1))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
+        c = draw(st.integers(-4, 4).filter(bool))
+        extra.append([c * x for x in row])
+    order = draw(st.permutations(range(len(rows) + len(extra))))
+    every = rows + extra
+    return [every[i] for i in order], width
+
+
+@given(row_lists(int_entries))
+def test_kernel_matches_two_eliminations(case):
+    rows, width = case
+    basis = kernel(rows, width)
+    assert basis == ref_kernel(rows, width)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+
+
+@given(row_lists(rat_entries))
+def test_nullspace_rref_and_span_match_the_reference(case):
+    rows, width = case
+    m = Mat.from_rows(rows, cols=width)
+    assert nullspace(m) == SubspaceBasis(width, ref_kernel(rows, width))
+    span = ref_span(width, rows)
+    assert SubspaceBasis.span(width, rows).vectors == span
+    res = rref(m)
+    assert res.reduced.entries == span + ((F(0),) * width,) * (len(rows) - len(span))
+    assert res.rank == len(span) == len(res.pivots)
+
+
+@given(row_lists(rat_entries), st.data())
+def test_intersect_matches_the_reference(case, data):
+    rows, width = case
+    other = data.draw(st.lists(st.lists(rat_entries, min_size=width, max_size=width),
+                               max_size=4))
+    a, b = SubspaceBasis.span(width, rows), SubspaceBasis.span(width, other + rows[:1])
+    expected = ref_intersect(width, a.vectors, b.vectors)
+    assert subspace_intersect(a, b).vectors == expected
+
+
+def test_kernel_of_a_row_whose_left_to_right_nullspace_is_not_reduced():
+    # eliminating left to right frees columns 1 and 2, and the vector of
+    # column 1, (-1, 1, 0), leads at column 0: it is not reduced
+    ech = RefEchelon(3)
+    ech.add([1, 1, 0])
+    assert ech.nullspace_vectors() == [vector([-1, 1, 0]), vector([0, 0, 1])]
+    assert kernel([[1, 1, 0]], 3) == (vector([1, -1, 0]), vector([0, 0, 1]))
+    assert kernel([], 0) == () and kernel([[0, 0]], 2) == (vector([1, 0]), vector([0, 1]))
+
+
+def test_kernel_compresses_growth_past_the_limit():
+    # folded in reversed, the second row is scaled by the first one's
+    # leading entry 3 * 2^64 + 1 and its remainder lies past 2^63
+    big = 3 * (1 << 64) + 1
+    rows = [[2, big], [6, 3]]
+    assert kernel(rows, 2) == ref_kernel(rows, 2) == ()
+    assert kernel([[2, big, 0], [6, 3, 0]], 3) == (vector([0, 0, 1]),)
