@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -38,10 +38,9 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_scalar,
-    is_zero_vector,
     kernel,
     rref,
-    unit_vector,
+    unit_leading,
     vector,
     zero_vector,
 )
@@ -111,7 +110,7 @@ class NHomAlgebra:
             vec = vector(value)
             if len(vec) != dim:
                 raise ValueError(f"bracket value for {key} has wrong length")
-            if not is_zero_vector(vec):
+            if any(vec):
                 canon[key] = vec
         self.arity = arity
         self.dim = dim
@@ -285,17 +284,6 @@ class ValidationReport:
         return not self.failures
 
 
-def _canonical_tuples(dim: int, arity: int):
-    def rec(start, left):
-        if left == 0:
-            yield ()
-            return
-        for i in range(start, dim):
-            for rest in rec(i, left - 1):
-                yield (i,) + rest
-    return rec(0, arity)
-
-
 def validate(alg: NHomAlgebra) -> ValidationReport:
     """Check all defining axioms on basis tuples, collecting witnesses."""
     if "validate" in alg._cache:
@@ -316,7 +304,7 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     for key, val in alg.table.items():
         want = alg.tuple_parity(key)
         bad = tuple(x if parity[j] != want else Fraction(0) for j, x in enumerate(val))
-        if not is_zero_vector(bad):
+        if any(bad):
             degree_ok = False
             failures.append(ValidationFailure("degree", key, bad))
     even_alpha_ok = True
@@ -353,7 +341,7 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden
     multiplicative_ok = True
     lift = aden ** (n - 1)
-    for t in _canonical_tuples(d, n):
+    for t in combinations_with_replacement(range(d), n):
         lhs = [x * lift for x in apply_ints(alpha_cols, values[_flat_index(t, d)], d)]
         rhs = [0] * d
         bracket_ints(alg, rhs, [alpha_cols[i] for i in t])
@@ -414,7 +402,7 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
             rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
         # spread over the increasing idxs, a reduced basis stays reduced
         vecs = []
-        for v in kernel(rows, len(idxs)):
+        for v in map(unit_leading, kernel(rows, len(idxs))):
             full = list(zero_vector(d))
             for pos, i in enumerate(idxs):
                 full[i] = v[pos]
@@ -464,9 +452,9 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
     p_inv = invert(p)
     cols = [p.col(i) for i in range(d)]
     new_table = {}
-    for t in _canonical_tuples(d, n):
+    for t in combinations_with_replacement(range(d), n):
         val = bracket(alg, [cols[i] for i in t])
-        if not is_zero_vector(val):
+        if any(val):
             new_table[t] = p_inv.apply(val)
     new_alpha = p_inv @ alg.alpha @ p
     return NHomAlgebra(n, d, alg.parity, new_table, new_alpha,
@@ -478,12 +466,12 @@ def invert(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = Mat.from_rows(
-        [tuple(m.entries[i]) + unit_vector(n, i) for i in range(n)],
-        cols=2 * n,
-    )
-    res = rref(aug)
+    grid, den = m.ints
+    # [m | identity] as numerators over den
+    aug = tuple(row + tuple(den if j == i else 0 for j in range(n))
+                for i, row in enumerate(grid))
+    res = rref(Mat(n, 2 * n, (aug, den)))
     if res.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    inv_rows = [row[n:] for row in res.reduced.entries[:n]]
-    return Mat.from_rows(inv_rows, cols=n)
+    inv, inv_den = res.reduced.ints
+    return Mat(n, n, (tuple(row[n:] for row in inv), inv_den))

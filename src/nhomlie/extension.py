@@ -69,9 +69,7 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     for key, val in alg.table.items():
         table[key] = zero_vector(d) + tuple(val)
     parity = alg.parity + alg.parity
-    top = [tuple(row) + zero_vector(d) for row in alg.alpha.entries]
-    bottom = [zero_vector(d) + tuple(row) for row in alg.alpha.entries]
-    alpha = Mat.from_rows(top + bottom, cols=2 * d)
+    alpha = _block_diagonal(alg.alpha, alg.alpha)
     ext = NHomAlgebra(n, 2 * d, parity, table, alpha,
                       name=f"{alg.name}^ext" if alg.name else "ext")
     if not validate(ext).all_ok:
@@ -102,17 +100,19 @@ def phi(text: TExtension, endo: GradedEndo, witness: Mat, k: int) -> GradedEndo:
     of the second block, and as zero on the complement part.
     """
     base = text.base
-    d = base.dim
     xi = endo.xi
     if not qder_identity_holds(base, k, xi, endo, witness):
         raise ValueError("witness pair fails the quasiderivation identity")
-    bottom_right = witness @ text.derived_projection
-    grid = []
-    for r in range(d):
-        grid.append(tuple(endo.mat.entries[r]) + zero_vector(d))
-    for r in range(d):
-        grid.append(zero_vector(d) + tuple(bottom_right.entries[r]))
-    return GradedEndo(Mat.from_rows(grid, cols=2 * d), xi)
+    return GradedEndo(_block_diagonal(endo.mat, witness @ text.derived_projection), xi)
+
+
+def _block_diagonal(a: Mat, b: Mat) -> Mat:
+    """The block-diagonal matrix with ``a`` top left and ``b`` bottom right."""
+    (ga, da), (gb, db) = a.ints, b.ints
+    za, zb = (0,) * b.cols, (0,) * a.cols
+    grid = tuple(tuple(db * x for x in row) + za for row in ga) + \
+        tuple(zb + tuple(da * x for x in row) for row in gb)
+    return Mat(a.rows + b.rows, a.cols + b.cols, (grid, da * db))
 
 
 def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
@@ -125,7 +125,7 @@ def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
     derived subspace.
     """
     rows, _, pos = _rows(alg, Kind.QDER, 0, xi, known={0})
-    return [_mat_from_positions(alg.dim, pos, v)
+    return [_mat_from_positions(alg.dim, pos, v, next(x for x in v if x))
             for v in kernel([row[len(pos):] for row in rows], len(pos))]
 
 
@@ -149,7 +149,7 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropR
                     bad_parity = ((k, xi), _mat_witness(img.mat))
                 if bad_der is None and not in_space(ext, Kind.DER, k, xi, img):
                     bad_der = ((k, xi), _mat_witness(img.mat))
-            stacked = SubspaceBasis.span(d2, [g.mat.flatten() for g in images])
+            stacked = SubspaceBasis.span(d2, [g.mat.flat_ints() for g in images])
             if bad_inject is None and stacked.dim != qd.dim:
                 bad_inject = ((k, xi, qd.dim, stacked.dim), ())
             if bad_witness is None and slack[xi]:
@@ -201,7 +201,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     for k in range(kmax + 1):
         for xi in (0, 1):
             qd = solve(alg, Kind.QDER, k, xi)
-            images = [phi(text, g, w, k).mat.flatten()
+            images = [phi(text, g, w, k).mat.flat_ints()
                       for g, w in zip(qd.basis, qd.witnesses)]
             a_sub = SubspaceBasis.span(d2, images)
             b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)

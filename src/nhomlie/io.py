@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .algebra import NHomAlgebra
@@ -39,9 +40,13 @@ class PrecheckError(ValueError):
 
 
 def rational_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """``num / den`` in lowest terms, for a positive ``den``."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 # Bounds on a rational string literal, checked before ``Fraction`` parses
@@ -180,7 +185,7 @@ def algebra_to_doc(alg: NHomAlgebra) -> dict:
         "arity": alg.arity,
         "dim": alg.dim,
         "parity": list(alg.parity),
-        "alpha": [[rational_str(x) for x in row] for row in alg.alpha.entries],
+        "alpha": mat_doc(alg.alpha),
         "brackets": brackets,
     }
 
@@ -207,7 +212,8 @@ def digest_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 def mat_doc(m: Mat) -> list:
-    return [[rational_str(x) for x in row] for row in m.entries]
+    grid, den = m.ints
+    return [[_ratio_str(x, den) for x in row] for row in grid]
 
 
 def subspace_doc(s: SubspaceBasis) -> list:

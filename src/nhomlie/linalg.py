@@ -1,29 +1,28 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices hold their entries as tuples of tuples of ``Fraction``, which is
-what they compare, hash and serialize by.  Each matrix also carries a
-lazily built integer form, :attr:`Mat.ints`: a grid of integer numerators
-over one common denominator, the lcm of the entries' denominators.
-Matrix arithmetic (products, sums, scaling, :func:`product_sum`,
-:func:`linear_combination`) and :func:`commutes_with` run on that form
-in Python ints and build one ``Fraction`` per result entry; each result
-keeps its own integer form, so chained arithmetic never converts back.
-Subspaces are stored as the unique reduced row-echelon basis, so two
-equal subspaces compare equal as values.  Each subspace comes from one
-elimination on integer rows (each row scaled by the lcm of its
-denominators), back-substituted in integers by :meth:`Echelon.reduced`;
-a ``Fraction`` is built only for the nonzero entries of the returned
-basis.  A nullspace is read off the same way by :func:`kernel`: its rows
-are eliminated right to left, and the free columns then give the
-nullspace's reduced basis directly, with no second elimination.  No
-floating point appears anywhere.
+A matrix stores one form, :attr:`Mat.ints`: a grid of integer numerators
+over one positive common denominator, reduced so that the denominator is
+the lcm of the entries' denominators.  Equal matrices therefore compare
+and hash equal.  Matrix arithmetic (products, sums, scaling,
+:func:`product_sum`, :func:`linear_combination`) and :func:`commutes_with`
+run on that form in Python ints.  A matrix builds a ``Fraction`` only
+where rational entries come in (:meth:`Mat.from_rows`) and where they are
+read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
+itself.  Subspaces are stored as the unique reduced row-echelon basis of
+``Fraction`` vectors, so two equal subspaces compare equal as values.
+Each subspace comes from one elimination on integer rows (each row scaled
+by the lcm of its denominators), back-substituted in integers by
+:meth:`Echelon.reduced`.  A nullspace is read off the same way by
+:func:`kernel`: its rows are eliminated right to left, and the free
+columns then give the nullspace's reduced basis directly, as integer rows,
+with no second elimination.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -60,23 +59,30 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def is_zero_vector(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 @dataclass(frozen=True)
 class Mat:
-    """Immutable dense rational matrix, row-major."""
+    """Immutable dense rational matrix, row-major.
+
+    ``ints = (numerator rows, denominator)`` is its only stored form; it is
+    reduced on construction, so equal matrices compare and hash equal.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[IntGrid, int]
 
     def __post_init__(self):
+        grid, den = self.ints
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(grid) != self.rows or any(len(r) != self.cols for r in grid):
             raise ValueError("entry grid does not match declared shape")
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(den, *(x for row in grid for x in row)) if den > 1 else 1
+        if g > 1:
+            object.__setattr__(self, "ints", (
+                tuple(tuple(x // g for x in row) for row in grid), den // g))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "Mat":
@@ -87,45 +93,23 @@ class Mat:
             width = cols
         else:
             raise ValueError("column count required for a matrix with no rows")
-        return cls(len(grid), width, grid)
+        den = lcm(*(x.denominator for row in grid for x in row))
+        return cls(len(grid), width, (
+            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid), den))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
+        return cls(n, n, (_identity_grid(n), 1))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
+        return cls(rows, cols, (((0,) * cols,) * rows, 1))
 
-    @classmethod
-    def _from_ints(cls, rows: int, cols: int, grid: IntGrid, den: int) -> "Mat":
-        """The matrix ``grid / den``, keeping its reduced integer form."""
-        g = gcd(den, *(x for row in grid for x in row)) if den > 1 else 1
-        if g > 1:
-            den //= g
-            grid = tuple(tuple(x // g for x in row) for row in grid)
-        m = cls(rows, cols, tuple(tuple(_fraction(x, den) for x in row) for row in grid))
-        object.__setattr__(m, "_ints", (grid, den))
-        return m
-
-    @property
-    def ints(self) -> tuple[IntGrid, int]:
-        """``(numerators, denominator)`` with ``entries == numerators / denominator``.
-
-        The denominator is the lcm of the entries' denominators; the pair is
-        built on first use and cached on the matrix.
-        """
-        form = self.__dict__.get("_ints")
-        if form is None:
-            den = 1
-            for row in self.entries:
-                for x in row:
-                    den = lcm(den, x.denominator)
-            grid = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                         for row in self.entries)
-            form = (grid, den)
-            object.__setattr__(self, "_ints", form)
-        return form
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s, built on first use."""
+        grid, den = self.ints
+        return tuple(tuple(Fraction(x, den) for x in row) for row in grid)
 
     def is_identity(self) -> bool:
         grid, den = self.ints
@@ -136,7 +120,7 @@ class Mat:
             raise ValueError("inner dimensions do not match")
         a, da = self.ints
         b, db = other.ints
-        return Mat._from_ints(self.rows, other.cols, _int_matmul(a, b, other.cols), da * db)
+        return Mat(self.rows, other.cols, (_int_matmul(a, b, other.cols), da * db))
 
     def __add__(self, other: "Mat") -> "Mat":
         return linear_combination((1, 1), (self, other))
@@ -151,9 +135,8 @@ class Mat:
         c = as_scalar(c)
         a, den = self.ints
         num = c.numerator
-        return Mat._from_ints(self.rows, self.cols,
-                              tuple(tuple(num * x for x in row) for row in a),
-                              den * c.denominator)
+        return Mat(self.rows, self.cols,
+                   (tuple(tuple(num * x for x in row) for row in a), den * c.denominator))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -161,8 +144,9 @@ class Mat:
         return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else
-                   tuple(() for _ in range(self.cols)))
+        grid, den = self.ints
+        return Mat(self.cols, self.rows,
+                   (tuple(zip(*grid)) if grid else ((),) * self.cols, den))
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -174,11 +158,9 @@ class Mat:
         """Row-major flattening, used to treat matrices as vectors."""
         return tuple(x for row in self.entries for x in row)
 
-
-@lru_cache(maxsize=1 << 12)
-def _fraction(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)``; entries recur, and a Fraction is immutable."""
-    return Fraction(num, den)
+    def flat_ints(self) -> list[int]:
+        """Row-major numerators: the flattening times the denominator."""
+        return [x for row in self.ints[0] for x in row]
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +194,7 @@ def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
         f = c * (den // d)
         if f:
             acc = [[a + f * x for a, x in zip(arow, row)] for arow, row in zip(acc, grid)]
-    return Mat._from_ints(rows, cols, tuple(map(tuple, acc)), den)
+    return Mat(rows, cols, (tuple(map(tuple, acc)), den))
 
 
 def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
@@ -227,7 +209,7 @@ def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
               for cb, ca in zip(bt, at))
         for ra, rb in zip(na, nb)
     )
-    return Mat._from_ints(a.rows, a.cols, grid, da * db * divisor)
+    return Mat(a.rows, a.cols, (grid, da * db * divisor))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +264,8 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: Sequence) -> bool:
-        """Fold one (rational or integer) row in; True if the rank grew."""
-        return self.add_int(_int_row(row))
-
     def add_int(self, row: list[int]) -> bool:
+        """Fold one integer row in; True if the rank grew."""
         row, j = self._reduce(row)
         if j is None:
             return False
@@ -349,12 +328,21 @@ class Echelon:
 
     def basis(self) -> tuple[Vector, ...]:
         """The reduced row-echelon basis of the row space, pivots scaled to 1."""
-        return tuple(tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
-                     for c, r in self.reduced())
+        return tuple(unit_leading(r) for _, r in self.reduced())
 
 
-def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
-    """Reduced row-echelon basis of ``{v : r v = 0 for every row r}``.
+def unit_leading(row: Sequence[int]) -> Vector:
+    """A nonzero integer row scaled so that its leading entry is 1."""
+    lead = row[_first_nonzero(row, 0)]
+    return tuple(Fraction(x, lead) if x else _ZERO for x in row)
+
+
+def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of ``{v : r v = 0 for every row r}``, as integer rows.
+
+    Each basis vector is a primitive integer row with a positive leading
+    entry; scaled by :func:`unit_leading`, the vectors are the reduced
+    row-echelon basis.
 
     The integer rows are eliminated once, each folded in reversed, so the
     echelon picks its pivots greedily from the right; zero rows and rows
@@ -366,8 +354,10 @@ def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
     zero at every other free column: the free columns are its pivots.  (In
     matroid terms, the complement of the column basis chosen greedily from
     the right is the basis of the dual matroid chosen greedily from the
-    left, and those are the pivot columns of the nullspace's RREF.)  A
-    ``Fraction`` is built only for the nonzero entries.
+    left, and those are the pivot columns of the nullspace's RREF.)  Each
+    vector is scaled by the lcm of the pivots of the rows it draws on, not
+    by one lcm over the whole basis, so its entries stay as small as its
+    own rows allow.
     """
     ech = Echelon(width)
     seen = set()
@@ -383,15 +373,21 @@ def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
             seen.add(key)
             ech.add_int(list(key))
     last = width - 1
-    out = {f: [_ZERO] * width for f in range(width) if last - f not in ech.pivots}
-    for f, v in out.items():
-        v[f] = _ONE
+    # per free column: (position, numerator, pivot) of its entries past 1
+    terms = {f: [] for f in range(width) if last - f not in ech.pivots}
     for c, r in ech.reduced():
-        pl = r[c]
         for j, x in enumerate(r):
             if x and j != c:
-                out[last - j][last - c] = Fraction(-x, pl)
-    return tuple(map(tuple, out.values()))
+                terms[last - j].append((last - c, -x, r[c]))
+    out = []
+    for f, ts in terms.items():
+        scale = lcm(*(p for _, _, p in ts))
+        v = [0] * width
+        v[f] = scale
+        for i, x, p in ts:
+            v[i] = x * (scale // p)
+        out.append(tuple(_primitive(v)))
+    return tuple(out)
 
 
 class RrefResult(NamedTuple):
@@ -405,14 +401,17 @@ def rref(m: Mat) -> RrefResult:
     ech = Echelon(m.cols)
     for row in m.ints[0]:
         ech.add_int(list(row))
-    reduced_rows = ech.basis() + (zero_vector(m.cols),) * (m.rows - ech.rank)
-    pivots = tuple(sorted(ech.pivots))
-    return RrefResult(Mat(m.rows, m.cols, reduced_rows), pivots, len(pivots))
+    reduced = ech.reduced()
+    den = lcm(*(r[c] for c, r in reduced))  # each row is over its pivot
+    grid = tuple(tuple(x * (den // r[c]) for x in r) for c, r in reduced)
+    grid += ((0,) * m.cols,) * (m.rows - ech.rank)
+    pivots = tuple(c for c, _ in reduced)
+    return RrefResult(Mat(m.rows, m.cols, (grid, den)), pivots, len(pivots))
 
 
 def nullspace(m: Mat) -> "SubspaceBasis":
     """Canonical basis of ``{v : m v = 0}``."""
-    return SubspaceBasis(m.cols, kernel(m.ints[0], m.cols))
+    return SubspaceBasis(m.cols, tuple(map(unit_leading, kernel(m.ints[0], m.cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +436,7 @@ class SubspaceBasis:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector length does not match ambient dimension")
-            ech.add(v)
+            ech.add_int(_int_row(v))
         return cls(ambient_dim, ech.basis())
 
     @classmethod
@@ -483,9 +482,9 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     n = a.ambient_dim
     ech = Echelon(2 * n)
     for v in a.vectors:
-        ech.add(tuple(v) + tuple(v))
+        ech.add_int(_int_row(tuple(v) + tuple(v)))
     for v in b.vectors:
-        ech.add(tuple(v) + zero_vector(n))
+        ech.add_int(_int_row(tuple(v) + zero_vector(n)))
     return SubspaceBasis(n, tuple(row[n:] for row in ech.basis() if not any(row[:n])))
 
 
@@ -508,7 +507,7 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
             raise ValueError("inner subspace is not supported on the allowed coordinates")
     ech = Echelon(n)
     for v in inner.vectors:
-        ech.add(v)
+        ech.add_int(_int_row(v))
     chosen = []
     target = len(allowed)
     for i in allowed:

@@ -252,7 +252,7 @@ def _qc_plus_brackets(sp: _Spaces, kmax: int, brackets: dict):
     qc_pairs = sp.inputs(Kind.QC, Kind.QC)
     pieces: dict[tuple[int, int], SubspaceBasis] = {}
     for k, xi in _levels(kmax):
-        vecs = [g.mat.flatten() for g in sp.basis(Kind.QC, k, xi)[1]]
+        vecs = [g.mat.flat_ints() for g in sp.basis(Kind.QC, k, xi)[1]]
         seen = set()
         for g in _grades(kmax):
             spaces = qc_pairs(g)
@@ -260,7 +260,7 @@ def _qc_plus_brackets(sp: _Spaces, kmax: int, brackets: dict):
             if g[0] + g[2] != k or (g[1] + g[3]) % 2 != xi or keys in seen:
                 continue
             seen.add(keys)
-            vecs.extend(c.mat.flatten() for c in _values(spaces, supercommutator, brackets))
+            vecs.extend(c.mat.flat_ints() for c in _values(spaces, supercommutator, brackets))
         pieces[(k, xi)] = SubspaceBasis.span(d2, vecs)
     return pieces
 
@@ -288,7 +288,7 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
             _levels(kmax), lambda g: (keyed[g],), sp.into(Kind.GDER), _same, sp.member, {})),
         _claim("33.S_bracket_closed", _first_failure(
             _grades(kmax), lambda g: (keyed[g[:2]], keyed[g[2:]]), into_piece, supercommutator,
-            lambda piece, c: contains(piece, c.mat.flatten()), brackets)),
+            lambda piece, c: contains(piece, c.mat.flat_ints()), brackets)),
     ]
     return _report("3.3", claims, solved_dims(alg, kmax))
 
@@ -312,7 +312,7 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     inputs = sp.inputs(Kind.C, Kind.QC)
 
     def outside_center(c):
-        return [j for j in range(alg.dim) if not contains(z_full, c.mat.col(j))]
+        return [j for j, col in enumerate(zip(*c.mat.ints[0])) if not contains(z_full, col)]
 
     bad = _first_failure(_grades(kmax, 2 * kmax), inputs, _nowhere, supercommutator,
                          lambda _, c: not outside_center(c), brackets)

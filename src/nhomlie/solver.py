@@ -14,11 +14,13 @@ linear system over the entries of one or more unknown matrices:
 Unknown matrices are restricted to the homogeneity pattern of parity xi
 and vectorized column-major, blocks in definition order.  Each space is
 read off one integer elimination of its rows: :func:`~nhomlie.linalg.kernel`
-returns the reduced row-echelon basis of the joint solution space of all
-blocks.  ``QDer`` and ``GDer`` are solved jointly with their witnesses in
-that one RREF and projected onto the leading block; the witness blocks of
-the rows that lead in it are the witness representatives aligned with the
-returned basis, kept for reporting and for the extension embedding.
+returns the joint solution space of all blocks as primitive integer rows,
+each a vector of its reduced row-echelon basis times the vector's leading
+entry, so every block is built as integer numerators over that entry.
+``QDer`` and ``GDer`` are solved jointly with their witnesses in that one
+RREF and projected onto the leading block; the witness blocks of the rows
+that lead in it are the witness representatives aligned with the returned
+basis, kept for reporting and for the extension embedding.
 
 ``_EQUATIONS`` is the one description of these identities; :func:`_rows`
 turns it into rows for :func:`solve`, for the QDer/GDer witness system and
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -98,7 +99,7 @@ class EndoSubspace:
 
     def as_subspace(self, ambient_dim: int) -> SubspaceBasis:
         """The space as row-major flattened vectors, canonicalized."""
-        return SubspaceBasis.span(ambient_dim, [g.mat.flatten() for g in self.basis])
+        return SubspaceBasis.span(ambient_dim, [g.mat.flat_ints() for g in self.basis])
 
 
 def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
@@ -108,10 +109,11 @@ def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
 
 
 def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
+    grid = mat.ints[0]
     d = len(parity)
     for r in range(d):
         for c in range(d):
-            if parity[r] != parity[c] ^ xi and mat.entries[r][c] != 0:
+            if parity[r] != parity[c] ^ xi and grid[r][c]:
                 return False
     return True
 
@@ -234,11 +236,12 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     return rows(), nblocks, pos
 
 
-def _mat_from_positions(d: int, pos, coeffs) -> Mat:
-    grid = [[Fraction(0)] * d for _ in range(d)]
+def _mat_from_positions(d: int, pos, coeffs, den: int) -> Mat:
+    """The d x d matrix with integer numerators ``coeffs`` at ``pos``, over ``den``."""
+    grid = [[0] * d for _ in range(d)]
     for (r, c), x in zip(pos, coeffs):
         grid[r][c] = x
-    return Mat.from_rows(grid, cols=d)
+    return Mat(d, d, (tuple(map(tuple, grid)), den))
 
 
 def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
@@ -266,10 +269,11 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     basis = []
     witnesses = []
     for row in kernel(rows, width):
-        if not any(row[:npos]):
+        lead = next((x for x in row[:npos] if x), None)
+        if lead is None:
             break
-        basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos]), xi))
-        blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos])
+        basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos], lead), xi))
+        blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos], lead)
                        for b in range(1, nblocks))
         witnesses.append(blocks[0] if kind is Kind.QDER else blocks)
     result = EndoSubspace(kind, k, xi, tuple(basis),

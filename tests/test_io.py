@@ -1,7 +1,10 @@
 import json
 import pathlib
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from nhomlie.algebra import validate
 from nhomlie.cli import main
@@ -12,11 +15,13 @@ from nhomlie.io import (
     PrecheckError,
     SchemaError,
     algebra_from_doc,
+    mat_doc,
     parse_algebra,
     parse_rational,
     rational_str,
     serialize_algebra,
 )
+from nhomlie.linalg import Mat
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
@@ -237,3 +242,21 @@ class TestCli:
                 for v in x:
                     walk(v)
         walk(doc)
+
+
+@st.composite
+def doc_matrices(draw):
+    """Matrices with negative and zero entries, over denominator 1 or mixed ones."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    dens = draw(st.sampled_from([(1,), (1, 2, 3, 4, 6, 12)]))
+    entry = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(dens))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Mat.from_rows(grid, cols=cols)
+
+
+@given(doc_matrices())
+@example(Mat.from_rows([[Fraction(-1, 2), 0, 3], [Fraction(2, 3), -4, Fraction(5, 6)]]))
+@example(Mat.from_rows([[0, -7], [2, 0]]))
+def test_mat_doc_formats_each_entry_from_the_integer_form(m):
+    assert mat_doc(m) == [[rational_str(x) for x in row] for row in m.entries]

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from nhomlie.linalg import (
@@ -245,7 +246,35 @@ def test_integer_form_is_the_lcm_form(data):
     assert tuple(tuple(F(n, den) for n in u) for u in nums) == m.entries
     # a product keeps the same canonical form as a matrix built from its entries
     prod = m @ Mat.identity(c)
-    assert prod.ints == Mat(r, c, prod.entries).ints
+    assert prod.ints == Mat.from_rows(prod.entries, cols=c).ints
+
+
+@given(st.data())
+def test_equal_values_compare_and_hash_equal_across_construction_paths(data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = data.draw(grid(r, c))
+    g = data.draw(st.integers(2, 30))
+    m = Mat.from_rows(a, cols=c)
+    nums, den = m.ints
+    same = (
+        Mat(r, c, (tuple(tuple(g * x for x in row) for row in nums), g * den)),
+        m @ Mat.identity(c),
+        m.scale(g) @ Mat.identity(c).scale(F(1, g)),
+        Mat.from_rows(m.entries, cols=c),
+    )
+    for other in same:
+        assert other == m and hash(other) == hash(m) and other.ints == m.ints
+        assert other.entries == tuple(tuple(row) for row in a)
+    assert (m.scale(g) == m) == m.is_zero()
+
+
+def test_a_matrix_needs_a_positive_denominator():
+    with pytest.raises(ValueError):
+        Mat(1, 1, (((1,),), 0))
+    with pytest.raises(ValueError):
+        Mat(1, 1, (((1,),), -2))
+    with pytest.raises(ValueError):
+        Mat(1, 2, (((1,),), 1))
 
 
 def test_identity_detection():
@@ -367,7 +396,9 @@ def row_lists(draw, entries):
 def test_kernel_matches_two_eliminations(case):
     rows, width = case
     basis = kernel(rows, width)
-    assert basis == ref_kernel(rows, width)
+    assert all(next(x for x in v if x) > 0 and gcd(*v) == 1 for v in basis)
+    assert tuple(tuple(F(x, next(y for y in v if y)) for x in v) for v in basis) == \
+        ref_kernel(rows, width)
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
 
