@@ -40,7 +40,6 @@ from .linalg import (
     as_scalar,
     kernel,
     rref,
-    unit_leading,
     vector,
     zero_vector,
 )
@@ -402,8 +401,8 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
             rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
         # spread over the increasing idxs, a reduced basis stays reduced
         vecs = []
-        for v in map(unit_leading, kernel(rows, len(idxs))):
-            full = list(zero_vector(d))
+        for v in kernel(rows, len(idxs)):
+            full = [0] * d
             for pos, i in enumerate(idxs):
                 full[i] = v[pos]
             vecs.append(tuple(full))

@@ -24,7 +24,6 @@ from .linalg import (
     SubspaceBasis,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     zero_vector,
     extend_to_complement,
     kernel,
@@ -78,15 +77,14 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     der_even, der_odd = derived_subspace(alg)
     u_even = extend_to_complement(der_even, [i for i in range(d) if alg.parity[i] == 0])
     u_odd = extend_to_complement(der_odd, [i for i in range(d) if alg.parity[i] == 1])
-    cols = list(u_even.vectors) + list(u_odd.vectors) + \
-        list(der_even.vectors) + list(der_odd.vectors)
+    # rescaling a column of change leaves change @ selector @ change_inv as it is
+    cols = u_even.rows + u_odd.rows + der_even.rows + der_odd.rows
     if len(cols) != d:
         raise ValueError("complement construction did not produce a direct sum")
-    change = Mat.from_rows(cols, cols=d).transpose()
+    change = Mat(d, d, (cols, 1)).transpose()
     change_inv = invert(change)
     n_u = u_even.dim + u_odd.dim
-    selector = Mat.from_rows(
-        [zero_vector(d)] * n_u + [unit_vector(d, i) for i in range(n_u, d)], cols=d)
+    selector = Mat(d, d, (((0,) * d,) * n_u + Mat.identity(d).ints[0][n_u:], 1))
     projection = change @ selector @ change_inv
     text = TExtension(alg, ext, u_even, u_odd, der_even, der_odd, projection)
     alg._cache["build_check"] = text
@@ -187,12 +185,10 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     d2 = (2 * d) ** 2
     claims = []
 
-    expected_even = SubspaceBasis.span(
-        2 * d, [unit_vector(2 * d, d + i) for i in range(d) if alg.parity[i] == 0])
-    expected_odd = SubspaceBasis.span(
-        2 * d, [unit_vector(2 * d, d + i) for i in range(d) if alg.parity[i] == 1])
-    ze, zo = center(ext)
-    ok = (ze == expected_even and zo == expected_odd)
+    second = Mat.identity(2 * d).ints[0][d:]
+    ok = center(ext) == tuple(
+        SubspaceBasis(2 * d, tuple(e for e, p in zip(second, alg.parity) if p == par))
+        for par in (0, 1))
     claims.append(Claim("43.center_of_ext", "pass" if ok else "fail",
                         detail="center of the extension is the second block"))
 

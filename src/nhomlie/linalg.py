@@ -8,14 +8,14 @@ and hash equal.  Matrix arithmetic (products, sums, scaling,
 run on that form in Python ints.  A matrix builds a ``Fraction`` only
 where rational entries come in (:meth:`Mat.from_rows`) and where they are
 read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
-itself.  Subspaces are stored as the unique reduced row-echelon basis of
-``Fraction`` vectors, so two equal subspaces compare equal as values.
-Each subspace comes from one elimination on integer rows (each row scaled
-by the lcm of its denominators), back-substituted in integers by
-:meth:`Echelon.reduced`.  A nullspace is read off the same way by
-:func:`kernel`: its rows are eliminated right to left, and the free
-columns then give the nullspace's reduced basis directly, as integer rows,
-with no second elimination.  No floating point appears anywhere.
+itself.  A subspace stores its unique reduced row-echelon basis as
+primitive integer rows with positive leading entries, so equal subspaces
+compare equal; rational vectors become integer rows only where they come
+in.  Each subspace comes from one elimination, back-substituted in
+integers by :meth:`Echelon.reduced`, and membership runs through the same
+reduction loop.  :func:`kernel` reads a nullspace's reduced basis off one
+right-to-left elimination of its rows, with no second elimination.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ class Mat:
         grid = tuple(vector(r) for r in rows)
         if grid:
             width = len(grid[0])
+            if cols is not None and cols != width:
+                raise ValueError(f"rows have {width} entries, not the declared {cols} columns")
         elif cols is not None:
             width = cols
         else:
@@ -217,16 +219,14 @@ def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _int_row(row: Sequence) -> list[int]:
-    """Scale a rational row to a primitive integer row (same projective row)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    if den == 1:
-        return _primitive([int(x) for x in row])
-    return _primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
+    """Scale a rational row to a primitive integer row (same projective row).
+
+    Entries other than ints and Fractions go through :func:`as_scalar`, so
+    a float raises TypeError.
+    """
+    row = [x if isinstance(x, (int, Fraction)) else as_scalar(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -264,7 +264,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_int(self, row: list[int]) -> bool:
+    def add_int(self, row: Sequence[int]) -> bool:
         """Fold one integer row in; True if the rank grew."""
         row, j = self._reduce(row)
         if j is None:
@@ -306,7 +306,7 @@ class Echelon:
         """The reduced integer rows as (pivot column, row), by pivot column.
 
         Back-substitution in integers: every pivot column is cleared from
-        the other rows, each row stays primitive with a positive pivot.
+        the other rows; each returned row is primitive with a positive pivot.
         """
         cols = sorted(self.pivots)
         rows = [self.pivots[c] for c in cols]
@@ -324,25 +324,19 @@ class Echelon:
                     rows[m] = [x - bm * y for x, y in zip(rows[m], prow)]
                 else:
                     rows[m] = _primitive([am * x - bm * y for x, y in zip(rows[m], prow)])
-        return list(zip(cols, rows))
+        return list(zip(cols, map(_primitive, rows)))
 
-    def basis(self) -> tuple[Vector, ...]:
-        """The reduced row-echelon basis of the row space, pivots scaled to 1."""
-        return tuple(unit_leading(r) for _, r in self.reduced())
-
-
-def unit_leading(row: Sequence[int]) -> Vector:
-    """A nonzero integer row scaled so that its leading entry is 1."""
-    lead = row[_first_nonzero(row, 0)]
-    return tuple(Fraction(x, lead) if x else _ZERO for x in row)
+    def basis(self) -> IntGrid:
+        """The reduced rows alone: the canonical rows of the row space."""
+        return tuple(tuple(r) for _, r in self.reduced())
 
 
 def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of ``{v : r v = 0 for every row r}``, as integer rows.
 
     Each basis vector is a primitive integer row with a positive leading
-    entry; scaled by :func:`unit_leading`, the vectors are the reduced
-    row-echelon basis.
+    entry, and together they are the nullspace's reduced row-echelon basis
+    in the canonical form of :class:`SubspaceBasis`.
 
     The integer rows are eliminated once, each folded in reversed, so the
     echelon picks its pivots greedily from the right; zero rows and rows
@@ -411,7 +405,7 @@ def rref(m: Mat) -> RrefResult:
 
 def nullspace(m: Mat) -> "SubspaceBasis":
     """Canonical basis of ``{v : m v = 0}``."""
-    return SubspaceBasis(m.cols, tuple(map(unit_leading, kernel(m.ints[0], m.cols))))
+    return SubspaceBasis(m.cols, kernel(m.ints[0], m.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +414,32 @@ def nullspace(m: Mat) -> "SubspaceBasis":
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A subspace of F^n held as its reduced-echelon basis (rows, no zeros)."""
+    """A subspace of F^n held as its reduced row-echelon basis.
+
+    Each row is a primitive integer row with a positive leading entry.  The
+    form is unique, and checked on construction, so equal subspaces compare
+    equal.
+    """
 
     ambient_dim: int
-    vectors: tuple[Vector, ...]
+    rows: IntGrid
 
     def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector length does not match ambient dimension")
+        leads = []
+        for row in self.rows:
+            if len(row) != self.ambient_dim:
+                raise ValueError("basis row length does not match ambient dimension")
+            if not all(type(x) is int for x in row):
+                raise ValueError("basis rows must hold ints")
+            j = _first_nonzero(row, 0)
+            if j is None or row[j] < 0 or gcd(*row) != 1 or (leads and j <= leads[-1]):
+                raise ValueError("basis rows must be primitive, with positive leading"
+                                 " entries in increasing columns")
+            leads.append(j)
+        # a later row is zero left of its own, larger, leading column
+        for i, j in enumerate(leads):
+            if any(row[j] for row in self.rows[:i]):
+                raise ValueError("a pivot column is not cleared in the other basis rows")
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "SubspaceBasis":
@@ -445,30 +456,40 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, _identity_grid(ambient_dim))
+
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The basis as ``Fraction`` vectors with leading entry 1, built on first use."""
+        return tuple(tuple(Fraction(x, row[_first_nonzero(row, 0)]) for x in row)
+                     for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
 
-def contains(a: SubspaceBasis, v: Sequence[Fraction]) -> bool:
+def _echelon(a: SubspaceBasis) -> Echelon:
+    """An accumulator holding the basis rows of ``a`` as its pivots."""
+    ech = Echelon(a.ambient_dim)
+    ech.pivots = {_first_nonzero(row, 0): row for row in a.rows}
+    return ech
+
+
+def contains(a: SubspaceBasis, v: Sequence) -> bool:
     """True iff ``v`` lies in the span of ``a``."""
     if len(v) != a.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    residue = list(v)
-    for row in a.vectors:
-        pc = next(j for j, x in enumerate(row) if x)
-        c = residue[pc]
-        if c:
-            residue = [x - c * y for x, y in zip(residue, row)]
-    return all(x == 0 for x in residue)
+    return _echelon(a).contains_int(_int_row(v))
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return SubspaceBasis.span(a.ambient_dim, a.vectors + b.vectors)
+    ech = _echelon(a)
+    for row in b.rows:
+        ech.add_int(row)
+    return SubspaceBasis(a.ambient_dim, ech.basis())
 
 
 def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -481,15 +502,18 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
     ech = Echelon(2 * n)
-    for v in a.vectors:
-        ech.add_int(_int_row(tuple(v) + tuple(v)))
-    for v in b.vectors:
-        ech.add_int(_int_row(tuple(v) + zero_vector(n)))
+    for row in a.rows:
+        ech.add_int(row + row)
+    for row in b.rows:
+        ech.add_int(row + (0,) * n)
     return SubspaceBasis(n, tuple(row[n:] for row in ech.basis() if not any(row[:n])))
 
 
 def is_subspace_of(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    return all(contains(b, v) for v in a.vectors)
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    ech = _echelon(b)
+    return all(map(ech.contains_int, a.rows))
 
 
 def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> SubspaceBasis:
@@ -501,20 +525,19 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
     """
     n = inner.ambient_dim
     allowed = sorted(set(allowed))
+    if allowed and not 0 <= allowed[0] <= allowed[-1] < n:
+        raise ValueError(f"allowed coordinates must lie in range({n})")
     allowed_set = set(allowed)
-    for v in inner.vectors:
-        if any(x != 0 and j not in allowed_set for j, x in enumerate(v)):
+    for row in inner.rows:
+        if any(x and j not in allowed_set for j, x in enumerate(row)):
             raise ValueError("inner subspace is not supported on the allowed coordinates")
-    ech = Echelon(n)
-    for v in inner.vectors:
-        ech.add_int(_int_row(v))
+    ech = _echelon(inner)
+    units = _identity_grid(n)
     chosen = []
     target = len(allowed)
     for i in allowed:
         if ech.rank == target:
             break
-        e = [0] * n
-        e[i] = 1
-        if ech.add_int(e):
-            chosen.append(unit_vector(n, i))
+        if ech.add_int(units[i]):
+            chosen.append(units[i])
     return SubspaceBasis(n, tuple(chosen))

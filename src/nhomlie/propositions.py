@@ -277,7 +277,7 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     for (k, xi), piece in pieces.items():
         first = next(g for g, p in pieces.items() if g[1] == xi and p == piece)
         keyed[(k, xi)] = (("S",) + first, tuple(GradedEndo(_unflatten(d, v), xi)
-                                                for v in piece.vectors))
+                                                for v in piece.rows))
 
     def into_piece(g):
         grade = (g[0] + g[2], (g[1] + g[3]) % 2)
@@ -293,8 +293,9 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     return _report("3.3", claims, solved_dims(alg, kmax))
 
 
-def _unflatten(d: int, flat) -> Mat:
-    return Mat.from_rows([flat[i * d:(i + 1) * d] for i in range(d)], cols=d)
+def _unflatten(d: int, row) -> Mat:
+    lead = next(x for x in row if x)
+    return Mat(d, d, (tuple(row[i * d:(i + 1) * d] for i in range(d)), lead))
 
 
 def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:

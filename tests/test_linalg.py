@@ -5,11 +5,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from nhomlie.algebra import center, transport
+from nhomlie.fixtures import all_fixtures, mixed_change
 from nhomlie.linalg import (
+    Echelon,
     Mat,
     SubspaceBasis,
     contains,
     extend_to_complement,
+    is_subspace_of,
     kernel,
     nullspace,
     rref,
@@ -407,7 +411,7 @@ def test_kernel_matches_two_eliminations(case):
 def test_nullspace_rref_and_span_match_the_reference(case):
     rows, width = case
     m = Mat.from_rows(rows, cols=width)
-    assert nullspace(m) == SubspaceBasis(width, ref_kernel(rows, width))
+    assert nullspace(m).vectors == ref_kernel(rows, width)
     span = ref_span(width, rows)
     assert SubspaceBasis.span(width, rows).vectors == span
     res = rref(m)
@@ -442,3 +446,107 @@ def test_kernel_compresses_growth_past_the_limit():
     rows = [[2, big], [6, 3]]
     assert kernel(rows, 2) == ref_kernel(rows, 2) == ()
     assert kernel([[2, big, 0], [6, 3, 0]], 3) == (vector([0, 0, 1]),)
+
+
+# ---------------------------------------------------------------------------
+# subspaces held as canonical integer rows: reduced row-echelon, each row
+# primitive with a positive leading entry
+# ---------------------------------------------------------------------------
+
+def assert_canonical(s):
+    leads = []
+    for row in s.rows:
+        assert len(row) == s.ambient_dim and all(type(x) is int for x in row)
+        lead = next(j for j, x in enumerate(row) if x)
+        assert row[lead] > 0 and gcd(*row) == 1
+        leads.append(lead)
+    assert leads == sorted(set(leads))
+    for j in leads:
+        assert sum(1 for row in s.rows if row[j]) == 1
+
+
+def ref_contains(width, gens, v):
+    return len(ref_span(width, list(gens) + [v])) == len(ref_span(width, gens))
+
+
+def combination(data, rows, width):
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return tuple(sum((c * F(r[j]) for c, r in zip(coeffs, rows)), F(0)) for j in range(width))
+
+
+@given(row_lists(rat_entries), st.data())
+def test_every_subspace_result_is_canonical(case, data):
+    rows, width = case
+    other = data.draw(st.lists(st.lists(rat_entries, min_size=width, max_size=width),
+                               max_size=4))
+    allowed = sorted(data.draw(st.sets(st.integers(0, width - 1), max_size=width))
+                     if width else [])
+    a, b = SubspaceBasis.span(width, rows), SubspaceBasis.span(width, other)
+    results = [a, b, nullspace(Mat.from_rows(rows, cols=width)),
+               subspace_sum(a, b), subspace_intersect(a, b),
+               extend_to_complement(a, range(width)),
+               extend_to_complement(SubspaceBasis.zero(width), allowed)]
+    for s in results:
+        assert_canonical(s)
+        assert SubspaceBasis(width, s.rows) == s
+    assert subspace_sum(a, b) == SubspaceBasis.span(width, rows + other)
+
+
+def test_center_bases_are_canonical():
+    for alg in all_fixtures().values():
+        for copy in (alg, transport(alg, mixed_change(alg.parity))):
+            for s in center(copy):
+                assert_canonical(s)
+
+
+@given(row_lists(rat_entries), st.data())
+def test_contains_and_is_subspace_of_match_the_reference(case, data):
+    rows, width = case
+    member = combination(data, rows, width)
+    outside = tuple(x + F(y) for x, y in zip(
+        member, data.draw(st.lists(rat_entries, min_size=width, max_size=width))))
+    identity = [unit_vector(width, i) for i in range(width)]
+    gens = [rows, [], identity, [member], [outside], rows[:1] + [outside]]
+    spaces = [SubspaceBasis.span(width, g) for g in gens]
+    for g, s in zip(gens, spaces):
+        for v in (member, outside):
+            assert contains(s, v) == ref_contains(width, g, v)
+    for ga, a in zip(gens, spaces):
+        for gb, b in zip(gens, spaces):
+            assert is_subspace_of(a, b) == \
+                (len(ref_span(width, list(gb) + list(ga))) == len(ref_span(width, gb)))
+
+
+def test_the_constructor_rejects_rows_not_in_canonical_form():
+    assert SubspaceBasis(2, ((1, 0),)) == SubspaceBasis.span(2, [(F(2), F(0))])
+    for rows in [((F(2), F(0)),), ((F(1), F(0)),), ((2, 0),), ((-1, 0),), ((0, 0),),
+                 ((0, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, 0, 0),)]:
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, rows)
+
+
+def test_reduced_rows_are_primitive():
+    # clearing column 1 from (2, 1) with the pivot row (0, 1) leaves (2, 0)
+    ech = Echelon(2)
+    ech.add_int([0, 2])
+    ech.add_int([2, 1])
+    assert ech.reduced() == [(0, [1, 0]), (1, [0, 1])]
+
+
+def test_floats_are_rejected_where_vectors_come_in():
+    with pytest.raises(TypeError):
+        SubspaceBasis.span(2, [(0.5, 1)])
+    with pytest.raises(TypeError):
+        contains(SubspaceBasis.full(2), (0.5, 0))
+
+
+def test_extend_complement_rejects_indices_outside_the_space():
+    for allowed in ([-1], [5], [0, 2]):
+        with pytest.raises(ValueError):
+            extend_to_complement(SubspaceBasis.zero(2), allowed)
+
+
+def test_from_rows_rejects_a_column_count_the_rows_do_not_have():
+    with pytest.raises(ValueError):
+        Mat.from_rows([[1, 2]], cols=3)
+    assert Mat.from_rows([[1, 2]], cols=2) == Mat.from_rows([[1, 2]])
