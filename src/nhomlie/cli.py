@@ -96,19 +96,23 @@ def _cmd_solve(args) -> int:
     alg = parse_algebra(args.file)
     kind = Kind(args.kind)
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
-    spaces = []
+    docs = []
     dims = []
+    # grades whose alpha powers coincide share one solved space: render it
+    # once and share its lists, only "k" differs
+    rendered = {}
     # Omega's identities do not involve the twist, so it has one grade per parity
     kmax = args.kmax if kind in TUPLE_KINDS else 0
     for xi in parities:
         for k in range(kmax + 1):
             space = solve(alg, kind, k, xi)
-            spaces.append(space)
             dims.append((kind.value, k, xi, space.dim))
-    body = {
-        "dims": dims_doc(sorted(dims)),
-        "spaces": [endospace_doc(s) for s in spaces],
-    }
+            key = (xi, space.basis, space.witnesses)
+            entry = rendered.get(key)
+            if entry is None:
+                entry = rendered[key] = endospace_doc(space)
+            docs.append({**entry, "k": k})
+    body = {"dims": dims_doc(sorted(dims)), "spaces": docs}
     doc = report_envelope("solve", args.file, digest_file(args.file), body, True)
     _emit(canonical_json(doc), args.out)
     return 0

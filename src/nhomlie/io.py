@@ -166,9 +166,11 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
 def parse_algebra(path) -> NHomAlgebra:
     with open(path, "rb") as fh:
         raw = fh.read()
+    # bytes that are not UTF-8 and nesting too deep for the decoder are
+    # unusable input too, not a failed check
     try:
         doc = json.loads(raw, parse_int=_bounded_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
     import os
     return algebra_from_doc(doc, name=os.path.splitext(os.path.basename(str(path)))[0])

@@ -11,11 +11,14 @@ read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
 itself.  A subspace stores its unique reduced row-echelon basis as
 primitive integer rows with positive leading entries, so equal subspaces
 compare equal; rational vectors become integer rows only where they come
-in.  Each subspace comes from one elimination, back-substituted in
-integers by :meth:`Echelon.reduced`, and membership runs through the same
-reduction loop.  :func:`kernel` reads a nullspace's reduced basis off one
-right-to-left elimination of its rows, with no second elimination.  No
-floating point appears anywhere.
+in.  Spans, sums, intersections and complements come from one
+elimination, back-substituted in integers by :meth:`Echelon.reduced`, and
+membership runs through the same reduction loop.  :func:`kernel` keeps
+the nullspace itself instead of pivots: one primitive integer vector per
+free column, updated row by row, so a dependent row costs one dot product
+per vector, rows past full rank are never read, and the vectors left at
+the end are the nullspace's reduced basis.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -33,8 +37,8 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Integer rows larger than this get gcd-compressed during elimination to
-# keep arithmetic on native-size ints.
+# Integer rows larger than this get gcd-compressed during an Echelon
+# reduction to keep arithmetic on native-size ints.
 _GROWTH_LIMIT = 1 << 63
 
 
@@ -338,50 +342,78 @@ def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], 
     entry, and together they are the nullspace's reduced row-echelon basis
     in the canonical form of :class:`SubspaceBasis`.
 
-    The integer rows are eliminated once, each folded in reversed, so the
-    echelon picks its pivots greedily from the right; zero rows and rows
-    equal up to scale are skipped first.  For each free column f the basis
-    vector is 1 at f, 0 at the other free columns and -r[f]/r[c] at the
-    pivot c of each reduced row r.  That is already the nullspace's own
-    reduced echelon form.  A reduced row pivoted at c is nonzero only at c
-    and at free columns left of c, so the vector of f leads at f and is
-    zero at every other free column: the free columns are its pivots.  (In
-    matroid terms, the complement of the column basis chosen greedily from
-    the right is the basis of the dual matroid chosen greedily from the
-    left, and those are the pivot columns of the nullspace's RREF.)  Each
-    vector is scaled by the lcm of the pivots of the rows it draws on, not
-    by one lcm over the whole basis, so its entries stay as small as its
-    own rows allow.
+    The elimination keeps the kernel, not the pivots.  Every column is
+    free at first; each free column f holds a vector v_f, the unit vector
+    e_f (left implicit) until a row touches it, after which it is stored.
+    A row whose dot product with every v_f is zero is dependent and
+    skipped.  Otherwise the largest free column i with a nonzero dot
+    product d_i is retired, and each other v_f with d_f != 0 becomes
+    (d_i/g) v_f - (d_f/g) v_i, made primitive (g = gcd(d_i, d_f)), which is
+    orthogonal to the row and to every row before it.  Once no column is
+    free, no further row is read.
+
+    Invariant: v_f is, up to scale, the unique kernel vector of the rows
+    read so far whose support lies in {f} and the retired columns.  Its
+    dot product with a row is therefore that row's entry at f after
+    reduction by the rows read so far, scaled by v_f[f] != 0, so the
+    nonzero dot products are the nonzero free entries of the reduced row,
+    and retiring the largest of them is exactly the pivot choice of an
+    echelon built from the right.  The retired columns are that echelon's
+    pivots, and the free columns left at the end are the pivot columns of
+    the nullspace's reduced row-echelon form (in matroid terms, the
+    complement of the column basis chosen greedily from the right is the
+    basis of the dual matroid chosen greedily from the left).  Each v_f is
+    zero at every other free column, and a retired column enters its
+    support only by being retired while f is free, hence larger than f; so
+    v_f leads at f and is that form's vector for f up to scale; it is kept
+    primitive, and the update keeps v_f[f] > 0, so the output is unique.
+    By Cramer's rule every entry of v_f is a minor of the rows read,
+    divided by the gcd of the vector's entries, so the stored entries are
+    bounded by construction and never need compressing.
     """
-    ech = Echelon(width)
-    seen = set()
-    for row in rows:
-        j = _first_nonzero(row, 0)
-        if j is None:
-            continue
-        g = gcd(*row)
-        if row[j] < 0:
-            g = -g
-        key = tuple(x // g for x in reversed(row))
-        if key not in seen:
-            seen.add(key)
-            ech.add_int(list(key))
-    last = width - 1
-    # per free column: (position, numerator, pivot) of its entries past 1
-    terms = {f: [] for f in range(width) if last - f not in ech.pivots}
-    for c, r in ech.reduced():
-        for j, x in enumerate(r):
-            if x and j != c:
-                terms[last - j].append((last - c, -x, r[c]))
-    out = []
-    for f, ts in terms.items():
-        scale = lcm(*(p for _, _, p in ts))
-        v = [0] * width
-        v[f] = scale
-        for i, x, p in ts:
-            v[i] = x * (scale // p)
-        out.append(tuple(_primitive(v)))
-    return tuple(out)
+    untouched = set(range(width))
+    vecs: dict[int, list[int]] = {}
+    if width:  # with no column free, no row is read
+        for row in rows:
+            idx = list(compress(range(width), row))
+            if not idx:
+                continue
+            vals = [row[j] for j in idx]
+            dots = {}
+            for f, v in vecs.items():
+                d = sum(map(mul, map(v.__getitem__, idx), vals))
+                if d:
+                    dots[f] = d
+            for j, x in zip(idx, vals):
+                if j in untouched:
+                    dots[j] = x
+            if not dots:
+                continue
+            i = max(dots)
+            di = dots.pop(i)
+            vi = vecs.pop(i, None) or _unit(width, i)
+            untouched.discard(i)
+            for f, df in dots.items():
+                g = gcd(di, df)
+                a, b = di // g, df // g
+                if a < 0:
+                    a, b = -a, -b
+                vf = vecs.get(f)
+                if vf is None:
+                    untouched.remove(f)
+                    vf = _unit(width, f)
+                vecs[f] = _primitive([a * x - b * y for x, y in zip(vf, vi)])
+            if not untouched and not vecs:
+                break
+    for f in untouched:
+        vecs[f] = _unit(width, f)
+    return tuple(tuple(vecs[f]) for f in sorted(vecs))
+
+
+def _unit(width: int, f: int) -> list[int]:
+    v = [0] * width
+    v[f] = 1
+    return v
 
 
 class RrefResult(NamedTuple):

@@ -13,10 +13,12 @@ linear system over the entries of one or more unknown matrices:
 
 Unknown matrices are restricted to the homogeneity pattern of parity xi
 and vectorized column-major, blocks in definition order.  Each space is
-read off one integer elimination of its rows: :func:`~nhomlie.linalg.kernel`
-returns the joint solution space of all blocks as primitive integer rows,
-each a vector of its reduced row-echelon basis times the vector's leading
-entry, so every block is built as integer numerators over that entry.
+read off one pass over its rows: :func:`~nhomlie.linalg.kernel` keeps one
+integer kernel vector per free column, stops reading rows once none is
+free, and returns the joint solution space of all blocks as primitive
+integer rows, each a vector of its reduced row-echelon basis times the
+vector's leading entry, so every block is built as integer numerators over
+that entry.
 ``QDer`` and ``GDer`` are solved jointly with their witnesses in that one
 RREF and projected onto the leading block; the witness blocks of the rows
 that lead in it are the witness representatives aligned with the returned

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from nhomlie import cli
 from nhomlie.algebra import validate
 from nhomlie.cli import main
 from nhomlie.fixtures import FIXTURES
@@ -15,6 +16,7 @@ from nhomlie.io import (
     PrecheckError,
     SchemaError,
     algebra_from_doc,
+    endospace_doc,
     mat_doc,
     parse_algebra,
     parse_rational,
@@ -164,6 +166,41 @@ class TestCli:
         f.write_text('{"arity": 2}')
         assert main(["validate", str(f)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_undecodable_bytes_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "latin.json"
+        f.write_bytes(b'{"arity": "\xff\xfe", "dim": 2}')
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_algebra(f)
+        assert main(["validate", str(f)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_nesting_too_deep_to_decode_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_algebra(f)
+        assert main(["validate", str(f)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_solve_renders_each_distinct_space_once(self, monkeypatch, capsys):
+        # alpha = id, so every twist power solves to the same space per parity
+        rendered = []
+
+        def counting(space):
+            rendered.append((space.k, space.xi))
+            return endospace_doc(space)
+
+        monkeypatch.setattr(cli, "endospace_doc", counting)
+        assert main(["solve", str(DATA / "super2.json"), "--kind", "QDer",
+                     "--kmax", "2"]) == 0
+        assert sorted(xi for _, xi in rendered) == [0, 1]
+        spaces = json.loads(capsys.readouterr().out)["spaces"]
+        assert [(s["xi"], s["k"]) for s in spaces] == [(xi, k) for xi in (0, 1)
+                                                        for k in (0, 1, 2)]
+        for s in spaces:
+            assert s == {**spaces[3 * s["xi"]], "k": s["k"]}
+            assert s["basis"] and "witnesses" in s
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/algebra.json"]) == 2

@@ -399,12 +399,70 @@ def row_lists(draw, entries):
 @given(row_lists(int_entries))
 def test_kernel_matches_two_eliminations(case):
     rows, width = case
-    basis = kernel(rows, width)
+    assert_reference_kernel(kernel(rows, width), rows, width)
+
+
+def assert_reference_kernel(basis, rows, width):
     assert all(next(x for x in v if x) > 0 and gcd(*v) == 1 for v in basis)
     assert tuple(tuple(F(x, next(y for y in v if y)) for x in v) for v in basis) == \
         ref_kernel(rows, width)
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+
+
+@st.composite
+def tall_systems(draw):
+    """Up to three rows per column: generators, then combinations of them.
+
+    Half the draws put an invertible block among the generators, so the
+    rows reach full rank and go on; the others keep going at a lower rank.
+    """
+    width = draw(st.integers(1, 5))
+    row = st.lists(int_entries, min_size=width, max_size=width)
+    gens = draw(st.lists(row, min_size=1, max_size=width))
+    if draw(st.booleans()):
+        # upper triangular with a nonzero diagonal, rows in a drawn order
+        block = [[0] * i + [draw(st.integers(-3, 3).filter(bool))] + draw(row)[i + 1:]
+                 for i in range(width)]
+        gens = draw(st.permutations(block + gens[:1]))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    extra = [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(width)]
+             for cs in draw(st.lists(coeffs, min_size=1, max_size=3 * width - len(gens)))]
+    return gens + extra, width
+
+
+@given(tall_systems())
+def test_kernel_of_tall_systems_matches_the_reference(case):
+    rows, width = case
+    assert_reference_kernel(kernel(rows, width), rows, width)
+
+
+@given(tall_systems())
+def test_kernel_reads_no_row_past_full_rank(case):
+    rows, width = case
+    full = next((i for i in range(len(rows))
+                 if len(ref_span(width, rows[:i + 1])) == width), None)
+
+    def stream():
+        for i, row in enumerate(rows):
+            if full is not None and i > full:
+                raise AssertionError(f"row {i} read after full rank at row {full}")
+            yield row
+
+    assert_reference_kernel(kernel(stream(), width), rows, width)
+
+
+def test_kernel_stops_at_the_row_that_retires_the_last_free_column():
+    def stream():
+        yield [0, 1, 1]
+        yield [0, 0, 0]
+        yield [1, 2, 0]
+        yield [0, 2, 2]  # dependent
+        yield [0, 0, 5]  # full rank
+        raise AssertionError("row read after full rank")
+
+    assert kernel(stream(), 3) == ()
+    assert kernel(iter(stream, None), 0) == ()  # nothing is free: no row is read
 
 
 @given(row_lists(rat_entries))
@@ -440,8 +498,9 @@ def test_kernel_of_a_row_whose_left_to_right_nullspace_is_not_reduced():
 
 
 def test_kernel_compresses_growth_past_the_limit():
-    # folded in reversed, the second row is scaled by the first one's
-    # leading entry 3 * 2^64 + 1 and its remainder lies past 2^63
+    # the first row leaves the kernel vector (big, -2), so the second row's
+    # dot product 6 * (big - 1) lies past 2^63; kernel vectors are kept
+    # primitive, so such entries pass through with no compression step
     big = 3 * (1 << 64) + 1
     rows = [[2, big], [6, 3]]
     assert kernel(rows, 2) == ref_kernel(rows, 2) == ()
