@@ -432,13 +432,7 @@ def tall_systems(draw):
 
 
 @given(tall_systems())
-def test_kernel_of_tall_systems_matches_the_reference(case):
-    rows, width = case
-    assert_reference_kernel(kernel(rows, width), rows, width)
-
-
-@given(tall_systems())
-def test_kernel_reads_no_row_past_full_rank(case):
+def test_kernel_of_tall_systems_matches_the_reference_and_stops_at_full_rank(case):
     rows, width = case
     full = next((i for i in range(len(rows))
                  if len(ref_span(width, rows[:i + 1])) == width), None)
