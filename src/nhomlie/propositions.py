@@ -11,12 +11,20 @@ claims walk their grades in order: pairs (k1, xi1, k2, xi2) in the order of
 basis order within a grade.  The witness is the failing grade and the
 offending matrix.  Claims over the commutant report the first failing pair
 or quadruple in the order they are enumerated.
+
+Values are memoized only within one check.  Solved bases are kept per
+kind, twist level and parity.  Prop 3.8 keys its values on the commutant
+basis by basis index: each twist, each Jordan product of an ordered pair
+(shared by the supercommutativity and Hom-Jordan claims) and each
+associator term is evaluated once, whichever quadruples share it.
+Sampled random quadruples are computed afresh.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .algebra import NHomAlgebra, center, is_alpha_surjective, transport, validate
@@ -111,19 +119,25 @@ class _Spaces:
     """Solved spaces of one algebra, under keys that coincide for equal spaces.
 
     A space at twist power k is determined by alpha^k, so its key carries
-    the least j with alpha^j == alpha^k instead of k.
+    the least j with alpha^j == alpha^k instead of k.  Each key's basis is
+    built once.
     """
 
     def __init__(self, alg: NHomAlgebra, kmax: int):
         self.alg = alg
         pows = [alg.alpha_power(k) for k in range(kmax + 1)]
         self.level = [pows.index(p) for p in pows]
+        self._bases: dict = {}
 
     def basis(self, kinds, k: int, xi: int):
         """(key, basis) of one kind, or of the sum of a tuple of kinds."""
         kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        basis = tuple(g for kind in kinds for g in solve(self.alg, kind, k, xi).basis)
-        return (kinds, self.level[k], xi), basis
+        key = (kinds, self.level[k], xi)
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases[key] = tuple(
+                g for kind in kinds for g in solve(self.alg, kind, k, xi).basis)
+        return key, basis
 
     def inputs(self, *kinds):
         """Input spaces at a grade (k1, x1, k2, x2, ...), one kind per (k, xi)."""
@@ -333,12 +347,46 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     return _report("3.4", claims, solved_dims(alg, kmax))
 
 
+class _BasisTerms:
+    """One :func:`check_prop38` call's values on the commutant basis.
+
+    Twists, Jordan products of ordered pairs and associator terms are keyed
+    by basis index and each evaluated the first time it is asked for, so a
+    term shared by the cyclic rotations of several quadruples is built once.
+    The memo is dropped when the call returns.
+    """
+
+    def __init__(self, alg: NHomAlgebra, basis):
+        self.basis = basis
+        jordan = self.jordan = cache(lambda i, j: jordan_product(basis[i], basis[j]))
+        twist = cache(lambda i: alpha_twist(alg, basis[i]))
+        self.term = cache(lambda a, b, c, w: hom_associator(
+            alg, jordan(a, b), twist(w), twist(c)))
+
+
+class _Indexed:
+    """Basis element ``i`` of the commutant, evaluated through ``terms``."""
+
+    __slots__ = ("terms", "i", "xi")
+
+    def __init__(self, terms: _BasisTerms, i: int):
+        self.terms, self.i, self.xi = terms, i, terms.basis[i].xi
+
+
 def _hom_jordan_residual(alg, x: GradedEndo, y: GradedEndo, z: GradedEndo,
                          w: GradedEndo) -> Mat:
-    """Cyclic associator combination that a Hom-Jordan product must kill."""
-    def term(a, b, c):
-        return hom_associator(alg, jordan_product(a, b),
-                              alpha_twist(alg, w), alpha_twist(alg, c))
+    """Cyclic associator combination that a Hom-Jordan product must kill.
+
+    The operands are commutant elements, evaluated afresh, or
+    :class:`_Indexed` basis elements, whose terms come from their memo.
+    """
+    if isinstance(w, _Indexed):
+        def term(a, b, c):
+            return w.terms.term(a.i, b.i, c.i, w.i)
+    else:
+        def term(a, b, c):
+            return hom_associator(alg, jordan_product(a, b),
+                                  alpha_twist(alg, w), alpha_twist(alg, c))
 
     def sgn(e):
         return -1 if (e % 2) else 1
@@ -360,11 +408,17 @@ def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo | Non
     return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
 
-def _hom_jordan_quadruples(basis_by_parity, samples: int, rng: random.Random):
-    """All basis quadruples when there are at most 10^4, then random ones."""
-    all_basis = basis_by_parity[0] + basis_by_parity[1]
-    if all_basis and len(all_basis) ** 4 <= 10 ** 4:
-        yield from product(all_basis, repeat=4)
+def _hom_jordan_quadruples(terms: _BasisTerms, basis_by_parity, samples: int,
+                           rng: random.Random):
+    """All basis quadruples when there are at most 10^4, then random ones.
+
+    Basis quadruples are :class:`_Indexed` into ``terms``; random ones are
+    plain elements.
+    """
+    n = len(terms.basis)
+    if n and n ** 4 <= 10 ** 4:
+        indexed = [_Indexed(terms, i) for i in range(n)]
+        yield from product(indexed, repeat=4)
     for _ in range(samples):
         quad = [_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
         if any(q is None for q in quad):
@@ -379,12 +433,14 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     claims = []
     basis_by_parity = {0: list(omega(alg, 0).basis), 1: list(omega(alg, 1).basis)}
     all_basis = basis_by_parity[0] + basis_by_parity[1]
+    terms = _BasisTerms(alg, all_basis)
 
     bad = None
-    for da, db in product(all_basis, repeat=2):
+    for i, j in product(range(len(all_basis)), repeat=2):
+        da, db = all_basis[i], all_basis[j]
         sign = -1 if (da.xi and db.xi) else 1
-        lhs = jordan_product(da, db)
-        if lhs.mat != jordan_product(db, da).mat.scale(sign):
+        lhs = terms.jordan(i, j)
+        if lhs.mat != terms.jordan(j, i).mat.scale(sign):
             bad = ((da.xi, db.xi), _mat_witness(lhs.mat))
             break
     claims.append(Claim("38.1.supercommutative", "fail" if bad else "pass",
@@ -392,7 +448,7 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
     bad = None
     checked = 0
-    for quad in _hom_jordan_quadruples(basis_by_parity, samples, random.Random(seed)):
+    for quad in _hom_jordan_quadruples(terms, basis_by_parity, samples, random.Random(seed)):
         checked += 1
         residual = _hom_jordan_residual(alg, *quad)
         if not residual.is_zero():

@@ -1,14 +1,26 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 
 from nhomlie import propositions
-from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, nonsurjective_abelian2, super2
-from nhomlie.linalg import Mat
+from nhomlie.algebra import transport
+from nhomlie.fixtures import (
+    FIXTURES,
+    abelian2,
+    aff1,
+    homaff1,
+    mixed_change,
+    nonsurjective_abelian2,
+    super2,
+)
+from nhomlie.linalg import Mat, linear_combination
 from nhomlie.propositions import (
+    Claim,
     _mat_witness,
+    _random_homogeneous,
     check_basis_change,
     check_prop31,
     check_prop32,
@@ -19,7 +31,15 @@ from nhomlie.propositions import (
     random_even_invertible,
     solved_dims,
 )
-from nhomlie.solver import Kind, alpha_twist, omega, solve, supercommutator
+from nhomlie.solver import (
+    GradedEndo,
+    Kind,
+    alpha_twist,
+    jordan_product,
+    omega,
+    solve,
+    supercommutator,
+)
 
 F = Fraction
 
@@ -177,3 +197,101 @@ def test_hom_jordan_failure_records_a_rebuildable_witness(monkeypatch):
     first = next(i for i, quad in enumerate(product(basis, repeat=4))
                  if tuple(q.xi for q in quad) == bad_parities)
     assert claim.detail == f"checked {first + 1} quadruples, seed 7"
+
+
+def _fixture(name, mixed):
+    alg = FIXTURES[name]()
+    return transport(alg, mixed_change(alg.parity)) if mixed else alg
+
+
+def reference_prop38_claims(alg, samples, seed):
+    """The two 38.1 claims by the textbook loop: every term built afresh.
+
+    Associators go through ``propositions.hom_associator`` as it is bound
+    at call time, so a patch of it reaches this loop too.
+    """
+    by_parity = {xi: list(omega(alg, xi).basis) for xi in (0, 1)}
+    basis = by_parity[0] + by_parity[1]
+
+    witness = ()
+    for da, db in product(basis, repeat=2):
+        lhs = jordan_product(da, db)
+        if lhs.mat != jordan_product(db, da).mat.scale(-1 if da.xi and db.xi else 1):
+            witness = ((da.xi, db.xi), _mat_witness(lhs.mat))
+            break
+    supercommutative = Claim("38.1.supercommutative", "fail" if witness else "pass",
+                             witness=witness)
+
+    def term(a, b, c, w):
+        return propositions.hom_associator(alg, jordan_product(a, b), alpha_twist(alg, w),
+                                           alpha_twist(alg, c)).mat
+
+    def residual(x, y, z, w):
+        signs = [(-1) ** (p * (q + w.xi)) for p, q in ((z.xi, x.xi), (x.xi, y.xi), (y.xi, z.xi))]
+        return linear_combination(signs, [term(x, y, z, w), term(y, z, x, w), term(z, x, y, w)])
+
+    quads = list(product(basis, repeat=4)) if len(basis) ** 4 <= 10 ** 4 else []
+    rng = random.Random(seed)
+    for _ in range(samples):
+        quads.append([_random_homogeneous(rng, by_parity) for _ in range(4)])
+    witness = ()
+    for checked, quad in enumerate(quads, 1):
+        r = residual(*quad)
+        if not r.is_zero():
+            witness = (tuple(q.xi for q in quad), _mat_witness(r))
+            break
+    identity = Claim("38.1.hom_jordan_identity", "fail" if witness else "pass",
+                     detail=f"checked {checked} quadruples, seed {seed}", witness=witness)
+    return supercommutative, identity
+
+
+@cache
+def _reference(name, mixed, samples, seed):
+    return reference_prop38_claims(_fixture(name, mixed), samples, seed)
+
+
+@pytest.mark.parametrize("seed", [5, 20260811])
+@pytest.mark.parametrize("kmax", [1, 2])
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_prop38_matches_the_textbook_loop(name, mixed, kmax, seed):
+    report = check_prop38(_fixture(name, mixed), kmax, samples=3, seed=seed)
+    ref = _reference(name, mixed, 3, seed)
+    assert tuple(report.claim(c.claim_id) for c in ref) == ref
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
+def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monkeypatch):
+    alg = _fixture(name, mixed)
+    basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
+    a, b, c, w = (basis[i % len(basis)] for i in (3, 2, 1, 0))
+    planted = (jordan_product(a, b).mat, alpha_twist(alg, w).mat, alpha_twist(alg, c).mat)
+    real = propositions.hom_associator
+
+    def fake(alg_, d1, d2, d3):
+        value = real(alg_, d1, d2, d3)
+        if (d1.mat, d2.mat, d3.mat) == planted:
+            return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
+        return value
+
+    monkeypatch.setattr(propositions, "hom_associator", fake)
+    claim = check_prop38(alg, 1, samples=3, seed=5).claim("38.1.hom_jordan_identity")
+    assert claim.status == "fail"
+    assert claim == reference_prop38_claims(alg, 3, 5)[1]
+
+
+def test_prop38_evaluates_each_basis_term_once(monkeypatch):
+    calls = 0
+    real = propositions.hom_associator
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(propositions, "hom_associator", counting)
+    claim = check_prop38(aff1(), 1, samples=5).claim("38.1.hom_jordan_identity")
+    assert claim.detail.startswith("checked 261 quadruples")
+    # 4^4 basis terms, one per (a, b, c, w), and 3 terms per sampled quadruple
+    assert calls <= 4 ** 4 + 3 * 5
