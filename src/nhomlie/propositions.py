@@ -90,14 +90,23 @@ def _require_valid(alg: NHomAlgebra):
 
 
 def solved_dims(alg: NHomAlgebra, kmax: int):
-    """Dimension table of every solved space up to twist power kmax."""
+    """Dimension table of every solved space up to twist power kmax.
+
+    The table is built once per algebra and kmax; every check of one
+    ``props`` command reports the same table.
+    """
+    cache_key = ("dims", kmax)
+    hit = alg._cache.get(cache_key)
+    if hit is not None:
+        return hit
     out = []
     for xi in (0, 1):
         out.append((Kind.OMEGA.value, 0, xi, omega(alg, xi).dim))
         for kind in TUPLE_KINDS:
             for k in range(kmax + 1):
                 out.append((kind.value, k, xi, solve(alg, kind, k, xi).dim))
-    return tuple(sorted(out))
+    result = alg._cache[cache_key] = tuple(sorted(out))
+    return result
 
 
 def _grades(kmax: int, bound: int | None = None):

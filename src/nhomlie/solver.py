@@ -30,6 +30,9 @@ for the extension's witness slack.  The rows are integer numerators built
 from the structure tensor through :func:`~nhomlie.algebra.bracket_ints`:
 every equation row is over the tensor's denominator times
 den(alpha^k)^(n-1), and every commutation row over den(alpha).
+The slot-s bracket of unknown column (j, t[s]) does not depend on t[s], so
+each :func:`_rows` call builds it once under the key (s, t[:s], t[s+1:])
+and j: at most n d^n sparse vectors per call, freed with its iterator.
 :func:`in_space` re-evaluates each
 definition on the integer structure tensor through
 :func:`~nhomlie.algebra.bracket_ints` without reading the table, so it is a
@@ -190,12 +193,26 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     rows are not normalized one by one, so such a right-hand side needs only
     to share that factor.  Returns (an iterator over the rows, block count,
     positions); ``solve`` consumes the rows as they are built.
+
+    The slot-s term of unknown column (j, t[s]) is the bracket
+    [alpha^k e_{t_0}, ..., e_j, ..., alpha^k e_{t_{n-1}}], which does not
+    depend on t[s].  Each one is built once, the first time an allowed
+    column asks for it, and kept under (s, t[:s], t[s+1:]) and j as a
+    sparse vector times the prefix sign of slot s (which depends on t[:s]
+    only); the equation's coefficient is applied after the lookup.  The
+    memo holds at most n d^n sparse vectors (d^n for ZDer, whose only slot
+    term is slot 0) and lives as long as the iterator, so nothing is kept
+    on ``alg``.
     """
     d, n = alg.dim, alg.arity
     nblocks, equations = _EQUATIONS[kind](n)
     pos = allowed_positions(alg.parity, xi)
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
+    # the allowed positions (r, c) of each column c, as (r, vector index)
+    colpos = [[] for _ in range(d)]
+    for m, (r, c) in enumerate(pos):
+        colpos[c].append((r, m))
     width = nblocks * npos
     values = alg.tensor[0]
     # slot terms: alpha^k columns over aden in n - 1 slots, a unit vector in
@@ -205,9 +222,9 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     units = [((j, 1),) for j in range(d)]
 
     def rows():
+        memo = {}  # (s, t[:s], t[s+1:]) -> {j: signed sparse slot bracket}
         for value, t in zip(values, product(range(d), repeat=n)):
             signs = _prefix_signs(alg, t, xi)
-            args = [acols[i] for i in t]
             for eq in equations:
                 block_rows = [[0] * width for _ in range(d)]
                 for b, s, c in eq:
@@ -216,20 +233,26 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
                     off = b * npos
                     if s is VALUE:
                         for j, v in value:
-                            for l in range(d):
-                                col = posidx.get((l, j))
-                                if col is not None:
-                                    block_rows[l][off + col] += c * v * lift
+                            for l, m in colpos[j]:
+                                block_rows[l][off + m] += c * v * lift
                         continue
-                    for j in range(d):
-                        col = posidx.get((j, t[s]))
-                        if col is None:
-                            continue
-                        vec = [0] * d
-                        bracket_ints(alg, vec, args[:s] + [units[j]] + args[s + 1:], c * signs[s])
-                        for l, x in enumerate(vec):
-                            if x:
-                                block_rows[l][off + col] += x
+                    cols = colpos[t[s]]
+                    if not cols:
+                        continue
+                    key = (s, t[:s], t[s + 1:])
+                    slot = memo.get(key)
+                    if slot is None:
+                        slot = memo[key] = {}
+                    for j, m in cols:
+                        vec = slot.get(j)
+                        if vec is None:
+                            args = [acols[i] for i in t]
+                            args[s] = units[j]
+                            acc = [0] * d
+                            bracket_ints(alg, acc, args, signs[s])
+                            vec = slot[j] = tuple((l, x) for l, x in enumerate(acc) if x)
+                        for l, x in vec:
+                            block_rows[l][off + m] += c * x
                 yield from (block_rows if known else (r for r in block_rows if any(r)))
         for b in range(nblocks):
             if b not in known:

@@ -24,6 +24,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from nhomlie import solver
 from nhomlie.algebra import NHomAlgebra, bracket, transport
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
 from nhomlie.linalg import Mat
@@ -384,3 +385,28 @@ def test_rows_are_the_reference_over_one_denominator(name, kind):
         rows = list(_rows(alg, kind, k, xi, known)[0])
         assert all(type(x) is int for row in rows for x in row)
         assert rows == expected
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("name", ["threeLie4", "homheis4", "superheis3"])
+def test_rows_build_each_slot_bracket_once(name, kind, monkeypatch):
+    # the slot-s bracket of column (j, t[s]) does not depend on t[s]: at most
+    # one bracket per (slot, other arguments, j), and never one that a term
+    # by term evaluation would not make
+    alg = ALGEBRAS[name]
+    d, n = alg.dim, alg.arity
+    real = solver.bracket_ints
+    calls = []
+    monkeypatch.setattr(solver, "bracket_ints", lambda *a: calls.append(1) or real(*a))
+    bound = d ** n if kind is Kind.ZDER else n * d ** n
+    _, equations = _EQUATIONS[kind](n)
+    for k, xi, known in product(range(3), (0, 1), ((), {0})):
+        columns = [sum(1 for r, c in allowed_positions(alg.parity, xi) if c == cc)
+                   for cc in range(d)]
+        per_term = sum(columns[t[s]] for t in product(range(d), repeat=n)
+                       for eq in equations for b, s, _ in eq
+                       if s is not VALUE and b not in known)
+        calls.clear()
+        list(_rows(alg, kind, k, xi, known)[0])
+        assert len(calls) <= min(bound, per_term), (k, xi, known)
+        assert bool(calls) == bool(per_term), (k, xi, known)

@@ -102,6 +102,21 @@ def test_dims_table_contains_every_kind():
     assert dims[("Der", 0, 1)] == 0
 
 
+def test_dims_table_is_built_once_per_kmax(monkeypatch):
+    alg = homaff1()
+    first = solved_dims(alg, 2)
+    calls = []
+    for name in ("solve", "omega"):
+        real = getattr(propositions, name)
+        monkeypatch.setattr(propositions, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert solved_dims(alg, 2) == first
+    assert calls == []
+    # another kmax is another table; its spaces are still solved
+    assert len(solved_dims(alg, 1)) == 2 + 2 * 6 * 2
+    assert calls
+
+
 def test_basis_change_identity_is_trivial():
     report = check_basis_change(aff1(), Mat.identity(2), 2)
     assert report.passed
