@@ -11,9 +11,13 @@ read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
 itself.  A subspace stores its unique reduced row-echelon basis as
 primitive integer rows with positive leading entries, so equal subspaces
 compare equal; rational vectors become integer rows only where they come
-in.  Spans, sums, intersections and complements come from one
-elimination, back-substituted in integers by :meth:`Echelon.reduced`, and
-membership runs through the same reduction loop.  :func:`kernel` keeps
+in.  That basis is also the state every elimination works on:
+:func:`_reduce` clears each of its leads from an incoming row in one pass,
+which decides membership, and :func:`_insert` adds a row that does not
+reduce to zero and clears its lead from the other rows.  Spans, sums,
+intersections, complements and :func:`rref` grow a canonical basis this
+way, so every stored row is a row of that unique form and its size is
+bounded by the form itself.  :func:`kernel` keeps
 the nullspace itself instead of pivots: one primitive integer vector per
 free column, updated row by row, so a dependent row costs one dot product
 per vector, rows past full rank are never read, and the vectors left at
@@ -23,6 +27,7 @@ anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,10 +41,6 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# Integer rows larger than this get gcd-compressed during an Echelon
-# reduction to keep arithmetic on native-size ints.
-_GROWTH_LIMIT = 1 << 63
 
 
 def as_scalar(value) -> Fraction:
@@ -219,7 +220,7 @@ def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# integer echelon engine
+# integer elimination
 # ---------------------------------------------------------------------------
 
 def _int_row(row: Sequence) -> list[int]:
@@ -244,95 +245,66 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _first_nonzero(row: Sequence[int], start: int) -> int | None:
-    for j in range(start, len(row)):
-        if row[j]:
-            return j
-    return None
+def _lead(row: Sequence[int]) -> int | None:
+    """The column of the first nonzero entry of ``row``; None for a zero row."""
+    return next(compress(range(len(row)), row), None)
 
 
-class Echelon:
-    """Incremental integer row-echelon accumulator.
+def _reduce(basis: Sequence[Sequence[int]], leads: Sequence[int],
+            row: Sequence[int]) -> Sequence[int]:
+    """``row`` with the lead of every canonical ``basis`` row cleared.
 
-    Pivot rows are gcd-reduced with a positive leading entry; incoming rows
-    are folded in by cross-multiplication, which never leaves the integers.
+    Canonical rows are zero at each other's leads, so clearing one lead
+    only scales the row's entries at the other leads: one pass clears
+    them all, and the rows to clear are those whose lead is nonzero in
+    ``row`` as it comes in.  The result is zero iff ``row`` lies in the
+    span of ``basis``.
     """
+    for p, j in compress(zip(basis, leads), map(row.__getitem__, leads)):
+        b = row[j]
+        g = gcd(p[j], b)
+        am, bm = p[j] // g, b // g
+        if am == 1:
+            row = [x - bm * y for x, y in zip(row, p)]
+        else:
+            row = [am * x - bm * y for x, y in zip(row, p)]
+    return row
 
-    __slots__ = ("width", "pivots")
 
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: dict[int, list[int]] = {}
+def _insert(basis: list, leads: list[int], row: Sequence[int]) -> bool:
+    """Grow the canonical ``basis`` (``leads`` alongside) by ``row``; True if it grew.
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add_int(self, row: Sequence[int]) -> bool:
-        """Fold one integer row in; True if the rank grew."""
-        row, j = self._reduce(row)
-        if j is None:
-            return False
-        row = _primitive(row)
-        if row[j] < 0:
-            row = [-x for x in row]
-        self.pivots[j] = row
-        return True
-
-    def contains_int(self, row: Sequence[int]) -> bool:
-        """True iff the integer row already lies in the accumulated row space."""
-        return self._reduce(row)[1] is None
-
-    def _reduce(self, row: Sequence[int]) -> tuple[Sequence[int], int | None]:
-        """``row`` reduced by the pivots, and its first column without a pivot.
-
-        The column is None when the row reduces to zero.
-        """
-        pivots = self.pivots
-        j = _first_nonzero(row, 0)
-        while j is not None:
-            p = pivots.get(j)
-            if p is None:
-                break
-            a, b = p[j], row[j]
+    The reduced row is made primitive with a positive lead, its lead is
+    cleared from the other rows (each kept primitive) and it goes in at
+    its place in lead order, so ``basis`` stays the reduced row-echelon
+    form of its span and each entry stays bounded by that form.
+    """
+    row = _reduce(basis, leads, row)
+    j = _lead(row)
+    if j is None:
+        return False
+    g = gcd(*row) if row[j] > 0 else -gcd(*row)
+    if g != 1:
+        row = [x // g for x in row]
+    a = row[j]
+    for i, p in enumerate(basis):
+        b = p[j]
+        if b:
             g = gcd(a, b)
             am, bm = a // g, b // g
-            if am == 1:
-                row = [x - bm * y for x, y in zip(row, p)]
-            else:
-                row = [am * x - bm * y for x, y in zip(row, p)]
-                if max(map(abs, row)) > _GROWTH_LIMIT:
-                    row = _primitive(row)
-            j = _first_nonzero(row, j + 1)
-        return row, j
+            basis[i] = _primitive([am * x - bm * y for x, y in zip(p, row)])
+    i = bisect(leads, j)
+    leads.insert(i, j)
+    basis.insert(i, row)
+    return True
 
-    def reduced(self) -> list[tuple[int, list[int]]]:
-        """The reduced integer rows as (pivot column, row), by pivot column.
 
-        Back-substitution in integers: every pivot column is cleared from
-        the other rows; each returned row is primitive with a positive pivot.
-        """
-        cols = sorted(self.pivots)
-        rows = [self.pivots[c] for c in cols]
-        for i in range(len(cols) - 1, -1, -1):
-            c = cols[i]
-            prow = rows[i]
-            pl = prow[c]
-            for m in range(i):
-                b = rows[m][c]
-                if not b:
-                    continue
-                g = gcd(pl, b)
-                am, bm = pl // g, b // g
-                if am == 1:
-                    rows[m] = [x - bm * y for x, y in zip(rows[m], prow)]
-                else:
-                    rows[m] = _primitive([am * x - bm * y for x, y in zip(rows[m], prow)])
-        return list(zip(cols, map(_primitive, rows)))
-
-    def basis(self) -> IntGrid:
-        """The reduced rows alone: the canonical rows of the row space."""
-        return tuple(tuple(r) for _, r in self.reduced())
+def _grown(width: int, basis: list, leads: list[int],
+           rows: Iterable[Sequence[int]]) -> "SubspaceBasis":
+    """The span of the canonical ``basis`` (``leads`` alongside) and the integer ``rows``."""
+    for row in rows:
+        _insert(basis, leads, row)
+    return SubspaceBasis(width, tuple(map(tuple, basis)))
 
 
 def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -424,15 +396,11 @@ class RrefResult(NamedTuple):
 
 def rref(m: Mat) -> RrefResult:
     """Unique reduced row-echelon form of ``m`` over the rationals."""
-    ech = Echelon(m.cols)
-    for row in m.ints[0]:
-        ech.add_int(list(row))
-    reduced = ech.reduced()
-    den = lcm(*(r[c] for c, r in reduced))  # each row is over its pivot
-    grid = tuple(tuple(x * (den // r[c]) for x in r) for c, r in reduced)
-    grid += ((0,) * m.cols,) * (m.rows - ech.rank)
-    pivots = tuple(c for c, _ in reduced)
-    return RrefResult(Mat(m.rows, m.cols, (grid, den)), pivots, len(pivots))
+    s = _grown(m.cols, [], [], m.ints[0])
+    den = lcm(*(r[c] for r, c in zip(s.rows, s.leads)))  # each row is over its pivot
+    grid = tuple(tuple(x * (den // r[c]) for x in r) for r, c in zip(s.rows, s.leads))
+    grid += ((0,) * m.cols,) * (m.rows - s.dim)
+    return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
 
 
 def nullspace(m: Mat) -> "SubspaceBasis":
@@ -457,30 +425,27 @@ class SubspaceBasis:
     rows: IntGrid
 
     def __post_init__(self):
-        leads = []
         for row in self.rows:
             if len(row) != self.ambient_dim:
                 raise ValueError("basis row length does not match ambient dimension")
-            if not all(type(x) is int for x in row):
+            if not set(map(type, row)) <= {int}:
                 raise ValueError("basis rows must hold ints")
-            j = _first_nonzero(row, 0)
-            if j is None or row[j] < 0 or gcd(*row) != 1 or (leads and j <= leads[-1]):
+        leads = self.leads
+        for i, (row, j) in enumerate(zip(self.rows, leads)):
+            if j is None or row[j] < 0 or gcd(*row) != 1 or (i and j <= leads[i - 1]):
                 raise ValueError("basis rows must be primitive, with positive leading"
                                  " entries in increasing columns")
-            leads.append(j)
-        # a later row is zero left of its own, larger, leading column
-        for i, j in enumerate(leads):
-            if any(row[j] for row in self.rows[:i]):
+        # each row is nonzero at its own lead, so it must be zero at the others
+        for row in self.rows:
+            if sum(map(bool, map(row.__getitem__, leads))) != 1:
                 raise ValueError("a pivot column is not cleared in the other basis rows")
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "SubspaceBasis":
-        ech = Echelon(ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("spanning vector length does not match ambient dimension")
-            ech.add_int(_int_row(v))
-        return cls(ambient_dim, ech.basis())
+        rows = list(map(_int_row, vectors))
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("spanning vector length does not match ambient dimension")
+        return _grown(ambient_dim, [], [], rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -491,61 +456,53 @@ class SubspaceBasis:
         return cls(ambient_dim, _identity_grid(ambient_dim))
 
     @cached_property
+    def leads(self) -> tuple[int, ...]:
+        """The leading column of each row."""
+        return tuple(map(_lead, self.rows))
+
+    @cached_property
     def vectors(self) -> tuple[Vector, ...]:
         """The basis as ``Fraction`` vectors with leading entry 1, built on first use."""
-        return tuple(tuple(Fraction(x, row[_first_nonzero(row, 0)]) for x in row)
-                     for row in self.rows)
+        return tuple(tuple(Fraction(x, row[j]) for x in row)
+                     for row, j in zip(self.rows, self.leads))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def _echelon(a: SubspaceBasis) -> Echelon:
-    """An accumulator holding the basis rows of ``a`` as its pivots."""
-    ech = Echelon(a.ambient_dim)
-    ech.pivots = {_first_nonzero(row, 0): row for row in a.rows}
-    return ech
-
-
 def contains(a: SubspaceBasis, v: Sequence) -> bool:
     """True iff ``v`` lies in the span of ``a``."""
     if len(v) != a.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    return _echelon(a).contains_int(_int_row(v))
+    return not any(_reduce(a.rows, a.leads, _int_row(v)))
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    ech = _echelon(a)
-    for row in b.rows:
-        ech.add_int(row)
-    return SubspaceBasis(a.ambient_dim, ech.basis())
+    return _grown(a.ambient_dim, list(a.rows), list(a.leads), b.rows)
 
 
 def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Zassenhaus: echelonize [A|A] over [B|0]; zero-left rows span a ∩ b.
 
+    The rows [A|A] are already canonical, so they are the starting basis.
     The zero-left rows of the reduced basis are already reduced, so their
     right halves are the canonical basis of the intersection.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
-    ech = Echelon(2 * n)
-    for row in a.rows:
-        ech.add_int(row + row)
-    for row in b.rows:
-        ech.add_int(row + (0,) * n)
-    return SubspaceBasis(n, tuple(row[n:] for row in ech.basis() if not any(row[:n])))
+    both = _grown(2 * n, [row + row for row in a.rows], list(a.leads),
+                  (row + (0,) * n for row in b.rows))
+    return SubspaceBasis(n, tuple(row[n:] for row, j in zip(both.rows, both.leads) if j >= n))
 
 
 def is_subspace_of(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    ech = _echelon(b)
-    return all(map(ech.contains_int, a.rows))
+    return not any(any(_reduce(b.rows, b.leads, row)) for row in a.rows)
 
 
 def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> SubspaceBasis:
@@ -563,13 +520,13 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
     for row in inner.rows:
         if any(x and j not in allowed_set for j, x in enumerate(row)):
             raise ValueError("inner subspace is not supported on the allowed coordinates")
-    ech = _echelon(inner)
+    basis, leads = list(inner.rows), list(inner.leads)
     units = _identity_grid(n)
     chosen = []
     target = len(allowed)
     for i in allowed:
-        if ech.rank == target:
+        if len(basis) == target:
             break
-        if ech.add_int(units[i]):
+        if _insert(basis, leads, units[i]):
             chosen.append(units[i])
     return SubspaceBasis(n, tuple(chosen))

@@ -49,9 +49,10 @@ from typing import Sequence
 
 from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
 from .linalg import (
-    Echelon,
     Mat,
     SubspaceBasis,
+    _grown,
+    _reduce,
     commutes_with,
     kernel,
     product_sum,
@@ -387,9 +388,9 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         rhs = []
         for t in tuples:
             rhs.extend(total(t) if kind is Kind.QDER else next(terms(t, (0,))))
-        ech = _witness_system(alg, kind, k, xi)
-        rhs.extend([0] * (ech.width - len(rhs)))
-        return ech.contains_int(rhs)
+        cols = _witness_system(alg, kind, k, xi)
+        rhs.extend([0] * (cols.ambient_dim - len(rhs)))
+        return not any(_reduce(cols.rows, cols.leads, rhs))
 
     for value, t in zip(values, tuples):
         # D [e_t], lifted to the slot terms' denominator
@@ -409,8 +410,8 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
     return True
 
 
-def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> Echelon:
-    """Column-space echelon of the witness blocks of QDer or GDer, cached.
+def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBasis:
+    """Canonical column space of the witness blocks of QDer or GDer, cached.
 
     The rows are :func:`_rows` with the leading block known; a right-hand
     side for them has a witness iff it lies in the span of the columns.
@@ -421,11 +422,10 @@ def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> Echelon:
         return hit
     rows, nblocks, pos = _rows(alg, kind, k, xi, known={0})
     rows = list(rows)
-    ech = Echelon(len(rows))
-    for c in range(len(pos), nblocks * len(pos)):
-        ech.add_int([row[c] for row in rows])
-    alg._cache[cache_key] = ech
-    return ech
+    witness_cols = ([row[c] for row in rows] for c in range(len(pos), nblocks * len(pos)))
+    cols = _grown(len(rows), [], [], witness_cols)
+    alg._cache[cache_key] = cols
+    return cols
 
 
 def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,

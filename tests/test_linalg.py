@@ -5,10 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from nhomlie.algebra import center, transport
+from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
 from nhomlie.fixtures import all_fixtures, mixed_change
 from nhomlie.linalg import (
-    Echelon,
     Mat,
     SubspaceBasis,
     contains,
@@ -374,8 +373,8 @@ def ref_intersect(n, a, b):
     return ref_span(n, [row[n:] for c, row in ech.rref_rows() if c >= n])
 
 
-# small entries, so rank deficiency is common, and entries past 2^63 so the
-# elimination's growth compression runs (multiples of 2^64 give it a factor)
+# small entries, so rank deficiency is common, and entries past 2^63, so
+# arithmetic leaves native-size ints (multiples of 2^64 share a big factor)
 int_entries = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
                         st.integers(-3, 3).map(lambda x: x << 64),
                         st.integers(-(1 << 90), 1 << 90).filter(lambda x: abs(x) > 1 << 63))
@@ -481,6 +480,70 @@ def test_intersect_matches_the_reference(case, data):
     assert subspace_intersect(a, b).vectors == expected
 
 
+def ref_complement(width, inner, allowed):
+    """Unit vectors tried in increasing index order, each kept if it raises the rank."""
+    ech = RefEchelon(width)
+    for v in inner:
+        ech.add(v)
+    chosen = []
+    for i in sorted(set(allowed)):
+        rank = len(ech.pivots)
+        ech.add(unit_vector(width, i))
+        if len(ech.pivots) > rank:
+            chosen.append(unit_vector(width, i))
+    return tuple(chosen)
+
+
+@given(st.data())
+def test_extend_to_complement_matches_the_greedy_reference(data):
+    width = data.draw(st.integers(1, 6))
+    allowed = data.draw(st.lists(st.integers(0, width - 1), max_size=width + 2))
+    support = sorted(set(allowed))
+    coords = st.lists(st.one_of(st.integers(-2, 2), rat_entries),
+                      min_size=len(support), max_size=len(support))
+    inner = []
+    for xs in data.draw(st.lists(coords, max_size=len(support))):
+        row = [0] * width
+        for j, x in zip(support, xs):
+            row[j] = x
+        inner.append(row)
+    assert extend_to_complement(SubspaceBasis.span(width, inner), allowed).vectors == \
+        ref_complement(width, inner, allowed)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices, a third of them invertible and a third singular by design."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(rat_entries, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["any", "invertible", "singular"]))
+    if shape == "invertible":
+        # a permuted upper triangle with a nonzero diagonal, then row additions
+        upper = [[0] * i + [draw(rat_entries.filter(bool))] + rows[i][i + 1:] for i in range(n)]
+        rows = draw(st.permutations(upper))
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+        for i, j, c in draw(st.lists(ops, max_size=n)):
+            if i != j:
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    elif shape == "singular":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(n)]
+    return Mat.from_rows(rows)
+
+
+@given(square_matrices())
+def test_invert_and_alpha_surjectivity_match_the_reference_rank(m):
+    n = m.rows
+    full = len(ref_span(n, m.entries)) == n
+    if full:
+        assert invert(m) @ m == Mat.identity(n) == m @ invert(m)
+    else:
+        with pytest.raises(ValueError):
+            invert(m)
+    assert is_alpha_surjective(NHomAlgebra(2, n, (0,) * n, {}, m)) == full
+
+
 def test_kernel_of_a_row_whose_left_to_right_nullspace_is_not_reduced():
     # eliminating left to right frees columns 1 and 2, and the vector of
     # column 1, (-1, 1, 0), leads at column 0: it is not reduced
@@ -579,11 +642,8 @@ def test_the_constructor_rejects_rows_not_in_canonical_form():
 
 
 def test_reduced_rows_are_primitive():
-    # clearing column 1 from (2, 1) with the pivot row (0, 1) leaves (2, 0)
-    ech = Echelon(2)
-    ech.add_int([0, 2])
-    ech.add_int([2, 1])
-    assert ech.reduced() == [(0, [1, 0]), (1, [0, 1])]
+    # clearing column 1 from (2, 1) with the row (0, 1) leaves (2, 0)
+    assert SubspaceBasis.span(2, [(0, 2), (2, 1)]).rows == ((1, 0), (0, 1))
 
 
 def test_floats_are_rejected_where_vectors_come_in():
