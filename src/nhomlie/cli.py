@@ -16,7 +16,7 @@ from .io import (
     PrecheckError,
     SchemaError,
     canonical_json,
-    digest_file,
+    digest_bytes,
     dims_doc,
     endospace_doc,
     parse_algebra,
@@ -55,8 +55,18 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _load(path):
+    """The algebra at ``path`` and the SHA-256 of the bytes it was parsed from.
+
+    The file is read once, so a pipe is hashed as it was parsed.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return parse_algebra(path, raw), digest_bytes(raw)
+
+
 def _cmd_validate(args) -> int:
-    alg = parse_algebra(args.file)
+    alg, digest = _load(args.file)
     report = validate(alg)
     body = {
         "validation": {
@@ -72,14 +82,13 @@ def _cmd_validate(args) -> int:
             ],
         }
     }
-    doc = report_envelope("validate", args.file, digest_file(args.file),
-                          body, report.all_ok)
+    doc = report_envelope("validate", args.file, digest, body, report.all_ok)
     _emit(canonical_json(doc), args.out)
     return 0 if report.all_ok else 1
 
 
 def _cmd_center(args) -> int:
-    alg = parse_algebra(args.file)
+    alg, digest = _load(args.file)
     even, odd = center(alg)
     body = {
         "center": {
@@ -87,13 +96,13 @@ def _cmd_center(args) -> int:
             "odd": {"dim": odd.dim, "basis": subspace_doc(odd)},
         }
     }
-    doc = report_envelope("center", args.file, digest_file(args.file), body, True)
+    doc = report_envelope("center", args.file, digest, body, True)
     _emit(canonical_json(doc), args.out)
     return 0
 
 
 def _cmd_solve(args) -> int:
-    alg = parse_algebra(args.file)
+    alg, digest = _load(args.file)
     kind = Kind(args.kind)
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
     docs = []
@@ -113,13 +122,13 @@ def _cmd_solve(args) -> int:
                 entry = rendered[key] = endospace_doc(space)
             docs.append({**entry, "k": k})
     body = {"dims": dims_doc(sorted(dims)), "spaces": docs}
-    doc = report_envelope("solve", args.file, digest_file(args.file), body, True)
+    doc = report_envelope("solve", args.file, digest, body, True)
     _emit(canonical_json(doc), args.out)
     return 0
 
 
 def _cmd_props(args) -> int:
-    alg = parse_algebra(args.file)
+    alg, digest = _load(args.file)
     if not validate(alg).all_ok:
         print("input algebra does not satisfy its axioms", file=sys.stderr)
         return 2
@@ -136,7 +145,7 @@ def _cmd_props(args) -> int:
         "dims": dims_doc(solved_dims(alg, args.kmax)),
         "propositions": [prop_report_doc(r) for r in reports],
     }
-    doc = report_envelope("props", args.file, digest_file(args.file), body, passed)
+    doc = report_envelope("props", args.file, digest, body, passed)
     _emit(canonical_json(doc), args.out)
     return 0 if passed else 1
 
@@ -152,14 +161,14 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    alg = parse_algebra(args.file)
+    alg, digest = _load(args.file)
     if not validate(alg).all_ok:
         print("input algebra does not satisfy its axioms", file=sys.stderr)
         return 2
     reports = [check_prop42(alg, args.kmax), check_prop43(alg, args.kmax)]
     passed = all(r.passed for r in reports)
     body = {"propositions": [prop_report_doc(r) for r in reports]}
-    doc = report_envelope("decompose", args.file, digest_file(args.file), body, passed)
+    doc = report_envelope("decompose", args.file, digest, body, passed)
     _emit(canonical_json(doc), args.out)
     return 0 if passed else 1
 

@@ -163,9 +163,11 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
     return NHomAlgebra(arity, dim, parity, table, alpha, name=name)
 
 
-def parse_algebra(path) -> NHomAlgebra:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def parse_algebra(path, raw: bytes | None = None) -> NHomAlgebra:
+    """The algebra in the JSON file ``path``; ``raw`` is its content, if already read."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     # bytes that are not UTF-8 and nesting too deep for the decoder are
     # unusable input too, not a failed check
     try:
@@ -202,11 +204,6 @@ def serialize_algebra(alg: NHomAlgebra) -> str:
 
 def digest_bytes(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
-
-
-def digest_file(path) -> str:
-    with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -236,12 +236,7 @@ def _int_row(row: Sequence) -> list[int]:
 
 def _primitive(row: list[int]) -> list[int]:
     """``row`` divided by the gcd of its entries (a zero row as it is)."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
+    g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 

@@ -24,30 +24,35 @@ RREF and projected onto the leading block; the witness blocks of the rows
 that lead in it are the witness representatives aligned with the returned
 basis, kept for reporting and for the extension embedding.
 
-``_EQUATIONS`` is the one description of these identities; :func:`_rows`
-turns it into rows for :func:`solve`, for the QDer/GDer witness system and
-for the extension's witness slack.  The rows are integer numerators built
-from the structure tensor through :func:`~nhomlie.algebra.bracket_ints`:
-every equation row is over the tensor's denominator times
-den(alpha^k)^(n-1), and every commutation row over den(alpha).
-The slot-s bracket of unknown column (j, t[s]) does not depend on t[s], so
-each :func:`_rows` call builds it once under the key (s, t[:s], t[s+1:])
-and j: at most n d^n sparse vectors per call, freed with its iterator.
-:func:`in_space` re-evaluates each
-definition on the integer structure tensor through
-:func:`~nhomlie.algebra.bracket_ints` without reading the table, so it is a
-cross-check of the table rather than a copy of it; only the witness blocks
-it solves for come from the table.
+``_EQUATIONS`` is the one description of these identities, with each
+kind's tuple symmetry: the slot from which a basis tuple may be sorted
+without changing the row space (all of t for Der, C, QC and QDer, t[1:]
+for ZDer, none for GDer).  :func:`_rows` turns it into rows: over the
+weakly increasing representatives for :func:`solve`, and over every tuple
+for the QDer/GDer witness system and the extension's witness slack, whose
+right-hand sides cover every tuple.  The rows are integer numerators built from the structure tensor through
+:func:`~nhomlie.algebra.bracket_ints`: every equation row is over the
+tensor's denominator times den(alpha^k)^(n-1), and every commutation row
+over den(alpha).  Each (tuple, equation) is summed sparsely, component by
+component, and only its nonzero components become dense rows.  The slot-s
+bracket of unknown column (j, t[s]) does not depend on t[s], so each
+:func:`_rows` call builds it once under the key (s, t[:s], t[s+1:]) and j:
+at most n d^n sparse vectors per call, freed with its iterator.
+:func:`in_space` re-evaluates each definition over every tuple on the
+integer structure tensor through :func:`~nhomlie.algebra.bracket_ints`
+without reading the table, so it is a cross-check of the table rather
+than a copy of it; only the witness blocks it solves for come from the
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Sequence
+from itertools import combinations_with_replacement, product
+from typing import Callable, NamedTuple, Sequence
 
-from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
+from .algebra import NHomAlgebra, _flat_index, apply_ints, bracket_ints, sparse_columns
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -140,22 +145,39 @@ def _prefix_signs(alg: NHomAlgebra, t: tuple[int, ...], xi: int) -> list[int]:
     return signs
 
 
-# Each kind's defining identities: kind -> arity -> (block count, equations).
-# An equation holds for every basis tuple t; it is a list of terms
-# (block b, slot s, coefficient c).  A slot term is c times the prefix sign
-# of slot s times [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}];
-# a VALUE term is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block
-# also commutes with alpha.
+# Each kind's defining identities: kind -> (arity -> (block count,
+# equations), sorted_from).  An equation holds for every basis tuple t; it is
+# a list of terms (block b, slot s, coefficient c).  A slot term is c times
+# the prefix sign of slot s times
+# [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}]; a VALUE term
+# is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block also commutes with
+# alpha.  ``sorted_from`` is the tuple symmetry: the first slot from which t
+# may be sorted without changing the row space (see :func:`_rows`), None if
+# none may be.  Der, C, QC and QDer sort all of t, ZDer only t[1:] (its
+# slot-0 term singles out slot 0), GDer nothing (each slot has its own
+# block).  Only :func:`solve` reads representatives; the witness systems,
+# :func:`in_space` and the dense oracle visit every tuple.
 VALUE = None
 
+
+class _Identities(NamedTuple):
+    equations: Callable[[int], tuple[int, list]]
+    sorted_from: int | None
+
+    def __call__(self, n: int) -> tuple[int, list]:
+        return self.equations(n)
+
+
 _EQUATIONS = {
-    Kind.OMEGA: lambda n: (1, []),
-    Kind.DER: lambda n: (1, [[(0, s, 1) for s in range(n)] + [(0, VALUE, -1)]]),
-    Kind.ZDER: lambda n: (1, [[(0, 0, 1)], [(0, VALUE, 1)]]),
-    Kind.C: lambda n: (1, [[(0, s, 1), (0, VALUE, -1)] for s in range(n)]),
-    Kind.QC: lambda n: (1, [[(0, 0, 1), (0, s, -1)] for s in range(1, n)]),
-    Kind.QDER: lambda n: (2, [[(0, s, 1) for s in range(n)] + [(1, VALUE, -1)]]),
-    Kind.GDER: lambda n: (n + 1, [[(s, s, 1) for s in range(n)] + [(n, VALUE, -1)]]),
+    Kind.OMEGA: _Identities(lambda n: (1, []), None),
+    Kind.DER: _Identities(lambda n: (1, [[(0, s, 1) for s in range(n)] + [(0, VALUE, -1)]]), 0),
+    Kind.ZDER: _Identities(lambda n: (1, [[(0, 0, 1)], [(0, VALUE, 1)]]), 1),
+    Kind.C: _Identities(lambda n: (1, [[(0, s, 1), (0, VALUE, -1)] for s in range(n)]), 0),
+    Kind.QC: _Identities(lambda n: (1, [[(0, 0, 1), (0, s, -1)] for s in range(1, n)]), 0),
+    Kind.QDER: _Identities(lambda n: (2, [[(0, s, 1) for s in range(n)] + [(1, VALUE, -1)]]),
+                           0),
+    Kind.GDER: _Identities(
+        lambda n: (n + 1, [[(s, s, 1) for s in range(n)] + [(n, VALUE, -1)]]), None),
 }
 
 
@@ -181,19 +203,49 @@ def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
     return rows
 
 
-def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
+def _tuples(d: int, n: int, sorted_from: int | None):
+    """Basis n-tuples in product order; with ``sorted_from`` set, only those
+    weakly increasing from that slot on."""
+    if sorted_from is None:
+        return product(range(d), repeat=n)
+    return (head + tail for head in product(range(d), repeat=sorted_from)
+            for tail in combinations_with_replacement(range(d), n - sorted_from))
+
+
+def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False):
     """Integer rows of the equations of ``kind`` over its vectorized blocks.
 
-    Rows come tuple by tuple, then equation by equation, then component by
-    component, followed by the commutation rows of every block not in
-    ``known``.  Terms of the ``known`` blocks are left out.  Without known
-    blocks only nonzero rows are kept; with them all d rows of each
-    (tuple, equation) are kept, so a right-hand side computed for the known
-    blocks lines up with the rows.  Every equation row is the rational row
-    times one factor, the tensor's denominator times den(alpha^k)^(n-1), and
-    rows are not normalized one by one, so such a right-hand side needs only
-    to share that factor.  Returns (an iterator over the rows, block count,
-    positions); ``solve`` consumes the rows as they are built.
+    Rows come tuple by tuple in product order, then equation by equation,
+    then component by component, followed by the commutation rows of every
+    block not in ``known``.  Terms of the ``known`` blocks are left out.
+    Without known blocks only nonzero rows are kept; with them all d rows of
+    each (tuple, equation) are kept, so a right-hand side computed for the
+    known blocks lines up with the rows.  Every equation row is the rational
+    row times one factor, the tensor's denominator times den(alpha^k)^(n-1),
+    and rows are not normalized one by one, so such a right-hand side needs
+    only to share that factor.  Returns (an iterator over the rows, block
+    count, positions); ``solve`` consumes the rows as they are built.
+
+    With ``reduced``, only the representative tuples are visited: those
+    weakly increasing from the kind's ``sorted_from`` slot on (every tuple
+    when that is None).  The row space does not change.  Swap the adjacent
+    entries t_i and t_{i+1} (both at or after ``sorted_from``).  By the
+    graded skew symmetry of the bracket, the VALUE term gets the factor
+    -(-1)^(|e_{t_i}| |e_{t_{i+1}}|), and so does a slot term with the
+    unknown in neither slot (alpha^k is even, so its images keep the
+    parities of their arguments).  A slot term with the unknown in slot i
+    or i + 1 becomes the term of the other slot: the graded swap adds
+    (-1)^(xi |e|), e the entry that moves across the unknown, and the prefix
+    sign changes by the same (-1)^(xi |e|), so the factor is again the
+    common one.  A permutation of t therefore permutes the slot terms of
+    each equation and keeps its VALUE term, all times one sign.  Each
+    permuted equation is then plus or minus a representative's equation
+    (Der and QDer sum their slot terms; C's slot s goes to another slot;
+    ZDer keeps slot 0 in place) or, for QC, a difference of two of them:
+    slot a minus slot b is (slot 0 minus slot b) minus (slot 0 minus
+    slot a).  :func:`~nhomlie.linalg.kernel` returns the canonical form of
+    the nullspace, so equal row spaces give equal bases.  The witness
+    systems (with ``known`` blocks) need every tuple and stay full.
 
     The slot-s term of unknown column (j, t[s]) is the bracket
     [alpha^k e_{t_0}, ..., e_j, ..., alpha^k e_{t_{n-1}}], which does not
@@ -203,10 +255,14 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
     only); the equation's coefficient is applied after the lookup.  The
     memo holds at most n d^n sparse vectors (d^n for ZDer, whose only slot
     term is slot 0) and lives as long as the iterator, so nothing is kept
-    on ``alg``.
+    on ``alg``.  Each (tuple, equation) is summed in one sparse dict per
+    component, and a dense row is made only for a component that is not
+    zero (for every component with known blocks).
     """
     d, n = alg.dim, alg.arity
-    nblocks, equations = _EQUATIONS[kind](n)
+    identities = _EQUATIONS[kind]
+    nblocks, equations = identities(n)
+    tuples = _tuples(d, n, identities.sorted_from if reduced else None)
     pos = allowed_positions(alg.parity, xi)
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
@@ -224,18 +280,21 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
 
     def rows():
         memo = {}  # (s, t[:s], t[s+1:]) -> {j: signed sparse slot bracket}
-        for value, t in zip(values, product(range(d), repeat=n)):
+        for t in tuples:
+            value = values[_flat_index(t, d)]
             signs = _prefix_signs(alg, t, xi)
             for eq in equations:
-                block_rows = [[0] * width for _ in range(d)]
+                comps = [{} for _ in range(d)]  # component -> {column: coefficient}
                 for b, s, c in eq:
                     if b in known:
                         continue
                     off = b * npos
                     if s is VALUE:
                         for j, v in value:
+                            x = c * v * lift
                             for l, m in colpos[j]:
-                                block_rows[l][off + m] += c * v * lift
+                                comp = comps[l]
+                                comp[off + m] = comp.get(off + m, 0) + x
                         continue
                     cols = colpos[t[s]]
                     if not cols:
@@ -252,9 +311,16 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=()):
                             acc = [0] * d
                             bracket_ints(alg, acc, args, signs[s])
                             vec = slot[j] = tuple((l, x) for l, x in enumerate(acc) if x)
+                        col = off + m
                         for l, x in vec:
-                            block_rows[l][off + m] += c * x
-                yield from (block_rows if known else (r for r in block_rows if any(r)))
+                            comp = comps[l]
+                            comp[col] = comp.get(col, 0) + c * x
+                for comp in comps:
+                    if known or any(comp.values()):
+                        row = [0] * width
+                        for col, x in comp.items():
+                            row[col] = x
+                        yield row
         for b in range(nblocks):
             if b not in known:
                 yield from _commutation_rows(alg, posidx, width, b * npos)
@@ -285,7 +351,10 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     if hit is not None:
         return EndoSubspace(kind, k, xi, hit.basis, hit.witnesses)
     d = alg.dim
-    rows, nblocks, pos = _rows(alg, kind, k, xi)
+    # the tuple symmetry of _rows needs an even alpha; an input that breaks
+    # that axiom (solve does not validate) is solved over every tuple
+    rows, nblocks, pos = _rows(alg, kind, k, xi,
+                               reduced=is_homogeneous(alg.parity, 0, alg.alpha))
     npos = len(pos)
     width = nblocks * npos
     # RREF the joint solution space with the leading block first: rows

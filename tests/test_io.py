@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import pathlib
 from fractions import Fraction
 
@@ -201,6 +203,24 @@ class TestCli:
         for s in spaces:
             assert s == {**spaces[3 * s["xi"]], "k": s["k"]}
             assert s["basis"] and "witnesses" in s
+
+    @pytest.mark.parametrize("argv", [["validate"], ["solve", "--kind", "Der", "--kmax", "0"]])
+    def test_digest_is_of_the_bytes_parsed(self, argv, capsys):
+        # a pipe can be read only once: the digest must not re-read the path
+        raw = (DATA / "aff1.json").read_bytes()
+        assert main([argv[0], str(DATA / "aff1.json"), *argv[1:]]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert from_file["input"]["digest"] == hashlib.sha256(raw).hexdigest()
+        r, w = os.pipe()
+        try:
+            os.write(w, raw)
+            os.close(w)
+            assert main([argv[0], f"/dev/fd/{r}", *argv[1:]]) == 0
+        finally:
+            os.close(r)
+        piped = json.loads(capsys.readouterr().out)
+        assert piped["input"]["digest"] == hashlib.sha256(raw).hexdigest()
+        assert {**piped, "input": None} == {**from_file, "input": None}
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/algebra.json"]) == 2

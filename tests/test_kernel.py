@@ -6,7 +6,8 @@
 ``Fraction`` arithmetic, with the QDer/GDer witnesses solved for by rank.
 The solver's integer constraint rows are compared with the same rows built
 in ``Fraction`` arithmetic through ``bracket``, scaled by the one
-denominator the witness system relies on.
+denominator the witness system relies on, and the rows ``solve`` reads,
+over tuple-orbit representatives only, with the rows over every tuple.
 The algebras are aff1, homaff1, super2 and threeLie4, three Heisenberg
 algebras on which QDer and GDer are proper subspaces of Omega (so their
 witness systems can fail), and a copy of each transported through
@@ -26,8 +27,9 @@ from hypothesis import given, settings
 
 from nhomlie import solver
 from nhomlie.algebra import NHomAlgebra, bracket, transport
+from nhomlie.extension import build_check
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
-from nhomlie.linalg import Mat
+from nhomlie.linalg import Mat, SubspaceBasis, kernel
 from nhomlie.solver import (
     _EQUATIONS,
     TUPLE_KINDS,
@@ -410,3 +412,66 @@ def test_rows_build_each_slot_bracket_once(name, kind, monkeypatch):
         list(_rows(alg, kind, k, xi, known)[0])
         assert len(calls) <= min(bound, per_term), (k, xi, known)
         assert bool(calls) == bool(per_term), (k, xi, known)
+
+
+def _orbit_algebras():
+    return {**ALGEBRAS, "ext(threeLie4)": build_check(threeLie4()).ext}
+
+
+ORBIT_ALGEBRAS = _orbit_algebras()
+
+
+def is_representative(t, sorted_from):
+    return sorted_from is None or list(t[sorted_from:]) == sorted(t[sorted_from:])
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("name", sorted(ORBIT_ALGEBRAS))
+def test_rows_over_representatives_span_the_full_rows(name, kind):
+    # sorting a tuple only permutes the slot terms of its equations, with
+    # one sign, so the representatives' rows span every tuple's rows
+    alg = ORBIT_ALGEBRAS[name]
+    for k, xi in product(range(3), (0, 1)):
+        full, nblocks, pos = _rows(alg, kind, k, xi)
+        full = list(full)
+        reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
+        width = nblocks * len(pos)
+        assert SubspaceBasis.span(width, reduced) == SubspaceBasis.span(width, full), (k, xi)
+        assert kernel(reduced, width) == kernel(full, width), (k, xi)
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind, monkeypatch):
+    # the full path is pinned to the Fraction reference above; fed only the
+    # representative tuples, in product order, it must give the reduced stream
+    alg = ALGEBRAS[name]
+    sorted_from = _EQUATIONS[kind].sorted_from
+    if kind is Kind.GDER:
+        assert sorted_from is None
+    reps = [t for t in product(range(alg.dim), repeat=alg.arity)
+            if is_representative(t, sorted_from)]
+    for k, xi in product(range(3), (0, 1)):
+        reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_tuples", lambda d, n, start: iter(reps))
+            expected = list(_rows(alg, kind, k, xi)[0])
+        assert reduced == expected, (k, xi)
+        if kind is Kind.GDER:
+            assert reduced == list(_rows(alg, kind, k, xi)[0]), (k, xi)
+
+
+def test_odd_alpha_is_solved_over_every_tuple():
+    # the tuple symmetry needs an even alpha; solve does not validate, so an
+    # input with an odd alpha entry keeps the answer of the full system
+    alpha = Mat.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    alg = NHomAlgebra(3, 3, (0, 1, 1), {(0, 1, 2): (0, 0, -1)}, alpha)
+    rows, nblocks, pos = _rows(alg, Kind.QDER, 1, 0)
+    width = nblocks * len(pos)
+    full = kernel(rows, width)
+    assert kernel(_rows(alg, Kind.QDER, 1, 0, reduced=True)[0], width) != full
+    npos = len(pos)
+    projected = SubspaceBasis.span(npos, [v[:npos] for v in full])
+    space = solve(alg, Kind.QDER, 1, 0)
+    assert SubspaceBasis.span(npos, [[g.mat.ints[0][r][c] for r, c in pos]
+                                     for g in space.basis]) == projected
