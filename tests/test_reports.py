@@ -53,10 +53,20 @@ DIGESTS = {
     "decompose-threeLie4": "1f1e4068b260add931d35106aaade07a8c2528b4182c3c5dbd2090c780545757",
     "extend-threeLie4": "347d67a27dc4adef6d01db3bd8ce611ca5719738e2ebdb7043a4bef865b5cba1",
     "props-abelian2": "11466554d832bcf53ae1b170c01291b28a4a6347b22e79100830dc36d6302bb7",
+    "props-abelian2~": "c047e865707caffee3e91d527ff684bae68b63df1228ab82d00a0eb050946962",
+    "props-abelian2~mixed": "7d756d8c0ceb559f73b569d691477b22b0cd7a5f485f9eaa78b86fd32b398e8a",
     "props-aff1": "62ce1700828f841b194ee334d71225913963e1d8a1a23def9f9279cc361c9edb",
+    "props-aff1~": "36f324a01b47e0e45c07863c14b16bbcdae5656f41a0802742ddc207ad0f58d7",
+    "props-aff1~mixed": "13ee96b99288398943a1d0ceeec16c676e085ef15871785721eedc501000feb6",
     "props-homaff1": "b875698202b75b828916859e4bb08dea9332711e92207c533392e26c7fa96401",
+    "props-homaff1~": "26ebde5f9a3cd716a9ea0216f0b54b7999ab6239daaef9a361b76f242d427cbb",
+    "props-homaff1~mixed": "ef665d3ab76d463f791b59f40c888755020654cd7d9c3e78dd7f086630db65ce",
     "props-super2": "3bcb26ec89ec1ecfce533a4eebf2ea5d57b11d3df9d8ff180f52c1269ed4f341",
+    "props-super2~": "62d3c30cdb1e741e61773ba2cf8e3d85d334265361fa4151c6205f06bc8b4be1",
+    "props-super2~mixed": "26ffd180d69e82e7b78ae3c2f2d7318defd02edc1b3f7bc0348f07a0fc011cce",
     "props-threeLie4": "6b9f179b05e2268362f1caf513cf1f5718e636158a1f6f861e53e12668fe207d",
+    "props-threeLie4~": "de7aba1b818431fbd37a4bff987f72b43125eb57980719fd602bd1ede41c5c7e",
+    "props-threeLie4~mixed": "5d9e9647cd8d4e52a383c099f596e1f3302fcc937466aaf4854f1731265ed486",
     "solve-C-abelian2": "f0afcc1b16f7a24dc344dcf1a27747215642c9abadabaeaf299abe76ffe8d402",
     "solve-C-abelian2~": "10908b8a9bc690380b0a61d8228ace1d91302b54e21d44d471db8cb490279393",
     "solve-C-abelian2~mixed": "efa3cfa9e5419a541f1ab07af68eb5a2688ea96e46edfb439136e4b444446a19",
@@ -179,7 +189,8 @@ def _cases():
         for source in (name, name + "~", name + "~mixed"):
             for kind in Kind:
                 yield f"solve-{kind.value}-{source}", ["solve", "--kind", kind.value, "--kmax", "2"]
-        yield f"props-{name}", ["props", "--kmax", "2"]
+        for source in (name, name + "~", name + "~mixed"):
+            yield f"props-{source}", ["props", "--kmax", "2"]
         yield f"decompose-{name}", ["decompose", "--kmax", "2"]
     yield "extend-threeLie4", ["extend"]
 
