@@ -12,22 +12,21 @@ basis order within a grade.  The witness is the failing grade and the
 offending matrix.  Claims over the commutant report the first failing pair
 or quadruple in the order they are enumerated.
 
-Values are memoized only within one check.  Solved bases are kept per
-kind, twist level and parity.  Prop 3.8 keys its values on the commutant
-basis by basis index: each twist, each Jordan product of an ordered pair
-(shared by the supercommutativity and Hom-Jordan claims) and each
-associator term is evaluated once, whichever quadruples share it.
-Sampled random quadruples are computed afresh.
+Each check caches the operations it applies (bracket, composition, twist,
+Jordan product, associator term) on the values of their operands, so an
+operation is evaluated once per distinct operand tuple, whichever grades,
+claims or quadruples share it; the caches are dropped when the check
+returns.  Solved bases are kept per kind, twist level and parity.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
+from functools import cache, partial
+from itertools import product, starmap
 
-from .algebra import NHomAlgebra, center, is_alpha_surjective, transport, validate
+from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport, validate
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -168,38 +167,43 @@ def _nowhere(g):
     return None, None
 
 
-def _values(spaces, op, memo: dict):
-    """``op`` on every tuple of basis elements, one from each input space.
-
-    Values are memoized on the spaces' keys and the basis indices.
-    """
-    keys = tuple(key for key, _ in spaces)
-    bases = [basis for _, basis in spaces]
-    for idx in product(*(range(len(basis)) for basis in bases)):
-        value = memo.get((keys, idx))
-        if value is None:
-            value = memo[keys, idx] = op(*(basis[i] for basis, i in zip(bases, idx)))
-        yield value
+def _total(g):
+    """The total grade (k, xi) of g, as target key and as target."""
+    grade = (sum(g[0::2]), sum(g[1::2]) % 2)
+    return grade, grade
 
 
-def _first_failure(grades, inputs, target, op, holds, memo: dict):
-    """The closure-check loop shared by every grade-indexed claim.
+def _values(spaces, op):
+    """``op`` on every tuple of basis elements, one from each input space."""
+    return starmap(op, product(*(basis for _, basis in spaces)))
 
-    For each grade ``g`` in order, ``op`` is applied to basis elements of
-    the spaces ``inputs(g)`` and each value must satisfy ``holds(t, value)``
-    for ``(key, t) = target(g)``.  A grade whose input and target keys all
-    match an earlier grade's would repeat its checks and is skipped.
-    Returns ``(g, value)`` for the first failure, or None.
+
+def _distinct(grades, inputs, target):
+    """``(g, inputs(g), t)`` for each grade in order, with ``(key, t) = target(g)``.
+
+    A grade whose input and target keys all match an earlier grade's
+    would repeat its checks and is skipped.
     """
     seen = set()
     for g in grades:
         spaces = inputs(g)
         tkey, t = target(g)
         key = (tuple(k for k, _ in spaces), tkey)
-        if key in seen:
-            continue
-        seen.add(key)
-        for value in _values(spaces, op, memo):
+        if key not in seen:
+            seen.add(key)
+            yield g, spaces, t
+
+
+def _first_failure(grades, inputs, target, op, holds):
+    """The closure-check loop shared by every grade-indexed claim.
+
+    For each distinct grade ``g`` in order, ``op`` is applied to basis
+    elements of the spaces ``inputs(g)`` and each value must satisfy
+    ``holds(t, value)``.  Returns ``(g, value)`` for the first failure,
+    or None.
+    """
+    for g, spaces, t in _distinct(grades, inputs, target):
+        for value in _values(spaces, op):
             if not holds(t, value):
                 return g, value
     return None
@@ -220,23 +224,20 @@ def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
     _require_valid(alg)
     sp = _Spaces(alg, kmax)
-    brackets: dict = {}
-
-    def twist(endo):
-        return alpha_twist(alg, endo)
+    bracket = cache(supercommutator)
+    twist = cache(partial(alpha_twist, alg))
 
     claims = []
     for kind in (Kind.GDER, Kind.QDER, Kind.C):
         claims.append(_claim(f"31.1.{kind.value}.bracket", _first_failure(
-            _grades(kmax), sp.inputs(kind, kind), sp.into(kind), supercommutator,
-            sp.member, brackets)))
+            _grades(kmax), sp.inputs(kind, kind), sp.into(kind), bracket, sp.member)))
         claims.append(_claim(f"31.1.{kind.value}.twist", _first_failure(
-            _levels(kmax - 1), sp.inputs(kind), sp.into(kind, 1), twist, sp.member, {})))
+            _levels(kmax - 1), sp.inputs(kind), sp.into(kind, 1), twist, sp.member)))
     claims.append(_claim("31.2.ZDer.ideal", _first_failure(
-        _grades(kmax), sp.inputs(Kind.DER, Kind.ZDER), sp.into(Kind.ZDER), supercommutator,
-        sp.member, brackets)))
+        _grades(kmax), sp.inputs(Kind.DER, Kind.ZDER), sp.into(Kind.ZDER), bracket,
+        sp.member)))
     claims.append(_claim("31.2.ZDer.twist", _first_failure(
-        _levels(kmax - 1), sp.inputs(Kind.ZDER), sp.into(Kind.ZDER, 1), twist, sp.member, {})))
+        _levels(kmax - 1), sp.inputs(Kind.ZDER), sp.into(Kind.ZDER, 1), twist, sp.member)))
     return _report("3.1", claims, solved_dims(alg, kmax))
 
 
@@ -245,47 +246,37 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     _require_valid(alg)
     n = alg.arity
     sp = _Spaces(alg, kmax)
-    brackets: dict = {}
+    bracket = cache(supercommutator)
     claims = []
 
-    def pair_claim(cid, kind_a, kind_b, target, op, memo):
+    def pair_claim(cid, kind_a, kind_b, target, op):
         claims.append(_claim(cid, _first_failure(
-            _grades(kmax), sp.inputs(kind_a, kind_b), sp.into(target), op, sp.member, memo)))
+            _grades(kmax), sp.inputs(kind_a, kind_b), sp.into(target), op, sp.member)))
 
     def qder_with_witness(target, da):
         return sp.member(target, da) and qder_identity_holds(alg, *target[1:], da,
                                                              da.mat.scale(n))
 
-    pair_claim("32.1.[Der,C]_in_C", Kind.DER, Kind.C, Kind.C, supercommutator, brackets)
-    pair_claim("32.2.[QDer,QC]_in_QC", Kind.QDER, Kind.QC, Kind.QC, supercommutator, brackets)
-    pair_claim("32.3.C.Der_in_Der", Kind.C, Kind.DER, Kind.DER, compose, {})
+    pair_claim("32.1.[Der,C]_in_C", Kind.DER, Kind.C, Kind.C, bracket)
+    pair_claim("32.2.[QDer,QC]_in_QC", Kind.QDER, Kind.QC, Kind.QC, bracket)
+    pair_claim("32.3.C.Der_in_Der", Kind.C, Kind.DER, Kind.DER, cache(compose))
     claims.append(_claim("32.4.C_in_QDer", _first_failure(
-        _levels(kmax), sp.inputs(Kind.C), sp.into(Kind.QDER), _same, qder_with_witness, {}),
+        _levels(kmax), sp.inputs(Kind.C), sp.into(Kind.QDER), _same, qder_with_witness),
         detail="witness n*D verified"))
-    pair_claim("32.5.[QC,QC]_in_QDer", Kind.QC, Kind.QC, Kind.QDER, supercommutator, brackets)
+    pair_claim("32.5.[QC,QC]_in_QDer", Kind.QC, Kind.QC, Kind.QDER, bracket)
     claims.append(_claim("32.6.QDer+QC_in_GDer", _first_failure(
         _levels(kmax), sp.inputs((Kind.QDER, Kind.QC)), sp.into(Kind.GDER), _same,
-        sp.member, {})))
+        sp.member)))
     return _report("3.2", claims, solved_dims(alg, kmax))
 
 
-def _qc_plus_brackets(sp: _Spaces, kmax: int, brackets: dict):
+def _qc_plus_brackets(sp: _Spaces, kmax: int, bracket):
     """Graded pieces of QC + [QC, QC], as flattened-matrix subspaces."""
-    d2 = sp.alg.dim ** 2
-    qc_pairs = sp.inputs(Kind.QC, Kind.QC)
-    pieces: dict[tuple[int, int], SubspaceBasis] = {}
-    for k, xi in _levels(kmax):
-        vecs = [g.mat.flat_ints() for g in sp.basis(Kind.QC, k, xi)[1]]
-        seen = set()
-        for g in _grades(kmax):
-            spaces = qc_pairs(g)
-            keys = tuple(key for key, _ in spaces)
-            if g[0] + g[2] != k or (g[1] + g[3]) % 2 != xi or keys in seen:
-                continue
-            seen.add(keys)
-            vecs.extend(c.mat.flat_ints() for c in _values(spaces, supercommutator, brackets))
-        pieces[(k, xi)] = SubspaceBasis.span(d2, vecs)
-    return pieces
+    vecs = {grade: [g.mat.flat_ints() for g in sp.basis(Kind.QC, *grade)[1]]
+            for grade in _levels(kmax)}
+    for _, spaces, grade in _distinct(_grades(kmax), sp.inputs(Kind.QC, Kind.QC), _total):
+        vecs[grade].extend(c.mat.flat_ints() for c in _values(spaces, bracket))
+    return {grade: SubspaceBasis.span(sp.alg.dim ** 2, v) for grade, v in vecs.items()}
 
 
 def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
@@ -293,8 +284,8 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     _require_valid(alg)
     d = alg.dim
     sp = _Spaces(alg, kmax)
-    brackets: dict = {}
-    pieces = _qc_plus_brackets(sp, kmax, brackets)
+    bracket = cache(supercommutator)
+    pieces = _qc_plus_brackets(sp, kmax, bracket)
     # a piece's key is the first grade of its parity holding an equal piece
     keyed = {}
     for (k, xi), piece in pieces.items():
@@ -303,15 +294,15 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
                                                 for v in piece.rows))
 
     def into_piece(g):
-        grade = (g[0] + g[2], (g[1] + g[3]) % 2)
+        grade = _total(g)[0]
         return keyed[grade][0], pieces[grade]
 
     claims = [
         _claim("33.S_in_GDer", _first_failure(
-            _levels(kmax), lambda g: (keyed[g],), sp.into(Kind.GDER), _same, sp.member, {})),
+            _levels(kmax), lambda g: (keyed[g],), sp.into(Kind.GDER), _same, sp.member)),
         _claim("33.S_bracket_closed", _first_failure(
-            _grades(kmax), lambda g: (keyed[g[:2]], keyed[g[2:]]), into_piece, supercommutator,
-            lambda piece, c: contains(piece, c.mat.flat_ints()), brackets)),
+            _grades(kmax), lambda g: (keyed[g[:2]], keyed[g[2:]]), into_piece, bracket,
+            lambda piece, c: contains(piece, c.mat.flat_ints()))),
     ]
     return _report("3.3", claims, solved_dims(alg, kmax))
 
@@ -332,14 +323,14 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     z_even, z_odd = center(alg)
     z_full = subspace_sum(z_even, z_odd)
     sp = _Spaces(alg, kmax)
-    brackets: dict = {}
+    bracket = cache(supercommutator)
     inputs = sp.inputs(Kind.C, Kind.QC)
 
     def outside_center(c):
         return [j for j, col in enumerate(zip(*c.mat.ints[0])) if not contains(z_full, col)]
 
-    bad = _first_failure(_grades(kmax, 2 * kmax), inputs, _nowhere, supercommutator,
-                         lambda _, c: not outside_center(c), brackets)
+    bad = _first_failure(_grades(kmax, 2 * kmax), inputs, _nowhere, bracket,
+                         lambda _, c: not outside_center(c))
     if bad is None:
         claims.append(Claim("34.1.image_in_center", "pass"))
     else:
@@ -348,61 +339,26 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
                             witness=(g + (outside_center(c)[0],), _mat_witness(c.mat))))
     if z_full.dim == 0:
         claims.append(_claim("34.2.zero_when_centerless", _first_failure(
-            _grades(kmax, 2 * kmax), inputs, _nowhere, supercommutator,
-            lambda _, c: c.mat.is_zero(), brackets)))
+            _grades(kmax, 2 * kmax), inputs, _nowhere, bracket,
+            lambda _, c: c.mat.is_zero())))
     else:
         claims.append(Claim("34.2.zero_when_centerless", "skipped",
                             detail="center is nonzero"))
     return _report("3.4", claims, solved_dims(alg, kmax))
 
 
-class _BasisTerms:
-    """One :func:`check_prop38` call's values on the commutant basis.
-
-    Twists, Jordan products of ordered pairs and associator terms are keyed
-    by basis index and each evaluated the first time it is asked for, so a
-    term shared by the cyclic rotations of several quadruples is built once.
-    The memo is dropped when the call returns.
-    """
-
-    def __init__(self, alg: NHomAlgebra, basis):
-        self.basis = basis
-        jordan = self.jordan = cache(lambda i, j: jordan_product(basis[i], basis[j]))
-        twist = cache(lambda i: alpha_twist(alg, basis[i]))
-        self.term = cache(lambda a, b, c, w: hom_associator(
-            alg, jordan(a, b), twist(w), twist(c)))
-
-
-class _Indexed:
-    """Basis element ``i`` of the commutant, evaluated through ``terms``."""
-
-    __slots__ = ("terms", "i", "xi")
-
-    def __init__(self, terms: _BasisTerms, i: int):
-        self.terms, self.i, self.xi = terms, i, terms.basis[i].xi
-
-
-def _hom_jordan_residual(alg, x: GradedEndo, y: GradedEndo, z: GradedEndo,
+def _hom_jordan_residual(term, x: GradedEndo, y: GradedEndo, z: GradedEndo,
                          w: GradedEndo) -> Mat:
     """Cyclic associator combination that a Hom-Jordan product must kill.
 
-    The operands are commutant elements, evaluated afresh, or
-    :class:`_Indexed` basis elements, whose terms come from their memo.
+    ``term(a, b, c, w)`` is the associator of (a*b, twist(w), twist(c)).
     """
-    if isinstance(w, _Indexed):
-        def term(a, b, c):
-            return w.terms.term(a.i, b.i, c.i, w.i)
-    else:
-        def term(a, b, c):
-            return hom_associator(alg, jordan_product(a, b),
-                                  alpha_twist(alg, w), alpha_twist(alg, c))
-
     def sgn(e):
         return -1 if (e % 2) else 1
 
     return linear_combination(
         (sgn(z.xi * (x.xi + w.xi)), sgn(x.xi * (y.xi + w.xi)), sgn(y.xi * (z.xi + w.xi))),
-        (term(x, y, z).mat, term(y, z, x).mat, term(z, x, y).mat))
+        (term(x, y, z, w).mat, term(y, z, x, w).mat, term(z, x, y, w).mat))
 
 
 def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo | None:
@@ -417,17 +373,10 @@ def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo | Non
     return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
 
-def _hom_jordan_quadruples(terms: _BasisTerms, basis_by_parity, samples: int,
-                           rng: random.Random):
-    """All basis quadruples when there are at most 10^4, then random ones.
-
-    Basis quadruples are :class:`_Indexed` into ``terms``; random ones are
-    plain elements.
-    """
-    n = len(terms.basis)
-    if n and n ** 4 <= 10 ** 4:
-        indexed = [_Indexed(terms, i) for i in range(n)]
-        yield from product(indexed, repeat=4)
+def _hom_jordan_quadruples(basis, basis_by_parity, samples: int, rng: random.Random):
+    """All basis quadruples when there are at most 10^4, then random ones."""
+    if basis and len(basis) ** 4 <= 10 ** 4:
+        yield from product(basis, repeat=4)
     for _ in range(samples):
         quad = [_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
         if any(q is None for q in quad):
@@ -442,14 +391,15 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     claims = []
     basis_by_parity = {0: list(omega(alg, 0).basis), 1: list(omega(alg, 1).basis)}
     all_basis = basis_by_parity[0] + basis_by_parity[1]
-    terms = _BasisTerms(alg, all_basis)
+    jordan = cache(jordan_product)
+    twist = cache(partial(alpha_twist, alg))
+    term = cache(lambda a, b, c, w: hom_associator(alg, jordan(a, b), twist(w), twist(c)))
 
     bad = None
-    for i, j in product(range(len(all_basis)), repeat=2):
-        da, db = all_basis[i], all_basis[j]
+    for da, db in product(all_basis, repeat=2):
         sign = -1 if (da.xi and db.xi) else 1
-        lhs = terms.jordan(i, j)
-        if lhs.mat != terms.jordan(j, i).mat.scale(sign):
+        lhs = jordan(da, db)
+        if lhs.mat != jordan(db, da).mat.scale(sign):
             bad = ((da.xi, db.xi), _mat_witness(lhs.mat))
             break
     claims.append(Claim("38.1.supercommutative", "fail" if bad else "pass",
@@ -457,9 +407,10 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
     bad = None
     checked = 0
-    for quad in _hom_jordan_quadruples(terms, basis_by_parity, samples, random.Random(seed)):
+    for quad in _hom_jordan_quadruples(all_basis, basis_by_parity, samples,
+                                       random.Random(seed)):
         checked += 1
-        residual = _hom_jordan_residual(alg, *quad)
+        residual = _hom_jordan_residual(term, *quad)
         if not residual.is_zero():
             bad = (tuple(q.xi for q in quad), _mat_witness(residual))
             break
@@ -469,8 +420,7 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
     sp = _Spaces(alg, kmax)
     claims.append(_claim("38.2.QC_jordan_closed", _first_failure(
-        _grades(kmax), sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC), jordan_product,
-        sp.member, {})))
+        _grades(kmax), sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC), jordan, sp.member)))
     return _report("3.8", claims, solved_dims(alg, kmax))
 
 
@@ -478,13 +428,12 @@ def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Bracket closure of QC versus composition closure and commutativity."""
     _require_valid(alg)
     sp = _Spaces(alg, kmax)
-    brackets: dict = {}
+    bracket = cache(supercommutator)
     qc_pairs, into_qc = sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC)
-    p1 = _first_failure(_grades(kmax), qc_pairs, into_qc, supercommutator, sp.member,
-                        brackets) is None
-    p2 = _first_failure(_grades(kmax), qc_pairs, into_qc, compose, sp.member, {}) is None
-    p3 = _first_failure(_grades(kmax), qc_pairs, _nowhere, supercommutator,
-                        lambda _, c: c.mat.is_zero(), brackets) is None
+    p1 = _first_failure(_grades(kmax), qc_pairs, into_qc, bracket, sp.member) is None
+    p2 = _first_failure(_grades(kmax), qc_pairs, into_qc, cache(compose), sp.member) is None
+    p3 = _first_failure(_grades(kmax), qc_pairs, _nowhere, bracket,
+                        lambda _, c: c.mat.is_zero()) is None
     claims = [Claim("39.predicates", "pass",
                     detail=f"bracket_closed={p1} composition_closed={p2} "
                            f"brackets_vanish={p3}")]
@@ -519,7 +468,6 @@ def check_basis_change(alg: NHomAlgebra, p: Mat, kmax: int = 2) -> PropReport:
 def random_even_invertible(parity, rng: random.Random) -> Mat:
     """Random even basis change with small integer entries, retried to invertibility."""
     d = len(parity)
-    from .algebra import invert
     while True:
         grid = [[0] * d for _ in range(d)]
         for r in range(d):

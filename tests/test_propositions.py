@@ -117,6 +117,22 @@ def test_dims_table_is_built_once_per_kmax(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("name", ["abelian2", "homaff1", "threeLie4"])
+@pytest.mark.parametrize("check", [check_prop31, check_prop33, check_prop34, check_prop39])
+def test_each_bracket_is_built_once_per_operand_pair(name, check, monkeypatch):
+    pairs = []
+    real = propositions.supercommutator
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(propositions, "supercommutator", counting)
+    check(FIXTURES[name](), 2)
+    assert pairs
+    assert len(pairs) == len(set(pairs))
+
+
 def test_basis_change_identity_is_trivial():
     report = check_basis_change(aff1(), Mat.identity(2), 2)
     assert report.passed
