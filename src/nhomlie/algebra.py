@@ -14,10 +14,12 @@ tuple of ``(index, int)`` pairs (empty for zero).  :func:`bracket_ints` is
 the one kernel: it adds the bracket of sparse integer vectors to an integer
 accumulator.  :func:`validate` and the membership tests of the solver
 compare integer numerators whose denominators they track, and the
-solver builds its constraint rows from the tensor.  ``Fraction`` remains
-only in the stored table, in the arguments and value of :func:`bracket`,
-and in a validation failure's residual, which is converted only when the
-failure is recorded.
+solver builds its constraint rows from the tensor.  :func:`tensor_support`
+lists the tuples with a nonzero bracket, from which the Jacobi check of
+:func:`validate` and the solver's membership tests find the tuples they
+must visit.  ``Fraction`` remains only in the stored table, in the
+arguments and value of :func:`bracket`, and in a validation failure's
+residual, which is converted only when the failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
@@ -191,6 +193,15 @@ def _flat_index(t: Sequence[int], dim: int) -> int:
     return i
 
 
+def tensor_support(alg: NHomAlgebra) -> list[tuple[tuple[int, ...], SparseInts]]:
+    """``(t, value)`` for each ordered basis tuple t with a nonzero bracket, in tensor order."""
+    if "support" not in alg._cache:
+        alg._cache["support"] = [(t, value) for t, value in
+                                 zip(product(range(alg.dim), repeat=alg.arity), alg.tensor[0])
+                                 if value]
+    return alg._cache["support"]
+
+
 def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
     """The columns of ``m``'s integer form as sparse vectors, and its denominator."""
     grid, den = m.ints
@@ -349,8 +360,11 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
             failures.append(ValidationFailure(
                 "multiplicative", t, _residual(lhs, rhs, aden ** n * tden)))
 
-    # twisted Jacobi identity on all d^(2n-1) pairs of basis tuples; both
-    # sides are over tden^2 aden^(n-1)
+    # twisted Jacobi identity on the d^(2n-1) pairs of basis tuples; both
+    # sides are over tden^2 aden^(n-1).  A pair whose inner bracket [e_ys]
+    # and plugs [e_xs, e_{y_i}] are all zero holds trivially and is skipped,
+    # so with no nonzero plug only the tensor's support is visited; the
+    # pairs left keep their order, and with it the failures.
     jacobi_ok = True
     jden = tden ** 2 * aden ** (n - 1)
     for xs in product(range(d), repeat=n - 1):
@@ -358,7 +372,10 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
         ax = [alpha_cols[i] for i in xs]
         start = _flat_index(xs, d) * d
         plugs = values[start:start + d]  # [e_xs, e_y] for each y
-        for inner, ys in zip(values, tuples):
+        live = {y for y, plug in enumerate(plugs) if plug}
+        for ys, inner in zip(tuples, values) if live else tensor_support(alg):
+            if not inner and live.isdisjoint(ys):
+                continue
             lhs = [0] * d
             if inner:
                 bracket_ints(alg, lhs, ax + [inner])

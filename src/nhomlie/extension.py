@@ -147,7 +147,7 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropR
                     bad_parity = ((k, xi), _mat_witness(img.mat))
                 if bad_der is None and not in_space(ext, Kind.DER, k, xi, img):
                     bad_der = ((k, xi), _mat_witness(img.mat))
-            stacked = SubspaceBasis.span(d2, [g.mat.flat_ints() for g in images])
+            stacked = SubspaceBasis.span(d2, [g.mat.vec_ints() for g in images])
             if bad_inject is None and stacked.dim != qd.dim:
                 bad_inject = ((k, xi, qd.dim, stacked.dim), ())
             if bad_witness is None and slack[xi]:
@@ -171,6 +171,8 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Der(ext) splits as the embedded quasiderivations plus ZDer(ext).
 
     The direct-sum witness is the first failing grade in (k, xi) order.
+    Maps are compared flattened column-major, the solver's order, so the
+    solved spaces embed with no elimination (:meth:`EndoSubspace.as_subspace`).
     """
     z_even, z_odd = center(alg)
     if z_even.dim or z_odd.dim:
@@ -197,7 +199,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     for k in range(kmax + 1):
         for xi in (0, 1):
             qd = solve(alg, Kind.QDER, k, xi)
-            images = [phi(text, g, w, k).mat.flat_ints()
+            images = [phi(text, g, w, k).mat.vec_ints()
                       for g, w in zip(qd.basis, qd.witnesses)]
             a_sub = SubspaceBasis.span(d2, images)
             b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)

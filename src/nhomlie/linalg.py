@@ -3,7 +3,7 @@
 A matrix stores one form, :attr:`Mat.ints`: a grid of integer numerators
 over one positive common denominator, reduced so that the denominator is
 the lcm of the entries' denominators.  Equal matrices therefore compare
-and hash equal.  Matrix arithmetic (products, sums, scaling,
+and hash equal; a matrix stores its hash on first use.  Matrix arithmetic (products, sums, scaling,
 :func:`product_sum`, :func:`linear_combination`) and :func:`commutes_with`
 run on that form in Python ints.  A matrix builds a ``Fraction`` only
 where rational entries come in (:meth:`Mat.from_rows`) and where they are
@@ -113,6 +113,14 @@ class Mat:
         return cls(rows, cols, (((0,) * cols,) * rows, 1))
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.rows, self.cols, self.ints))
+
+    def __hash__(self):
+        # stored on first use: value caches hash the same operands again and again
+        return self._hash
+
+    @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as ``Fraction``s, built on first use."""
         grid, den = self.ints
@@ -168,6 +176,10 @@ class Mat:
     def flat_ints(self) -> list[int]:
         """Row-major numerators: the flattening times the denominator."""
         return [x for row in self.ints[0] for x in row]
+
+    def vec_ints(self) -> list[int]:
+        """Column-major numerators, the solver's order for unknown matrices."""
+        return [x for col in zip(*self.ints[0]) for x in col]
 
 
 @lru_cache(maxsize=None)

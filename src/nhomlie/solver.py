@@ -38,11 +38,15 @@ component, and only its nonzero components become dense rows.  The slot-s
 bracket of unknown column (j, t[s]) does not depend on t[s], so each
 :func:`_rows` call builds it once under the key (s, t[:s], t[s+1:]) and j:
 at most n d^n sparse vectors per call, freed with its iterator.
-:func:`in_space` re-evaluates each definition over every tuple on the
-integer structure tensor through :func:`~nhomlie.algebra.bracket_ints`
-without reading the table, so it is a cross-check of the table rather
-than a copy of it; only the witness blocks it solves for come from the
-table.
+:func:`in_space` and :func:`qder_identity_holds` re-evaluate each
+definition on the integer structure tensor without reading the table, so
+they are a cross-check of the table rather than a copy of it; only the
+witness blocks :func:`in_space` solves for come from the table.  Their slot
+terms are pushed from the tensor's support (:func:`_slot_terms`): each
+tuple u with a nonzero bracket sends its value to the tuples reached
+through the row supports of alpha^k and of the map, and an identity is
+checked only on the support and the tuples reached, since on any other
+tuple both of its sides are zero.
 """
 
 from __future__ import annotations
@@ -50,9 +54,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, product
+from math import prod
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import NHomAlgebra, _flat_index, apply_ints, bracket_ints, sparse_columns
+from .algebra import (
+    NHomAlgebra,
+    _flat_index,
+    apply_ints,
+    bracket_ints,
+    sparse_columns,
+    tensor_support,
+)
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -109,8 +121,14 @@ class EndoSubspace:
         return len(self.basis)
 
     def as_subspace(self, ambient_dim: int) -> SubspaceBasis:
-        """The space as row-major flattened vectors, canonicalized."""
-        return SubspaceBasis.span(ambient_dim, [g.mat.flat_ints() for g in self.basis])
+        """The space as column-major flattened vectors (:meth:`Mat.vec_ints`).
+
+        A solved basis is the canonical basis of its space over the
+        column-major allowed positions (see :func:`solve`), and those
+        positions keep their order in the column-major flattening, so the
+        basis embeds as it is, with no elimination.
+        """
+        return SubspaceBasis(ambient_dim, tuple(tuple(g.mat.vec_ints()) for g in self.basis))
 
 
 def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
@@ -386,44 +404,55 @@ def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
 # membership by direct evaluation (the cross-validation path)
 # ---------------------------------------------------------------------------
 
-def _slot_terms(alg: NHomAlgebra, k: int, xi: int, dcols):
-    """``(terms, total, lift)``: the signed slot-bracket terms of a map D.
+def _slot_terms(alg: NHomAlgebra, k: int, xi: int, mat: Mat, slots) -> tuple[dict, int]:
+    """``(terms, lift)``: the signed slot-bracket terms of a map D, pushed
+    from the tensor's support.
 
-    ``dcols`` are D's sparse integer columns (see
-    :func:`~nhomlie.algebra.sparse_columns`).  ``terms(t, slots)`` yields,
-    for each listed slot s and lazily, (-1)^(xi |X_{s-1}|) times the
-    bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}});
-    ``total(t)`` is the sum over all slots.  Both are dense integer
-    numerators over the tensor's denominator times den(D) times ``lift`` =
-    den(alpha^k)^(n-1).
+    The slot-s term of a basis tuple t is (-1)^(xi |X_{s-1}|) times the
+    bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}).
+    Expanded multilinearly, it is the sum over the tuples u of the tensor's
+    support of [e_u] times D[u_s][t_s] and alpha^k[u_m][t_m] for m != s.  So
+    each u pushes its value, for each slot s in ``slots``, to the tuples
+    reached through the row supports of alpha^k (the other slots) and of D
+    (slot s), and every term missing from ``terms`` is zero.  ``terms`` maps
+    (t, s) to the dense term, integer numerators over the tensor's
+    denominator times den(D) times ``lift`` = den(alpha^k)^(n-1).
     """
-    d, n = alg.dim, alg.arity
-    acols, aden = sparse_columns(alg.alpha_power(k))
-
-    def add(acc, t, s, sign):
-        bracket_ints(alg, acc, [acols[t[m]] if m != s else dcols[t[s]] for m in range(n)], sign)
-
-    def terms(t, slots=range(n)):
-        signs = _prefix_signs(alg, t, xi)
+    d, parity = alg.dim, alg.parity
+    # row r of a matrix, as a sparse vector, is column r of its transpose
+    arows, aden = sparse_columns(alg.alpha_power(k).transpose())
+    drows, _ = sparse_columns(mat.transpose())
+    terms = {}
+    for u, value in tensor_support(alg):
         for s in slots:
-            acc = [0] * d
-            add(acc, t, s, signs[s])
-            yield acc
+            choices = [arows[i] for i in u]
+            choices[s] = drows[u[s]]
+            for picked in product(*choices):
+                t = tuple(c for c, _ in picked)
+                coeff = prod(x for _, x in picked)
+                if xi and sum(map(parity.__getitem__, t[:s])) & 1:
+                    coeff = -coeff
+                term = terms.get((t, s))
+                if term is None:
+                    term = terms[t, s] = [0] * d
+                for j, v in value:
+                    term[j] += coeff * v
+    return terms, aden ** (alg.arity - 1)
 
-    def total(t):
-        acc = [0] * d
-        for s, sign in enumerate(_prefix_signs(alg, t, xi)):
-            add(acc, t, s, sign)
-        return acc
 
-    return terms, total, aden ** (n - 1)
+def _checked_tuples(alg: NHomAlgebra, terms: dict) -> set:
+    """The tuples on which a map's identity can fail: the tensor's support
+    (where the value side lives) and the tuples its slot terms reach."""
+    return {t for t, _ in tensor_support(alg)} | {t for t, _ in terms}
 
 
 def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEndo) -> bool:
     """Definition-level membership test, independent of :func:`solve`.
 
     Identities are re-evaluated on the integer structure tensor for the
-    explicit images of the basis; for QDer/GDer the witness blocks are
+    explicit images of the basis, with the slot terms pushed from the
+    tensor's support (:func:`_slot_terms`), so only the support and the
+    tuples reached from it are checked; for QDer/GDer the witness blocks are
     solved for afresh.
     """
     kind = Kind(kind)
@@ -433,11 +462,9 @@ def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEn
         raise ValueError("endomorphism is not homogeneous of the stated parity")
     cache_key = ("member", kind, xi, _alpha_key(alg, k), endo.mat.ints)
     hit = alg._cache.get(cache_key)
-    if hit is not None:
-        return hit
-    result = _in_space_uncached(alg, kind, k, xi, endo)
-    alg._cache[cache_key] = result
-    return result
+    if hit is None:
+        hit = alg._cache[cache_key] = _in_space_uncached(alg, kind, k, xi, endo)
+    return hit
 
 
 def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
@@ -446,34 +473,36 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    dcols, _ = sparse_columns(endo.mat)
-    terms, total, lift = _slot_terms(alg, k, xi, dcols)
-    values = alg.tensor[0]
-    tuples = product(range(d), repeat=n)
+    slots = (0,) if kind in (Kind.ZDER, Kind.GDER) else range(n)
+    terms, lift = _slot_terms(alg, k, xi, endo.mat, slots)
 
     if kind in (Kind.QDER, Kind.GDER):
-        # the leading block's terms, for the witness blocks to match; the
-        # witness system is homogeneous, so their common denominator drops out
-        rhs = []
-        for t in tuples:
-            rhs.extend(total(t) if kind is Kind.QDER else next(terms(t, (0,))))
+        # the leading block's terms, d rows per tuple in tensor order, are the
+        # right-hand side for the witness blocks; the witness system is
+        # homogeneous, so their common denominator drops out
         cols = _witness_system(alg, kind, k, xi)
-        rhs.extend([0] * (cols.ambient_dim - len(rhs)))
+        rhs = [0] * cols.ambient_dim
+        for (t, _), term in terms.items():
+            start = _flat_index(t, d) * d
+            for l, x in enumerate(term):
+                rhs[start + l] += x
         return not any(_reduce(cols.rows, cols.leads, rhs))
 
-    for value, t in zip(values, tuples):
+    dcols, _ = sparse_columns(endo.mat)
+    values = alg.tensor[0]
+    zero = [0] * d
+    for t in _checked_tuples(alg, terms):
         # D [e_t], lifted to the slot terms' denominator
-        image = [x * lift for x in apply_ints(dcols, value, d)]
+        image = [x * lift for x in apply_ints(dcols, values[_flat_index(t, d)], d)]
+        slot = [terms.get((t, s), zero) for s in slots]
         if kind is Kind.DER:
-            ok = total(t) == image
+            ok = [sum(xs) for xs in zip(*slot)] == image
         elif kind is Kind.C:
-            ok = all(term == image for term in terms(t))
+            ok = all(term == image for term in slot)
         elif kind is Kind.QC:
-            rest = terms(t)
-            first = next(rest)
-            ok = all(term == first for term in rest)
+            ok = all(term == slot[0] for term in slot[1:])
         else:  # ZDer
-            ok = not any(image) and not any(next(terms(t, (0,))))
+            ok = not any(image) and not any(slot[0])
         if not ok:
             return False
     return True
@@ -499,19 +528,35 @@ def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBa
 
 def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
                         witness: Mat) -> bool:
-    """Check the quasiderivation identity for a *fixed* right-hand witness."""
+    """Check the quasiderivation identity for a *fixed* right-hand witness.
+
+    Cached on ``alg`` by the operands' values, as :func:`in_space` is.
+    """
+    cache_key = ("qder_identity", xi, _alpha_key(alg, k), endo.mat.ints, witness.ints)
+    hit = alg._cache.get(cache_key)
+    if hit is None:
+        hit = alg._cache[cache_key] = _qder_identity_uncached(alg, k, xi, endo, witness)
+    return hit
+
+
+def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:
     if not is_homogeneous(alg.parity, xi, witness):
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    dcols, dden = sparse_columns(endo.mat)
+    d, n = alg.dim, alg.arity
+    terms, lift = _slot_terms(alg, k, xi, endo.mat, range(n))
+    dden = endo.mat.ints[1]
     wcols, wden = sparse_columns(witness)
-    _, total, lift = _slot_terms(alg, k, xi, dcols)
-    d = alg.dim
+    values = alg.tensor[0]
+    zero = [0] * d
     # the left side is over tden dden lift, W [e_t] over tden wden
-    return all([x * wden for x in total(t)] ==
-               [y * dden * lift for y in apply_ints(wcols, value, d)]
-               for value, t in zip(alg.tensor[0], product(range(d), repeat=alg.arity)))
+    for t in _checked_tuples(alg, terms):
+        lhs = [sum(xs) * wden for xs in zip(*(terms.get((t, s), zero) for s in range(n)))]
+        rhs = [y * dden * lift for y in apply_ints(wcols, values[_flat_index(t, d)], d)]
+        if lhs != rhs:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

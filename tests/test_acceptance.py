@@ -142,7 +142,7 @@ def test_criterion_5_extension_decomposition():
     alg = ALGS["aff1"]
     text = build_check(alg)
     qd = solve(alg, Kind.QDER, 0, 0)
-    images = [phi(text, g, w, 0).mat.flatten() for g, w in zip(qd.basis, qd.witnesses)]
+    images = [phi(text, g, w, 0).mat.vec_ints() for g, w in zip(qd.basis, qd.witnesses)]
     from nhomlie.linalg import SubspaceBasis, subspace_intersect, subspace_sum
     a_sub = SubspaceBasis.span(16, images)
     b_sub = solve(text.ext, Kind.ZDER, 0, 0).as_subspace(16)
@@ -203,7 +203,7 @@ def test_criterion_7_cross_validation():
                         for r, c in pos:
                             grid[r][c] = rng.randint(-4, 4)
                         cand = Mat.from_rows(grid, cols=d)
-                        if contains(span, cand.flatten()):
+                        if contains(span, cand.vec_ints()):
                             continue
                         outside += 1
                         if in_space(alg, kind, k, xi, GradedEndo(cand, xi)):

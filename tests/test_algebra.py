@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from nhomlie.algebra import (
     NHomAlgebra,
@@ -130,6 +131,53 @@ class TestValidate:
         alg = NHomAlgebra(2, 2, (0, 1), {}, Mat.from_rows([[0, 1], [1, 0]]))
         report = validate(alg)
         assert not report.even_alpha_ok
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_jacobi_failures_match_every_pair(self, data):
+        # the Jacobi loop skips pairs that hold trivially; every failure, its
+        # witness, its residual and their order must be those of the full loop
+        n = data.draw(st.integers(2, 3))
+        d = data.draw(st.integers(2, 3))
+        parity = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+        keys = data.draw(st.lists(st.sampled_from(list(
+            combinations_with_replacement(range(d), n))), max_size=3, unique=True))
+        table = {key: data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+                 for key in keys}
+        alpha = Mat.from_rows([[data.draw(st.sampled_from([1, 2, -1])) if i == j else 0
+                                for j in range(d)] for i in range(d)])
+        alg = NHomAlgebra(n, d, parity, table, alpha)
+        got = [(f.witness, f.residual) for f in validate(alg).failures if f.axiom == "jacobi"]
+        assert got == ref_jacobi_failures(alg)
+
+    def test_bracketless_algebra_skips_every_jacobi_pair(self):
+        # 6^9 Jacobi pairs, all trivially true: none is evaluated
+        alg = NHomAlgebra(5, 6, (0,) * 6, {}, Mat.identity(6))
+        start = time.perf_counter()
+        assert validate(alg).all_ok
+        assert time.perf_counter() - start < 3
+
+
+def ref_jacobi_failures(alg):
+    """``((xs, ys), lhs - rhs)`` for every failing Jacobi pair, through ``bracket``."""
+    d, n = alg.dim, alg.arity
+    cols = [alg.alpha.col(i) for i in range(d)]
+    out = []
+    for xs in product(range(d), repeat=n - 1):
+        px = alg.tuple_parity(xs)
+        for ys in product(range(d), repeat=n):
+            lhs = bracket(alg, [cols[i] for i in xs] + [alg.basis_value(ys)])
+            rhs = [F(0)] * d
+            prefix = 0
+            for i in range(n):
+                args = [cols[j] for j in ys]
+                args[i] = alg.basis_value(xs + (ys[i],))
+                sign = -1 if px & prefix else 1
+                rhs = [r + sign * x for r, x in zip(rhs, bracket(alg, args))]
+                prefix ^= alg.parity[ys[i]]
+            if list(lhs) != rhs:
+                out.append(((xs, ys), tuple(x - y for x, y in zip(lhs, rhs))))
+    return out
 
 
 class TestConstructor:

@@ -271,6 +271,21 @@ def test_equal_values_compare_and_hash_equal_across_construction_paths(data):
     assert (m.scale(g) == m) == m.is_zero()
 
 
+@given(st.data())
+def test_a_stored_hash_stays_the_hash_of_the_value(data):
+    # the hash is stored on first use; reading ``entries`` before or after it
+    # does not change it, and equal matrices still make one dictionary key
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = data.draw(grid(r, c))
+    first, second, third = (Mat.from_rows(a, cols=c) for _ in range(3))
+    before = hash(first)
+    assert first.entries == second.entries
+    assert hash(first) == before == hash(second) == hash(Mat.from_rows(first.entries, cols=c))
+    assert hash(third) == before
+    assert before == hash((r, c, first.ints))
+    assert len({first, second, third, Mat(r, c, first.ints)}) == 1
+
+
 def test_a_matrix_needs_a_positive_denominator():
     with pytest.raises(ValueError):
         Mat(1, 1, (((1,),), 0))

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from nhomlie import solver
 from nhomlie.algebra import NHomAlgebra
+from nhomlie.extension import build_check
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, super2, threeLie4
-from nhomlie.linalg import Mat, commutes_with, contains, is_subspace_of
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains, is_subspace_of
 from nhomlie.solver import (
     GradedEndo,
     Kind,
@@ -92,6 +94,23 @@ class TestWitnesses:
                     for g, w in zip(sp.basis, sp.witnesses):
                         assert qder_identity_holds(alg, k, xi, g, w)
 
+    def test_qder_identity_is_evaluated_once_per_operand_value(self, monkeypatch):
+        # alpha = id, so levels 1 and 2 ask again what level 0 asked; copies
+        # built apart from the solved maps are the same values
+        real = solver._qder_identity_uncached
+        calls = []
+        monkeypatch.setattr(solver, "_qder_identity_uncached",
+                            lambda *args: calls.append(args) or real(*args))
+        alg = threeLie4()
+        for k in range(3):
+            for xi in (0, 1):
+                sp = solve(alg, Kind.QDER, k, xi)
+                for g, w in zip(sp.basis, sp.witnesses):
+                    assert qder_identity_holds(alg, k, xi, g, w)
+                    copy = Mat.from_rows(g.mat.entries)
+                    assert qder_identity_holds(alg, k, xi, GradedEndo(copy, xi), w)
+        assert len(calls) == sum(solve(alg, Kind.QDER, 0, xi).dim for xi in (0, 1)) > 0
+
     def test_gder_witness_count(self):
         sp = solve(threeLie4(), Kind.GDER, 0, 0)
         assert all(len(ws) == 3 for ws in sp.witnesses)
@@ -135,7 +154,7 @@ class TestInSpace:
                         for r, c in pos:
                             grid[r][c] = rng.randint(-3, 3)
                         cand = Mat.from_rows(grid, cols=alg.dim)
-                        if contains(span, cand.flatten()):
+                        if contains(span, cand.vec_ints()):
                             continue
                         found += 1
                         assert not in_space(alg, kind, 0, xi, GradedEndo(cand, xi)), \
@@ -159,6 +178,21 @@ class TestTower:
                     assert is_subspace_of(small, big)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["threeLie4^ext"])
+def test_as_subspace_embeds_the_solved_basis_as_it_is(name):
+    # a solved basis is canonical over the column-major allowed positions,
+    # and so over the column-major flattening
+    alg = build_check(threeLie4()).ext if name == "threeLie4^ext" else FIXTURES[name]()
+    d2 = alg.dim ** 2
+    for kind in Kind:
+        for k in range(3):
+            for xi in (0, 1):
+                sp = solve(alg, kind, k, xi)
+                flat = [g.mat.vec_ints() for g in sp.basis]
+                assert sp.as_subspace(d2) == SubspaceBasis.span(d2, flat)
+                assert sp.as_subspace(d2).rows == tuple(map(tuple, flat))
+
+
 class TestGrading:
     def test_bracket_of_solutions_lands_in_higher_grade(self):
         for name in ("aff1", "homaff1", "super2"):
@@ -171,7 +205,7 @@ class TestGrading:
                         for da in solve(alg, kind, k, xi).basis:
                             for db in solve(alg, kind, s, eta).basis:
                                 c = supercommutator(da, db)
-                                assert contains(target, c.mat.flatten())
+                                assert contains(target, c.mat.vec_ints())
 
     def test_twist_raises_the_level(self):
         for name in ("homaff1", "aff1", "super2"):
