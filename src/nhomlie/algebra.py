@@ -8,18 +8,20 @@ repeated even index forces the value to vanish (a repeated odd index does
 not).
 
 Brackets are evaluated on one integer structure tensor per algebra,
-:attr:`NHomAlgebra.tensor`: the values on all d^n ordered basis tuples as
-integer numerators over one common denominator, each stored as a sparse
-tuple of ``(index, int)`` pairs (empty for zero).  :func:`bracket_ints` is
-the one kernel: it adds the bracket of sparse integer vectors to an integer
-accumulator.  :func:`validate` and the membership tests of the solver
-compare integer numerators whose denominators they track, and the
-solver builds its constraint rows from the tensor.  :func:`tensor_support`
-lists the tuples with a nonzero bracket, from which the Jacobi check of
-:func:`validate` and the solver's membership tests find the tuples they
-must visit.  ``Fraction`` remains only in the stored table, in the
-arguments and value of :func:`bracket`, and in a validation failure's
-residual, which is converted only when the failure is recorded.
+:attr:`NHomAlgebra.tensor`: a dict from each ordered basis tuple with a
+nonzero bracket to its value, as integer numerators over one common
+denominator stored as a sparse tuple of ``(index, int)`` pairs, with the
+tuples in product order.  It is built from the table alone: each stored
+key's distinct orderings, with the sign that sorts them back, so its size
+is that of the support and a tuple missing from it has a zero bracket.
+:func:`bracket_ints` is the one kernel: it adds the bracket of sparse
+integer vectors to an integer accumulator.  :func:`validate` and the
+membership tests of the solver compare integer numerators whose
+denominators they track, and the solver builds its constraint rows from
+the tensor.  ``Fraction`` remains only in the stored table (the edge form
+that the serializer and the extension read), in the arguments and value
+of :func:`bracket`, and in a validation failure's residual, which is
+converted only when the failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -43,7 +45,6 @@ from .linalg import (
     kernel,
     rref,
     vector,
-    zero_vector,
 )
 
 EVEN = 0
@@ -120,7 +121,7 @@ class NHomAlgebra:
         self.alpha = alpha
         self.name = name
         self._alpha_pows: dict[int, Mat] = {0: Mat.identity(dim)}
-        self._tensor: tuple[list[SparseInts], int] | None = None
+        self._tensor: tuple[dict[tuple[int, ...], SparseInts], int] | None = None
         self._cache: dict = {}
 
     def __eq__(self, other):
@@ -141,35 +142,28 @@ class NHomAlgebra:
             p ^= self.parity[i]
         return p
 
-    def basis_value(self, indices: Sequence[int]) -> Vector:
-        """Bracket of basis elements e_{i_1}, ..., e_{i_n} in any order."""
-        canon, sign = canonicalize_tuple(indices, self.parity)
-        if sign == 0:
-            return zero_vector(self.dim)
-        val = self.table.get(canon)
-        if val is None:
-            return zero_vector(self.dim)
-        if sign == 1:
-            return val
-        return tuple(-x for x in val)
-
     @property
-    def tensor(self) -> tuple[list[SparseInts], int]:
+    def tensor(self) -> tuple[dict[tuple[int, ...], SparseInts], int]:
         """``(values, denominator)``: the integer structure tensor (built lazily).
 
-        ``values[i]`` is the bracket of the i-th ordered basis tuple in
-        ``product(range(dim), repeat=arity)`` order, i.e. of the tuple whose
-        base-``dim`` digits are i, as integer numerators over
-        ``denominator``, the lcm of the table's denominators.
+        ``values`` maps each ordered basis tuple with a nonzero bracket, in
+        ``product(range(dim), repeat=arity)`` order, to that bracket as
+        integer numerators over ``denominator``, the lcm of the table's
+        denominators.  The orderings of a stored key carry its value times
+        the sign :func:`canonicalize_tuple` gives them; those with sign 0
+        (a repeated even index) are left out.
         """
         if self._tensor is None:
-            den = 1
-            for val in self.table.values():
-                den = lcm(den, *(x.denominator for x in val))
-            values = [tuple((j, x.numerator * (den // x.denominator))
-                            for j, x in enumerate(self.basis_value(t)) if x)
-                      for t in product(range(self.dim), repeat=self.arity)]
-            self._tensor = (values, den)
+            den = lcm(1, *(x.denominator for val in self.table.values() for x in val))
+            values = {}
+            for key, val in self.table.items():
+                ints = tuple((j, x.numerator * (den // x.denominator))
+                             for j, x in enumerate(val) if x)
+                for t in set(permutations(key)):
+                    sign = canonicalize_tuple(t, self.parity)[1]
+                    if sign:
+                        values[t] = ints if sign == 1 else tuple((j, -x) for j, x in ints)
+            self._tensor = (dict(sorted(values.items())), den)
         return self._tensor
 
     def alpha_power(self, k: int) -> Mat:
@@ -183,23 +177,6 @@ class NHomAlgebra:
                 acc = acc @ self.alpha
                 pows[i] = acc
         return pows[k]
-
-
-def _flat_index(t: Sequence[int], dim: int) -> int:
-    """Position of the basis tuple ``t`` in :attr:`NHomAlgebra.tensor`."""
-    i = 0
-    for x in t:
-        i = i * dim + x
-    return i
-
-
-def tensor_support(alg: NHomAlgebra) -> list[tuple[tuple[int, ...], SparseInts]]:
-    """``(t, value)`` for each ordered basis tuple t with a nonzero bracket, in tensor order."""
-    if "support" not in alg._cache:
-        alg._cache["support"] = [(t, value) for t, value in
-                                 zip(product(range(alg.dim), repeat=alg.arity), alg.tensor[0])
-                                 if value]
-    return alg._cache["support"]
 
 
 def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
@@ -227,12 +204,11 @@ def bracket_ints(alg: NHomAlgebra, acc: list[int], args: Sequence[SparseInts],
     denominators; callers keep track of the latter.
     """
     values, _ = alg.tensor
-    d = alg.dim
-    terms = [(0, coeff)]
+    terms = [((), coeff)]
     for arg in args:
-        terms = [(i * d + j, c * x) for i, c in terms for j, x in arg]
-    for i, c in terms:
-        for j, v in values[i]:
+        terms = [(t + (j,), c * x) for t, c in terms for j, x in arg]
+    for t, c in terms:
+        for j, v in values.get(t, ()):
             acc[j] += c * v
 
 
@@ -260,13 +236,6 @@ def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     acc = [0] * d
     bracket_ints(alg, acc, sparse)
     return tuple(Fraction(x, den) for x in acc)
-
-
-def _dense(vec: SparseInts, dim: int) -> list[int]:
-    out = [0] * dim
-    for j, x in vec:
-        out[j] = x
-    return out
 
 
 def _residual(lhs: Sequence[int], rhs: Sequence[int], den: int) -> Vector:
@@ -331,28 +300,22 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # and one value argument is over tden^2 aden^m.
     values, tden = alg.tensor
     alpha_cols, aden = sparse_columns(alg.alpha)
-    tuples = list(product(range(d), repeat=n))
 
-    # sign consistency of the evaluated bracket under adjacent transpositions
-    for i, t in enumerate(tuples):
-        base = values[i]
-        for s in range(n - 1):
-            swapped = list(t)
-            swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-            factor = 1 if (parity[t[s]] and parity[t[s + 1]]) else -1
-            expect = tuple((j, factor * x) for j, x in base)
-            got = values[_flat_index(swapped, d)]
-            if got != expect:
-                skew_ok = False
-                failures.append(ValidationFailure(
-                    "skew", (t, s), _residual(_dense(got, d), _dense(expect, d), tden)))
+    # The tensor needs no sign check.  Each entry is a stored value times
+    # the sign that sorts its tuple: the product of -(-1)^{pq} over its
+    # pairs of slots out of order, whatever the order of the sort.  An
+    # adjacent swap of unequal entries puts one pair in or out of order, and
+    # a swap of equal (odd) entries changes nothing, so every adjacent swap
+    # multiplies an entry by -(-1)^{pq}.  Tuples with a repeated even index
+    # are absent, as are their swaps; a stored key of that kind is the skew
+    # failure recorded above.
 
     # multiplicativity on canonical tuples (extends multilinearly):
     # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden
     multiplicative_ok = True
     lift = aden ** (n - 1)
     for t in combinations_with_replacement(range(d), n):
-        lhs = [x * lift for x in apply_ints(alpha_cols, values[_flat_index(t, d)], d)]
+        lhs = [x * lift for x in apply_ints(alpha_cols, values.get(t, ()), d)]
         rhs = [0] * d
         bracket_ints(alg, rhs, [alpha_cols[i] for i in t])
         if lhs != rhs:
@@ -364,16 +327,16 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # sides are over tden^2 aden^(n-1).  A pair whose inner bracket [e_ys]
     # and plugs [e_xs, e_{y_i}] are all zero holds trivially and is skipped,
     # so with no nonzero plug only the tensor's support is visited; the
-    # pairs left keep their order, and with it the failures.
+    # pairs left keep their product order, and with it the failures.
     jacobi_ok = True
     jden = tden ** 2 * aden ** (n - 1)
     for xs in product(range(d), repeat=n - 1):
         px = alg.tuple_parity(xs)
         ax = [alpha_cols[i] for i in xs]
-        start = _flat_index(xs, d) * d
-        plugs = values[start:start + d]  # [e_xs, e_y] for each y
+        plugs = [values.get(xs + (y,), ()) for y in range(d)]  # [e_xs, e_y] for each y
         live = {y for y, plug in enumerate(plugs) if plug}
-        for ys, inner in zip(tuples, values) if live else tensor_support(alg):
+        for ys in product(range(d), repeat=n) if live else values:
+            inner = values.get(ys, ())
             if not inner and live.isdisjoint(ys):
                 continue
             lhs = [0] * d
@@ -414,7 +377,7 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
             continue
         rows = []
         for rest in product(range(d), repeat=n - 1):
-            brackets = [dict(values[_flat_index((i,) + rest, d)]) for i in idxs]
+            brackets = [dict(values.get((i,) + rest, ())) for i in idxs]
             rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
         # spread over the increasing idxs, a reduced basis stays reduced
         vecs = []

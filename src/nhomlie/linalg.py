@@ -40,7 +40,6 @@ IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_scalar(value) -> Fraction:
@@ -58,10 +57,6 @@ def vector(values: Iterable) -> Vector:
 
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -168,10 +163,6 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.ints[0]))
-
-    def flatten(self) -> Vector:
-        """Row-major flattening, used to treat matrices as vectors."""
-        return tuple(x for row in self.entries for x in row)
 
     def flat_ints(self) -> list[int]:
         """Row-major numerators: the flattening times the denominator."""
@@ -504,12 +495,6 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     both = _grown(2 * n, [row + row for row in a.rows], list(a.leads),
                   (row + (0,) * n for row in b.rows))
     return SubspaceBasis(n, tuple(row[n:] for row, j in zip(both.rows, both.leads) if j >= n))
-
-
-def is_subspace_of(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return not any(any(_reduce(b.rows, b.leads, row)) for row in a.rows)
 
 
 def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> SubspaceBasis:

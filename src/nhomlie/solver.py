@@ -30,7 +30,9 @@ without changing the row space (all of t for Der, C, QC and QDer, t[1:]
 for ZDer, none for GDer).  :func:`_rows` turns it into rows: over the
 weakly increasing representatives for :func:`solve`, and over every tuple
 for the QDer/GDer witness system and the extension's witness slack, whose
-right-hand sides cover every tuple.  The rows are integer numerators built from the structure tensor through
+right-hand sides cover every tuple.  The rows are integer numerators built
+from the structure tensor, which holds only the tuples with a nonzero
+bracket and is read by lookup, through
 :func:`~nhomlie.algebra.bracket_ints`: every equation row is over the
 tensor's denominator times den(alpha^k)^(n-1), and every commutation row
 over den(alpha).  Each (tuple, equation) is summed sparsely, component by
@@ -46,7 +48,9 @@ terms are pushed from the tensor's support (:func:`_slot_terms`): each
 tuple u with a nonzero bracket sends its value to the tuples reached
 through the row supports of alpha^k and of the map, and an identity is
 checked only on the support and the tuples reached, since on any other
-tuple both of its sides are zero.
+tuple both of its sides are zero.  The QDer/GDer right-hand side is the
+one place a tuple needs its position in product order, which
+:func:`in_space` computes from the tuple where it places the terms.
 """
 
 from __future__ import annotations
@@ -57,14 +61,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (
-    NHomAlgebra,
-    _flat_index,
-    apply_ints,
-    bracket_ints,
-    sparse_columns,
-    tensor_support,
-)
+from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -299,7 +296,7 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     def rows():
         memo = {}  # (s, t[:s], t[s+1:]) -> {j: signed sparse slot bracket}
         for t in tuples:
-            value = values[_flat_index(t, d)]
+            value = values.get(t, ())
             signs = _prefix_signs(alg, t, xi)
             for eq in equations:
                 comps = [{} for _ in range(d)]  # component -> {column: coefficient}
@@ -423,7 +420,7 @@ def _slot_terms(alg: NHomAlgebra, k: int, xi: int, mat: Mat, slots) -> tuple[dic
     arows, aden = sparse_columns(alg.alpha_power(k).transpose())
     drows, _ = sparse_columns(mat.transpose())
     terms = {}
-    for u, value in tensor_support(alg):
+    for u, value in alg.tensor[0].items():
         for s in slots:
             choices = [arows[i] for i in u]
             choices[s] = drows[u[s]]
@@ -443,7 +440,7 @@ def _slot_terms(alg: NHomAlgebra, k: int, xi: int, mat: Mat, slots) -> tuple[dic
 def _checked_tuples(alg: NHomAlgebra, terms: dict) -> set:
     """The tuples on which a map's identity can fail: the tensor's support
     (where the value side lives) and the tuples its slot terms reach."""
-    return {t for t, _ in tensor_support(alg)} | {t for t, _ in terms}
+    return set(alg.tensor[0]) | {t for t, _ in terms}
 
 
 def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEndo) -> bool:
@@ -477,13 +474,15 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
     terms, lift = _slot_terms(alg, k, xi, endo.mat, slots)
 
     if kind in (Kind.QDER, Kind.GDER):
-        # the leading block's terms, d rows per tuple in tensor order, are the
-        # right-hand side for the witness blocks; the witness system is
+        # the leading block's terms, d rows per tuple in product order, are
+        # the right-hand side for the witness blocks; the witness system is
         # homogeneous, so their common denominator drops out
         cols = _witness_system(alg, kind, k, xi)
         rhs = [0] * cols.ambient_dim
         for (t, _), term in terms.items():
-            start = _flat_index(t, d) * d
+            start = 0  # t's position in product order, times d
+            for i in t:
+                start = (start + i) * d
             for l, x in enumerate(term):
                 rhs[start + l] += x
         return not any(_reduce(cols.rows, cols.leads, rhs))
@@ -493,7 +492,7 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
     zero = [0] * d
     for t in _checked_tuples(alg, terms):
         # D [e_t], lifted to the slot terms' denominator
-        image = [x * lift for x in apply_ints(dcols, values[_flat_index(t, d)], d)]
+        image = [x * lift for x in apply_ints(dcols, values.get(t, ()), d)]
         slot = [terms.get((t, s), zero) for s in slots]
         if kind is Kind.DER:
             ok = [sum(xs) for xs in zip(*slot)] == image
@@ -553,7 +552,7 @@ def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:
     # the left side is over tden dden lift, W [e_t] over tden wden
     for t in _checked_tuples(alg, terms):
         lhs = [sum(xs) * wden for xs in zip(*(terms.get((t, s), zero) for s in range(n)))]
-        rhs = [y * dden * lift for y in apply_ints(wcols, values[_flat_index(t, d)], d)]
+        rhs = [y * dden * lift for y in apply_ints(wcols, values.get(t, ()), d)]
         if lhs != rhs:
             return False
     return True

@@ -1,11 +1,14 @@
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from conftest import basis_value, unit_vector
+from hypothesis import example, given, settings
 
+from nhomlie import algebra
 from nhomlie.algebra import (
     NHomAlgebra,
     alpha_power,
@@ -26,9 +29,22 @@ from nhomlie.fixtures import (
     super2,
     threeLie4,
 )
-from nhomlie.linalg import Mat, unit_vector, vector
+from nhomlie.linalg import Mat, vector
 
 F = Fraction
+
+
+@st.composite
+def graded_algebras(draw):
+    """Tables on n <= 3, d <= 4 with mixed parity; keys may repeat any index."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 4))
+    parity = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    keys = draw(st.lists(st.sampled_from(list(combinations_with_replacement(range(d), n))),
+                         max_size=4, unique=True))
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    table = {key: draw(st.lists(entry, min_size=d, max_size=d)) for key in keys}
+    return NHomAlgebra(n, d, parity, table, Mat.identity(d))
 
 
 class TestCanonicalize:
@@ -98,6 +114,49 @@ class TestBracket:
                     got = bracket(alg, [units[i] for i in swapped])
                     assert got == tuple(factor * x for x in base)
 
+    @settings(max_examples=60)
+    @given(alg=graded_algebras())
+    @example(alg=NHomAlgebra(3, 3, (0, 1, 1), {(1, 1, 2): (1, 0, 0), (0, 1, 1): (1, 0, 0)},
+                             Mat.identity(3)))
+    @example(alg=NHomAlgebra(3, 3, (0, 1, 0), {(0, 0, 1): (0, 1, 0), (1, 1, 2): (0, 0, 1)},
+                             Mat.identity(3)))
+    def test_adjacent_swaps_follow_the_sign_rule(self, alg):
+        # the property validate no longer checks: every adjacent swap
+        # multiplies the tensor by -(-1)^{pq}, repeated odd indices included,
+        # and a stored key that repeats an even index leaves no entry behind
+        # but is still reported by the stored-table skew check
+        values, _ = alg.tensor
+        parity = alg.parity
+        for t in product(range(alg.dim), repeat=alg.arity):
+            base = values.get(t, ())
+            for s in range(alg.arity - 1):
+                swapped = t[:s] + (t[s + 1], t[s]) + t[s + 2:]
+                factor = 1 if (parity[t[s]] and parity[t[s + 1]]) else -1
+                assert values.get(swapped, ()) == tuple((j, factor * x) for j, x in base)
+        even_repeats = {key for key in alg.table
+                        if any(a == b and parity[a] == 0 for a, b in zip(key, key[1:]))}
+        assert all(tuple(sorted(t)) not in even_repeats for t in values)
+        skew = {f.witness for f in validate(alg).failures if f.axiom == "skew"}
+        assert skew == even_repeats
+
+    def test_tensor_is_built_from_the_table_alone(self, monkeypatch):
+        # no call per ordered tuple: none for an empty table, and at most n!
+        # for one stored key, one per distinct ordering
+        calls = []
+        real = algebra.canonicalize_tuple
+        monkeypatch.setattr(algebra, "canonicalize_tuple",
+                            lambda *args: calls.append(args) or real(*args))
+        alg = NHomAlgebra(6, 6, (0,) * 6, {}, Mat.identity(6))
+        assert alg.tensor == ({}, 1)
+        assert validate(alg).all_ok
+        assert calls == []
+        for key, parity in (((0, 1, 2, 3), (0, 1, 1, 0)), ((1, 1, 2, 3), (0, 1, 1, 0))):
+            calls.clear()
+            alg = NHomAlgebra(4, 4, parity, {key: (1, 0, 0, 0)}, Mat.identity(4))
+            values, _ = alg.tensor
+            assert len(calls) <= factorial(4)
+            assert len(values) == len(set(permutations(key)))
+
 
 class TestValidate:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -166,12 +225,12 @@ def ref_jacobi_failures(alg):
     for xs in product(range(d), repeat=n - 1):
         px = alg.tuple_parity(xs)
         for ys in product(range(d), repeat=n):
-            lhs = bracket(alg, [cols[i] for i in xs] + [alg.basis_value(ys)])
+            lhs = bracket(alg, [cols[i] for i in xs] + [basis_value(alg, ys)])
             rhs = [F(0)] * d
             prefix = 0
             for i in range(n):
                 args = [cols[j] for j in ys]
-                args[i] = alg.basis_value(xs + (ys[i],))
+                args[i] = basis_value(alg, xs + (ys[i],))
                 sign = -1 if px & prefix else 1
                 rhs = [r + sign * x for r, x in zip(rhs, bracket(alg, args))]
                 prefix ^= alg.parity[ys[i]]

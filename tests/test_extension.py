@@ -5,13 +5,14 @@ import pathlib
 import random
 
 import pytest
+from conftest import basis_value, flatten, unit_vector
 
 from nhomlie import extension
 from nhomlie.algebra import bracket, center, derived_subspace, transport, validate
 from nhomlie.cli import main
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, rref, unit_vector, vector
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, rref, vector
 from nhomlie.propositions import _mat_witness, random_even_invertible
 from nhomlie.solver import GradedEndo, Kind, is_homogeneous, omega, solve
 
@@ -56,7 +57,7 @@ class TestBuildCheck:
             d = text.base.dim
             for t in product(range(2 * d), repeat=ext.arity):
                 if any(i >= d for i in t):
-                    assert ext.basis_value(t) == vector([0] * 2 * d)
+                    assert basis_value(ext, t) == vector([0] * 2 * d)
 
     def test_complement_splits_the_space(self):
         text = build_check(aff1())
@@ -146,7 +147,7 @@ class TestWitnessSlack:
                 assert is_homogeneous(alg.parity, xi, w)
                 assert commutes_with(w, alg.alpha)
                 assert all(w.apply(v) == vector([0] * d) for v in derived)
-            flat = [w.flatten() for w in slack]
+            flat = [flatten(w) for w in slack]
             assert SubspaceBasis.span(d * d, flat).dim == len(slack)
             # no direction is missing: count the maps commuting with alpha
             # that kill the derived part, as a kernel inside Omega

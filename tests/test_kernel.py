@@ -1,5 +1,6 @@
 """Differential tests of the integer bracket kernel against Fraction references.
 
+The structure tensor is compared tuple by tuple with ``basis_value``.
 ``bracket`` is compared with the multilinear expansion over
 ``basis_value``; ``in_space`` for the six tuple kinds and
 ``qder_identity_holds`` are compared with their definitions evaluated in
@@ -25,6 +26,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
+from conftest import basis_value
 from hypothesis import given, settings
 
 from nhomlie import solver
@@ -103,7 +105,7 @@ def ref_bracket(alg, args):
         c = F(1)
         for a, i in zip(args, t):
             c *= a[i]
-        for j, x in enumerate(alg.basis_value(t)):
+        for j, x in enumerate(basis_value(alg, t)):
             if x:
                 out[j] += c * x
     return out
@@ -166,7 +168,7 @@ def witness_map(name, kind, a, xi):
             entries = []
             for t in tuples:
                 if slot is None:  # minus W [e_t] for W = E_rc
-                    value = alg.basis_value(t)
+                    value = basis_value(alg, t)
                     entries.extend(-value[c] if l == r else F(0) for l in range(d))
                 elif t[slot] == c:  # W e_{t_s} = e_r
                     args = [col(a, t[j]) for j in range(n)]
@@ -241,7 +243,7 @@ def ref_in_space(name, kind, k, xi, m):
             defect.extend(sum(xs) for xs in zip(*terms))
         return has_witness(name, kind, k, xi, defect)
     for t in tuples:
-        image = apply(m, alg.basis_value(t))
+        image = apply(m, basis_value(alg, t))
         terms = [slot_term(alg, k, xi, m, t, s) for s in range(n)]
         if kind is Kind.DER:
             ok = [sum(xs) for xs in zip(*terms)] == image
@@ -261,7 +263,7 @@ def ref_qder_identity(name, k, xi, m, w):
     n = alg.arity
     for t in product(range(alg.dim), repeat=n):
         lhs = [sum(xs) for xs in zip(*(slot_term(alg, k, xi, m, t, s) for s in range(n)))]
-        if lhs != apply(w, alg.basis_value(t)):
+        if lhs != apply(w, basis_value(alg, t)):
             return False
     return True
 
@@ -299,7 +301,7 @@ def ref_rows(name, kind, k, xi, known):
                 for m, (r, cc) in enumerate(pos):
                     j = b * len(pos) + m
                     if s is VALUE:  # E_{r cc} [e_t]
-                        block[r][j] += c * alg.basis_value(t)[cc]
+                        block[r][j] += c * basis_value(alg, t)[cc]
                     elif t[s] == cc:  # E_{r cc} e_{t_s} = e_r
                         for l, x in enumerate(unit_slot_bracket(name, k, t, s, r)):
                             block[l][j] += c * sign(alg, t, s, xi) * x
@@ -338,6 +340,21 @@ def test_references_cover_members_and_non_members():
     outside = omega(alg, 0).basis[0].mat
     assert ref_in_space("threeLie4~", Kind.DER, 0, 0, der)
     assert not ref_in_space("threeLie4~", Kind.DER, 0, 0, der + outside)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_tensor_is_the_reference_over_its_support(name):
+    # a tuple is a key exactly when its Fraction value is nonzero, the two
+    # agree as integers over the denominator, and the keys are in product order
+    alg = ALGEBRAS[name]
+    values, den = alg.tensor
+    tuples = list(product(range(alg.dim), repeat=alg.arity))
+    assert list(values) == [t for t in tuples if t in values]
+    for t in tuples:
+        scaled = [x * den for x in basis_value(alg, t)]
+        assert all(x.denominator == 1 for x in scaled)
+        assert (t in values) == any(scaled)
+        assert values.get(t, ()) == tuple((j, int(x)) for j, x in enumerate(scaled) if x)
 
 
 @pytest.mark.parametrize("name", NAMES)

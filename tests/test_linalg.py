@@ -3,6 +3,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
+from conftest import is_subspace_of, unit_vector
 from hypothesis import given
 
 from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
@@ -12,13 +13,11 @@ from nhomlie.linalg import (
     SubspaceBasis,
     contains,
     extend_to_complement,
-    is_subspace_of,
     kernel,
     nullspace,
     rref,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     vector,
 )
 

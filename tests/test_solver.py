@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import is_subspace_of
 
 from nhomlie import solver
 from nhomlie.algebra import NHomAlgebra
 from nhomlie.extension import build_check
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, super2, threeLie4
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains, is_subspace_of
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains
 from nhomlie.solver import (
     GradedEndo,
     Kind,
