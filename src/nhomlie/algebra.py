@@ -14,13 +14,20 @@ denominator stored as a sparse tuple of ``(index, int)`` pairs, with the
 tuples in product order.  It is built from the table alone: each stored
 key's distinct orderings, with the sign that sorts them back, so its size
 is that of the support and a tuple missing from it has a zero bracket.
-:func:`bracket_ints` is the one kernel: it adds the bracket of sparse
-integer vectors to an integer accumulator.  :func:`validate` and the
-membership tests of the solver compare integer numerators whose
-denominators they track, and the solver builds its constraint rows from
-the tensor.  ``Fraction`` remains only in the stored table (the edge form
-that the serializer and the extension read), in the arguments and value
-of :func:`bracket`, and in a validation failure's residual, which is
+:func:`bracket_ints` adds the bracket of sparse integer vectors to an
+integer accumulator; the solver builds its constraint rows with it.
+:func:`validate`, :func:`center` and the membership tests of the solver
+read the tensor from its support instead, so their cost follows the
+table rather than the d^n ordered tuples: :func:`opened_tensor` pushes the
+support through the row supports of alpha^k in all slots but one, and
+:func:`slot_terms` pushes it on through the rows of a map in that slot,
+which gives the slot side of a derivation-like identity on the tuples it
+reaches and nowhere else.  Multiplicativity is alpha's slot term and the
+twisted Jacobi identity is ad_xs's, for the prefixes xs the support
+reaches.  All of them compare integer numerators whose denominators they
+track.  ``Fraction`` remains only in the stored table (the edge form that
+the serializer and the extension read), in the arguments and value of
+:func:`bracket`, and in a validation failure's residual, which is
 converted only when the failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
@@ -34,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -212,6 +219,77 @@ def bracket_ints(alg: NHomAlgebra, acc: list[int], args: Sequence[SparseInts],
             acc[j] += c * v
 
 
+def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], SparseInts]:
+    """The tensor with alpha^k applied in every slot but s.
+
+    Entry v is the bracket of (alpha^k e_{v_0}, ..., e_{v_s}, ...,
+    alpha^k e_{v_{n-1}}): the sum over the support tuples u with u_s = v_s
+    of [e_u] times alpha^k[u_m][v_m] for m != s.  It is pushed from the
+    support through the row supports of alpha^k, so its size follows the
+    support, and maps each v with a nonzero entry, in product order, to
+    integer numerators over the tensor's denominator times
+    den(alpha^k)^(n-1).  When alpha^k is the identity it is the tensor
+    itself; otherwise it is cached on ``alg``.
+    """
+    values = alg.tensor[0]
+    power = alg.alpha_power(k)
+    if power.is_identity():
+        return values
+    key = ("opened", k, s)
+    hit = alg._cache.get(key)
+    if hit is not None:
+        return hit
+    d = alg.dim
+    # row r of a matrix, as a sparse vector, is column r of its transpose
+    arows = sparse_columns(power.transpose())[0]
+    pushed: dict[tuple[int, ...], list[int]] = {}
+    for u, value in values.items():
+        choices = [arows[i] for i in u]
+        choices[s] = ((u[s], 1),)
+        for picked in product(*choices):
+            _add_to(pushed, tuple(c for c, _ in picked), prod(x for _, x in picked), value, d)
+    hit = alg._cache[key] = {}
+    for v, dense in sorted(pushed.items()):
+        if any(dense):
+            hit[v] = tuple((j, x) for j, x in enumerate(dense) if x)
+    return hit
+
+
+def slot_terms(alg: NHomAlgebra, k: int, drows: Sequence[Sequence[tuple[int, int]]],
+               slots: Sequence[int], xi: int):
+    """Yield ``(t, s, coeff, value)``: the slot terms of a map D, pushed from
+    the tensor's support.
+
+    The slot-s term of a basis tuple t is (-1)^(xi |t[:s]|) times the
+    bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}),
+    with D given by its sparse rows ``drows``.  Expanded in slot s, it is
+    the sum over the entries v of :func:`opened_tensor` that agree with t
+    outside slot s of their value times D[v_s][t_s].  So each v sends its
+    value times ``coeff``, a signed entry of D, to the tuples reached
+    through row v_s of D, and is skipped at once when that row is empty.  A
+    term never yielded is zero.
+    """
+    parity = alg.parity
+    for s in slots:
+        for v, value in opened_tensor(alg, k, s).items():
+            drow = drows[v[s]]
+            if not drow:
+                continue
+            head, tail = v[:s], v[s + 1:]
+            neg = xi and sum(map(parity.__getitem__, head)) & 1
+            for y, x in drow:
+                yield head + (y,) + tail, s, -x if neg else x, value
+
+
+def _add_to(acc: dict, key, coeff: int, value: SparseInts, dim: int) -> None:
+    """Add ``coeff`` times ``value`` to the dense list ``acc[key]``."""
+    dense = acc.get(key)
+    if dense is None:
+        dense = acc[key] = [0] * dim
+    for j, v in value:
+        dense[j] += coeff * v
+
+
 def _sparse_ints(vec: Sequence) -> tuple[SparseInts, int]:
     """A rational vector as sparse integer numerators over the lcm of its denominators."""
     vec = [as_scalar(x) for x in vec]
@@ -310,47 +388,55 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # are absent, as are their swaps; a stored key of that kind is the skew
     # failure recorded above.
 
-    # multiplicativity on canonical tuples (extends multilinearly):
-    # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden
+    # Multiplicativity on canonical tuples (extends multilinearly):
+    # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden.  The right
+    # side is alpha's slot-0 term with alpha in the other slots, pushed from
+    # the support; the left side is nonzero only on the support, so the two
+    # are compared on the weakly increasing tuples of both, in
+    # combinations_with_replacement order, and nowhere else.
     multiplicative_ok = True
     lift = aden ** (n - 1)
-    for t in combinations_with_replacement(range(d), n):
+    # row r of alpha, as a sparse vector, is column r of its transpose
+    alpha_rows = sparse_columns(alg.alpha.transpose())[0]
+    pushed: dict[tuple[int, ...], list[int]] = {}
+    for t, _, coeff, value in slot_terms(alg, 1, alpha_rows, (0,), 0):
+        if all(a <= b for a, b in zip(t, t[1:])):
+            _add_to(pushed, t, coeff, value, d)
+    zero = [0] * d
+    for t in sorted(pushed.keys() | {u for u in values if list(u) == sorted(u)}):
         lhs = [x * lift for x in apply_ints(alpha_cols, values.get(t, ()), d)]
-        rhs = [0] * d
-        bracket_ints(alg, rhs, [alpha_cols[i] for i in t])
+        rhs = pushed.get(t, zero)
         if lhs != rhs:
             multiplicative_ok = False
             failures.append(ValidationFailure(
                 "multiplicative", t, _residual(lhs, rhs, aden ** n * tden)))
 
-    # twisted Jacobi identity on the d^(2n-1) pairs of basis tuples; both
-    # sides are over tden^2 aden^(n-1).  A pair whose inner bracket [e_ys]
-    # and plugs [e_xs, e_{y_i}] are all zero holds trivially and is skipped,
-    # so with no nonzero plug only the tensor's support is visited; the
-    # pairs left keep their product order, and with it the failures.
+    # Twisted Jacobi identity on the pairs (xs, ys) of basis tuples, as a
+    # map identity: with D = ad_xs in the slots and W = ad_{alpha xs} on the
+    # value, sum_i (-1)^{|xs||ys[:i]|} [alpha y_0, .., D y_i, .., alpha y_{n-1}]
+    # = W [e_ys], both sides over tden^2 aden^(n-1).  The left sum is D's
+    # slot terms pushed from the support.  W's column j, [alpha e_xs, e_j],
+    # is the entry xs + (j,) of the tensor opened at its last slot, and
+    # W [e_ys] is nonzero only on the support.  Both sides are zero off the
+    # support and the tuples reached, and on every xs outside
+    # _jacobi_prefixes, so only those pairs are compared, in product order,
+    # and the failures keep that order.
     jacobi_ok = True
     jden = tden ** 2 * aden ** (n - 1)
-    for xs in product(range(d), repeat=n - 1):
-        px = alg.tuple_parity(xs)
-        ax = [alpha_cols[i] for i in xs]
-        plugs = [values.get(xs + (y,), ()) for y in range(d)]  # [e_xs, e_y] for each y
-        live = {y for y, plug in enumerate(plugs) if plug}
-        for ys in product(range(d), repeat=n) if live else values:
-            inner = values.get(ys, ())
-            if not inner and live.isdisjoint(ys):
-                continue
-            lhs = [0] * d
-            if inner:
-                bracket_ints(alg, lhs, ax + [inner])
-            rhs = [0] * d
-            pprefix = 0
-            for i in range(n):
-                plug = plugs[ys[i]]
-                if plug:
-                    args = [alpha_cols[j] for j in ys[:i]] + [plug] + \
-                           [alpha_cols[j] for j in ys[i + 1:]]
-                    bracket_ints(alg, rhs, args, -1 if px & pprefix else 1)
-                pprefix ^= parity[ys[i]]
+    last = opened_tensor(alg, 1, n - 1)
+    for xs in _jacobi_prefixes(alg):
+        # row r of D holds the (y, [e_xs, e_y]_r) with a nonzero entry
+        drows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+        for y in range(d):
+            for r, x in values.get(xs + (y,), ()):
+                drows[r].append((y, x))
+        rhs_at: dict[tuple[int, ...], list[int]] = {}
+        for t, _, coeff, value in slot_terms(alg, 1, drows, range(n), alg.tuple_parity(xs)):
+            _add_to(rhs_at, t, coeff, value, d)
+        wcols = [last.get(xs + (j,), ()) for j in range(d)]
+        for ys in sorted(rhs_at.keys() | values.keys()):
+            lhs = apply_ints(wcols, values.get(ys, ()), d)
+            rhs = rhs_at.get(ys, zero)
             if lhs != rhs:
                 jacobi_ok = False
                 failures.append(ValidationFailure(
@@ -362,12 +448,24 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     return report
 
 
+def _jacobi_prefixes(alg: NHomAlgebra) -> list[tuple[int, ...]]:
+    """The xs on which the twisted Jacobi identity can fail, in product order.
+
+    Its slot side is zero unless D = ad_xs is, that is unless xs is the head
+    u[:-1] of a support tuple u; its value side is zero unless
+    W = ad_{alpha xs} is, that is unless xs + (j,) is an entry of the tensor
+    opened at its last slot for some j.
+    """
+    heads = {u[:-1] for u in alg.tensor[0]}
+    return sorted(heads.union(v[:-1] for v in opened_tensor(alg, 1, alg.arity - 1)))
+
+
 def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Per-parity bases of {x : [x, y_2, ..., y_n] = 0 for all y}."""
     key = "center"
     if key in alg._cache:
         return alg._cache[key]
-    d, n = alg.dim, alg.arity
+    d = alg.dim
     values = alg.tensor[0]
     out = []
     for par in (EVEN, ODD):
@@ -375,8 +473,10 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
         if not idxs:
             out.append(SubspaceBasis.zero(d))
             continue
+        # a tail that follows no index of this parity in the support gives
+        # zero rows only
         rows = []
-        for rest in product(range(d), repeat=n - 1):
+        for rest in sorted({u[1:] for u in values if alg.parity[u[0]] == par}):
             brackets = [dict(values.get((i,) + rest, ())) for i in idxs]
             rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
         # spread over the increasing idxs, a reduced basis stays reduced

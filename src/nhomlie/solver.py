@@ -44,13 +44,15 @@ at most n d^n sparse vectors per call, freed with its iterator.
 definition on the integer structure tensor without reading the table, so
 they are a cross-check of the table rather than a copy of it; only the
 witness blocks :func:`in_space` solves for come from the table.  Their slot
-terms are pushed from the tensor's support (:func:`_slot_terms`): each
-tuple u with a nonzero bracket sends its value to the tuples reached
-through the row supports of alpha^k and of the map, and an identity is
-checked only on the support and the tuples reached, since on any other
-tuple both of its sides are zero.  The QDer/GDer right-hand side is the
-one place a tuple needs its position in product order, which
-:func:`in_space` computes from the tuple where it places the terms.
+terms are pushed from the tensor's support by
+:func:`~nhomlie.algebra.slot_terms`, the push that
+:func:`~nhomlie.algebra.validate` uses for the Jacobi identity: each tuple
+u with a nonzero bracket sends its value to the tuples reached through the
+row supports of alpha^k and of the map, and an identity is checked only on
+the support and the tuples reached, since on any other tuple both of its
+sides are zero.  The QDer/GDer right-hand side is the one place a tuple
+needs its position in product order, which :func:`in_space` computes from
+the tuple where it places the terms.
 """
 
 from __future__ import annotations
@@ -58,10 +60,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, product
-from math import prod
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import NHomAlgebra, apply_ints, bracket_ints, sparse_columns
+from .algebra import (
+    NHomAlgebra,
+    _add_to,
+    apply_ints,
+    bracket_ints,
+    slot_terms,
+    sparse_columns,
+)
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -403,38 +411,19 @@ def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
 
 def _slot_terms(alg: NHomAlgebra, k: int, xi: int, mat: Mat, slots) -> tuple[dict, int]:
     """``(terms, lift)``: the signed slot-bracket terms of a map D, pushed
-    from the tensor's support.
+    from the tensor's support by :func:`~nhomlie.algebra.slot_terms` with
+    alpha^k in the other slots.
 
-    The slot-s term of a basis tuple t is (-1)^(xi |X_{s-1}|) times the
-    bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}).
-    Expanded multilinearly, it is the sum over the tuples u of the tensor's
-    support of [e_u] times D[u_s][t_s] and alpha^k[u_m][t_m] for m != s.  So
-    each u pushes its value, for each slot s in ``slots``, to the tuples
-    reached through the row supports of alpha^k (the other slots) and of D
-    (slot s), and every term missing from ``terms`` is zero.  ``terms`` maps
-    (t, s) to the dense term, integer numerators over the tensor's
+    ``terms`` maps (t, s) to the dense slot-s term of t; every term missing
+    from it is zero.  Its entries are integer numerators over the tensor's
     denominator times den(D) times ``lift`` = den(alpha^k)^(n-1).
     """
-    d, parity = alg.dim, alg.parity
     # row r of a matrix, as a sparse vector, is column r of its transpose
-    arows, aden = sparse_columns(alg.alpha_power(k).transpose())
     drows, _ = sparse_columns(mat.transpose())
     terms = {}
-    for u, value in alg.tensor[0].items():
-        for s in slots:
-            choices = [arows[i] for i in u]
-            choices[s] = drows[u[s]]
-            for picked in product(*choices):
-                t = tuple(c for c, _ in picked)
-                coeff = prod(x for _, x in picked)
-                if xi and sum(map(parity.__getitem__, t[:s])) & 1:
-                    coeff = -coeff
-                term = terms.get((t, s))
-                if term is None:
-                    term = terms[t, s] = [0] * d
-                for j, v in value:
-                    term[j] += coeff * v
-    return terms, aden ** (alg.arity - 1)
+    for t, s, coeff, value in slot_terms(alg, k, drows, slots, xi):
+        _add_to(terms, (t, s), coeff, value, alg.dim)
+    return terms, alg.alpha_power(k).ints[1] ** (alg.arity - 1)
 
 
 def _checked_tuples(alg: NHomAlgebra, terms: dict) -> set:

@@ -20,6 +20,7 @@ from nhomlie.algebra import (
     transport,
     validate,
 )
+from nhomlie.extension import build_check
 from nhomlie.fixtures import (
     CORRUPTED,
     FIXTURES,
@@ -45,6 +46,29 @@ def graded_algebras(draw):
     entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
     table = {key: draw(st.lists(entry, min_size=d, max_size=d)) for key in keys}
     return NHomAlgebra(n, d, parity, table, Mat.identity(d))
+
+
+@st.composite
+def twisted_algebras(draw):
+    """n <= 4 with mixed parity and a twist with off-diagonal entries.
+
+    The twist is even or, when ``odd`` is drawn, may mix the parities, and
+    may be singular; d shrinks as n grows, so the full loops of the
+    references stay small.
+    """
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, {2: 4, 3: 3, 4: 2}[n]))
+    parity = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    keys = draw(st.lists(st.sampled_from(list(combinations_with_replacement(range(d), n))),
+                         max_size=3, unique=True))
+    table = {key: draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+             for key in keys}
+    odd = draw(st.booleans())
+    alpha = [[draw(st.sampled_from([1, 2, -1, F(1, 2), 0])) if i == j
+              else draw(st.sampled_from([0, 0, 1, -1, F(1, 3)]))
+              if odd or parity[i] == parity[j] else 0
+              for j in range(d)] for i in range(d)]
+    return NHomAlgebra(n, d, parity, table, Mat.from_rows(alpha))
 
 
 class TestCanonicalize:
@@ -209,12 +233,92 @@ class TestValidate:
         got = [(f.witness, f.residual) for f in validate(alg).failures if f.axiom == "jacobi"]
         assert got == ref_jacobi_failures(alg)
 
+    @settings(max_examples=40)
+    @given(alg=twisted_algebras())
+    @example(alg=NHomAlgebra(4, 2, (0, 1), {(0, 1, 1, 1): (0, 1), (1, 1, 1, 1): (1, 0)},
+                             Mat.from_rows([[1, 1], [0, 2]])))
+    # [alpha e_0, alpha e_1] = 0 though alpha [e_0, e_1] is not: a failure
+    # on the support that no push reaches
+    @example(alg=NHomAlgebra(2, 2, (0, 0), {(0, 1): (1, 0)}, Mat.from_rows([[1, 0], [0, 0]])))
+    def test_failures_match_the_full_loops(self, alg):
+        # multiplicativity and the Jacobi identity are checked only where the
+        # support reaches; on non-diagonal and odd twists, every failure, its
+        # witness, its residual and their order must be those of the loops
+        # over every tuple and every pair
+        failures = validate(alg).failures
+        got = {axiom: [(f.witness, f.residual) for f in failures if f.axiom == axiom]
+               for axiom in ("multiplicative", "jacobi")}
+        assert got["multiplicative"] == ref_multiplicative_failures(alg)
+        assert got["jacobi"] == ref_jacobi_failures(alg)
+
+    def test_jacobi_cost_follows_the_support(self, monkeypatch):
+        # both sides are read from the support, with no bracket_ints call,
+        # where the loop over every pair made 6,264 on this extension; with
+        # alpha = id, the prefixes visited are the heads of support tuples
+        ext = build_check(threeLie4()).ext
+        alg = NHomAlgebra(ext.arity, ext.dim, ext.parity, ext.table, ext.alpha)
+        calls, visited = _count_calls(monkeypatch)
+        assert validate(alg).all_ok
+        assert calls == []
+        assert visited == sorted({u[:-1] for u in alg.tensor[0]})
+        assert len(visited) == 12 < alg.dim ** (alg.arity - 1)
+
+    def test_bracketless_validate_and_center_build_nothing(self, monkeypatch):
+        # no Jacobi prefix is visited and no kernel row is built, where the
+        # loops over every tuple visited 6^5 prefixes and built 6^6 rows
+        alg = NHomAlgebra(6, 6, (0,) * 6, {}, Mat.identity(6))
+        calls, visited = _count_calls(monkeypatch)
+        rows = []
+        real_kernel = algebra.kernel
+
+        def kernel(given, width):
+            given = list(given)
+            rows.extend(given)
+            return real_kernel(given, width)
+
+        monkeypatch.setattr(algebra, "kernel", kernel)
+        assert validate(alg).all_ok
+        even, odd = center(alg)
+        assert (even.dim, odd.dim) == (6, 0)
+        assert (calls, visited, rows) == ([], [], [])
+
     def test_bracketless_algebra_skips_every_jacobi_pair(self):
         # 6^9 Jacobi pairs, all trivially true: none is evaluated
         alg = NHomAlgebra(5, 6, (0,) * 6, {}, Mat.identity(6))
         start = time.perf_counter()
         assert validate(alg).all_ok
         assert time.perf_counter() - start < 3
+
+
+def _count_calls(monkeypatch):
+    """Record every ``bracket_ints`` call and every Jacobi prefix visited."""
+    calls, visited = [], []
+    real_bracket, real_prefixes = algebra.bracket_ints, algebra._jacobi_prefixes
+
+    def bracket_ints(*args, **kwargs):
+        calls.append(args)
+        return real_bracket(*args, **kwargs)
+
+    def prefixes(*args):
+        out = real_prefixes(*args)
+        visited.extend(out)
+        return out
+
+    monkeypatch.setattr(algebra, "bracket_ints", bracket_ints)
+    monkeypatch.setattr(algebra, "_jacobi_prefixes", prefixes)
+    return calls, visited
+
+
+def ref_multiplicative_failures(alg):
+    """``(t, alpha [e_t] - [alpha e_t])`` for every failing canonical tuple, through ``bracket``."""
+    cols = [alg.alpha.col(i) for i in range(alg.dim)]
+    out = []
+    for t in combinations_with_replacement(range(alg.dim), alg.arity):
+        lhs = alg.alpha.apply(basis_value(alg, t))
+        rhs = bracket(alg, [cols[i] for i in t])
+        if lhs != rhs:
+            out.append((t, tuple(x - y for x, y in zip(lhs, rhs))))
+    return out
 
 
 def ref_jacobi_failures(alg):
