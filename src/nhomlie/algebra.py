@@ -477,8 +477,12 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
         # zero rows only
         rows = []
         for rest in sorted({u[1:] for u in values if alg.parity[u[0]] == par}):
-            brackets = [dict(values.get((i,) + rest, ())) for i in idxs]
-            rows.extend([b.get(l, 0) for b in brackets] for l in range(d))
+            # component l of the bracket of each idxs[pos] with rest, as a sparse row
+            comps = [[] for _ in range(d)]
+            for pos, i in enumerate(idxs):
+                for l, x in values.get((i,) + rest, ()):
+                    comps[l].append((pos, x))
+            rows.extend(comps)
         # spread over the increasing idxs, a reduced basis stays reduced
         vecs = []
         for v in kernel(rows, len(idxs)):

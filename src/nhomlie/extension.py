@@ -123,8 +123,9 @@ def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
     derived subspace.
     """
     rows, _, pos = _rows(alg, Kind.QDER, 0, xi, known={0})
+    npos = len(pos)  # every column of these rows lies in the witness block
     return [_mat_from_positions(alg.dim, pos, v, next(x for x in v if x))
-            for v in kernel([row[len(pos):] for row in rows], len(pos))]
+            for v in kernel(([(c - npos, x) for c, x in row] for row in rows), npos)]
 
 
 def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropReport:

@@ -17,11 +17,16 @@ which decides membership, and :func:`_insert` adds a row that does not
 reduce to zero and clears its lead from the other rows.  Spans, sums,
 intersections, complements and :func:`rref` grow a canonical basis this
 way, so every stored row is a row of that unique form and its size is
-bounded by the form itself.  :func:`kernel` keeps
-the nullspace itself instead of pivots: one primitive integer vector per
-free column, updated row by row, so a dependent row costs one dot product
-per vector, rows past full rank are never read, and the vectors left at
-the end are the nullspace's reduced basis.  No floating point appears
+bounded by the form itself.  :func:`kernel` reads sparse rows, each the
+list of its (column, value) pairs, and keeps the nullspace itself instead
+of pivots: one primitive integer vector per free column, stored over the
+columns retired so far (its own entry first, then its entries at the
+retired columns in retirement order), which hold all of its support.  A
+dependent row costs one dot product per vector over the row's nonzeros; a
+retirement costs, for each vector it updates, one scaling of that vector
+plus the nonzeros of the retired column's vector; rows past full rank are
+never read, and the vectors left at the end, written out at the full
+width, are the nullspace's reduced basis.  No floating point appears
 anywhere.
 """
 
@@ -305,12 +310,15 @@ def _grown(width: int, basis: list, leads: list[int],
     return SubspaceBasis(width, tuple(map(tuple, basis)))
 
 
-def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+def kernel(rows: Iterable[Sequence[tuple[int, int]]],
+           width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of ``{v : r v = 0 for every row r}``, as integer rows.
 
-    Each basis vector is a primitive integer row with a positive leading
-    entry, and together they are the nullspace's reduced row-echelon basis
-    in the canonical form of :class:`SubspaceBasis`.
+    Each row is a sequence of its (column, value) pairs, in any order, at
+    distinct columns; zero values may be left out.  Each basis vector is a
+    primitive integer row with a positive leading entry, and together they
+    are the nullspace's reduced row-echelon basis in the canonical form of
+    :class:`SubspaceBasis`.
 
     The elimination keeps the kernel, not the pivots.  Every column is
     free at first; each free column f holds a vector v_f, the unit vector
@@ -340,50 +348,62 @@ def kernel(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], 
     By Cramer's rule every entry of v_f is a minor of the rows read,
     divided by the gcd of the vector's entries, so the stored entries are
     bounded by construction and never need compressing.
+
+    Storage follows the invariant: v_f is stored as one list, v_f[f] first
+    and then its entries at the retired columns in retirement order, which
+    is all of its support.  A row's pairs at retired columns are mapped to
+    those places once, so a dot product costs the row's nonzeros.  A
+    retirement gives column i the next place; v_i's nonzero entries, in
+    the places after the retirement, are listed once and shared by every
+    update, so an update costs one scaling of v_f plus those entries, and
+    the vectors it does not update gain a zero at the new place.  The full
+    width is written out only for the returned basis.
     """
-    untouched = set(range(width))
-    vecs: dict[int, list[int]] = {}
+    vecs: dict[int, list[int]] = {}  # the stored v_f; every other free v_f is e_f
+    retired: list[int] = []  # the retired columns, in retirement order
+    place: dict[int, int] = {}  # retired column -> its index in every stored vector
     if width:  # with no column free, no row is read
         for row in rows:
-            idx = list(compress(range(width), row))
-            if not idx:
-                continue
-            vals = [row[j] for j in idx]
+            at = [(place[j], x) for j, x in row if x and j in place]
             dots = {}
-            for f, v in vecs.items():
-                d = sum(map(mul, map(v.__getitem__, idx), vals))
-                if d:
-                    dots[f] = d
-            for j, x in zip(idx, vals):
-                if j in untouched:
-                    dots[j] = x
+            if at:
+                places, vals = zip(*at)
+                for f, v in vecs.items():
+                    d = sum(map(mul, map(v.__getitem__, places), vals))
+                    if d:
+                        dots[f] = d
+            for f, x in row:  # at a free column f, only v_f is nonzero
+                if x and f not in place:
+                    d = dots.pop(f, 0) + x * vecs.get(f, (1,))[0]
+                    if d:
+                        dots[f] = d
             if not dots:
                 continue
             i = max(dots)
             di = dots.pop(i)
-            vi = vecs.pop(i, None) or _unit(width, i)
-            untouched.discard(i)
+            vi = vecs.pop(i, [1])
+            retired.append(i)
+            new = place[i] = len(retired)
+            # v_i's nonzero entries in the places after its retirement
+            nz = [(p, x) for p, x in enumerate(vi) if p and x] + [(new, vi[0])]
+            for v in vecs.values():
+                v.append(0)
             for f, df in dots.items():
-                g = gcd(di, df)
+                g = gcd(di, df) if di > 0 else -gcd(di, df)  # so that a > 0
                 a, b = di // g, df // g
-                if a < 0:
-                    a, b = -a, -b
-                vf = vecs.get(f)
-                if vf is None:
-                    untouched.remove(f)
-                    vf = _unit(width, f)
-                vecs[f] = _primitive([a * x - b * y for x, y in zip(vf, vi)])
-            if not untouched and not vecs:
+                vf = [a * x for x in vecs.get(f) or [1] + [0] * new]
+                for p, x in nz:
+                    vf[p] -= b * x
+                vecs[f] = _primitive(vf)
+            if len(retired) == width:
                 break
-    for f in untouched:
-        vecs[f] = _unit(width, f)
-    return tuple(tuple(vecs[f]) for f in sorted(vecs))
-
-
-def _unit(width: int, f: int) -> list[int]:
-    v = [0] * width
-    v[f] = 1
-    return v
+    basis = []
+    for f in sorted(set(range(width)).difference(place)):
+        out = [0] * width
+        for c, x in zip([f] + retired, vecs.get(f, (1,))):
+            out[c] = x
+        basis.append(tuple(out))
+    return tuple(basis)
 
 
 class RrefResult(NamedTuple):
@@ -403,7 +423,8 @@ def rref(m: Mat) -> RrefResult:
 
 def nullspace(m: Mat) -> "SubspaceBasis":
     """Canonical basis of ``{v : m v = 0}``."""
-    return SubspaceBasis(m.cols, kernel(m.ints[0], m.cols))
+    rows = ([(j, x) for j, x in enumerate(row) if x] for row in m.ints[0])
+    return SubspaceBasis(m.cols, kernel(rows, m.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ that lead in it are the witness representatives aligned with the returned
 basis, kept for reporting and for the extension embedding.
 
 ``_EQUATIONS`` is the one description of these identities, with each
-kind's tuple symmetry: the slot from which a basis tuple may be sorted
-without changing the row space (all of t for Der, C, QC and QDer, t[1:]
-for ZDer, none for GDer).  :func:`_rows` turns it into rows: over the
-weakly increasing representatives for :func:`solve`, and over every tuple
+equation's tuple symmetry: the slot from which a basis tuple may be sorted
+without changing the row space (all of t for Der, C, QC, QDer and ZDer's
+VALUE equation, t[1:] for ZDer's slot equation, none for GDer).
+:func:`_rows` turns it into rows: over each equation's weakly increasing
+representatives for :func:`solve`, and over every tuple
 for the QDer/GDer witness system and the extension's witness slack, whose
 right-hand sides cover every tuple.  The rows are integer numerators built
 from the structure tensor, which holds only the tuples with a nonzero
@@ -36,7 +37,9 @@ bracket and is read by lookup, through
 :func:`~nhomlie.algebra.bracket_ints`: every equation row is over the
 tensor's denominator times den(alpha^k)^(n-1), and every commutation row
 over den(alpha).  Each (tuple, equation) is summed sparsely, component by
-component, and only its nonzero components become dense rows.  The slot-s
+component, and each nonzero component becomes one row: the list of its
+nonzero (column, value) pairs, which is the one row form
+:func:`~nhomlie.linalg.kernel` reads.  The slot-s
 bracket of unknown column (j, t[s]) does not depend on t[s], so each
 :func:`_rows` call builds it once under the key (s, t[:s], t[s+1:]) and j:
 at most n d^n sparse vectors per call, freed with its iterator.
@@ -169,43 +172,39 @@ def _prefix_signs(alg: NHomAlgebra, t: tuple[int, ...], xi: int) -> list[int]:
 
 
 # Each kind's defining identities: kind -> (arity -> (block count,
-# equations), sorted_from).  An equation holds for every basis tuple t; it is
-# a list of terms (block b, slot s, coefficient c).  A slot term is c times
-# the prefix sign of slot s times
-# [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}]; a VALUE term
-# is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block also commutes with
-# alpha.  ``sorted_from`` is the tuple symmetry: the first slot from which t
-# may be sorted without changing the row space (see :func:`_rows`), None if
-# none may be.  Der, C, QC and QDer sort all of t, ZDer only t[1:] (its
-# slot-0 term singles out slot 0), GDer nothing (each slot has its own
-# block).  Only :func:`solve` reads representatives; the witness systems,
-# :func:`in_space` and the dense oracle visit every tuple.
+# equations)).  An equation holds for every basis tuple t; its ``terms`` are
+# (block b, slot s, coefficient c).  A slot term is c times the prefix sign
+# of slot s times [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}];
+# a VALUE term is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block also
+# commutes with alpha.  ``sorted_from`` is the equation's tuple symmetry: the
+# first slot from which t may be sorted without changing the row space (see
+# :func:`_rows`), n if none may be.  Der, C, QC and QDer sort all of t; ZDer
+# sorts all of t in its VALUE equation D[e_t] = 0 and only t[1:] in its slot
+# equation (whose one term singles out slot 0); GDer sorts nothing (each slot
+# has its own block).  Only :func:`solve` reads representatives; the witness
+# systems, :func:`in_space` and the dense oracle visit every tuple.
 VALUE = None
 
 
-class _Identities(NamedTuple):
-    equations: Callable[[int], tuple[int, list]]
-    sorted_from: int | None
-
-    def __call__(self, n: int) -> tuple[int, list]:
-        return self.equations(n)
+class _Equation(NamedTuple):
+    sorted_from: int
+    terms: list
 
 
-_EQUATIONS = {
-    Kind.OMEGA: _Identities(lambda n: (1, []), None),
-    Kind.DER: _Identities(lambda n: (1, [[(0, s, 1) for s in range(n)] + [(0, VALUE, -1)]]), 0),
-    Kind.ZDER: _Identities(lambda n: (1, [[(0, 0, 1)], [(0, VALUE, 1)]]), 1),
-    Kind.C: _Identities(lambda n: (1, [[(0, s, 1), (0, VALUE, -1)] for s in range(n)]), 0),
-    Kind.QC: _Identities(lambda n: (1, [[(0, 0, 1), (0, s, -1)] for s in range(1, n)]), 0),
-    Kind.QDER: _Identities(lambda n: (2, [[(0, s, 1) for s in range(n)] + [(1, VALUE, -1)]]),
-                           0),
-    Kind.GDER: _Identities(
-        lambda n: (n + 1, [[(s, s, 1) for s in range(n)] + [(n, VALUE, -1)]]), None),
+_EQUATIONS: dict[Kind, Callable[[int], tuple[int, list[_Equation]]]] = {
+    Kind.OMEGA: lambda n: (1, []),
+    Kind.DER: lambda n: (1, [_Equation(0, [(0, s, 1) for s in range(n)] + [(0, VALUE, -1)])]),
+    Kind.ZDER: lambda n: (1, [_Equation(1, [(0, 0, 1)]), _Equation(0, [(0, VALUE, 1)])]),
+    Kind.C: lambda n: (1, [_Equation(0, [(0, s, 1), (0, VALUE, -1)]) for s in range(n)]),
+    Kind.QC: lambda n: (1, [_Equation(0, [(0, 0, 1), (0, s, -1)]) for s in range(1, n)]),
+    Kind.QDER: lambda n: (2, [_Equation(0, [(0, s, 1) for s in range(n)] + [(1, VALUE, -1)])]),
+    Kind.GDER: lambda n: (
+        n + 1, [_Equation(n, [(s, s, 1) for s in range(n)] + [(n, VALUE, -1)])]),
 }
 
 
-def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
-    """Integer rows encoding (D alpha - alpha D) = 0 for one unknown block."""
+def _commutation_rows(alg: NHomAlgebra, posidx, offset: int):
+    """Sparse integer rows encoding (D alpha - alpha D) = 0 for one unknown block."""
     if alg.alpha.is_identity():
         return []
     d = alg.dim
@@ -213,47 +212,48 @@ def _commutation_rows(alg: NHomAlgebra, posidx, width: int, offset: int):
     rows = []
     for l in range(d):
         for m in range(d):
-            row = [0] * width
+            row = {}
             for j in range(d):
                 col = posidx.get((l, j))
                 if col is not None and a[j][m]:
-                    row[offset + col] += a[j][m]
+                    row[offset + col] = row.get(offset + col, 0) + a[j][m]
                 col = posidx.get((j, m))
                 if col is not None and a[l][j]:
-                    row[offset + col] -= a[l][j]
-            if any(row):
+                    row[offset + col] = row.get(offset + col, 0) - a[l][j]
+            row = [(col, x) for col, x in row.items() if x]
+            if row:
                 rows.append(row)
     return rows
 
 
-def _tuples(d: int, n: int, sorted_from: int | None):
-    """Basis n-tuples in product order; with ``sorted_from`` set, only those
-    weakly increasing from that slot on."""
-    if sorted_from is None:
-        return product(range(d), repeat=n)
+def _tuples(d: int, n: int, sorted_from: int):
+    """Basis n-tuples in product order, only those weakly increasing from
+    slot ``sorted_from`` on (every tuple when it is n)."""
     return (head + tail for head in product(range(d), repeat=sorted_from)
             for tail in combinations_with_replacement(range(d), n - sorted_from))
 
 
 def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False):
-    """Integer rows of the equations of ``kind`` over its vectorized blocks.
+    """Sparse integer rows of the equations of ``kind`` over its vectorized blocks.
 
-    Rows come tuple by tuple in product order, then equation by equation,
-    then component by component, followed by the commutation rows of every
-    block not in ``known``.  Terms of the ``known`` blocks are left out.
-    Without known blocks only nonzero rows are kept; with them all d rows of
-    each (tuple, equation) are kept, so a right-hand side computed for the
-    known blocks lines up with the rows.  Every equation row is the rational
+    Each row is the list of its nonzero (column, value) pairs, the row form
+    of :func:`~nhomlie.linalg.kernel`.  Rows come tuple by tuple in product
+    order, then equation by equation, then component by component, followed
+    by the commutation rows of every block not in ``known``.  Terms of the
+    ``known`` blocks are left out.  Without known blocks only nonzero rows
+    are kept; with them all d rows of each (tuple, equation) are kept, an
+    empty list for a zero row, so a right-hand side computed for the known
+    blocks lines up with the rows.  Every equation row is the rational
     row times one factor, the tensor's denominator times den(alpha^k)^(n-1),
     and rows are not normalized one by one, so such a right-hand side needs
     only to share that factor.  Returns (an iterator over the rows, block
     count, positions); ``solve`` consumes the rows as they are built.
 
-    With ``reduced``, only the representative tuples are visited: those
-    weakly increasing from the kind's ``sorted_from`` slot on (every tuple
-    when that is None).  The row space does not change.  Swap the adjacent
-    entries t_i and t_{i+1} (both at or after ``sorted_from``).  By the
-    graded skew symmetry of the bracket, the VALUE term gets the factor
+    With ``reduced``, each equation is read only on its representative
+    tuples: those weakly increasing from its ``sorted_from`` slot on (every
+    tuple when that is n).  The row space does not change.  Swap the
+    adjacent entries t_i and t_{i+1} (both at or after ``sorted_from``).
+    By the graded skew symmetry of the bracket, the VALUE term gets the factor
     -(-1)^(|e_{t_i}| |e_{t_{i+1}}|), and so does a slot term with the
     unknown in neither slot (alpha^k is even, so its images keep the
     parities of their arguments).  A slot term with the unknown in slot i
@@ -264,7 +264,8 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     each equation and keeps its VALUE term, all times one sign.  Each
     permuted equation is then plus or minus a representative's equation
     (Der and QDer sum their slot terms; C's slot s goes to another slot;
-    ZDer keeps slot 0 in place) or, for QC, a difference of two of them:
+    ZDer's slot equation keeps slot 0 in place, and its VALUE equation has
+    no slot term to move) or, for QC, a difference of two of them:
     slot a minus slot b is (slot 0 minus slot b) minus (slot 0 minus
     slot a).  :func:`~nhomlie.linalg.kernel` returns the canonical form of
     the nullspace, so equal row spaces give equal bases.  The witness
@@ -279,13 +280,13 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     memo holds at most n d^n sparse vectors (d^n for ZDer, whose only slot
     term is slot 0) and lives as long as the iterator, so nothing is kept
     on ``alg``.  Each (tuple, equation) is summed in one sparse dict per
-    component, and a dense row is made only for a component that is not
-    zero (for every component with known blocks).
+    component, and the component's nonzero entries are its row, so no row
+    is ever written out at the full width.
     """
     d, n = alg.dim, alg.arity
-    identities = _EQUATIONS[kind]
-    nblocks, equations = identities(n)
-    tuples = _tuples(d, n, identities.sorted_from if reduced else None)
+    nblocks, equations = _EQUATIONS[kind](n)
+    # every tuple that is a representative of some equation
+    start = max((eq.sorted_from for eq in equations), default=n) if reduced else n
     pos = allowed_positions(alg.parity, xi)
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
@@ -293,7 +294,6 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     colpos = [[] for _ in range(d)]
     for m, (r, c) in enumerate(pos):
         colpos[c].append((r, m))
-    width = nblocks * npos
     values = alg.tensor[0]
     # slot terms: alpha^k columns over aden in n - 1 slots, a unit vector in
     # slot s; VALUE terms are lifted to the same denominator
@@ -303,12 +303,18 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
 
     def rows():
         memo = {}  # (s, t[:s], t[s+1:]) -> {j: signed sparse slot bracket}
-        for t in tuples:
+        for t in _tuples(d, n, start):
+            # t is a representative of the equations sorted from slot first on
+            first = n - 1 if reduced else 0
+            while first and t[first - 1] <= t[first]:
+                first -= 1
             value = values.get(t, ())
             signs = _prefix_signs(alg, t, xi)
             for eq in equations:
+                if eq.sorted_from < first:
+                    continue
                 comps = [{} for _ in range(d)]  # component -> {column: coefficient}
-                for b, s, c in eq:
+                for b, s, c in eq.terms:
                     if b in known:
                         continue
                     off = b * npos
@@ -339,14 +345,12 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
                             comp = comps[l]
                             comp[col] = comp.get(col, 0) + c * x
                 for comp in comps:
-                    if known or any(comp.values()):
-                        row = [0] * width
-                        for col, x in comp.items():
-                            row[col] = x
+                    row = [(col, x) for col, x in comp.items() if x] if comp else []
+                    if row or known:
                         yield row
         for b in range(nblocks):
             if b not in known:
-                yield from _commutation_rows(alg, posidx, width, b * npos)
+                yield from _commutation_rows(alg, posidx, b * npos)
 
     return rows(), nblocks, pos
 
@@ -508,7 +512,11 @@ def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBa
         return hit
     rows, nblocks, pos = _rows(alg, kind, k, xi, known={0})
     rows = list(rows)
-    witness_cols = ([row[c] for row in rows] for c in range(len(pos), nblocks * len(pos)))
+    npos = len(pos)
+    witness_cols = [[0] * len(rows) for _ in range((nblocks - 1) * npos)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            witness_cols[c - npos][r] = x
     cols = _grown(len(rows), [], [], witness_cols)
     alg._cache[cache_key] = cols
     return cols

@@ -40,3 +40,16 @@ def is_subspace_of(a, b):
 def flatten(m):
     """Row-major flattening of a matrix, used to treat matrices as vectors."""
     return tuple(x for row in m.entries for x in row)
+
+
+def sparse(row):
+    """The nonzero (column, value) pairs of a dense row: the row form of ``kernel``."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def dense(row, width):
+    """A row of (column, value) pairs written out at the full width."""
+    out = [0] * width
+    for j, x in row:
+        out[j] += x
+    return out

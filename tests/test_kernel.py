@@ -26,7 +26,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from conftest import basis_value
+from conftest import basis_value, dense, sparse
 from hypothesis import given, settings
 
 from nhomlie import solver
@@ -295,7 +295,7 @@ def ref_rows(name, kind, k, xi, known):
     for t in product(range(d), repeat=n):
         for eq in equations:
             block = [[F(0)] * width for _ in range(d)]
-            for b, s, c in eq:
+            for b, s, c in eq.terms:
                 if b in known:
                     continue
                 for m, (r, cc) in enumerate(pos):
@@ -425,11 +425,12 @@ def test_rows_are_the_reference_over_one_denominator(name, kind):
         kden = lcm(1, *(x.denominator for row in alg.alpha_power(k).entries for x in row))
         eq_rows, comm_rows = ref_rows(name, kind, k, xi, known)
         factor = tden * kden ** (alg.arity - 1)
-        expected = ([[x * factor if x else 0 for x in row] for row in eq_rows] +
-                    [[x * aden if x else 0 for x in row] for row in comm_rows])
+        expected = ([sparse([x * factor for x in row]) for row in eq_rows] +
+                    [sparse([x * aden for x in row]) for row in comm_rows])
         rows = list(_rows(alg, kind, k, xi, known)[0])
-        assert all(type(x) is int for row in rows for x in row)
-        assert rows == expected
+        assert all(type(j) is int and type(x) is int for row in rows for j, x in row)
+        # the same nonzero entries at the same columns, in the same rows
+        assert [sorted(row) for row in rows] == expected
 
 
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
@@ -449,7 +450,7 @@ def test_rows_build_each_slot_bracket_once(name, kind, monkeypatch):
         columns = [sum(1 for r, c in allowed_positions(alg.parity, xi) if c == cc)
                    for cc in range(d)]
         per_term = sum(columns[t[s]] for t in product(range(d), repeat=n)
-                       for eq in equations for b, s, _ in eq
+                       for eq in equations for b, s, _ in eq.terms
                        if s is not VALUE and b not in known)
         calls.clear()
         list(_rows(alg, kind, k, xi, known)[0])
@@ -461,7 +462,7 @@ ORBIT_ALGEBRAS = {name: ALGEBRAS[name] for name in NAMES + ["ext(threeLie4)"]}
 
 
 def is_representative(t, sorted_from):
-    return sorted_from is None or list(t[sorted_from:]) == sorted(t[sorted_from:])
+    return list(t[sorted_from:]) == sorted(t[sorted_from:])
 
 
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
@@ -475,29 +476,66 @@ def test_rows_over_representatives_span_the_full_rows(name, kind):
         full = list(full)
         reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
         width = nblocks * len(pos)
-        assert SubspaceBasis.span(width, reduced) == SubspaceBasis.span(width, full), (k, xi)
+        assert SubspaceBasis.span(width, [dense(row, width) for row in reduced]) == \
+            SubspaceBasis.span(width, [dense(row, width) for row in full]), (k, xi)
         assert kernel(reduced, width) == kernel(full, width), (k, xi)
+
+
+def so3_sum(m):
+    """so(3)^(+m): m commuting copies of [e0, e1] = e2, [e1, e2] = e0, [e2, e0] = e1."""
+    d = 3 * m
+    table = {}
+    for i in range(0, d, 3):
+        for args, (j, c) in (((i, i + 1), (i + 2, 1)), ((i + 1, i + 2), (i, 1)),
+                             ((i, i + 2), (i + 1, -1))):
+            table[args] = tuple(c if l == j else 0 for l in range(d))
+    return NHomAlgebra(2, d, (0,) * d, table, Mat.identity(d), name=f"so3x{m}")
+
+
+def test_zder_reads_its_value_equation_over_sorted_tuples():
+    # so(3)^(+4) at k = 0, xi = 0: the slot equation [D e_{t_0}, e_{t_1}] = 0
+    # singles out slot 0 and gives 288 rows over all 144 tuples; D [e_t] = 0
+    # is symmetric in all of t and gives 288 rows over every tuple (12 per
+    # ordered pair in one block) but 144 over the sorted ones
+    alg = so3_sum(4)
+    full, nblocks, pos = _rows(alg, Kind.ZDER, 0, 0)
+    full = list(full)
+    reduced = list(_rows(alg, Kind.ZDER, 0, 0, reduced=True)[0])
+    assert (len(full), len(reduced)) == (576, 432)
+    width = nblocks * len(pos)
+    assert kernel(reduced, width) == kernel(full, width)
+    assert solve(alg, Kind.ZDER, 0, 0).dim == 0
 
 
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind, monkeypatch):
-    # the full path is pinned to the Fraction reference above; fed only the
-    # representative tuples, in product order, it must give the reduced stream
+    # the full path is pinned to the Fraction reference above; for each
+    # equation on its own, fed only its representative tuples in product
+    # order, it must give the reduced stream
     alg = ALGEBRAS[name]
-    sorted_from = _EQUATIONS[kind].sorted_from
+    nblocks, equations = _EQUATIONS[kind](alg.arity)
     if kind is Kind.GDER:
-        assert sorted_from is None
-    reps = [t for t in product(range(alg.dim), repeat=alg.arity)
-            if is_representative(t, sorted_from)]
+        assert [eq.sorted_from for eq in equations] == [alg.arity]
+    for eq in equations:
+        reps = [t for t in product(range(alg.dim), repeat=alg.arity)
+                if is_representative(t, eq.sorted_from)]
+        for k, xi in product(range(3), (0, 1)):
+            with monkeypatch.context() as m:
+                m.setitem(solver._EQUATIONS, kind, lambda n: (nblocks, [eq]))
+                reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
+                m.setattr(solver, "_tuples", lambda d, n, start: iter(reps))
+                expected = list(_rows(alg, kind, k, xi)[0])
+            assert reduced == expected, (k, xi)
+            if kind is Kind.GDER:
+                assert reduced == list(_rows(alg, kind, k, xi)[0]), (k, xi)
+    # all equations together: offered every tuple, each equation's own
+    # filter keeps the stream that the representatives alone give
     for k, xi in product(range(3), (0, 1)):
         reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
         with monkeypatch.context() as m:
-            m.setattr(solver, "_tuples", lambda d, n, start: iter(reps))
-            expected = list(_rows(alg, kind, k, xi)[0])
-        assert reduced == expected, (k, xi)
-        if kind is Kind.GDER:
-            assert reduced == list(_rows(alg, kind, k, xi)[0]), (k, xi)
+            m.setattr(solver, "_tuples", lambda d, n, start: product(range(d), repeat=n))
+            assert list(_rows(alg, kind, k, xi, reduced=True)[0]) == reduced, (k, xi)
 
 
 def test_odd_alpha_is_solved_over_every_tuple():

@@ -3,8 +3,8 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from conftest import is_subspace_of, unit_vector
-from hypothesis import given
+from conftest import dense, is_subspace_of, sparse, unit_vector
+from hypothesis import given, settings
 
 from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
 from nhomlie.fixtures import all_fixtures, mixed_change
@@ -22,6 +22,7 @@ from nhomlie.linalg import (
 )
 
 F = Fraction
+ZERO = F(0)
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
@@ -308,10 +309,10 @@ def test_identity_detection():
 # ---------------------------------------------------------------------------
 
 def ref_int_row(row):
-    den = 1
+    den = 1  # ints and Fractions alike have a numerator and a denominator
     for x in row:
-        den = den * F(x).denominator // gcd(den, F(x).denominator)
-    out = [int(F(x) * den) for x in row]
+        den = den * x.denominator // gcd(den, x.denominator)
+    out = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*out) if out else 0
     return [x // g for x in out] if g > 1 else out
 
@@ -347,7 +348,7 @@ class RefEchelon:
                     g = gcd(prow[c], b)
                     row = [prow[c] // g * x - b // g * y for x, y in zip(rows[m], prow)]
                     rows[m] = [x // gcd(*row) for x in row]
-        return [(c, tuple(F(x, r[c]) for x in r)) for c, r in zip(cols, rows)]
+        return [(c, tuple(F(x, r[c]) if x else ZERO for x in r)) for c, r in zip(cols, rows)]
 
     def nullspace_vectors(self):
         reduced = self.rref_rows()
@@ -412,15 +413,73 @@ def row_lists(draw, entries):
 @given(row_lists(int_entries))
 def test_kernel_matches_two_eliminations(case):
     rows, width = case
-    assert_reference_kernel(kernel(rows, width), rows, width)
+    assert_reference_kernel(kernel(map(sparse, rows), width), rows, width)
+
+
+@given(row_lists(int_entries), st.data())
+def test_kernel_does_not_depend_on_the_order_of_a_rows_pairs(case, data):
+    rows, width = case
+    shuffled = [data.draw(st.permutations(sparse(row))) for row in rows]
+    # zero values may be left in or out
+    padded = [row + [(j, 0) for j in range(width) if not x]
+              for row, x in zip(shuffled, data.draw(st.lists(
+                  st.integers(0, 1), min_size=len(rows), max_size=len(rows))))]
+    assert kernel(shuffled, width) == kernel(padded, width) == kernel(map(sparse, rows), width)
+
+
+@st.composite
+def wide_sparse_systems(draw):
+    """Width 300 to 340 and 1 to 3 nonzeros per row, as in the rows of a
+    GDer solve on so(3)^(+4); most columns are drawn from a few hot ones,
+    so rows meet, and some rows are combinations of earlier ones."""
+    width = draw(st.integers(300, 340))
+    hot = draw(st.lists(st.integers(0, width - 1), min_size=4, max_size=24, unique=True))
+    column = st.one_of(st.sampled_from(hot), st.sampled_from(hot), st.integers(0, width - 1))
+    pair = st.tuples(column, st.integers(-3, 3).filter(bool))
+    rows = draw(st.lists(st.lists(pair, min_size=1, max_size=3, unique_by=lambda p: p[0]),
+                         min_size=1, max_size=40))
+    dense_rows = [dense(row, width) for row in rows]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                           st.integers(0, len(rows) - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        dense_rows.append([x + c * y for x, y in zip(dense_rows[i], dense_rows[j])])
+    return draw(st.permutations(dense_rows)), width
+
+
+@settings(max_examples=15)
+@given(wide_sparse_systems())
+def test_kernel_of_wide_sparse_systems_matches_the_reference(case):
+    rows, width = case
+    assert_reference_kernel(kernel(map(sparse, rows), width), rows, width)
+
+
+@st.composite
+def narrow_dense_systems(draw):
+    """Width 2 to 7, every entry nonzero with 30 to 40 bits, and rows that
+    are combinations of earlier ones, so the kernel is often not zero."""
+    width = draw(st.integers(2, 7))
+    big = st.integers(1 << 29, 1 << 40).flatmap(lambda x: st.sampled_from([x, -x]))
+    gens = draw(st.lists(st.lists(big, min_size=width, max_size=width),
+                         min_size=1, max_size=width))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    extra = [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(width)]
+             for cs in draw(st.lists(coeffs, max_size=3))]
+    return draw(st.permutations(gens + extra)), width
+
+
+@given(narrow_dense_systems())
+def test_kernel_of_narrow_dense_systems_with_large_entries_matches_the_reference(case):
+    rows, width = case
+    assert_reference_kernel(kernel(map(sparse, rows), width), rows, width)
 
 
 def assert_reference_kernel(basis, rows, width):
     assert all(next(x for x in v if x) > 0 and gcd(*v) == 1 for v in basis)
-    assert tuple(tuple(F(x, next(y for y in v if y)) for x in v) for v in basis) == \
+    assert tuple(tuple(F(x, next(y for y in v if y)) if x else ZERO for x in v)
+                 for v in basis) == \
         ref_kernel(rows, width)
-    for v in basis:
-        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    for row in map(sparse, rows):
+        assert all(sum(x * v[j] for j, x in row) == 0 for v in basis)
 
 
 @st.composite
@@ -454,18 +513,18 @@ def test_kernel_of_tall_systems_matches_the_reference_and_stops_at_full_rank(cas
         for i, row in enumerate(rows):
             if full is not None and i > full:
                 raise AssertionError(f"row {i} read after full rank at row {full}")
-            yield row
+            yield sparse(row)
 
     assert_reference_kernel(kernel(stream(), width), rows, width)
 
 
 def test_kernel_stops_at_the_row_that_retires_the_last_free_column():
     def stream():
-        yield [0, 1, 1]
-        yield [0, 0, 0]
-        yield [1, 2, 0]
-        yield [0, 2, 2]  # dependent
-        yield [0, 0, 5]  # full rank
+        yield sparse([0, 1, 1])
+        yield sparse([0, 0, 0])
+        yield sparse([1, 2, 0])
+        yield sparse([0, 2, 2])  # dependent
+        yield sparse([0, 0, 5])  # full rank
         raise AssertionError("row read after full rank")
 
     assert kernel(stream(), 3) == ()
@@ -564,8 +623,8 @@ def test_kernel_of_a_row_whose_left_to_right_nullspace_is_not_reduced():
     ech = RefEchelon(3)
     ech.add([1, 1, 0])
     assert ech.nullspace_vectors() == [vector([-1, 1, 0]), vector([0, 0, 1])]
-    assert kernel([[1, 1, 0]], 3) == (vector([1, -1, 0]), vector([0, 0, 1]))
-    assert kernel([], 0) == () and kernel([[0, 0]], 2) == (vector([1, 0]), vector([0, 1]))
+    assert kernel([sparse([1, 1, 0])], 3) == (vector([1, -1, 0]), vector([0, 0, 1]))
+    assert kernel([], 0) == () and kernel([[]], 2) == (vector([1, 0]), vector([0, 1]))
 
 
 def test_kernel_compresses_growth_past_the_limit():
@@ -574,8 +633,8 @@ def test_kernel_compresses_growth_past_the_limit():
     # primitive, so such entries pass through with no compression step
     big = 3 * (1 << 64) + 1
     rows = [[2, big], [6, 3]]
-    assert kernel(rows, 2) == ref_kernel(rows, 2) == ()
-    assert kernel([[2, big, 0], [6, 3, 0]], 3) == (vector([0, 0, 1]),)
+    assert kernel(map(sparse, rows), 2) == ref_kernel(rows, 2) == ()
+    assert kernel(map(sparse, [[2, big, 0], [6, 3, 0]]), 3) == (vector([0, 0, 1]),)
 
 
 # ---------------------------------------------------------------------------
