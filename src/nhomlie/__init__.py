@@ -15,7 +15,6 @@ from .linalg import (  # noqa: F401
 from .algebra import (  # noqa: F401
     NHomAlgebra,
     ValidationReport,
-    alpha_power,
     bracket,
     canonicalize_tuple,
     center,

@@ -14,20 +14,24 @@ denominator stored as a sparse tuple of ``(index, int)`` pairs, with the
 tuples in product order.  It is built from the table alone: each stored
 key's distinct orderings, with the sign that sorts them back, so its size
 is that of the support and a tuple missing from it has a zero bracket.
-:func:`bracket_ints` adds the bracket of sparse integer vectors to an
-integer accumulator; the solver builds its constraint rows with it.
-:func:`validate`, :func:`center` and the membership tests of the solver
-read the tensor from its support instead, so their cost follows the
-table rather than the d^n ordered tuples: :func:`opened_tensor` pushes the
-support through the row supports of alpha^k in all slots but one, and
-:func:`slot_terms` pushes it on through the rows of a map in that slot,
-which gives the slot side of a derivation-like identity on the tuples it
-reaches and nowhere else.  Multiplicativity is alpha's slot term and the
-twisted Jacobi identity is ad_xs's, for the prefixes xs the support
-reaches.  All of them compare integer numerators whose denominators they
-track.  ``Fraction`` remains only in the stored table (the edge form that
-the serializer and the extension read), in the arguments and value of
-:func:`bracket`, and in a validation failure's residual, which is
+Every slot term is read from one primitive, :func:`opened_tensor`, which
+pushes the support through the row supports of alpha^k in all slots but
+one: its entry v is the bracket [alpha^k e_{v_0}, .., e_{v_s}, ..,
+alpha^k e_{v_{n-1}}].  The solver reads its constraint rows from it by
+lookup, and :func:`summed_slot_terms` pushes it on through the rows of a
+map D in slot s, which gives a weighted sum of the slot terms of D on the
+tuples it reaches and nowhere else.  Every space of the solver and both
+identity axioms have one form: that sum equals some map W applied to
+[e_t], and :func:`identity_failures` is its one evaluator.  So the cost of
+:func:`validate` and of the membership tests of the solver follows the
+table rather than the d^n ordered tuples, as does that of :func:`center`,
+which reads only the argument tails in the support.  Multiplicativity
+is alpha in slot 0 against W = alpha, and the twisted Jacobi identity is
+ad_xs in every slot against W = ad_{alpha xs}, for the prefixes xs the
+support reaches.  All of them compare integer numerators over a common
+denominator.  ``Fraction`` remains only in the stored table (the edge form
+that the serializer and the extension read), in the arguments and value
+of :func:`bracket`, and in a validation failure's residual, which is
 converted only when the failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
@@ -202,23 +206,6 @@ def apply_ints(cols: Sequence[SparseInts], vec: SparseInts, dim: int) -> list[in
     return out
 
 
-def bracket_ints(alg: NHomAlgebra, acc: list[int], args: Sequence[SparseInts],
-                 coeff: int = 1) -> None:
-    """Add ``coeff`` times the bracket of ``args`` to the dense list ``acc``.
-
-    ``args`` are ``n`` sparse integer vectors.  What is added is numerators
-    over the tensor's denominator times the product of the arguments' own
-    denominators; callers keep track of the latter.
-    """
-    values, _ = alg.tensor
-    terms = [((), coeff)]
-    for arg in args:
-        terms = [(t + (j,), c * x) for t, c in terms for j, x in arg]
-    for t, c in terms:
-        for j, v in values.get(t, ()):
-            acc[j] += c * v
-
-
 def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], SparseInts]:
     """The tensor with alpha^k applied in every slot but s.
 
@@ -255,30 +242,59 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
     return hit
 
 
-def slot_terms(alg: NHomAlgebra, k: int, drows: Sequence[Sequence[tuple[int, int]]],
-               slots: Sequence[int], xi: int):
-    """Yield ``(t, s, coeff, value)``: the slot terms of a map D, pushed from
-    the tensor's support.
+def summed_slot_terms(alg: NHomAlgebra, k: int, xi: int,
+                      drows: Sequence[Sequence[tuple[int, int]]],
+                      weights: Mapping[int, int]) -> dict[tuple[int, ...], list[int]]:
+    """``{t: sum over s of weights[s] times the slot-s term of t}`` for a map D,
+    pushed from the tensor's support.
 
     The slot-s term of a basis tuple t is (-1)^(xi |t[:s]|) times the
     bracket of (alpha^k e_{t_0}, ..., D e_{t_s}, ..., alpha^k e_{t_{n-1}}),
-    with D given by its sparse rows ``drows``.  Expanded in slot s, it is
-    the sum over the entries v of :func:`opened_tensor` that agree with t
-    outside slot s of their value times D[v_s][t_s].  So each v sends its
-    value times ``coeff``, a signed entry of D, to the tuples reached
-    through row v_s of D, and is skipped at once when that row is empty.  A
-    term never yielded is zero.
+    with D given by its sparse integer rows ``drows``.  Expanded in slot s,
+    it is the sum over the entries v of :func:`opened_tensor` that agree
+    with t outside slot s of their value times D[v_s][t_s].  So each v
+    sends its value, times a signed entry of D, to the tuples reached
+    through row v_s of D, and is skipped at once when that row is empty.
+    The sums are dense integer lists over the tensor's denominator times
+    den(D) times den(alpha^k)^(n-1); a tuple missing from the dict has a
+    zero sum.
     """
-    parity = alg.parity
-    for s in slots:
+    parity, d = alg.parity, alg.dim
+    out: dict[tuple[int, ...], list[int]] = {}
+    for s, weight in weights.items():
         for v, value in opened_tensor(alg, k, s).items():
             drow = drows[v[s]]
             if not drow:
                 continue
             head, tail = v[:s], v[s + 1:]
-            neg = xi and sum(map(parity.__getitem__, head)) & 1
+            w = -weight if xi and sum(map(parity.__getitem__, head)) & 1 else weight
             for y, x in drow:
-                yield head + (y,) + tail, s, -x if neg else x, value
+                _add_to(out, head + (y,) + tail, w * x, value, d)
+    return out
+
+
+def identity_failures(alg: NHomAlgebra, k: int, xi: int,
+                      drows: Sequence[Sequence[tuple[int, int]]], dden: int,
+                      weights: Mapping[int, int], wcols: Sequence[SparseInts], wden: int):
+    """Yield ``(t, lhs, rhs)`` wherever W [e_t] differs from the weighted
+    slot terms of D, in product order.
+
+    ``lhs`` is W [e_t] and ``rhs`` the :func:`summed_slot_terms` of D with
+    ``weights``, both as integer numerators over the tensor's denominator
+    times ``dden`` ``wden`` den(alpha^k)^(n-1); D is given by its sparse
+    integer rows over ``dden`` and W by its sparse integer columns over
+    ``wden``.  Both sides are zero off the support and the tuples the slot
+    terms reach, so only those are compared.
+    """
+    values, d = alg.tensor[0], alg.dim
+    terms = summed_slot_terms(alg, k, xi, drows, weights)
+    lift = dden * alg.alpha_power(k).ints[1] ** (alg.arity - 1)
+    zero = [0] * d
+    for t in sorted(terms.keys() | values.keys()):
+        lhs = [x * lift for x in apply_ints(wcols, values.get(t, ()), d)]
+        rhs = [x * wden for x in terms.get(t, zero)]
+        if lhs != rhs:
+            yield t, lhs, rhs
 
 
 def _add_to(acc: dict, key, coeff: int, value: SparseInts, dim: int) -> None:
@@ -303,16 +319,19 @@ def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     if len(args) != alg.arity:
         raise ValueError(f"bracket expects {alg.arity} arguments")
     d = alg.dim
-    den = alg.tensor[1]
-    sparse = []
+    values, den = alg.tensor
+    # the products of the arguments' nonzero entries, by basis tuple
+    terms = [((), 1)]
     for a in args:
         if len(a) != d:
             raise ValueError("argument length does not match algebra dimension")
         vec, a_den = _sparse_ints(a)
-        sparse.append(vec)
+        terms = [(t + (j,), c * x) for t, c in terms for j, x in vec]
         den *= a_den
     acc = [0] * d
-    bracket_ints(alg, acc, sparse)
+    for t, c in terms:
+        for j, v in values.get(t, ()):
+            acc[j] += c * v
     return tuple(Fraction(x, den) for x in acc)
 
 
@@ -373,9 +392,6 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
                     ValidationFailure("even_alpha", (r, c),
                                       (alg.alpha.entries[r][c],)))
 
-    # Brackets below are integer numerators: the tensor's values are over
-    # tden, alpha's columns over aden, so a bracket with m alpha arguments
-    # and one value argument is over tden^2 aden^m.
     values, tden = alg.tensor
     alpha_cols, aden = sparse_columns(alg.alpha)
 
@@ -388,59 +404,43 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # are absent, as are their swaps; a stored key of that kind is the skew
     # failure recorded above.
 
-    # Multiplicativity on canonical tuples (extends multilinearly):
-    # alpha [e_t] over aden tden, [alpha e_t] over aden^n tden.  The right
-    # side is alpha's slot-0 term with alpha in the other slots, pushed from
-    # the support; the left side is nonzero only on the support, so the two
-    # are compared on the weakly increasing tuples of both, in
-    # combinations_with_replacement order, and nowhere else.
+    # Multiplicativity on canonical tuples (extends multilinearly): alpha's
+    # slot-0 term with alpha in the other slots, [alpha e_t], against
+    # W = alpha, both over tden aden^(n+1); kept to the weakly increasing t,
+    # in combinations_with_replacement order.
     multiplicative_ok = True
-    lift = aden ** (n - 1)
     # row r of alpha, as a sparse vector, is column r of its transpose
     alpha_rows = sparse_columns(alg.alpha.transpose())[0]
-    pushed: dict[tuple[int, ...], list[int]] = {}
-    for t, _, coeff, value in slot_terms(alg, 1, alpha_rows, (0,), 0):
+    for t, lhs, rhs in identity_failures(alg, 1, 0, alpha_rows, aden, {0: 1}, alpha_cols, aden):
         if all(a <= b for a, b in zip(t, t[1:])):
-            _add_to(pushed, t, coeff, value, d)
-    zero = [0] * d
-    for t in sorted(pushed.keys() | {u for u in values if list(u) == sorted(u)}):
-        lhs = [x * lift for x in apply_ints(alpha_cols, values.get(t, ()), d)]
-        rhs = pushed.get(t, zero)
-        if lhs != rhs:
             multiplicative_ok = False
             failures.append(ValidationFailure(
-                "multiplicative", t, _residual(lhs, rhs, aden ** n * tden)))
+                "multiplicative", t, _residual(lhs, rhs, tden * aden ** (n + 1))))
 
     # Twisted Jacobi identity on the pairs (xs, ys) of basis tuples, as a
     # map identity: with D = ad_xs in the slots and W = ad_{alpha xs} on the
     # value, sum_i (-1)^{|xs||ys[:i]|} [alpha y_0, .., D y_i, .., alpha y_{n-1}]
-    # = W [e_ys], both sides over tden^2 aden^(n-1).  The left sum is D's
-    # slot terms pushed from the support.  W's column j, [alpha e_xs, e_j],
-    # is the entry xs + (j,) of the tensor opened at its last slot, and
-    # W [e_ys] is nonzero only on the support.  Both sides are zero off the
-    # support and the tuples reached, and on every xs outside
-    # _jacobi_prefixes, so only those pairs are compared, in product order,
-    # and the failures keep that order.
+    # = W [e_ys].  D's rows are over tden.  W's column j, [alpha e_xs, e_j],
+    # is the entry xs + (j,) of the tensor opened at its last slot, over
+    # wden = tden aden^(n-1).  Both sides are zero on every xs outside
+    # _jacobi_prefixes, so only those are visited, in product order, and
+    # the failures keep the product order of (xs, ys).
     jacobi_ok = True
-    jden = tden ** 2 * aden ** (n - 1)
+    wden = tden * aden ** (n - 1)
+    jden = tden * tden * wden * aden ** (n - 1)
     last = opened_tensor(alg, 1, n - 1)
+    weights = dict.fromkeys(range(n), 1)
     for xs in _jacobi_prefixes(alg):
         # row r of D holds the (y, [e_xs, e_y]_r) with a nonzero entry
         drows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for y in range(d):
             for r, x in values.get(xs + (y,), ()):
                 drows[r].append((y, x))
-        rhs_at: dict[tuple[int, ...], list[int]] = {}
-        for t, _, coeff, value in slot_terms(alg, 1, drows, range(n), alg.tuple_parity(xs)):
-            _add_to(rhs_at, t, coeff, value, d)
         wcols = [last.get(xs + (j,), ()) for j in range(d)]
-        for ys in sorted(rhs_at.keys() | values.keys()):
-            lhs = apply_ints(wcols, values.get(ys, ()), d)
-            rhs = rhs_at.get(ys, zero)
-            if lhs != rhs:
-                jacobi_ok = False
-                failures.append(ValidationFailure(
-                    "jacobi", (xs, ys), _residual(lhs, rhs, jden)))
+        for ys, lhs, rhs in identity_failures(alg, 1, alg.tuple_parity(xs), drows, tden,
+                                              weights, wcols, wden):
+            jacobi_ok = False
+            failures.append(ValidationFailure("jacobi", (xs, ys), _residual(lhs, rhs, jden)))
 
     report = ValidationReport(skew_ok, jacobi_ok, multiplicative_ok,
                               even_alpha_ok, degree_ok, tuple(failures))
@@ -509,10 +509,6 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
               SubspaceBasis.span(d, by_parity[ODD]))
     alg._cache[key] = result
     return result
-
-
-def alpha_power(alg: NHomAlgebra, k: int) -> Mat:
-    return alg.alpha_power(k)
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:

@@ -33,29 +33,29 @@ representatives for :func:`solve`, and over every tuple
 for the QDer/GDer witness system and the extension's witness slack, whose
 right-hand sides cover every tuple.  The rows are integer numerators built
 from the structure tensor, which holds only the tuples with a nonzero
-bracket and is read by lookup, through
-:func:`~nhomlie.algebra.bracket_ints`: every equation row is over the
-tensor's denominator times den(alpha^k)^(n-1), and every commutation row
-over den(alpha).  Each (tuple, equation) is summed sparsely, component by
-component, and each nonzero component becomes one row: the list of its
-nonzero (column, value) pairs, which is the one row form
-:func:`~nhomlie.linalg.kernel` reads.  The slot-s
-bracket of unknown column (j, t[s]) does not depend on t[s], so each
-:func:`_rows` call builds it once under the key (s, t[:s], t[s+1:]) and j:
-at most n d^n sparse vectors per call, freed with its iterator.
+bracket and is read by lookup: a VALUE term reads the tensor itself, and
+the slot-s term of unknown column (j, t[s]) is the entry
+t[:s] + (j,) + t[s+1:] of :func:`~nhomlie.algebra.opened_tensor` at slot s,
+the tensor with alpha^k in every other slot, times the prefix sign.  Every
+equation row is over the tensor's denominator times den(alpha^k)^(n-1),
+and every commutation row over den(alpha).  Each (tuple, equation) is
+summed sparsely, component by component, and each nonzero component
+becomes one row: the list of its nonzero (column, value) pairs, which is
+the one row form :func:`~nhomlie.linalg.kernel` reads.
 :func:`in_space` and :func:`qder_identity_holds` re-evaluate each
 definition on the integer structure tensor without reading the table, so
 they are a cross-check of the table rather than a copy of it; only the
-witness blocks :func:`in_space` solves for come from the table.  Their slot
-terms are pushed from the tensor's support by
-:func:`~nhomlie.algebra.slot_terms`, the push that
-:func:`~nhomlie.algebra.validate` uses for the Jacobi identity: each tuple
-u with a nonzero bracket sends its value to the tuples reached through the
-row supports of alpha^k and of the map, and an identity is checked only on
-the support and the tuples reached, since on any other tuple both of its
-sides are zero.  The QDer/GDer right-hand side is the one place a tuple
-needs its position in product order, which :func:`in_space` computes from
-the tuple where it places the terms.
+witness blocks :func:`in_space` solves for come from the table.  Each
+one-block kind is written there as (slot weights, W) pairs, from the
+definitions rather than from ``_EQUATIONS``, and compared by
+:func:`~nhomlie.algebra.identity_failures`, the evaluator that
+:func:`~nhomlie.algebra.validate` uses for its axioms: the weighted sum of
+the slot terms, pushed from the tensor's support through the row supports
+of alpha^k and of the map, must equal W [e_t], and it is checked only on
+the support and the tuples reached, since on any other tuple both sides
+are zero.  The QDer/GDer right-hand side is
+:func:`~nhomlie.algebra.summed_slot_terms`, placed at each tuple's
+position in product order.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     NHomAlgebra,
-    _add_to,
-    apply_ints,
-    bracket_ints,
-    slot_terms,
+    identity_failures,
+    opened_tensor,
     sparse_columns,
+    summed_slot_terms,
 )
 from .linalg import (
     Mat,
@@ -157,18 +156,6 @@ def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
 
 def _alpha_key(alg: NHomAlgebra, k: int):
     return alg.alpha_power(k).ints
-
-
-def _prefix_signs(alg: NHomAlgebra, t: tuple[int, ...], xi: int) -> list[int]:
-    """(-1)^(xi * |X_{s-1}|) for each slot s."""
-    if xi == 0:
-        return [1] * alg.arity
-    signs = []
-    p = 0
-    for i in t:
-        signs.append(-1 if p else 1)
-        p ^= alg.parity[i]
-    return signs
 
 
 # Each kind's defining identities: kind -> (arity -> (block count,
@@ -271,17 +258,13 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     the nullspace, so equal row spaces give equal bases.  The witness
     systems (with ``known`` blocks) need every tuple and stay full.
 
-    The slot-s term of unknown column (j, t[s]) is the bracket
-    [alpha^k e_{t_0}, ..., e_j, ..., alpha^k e_{t_{n-1}}], which does not
-    depend on t[s].  Each one is built once, the first time an allowed
-    column asks for it, and kept under (s, t[:s], t[s+1:]) and j as a
-    sparse vector times the prefix sign of slot s (which depends on t[:s]
-    only); the equation's coefficient is applied after the lookup.  The
-    memo holds at most n d^n sparse vectors (d^n for ZDer, whose only slot
-    term is slot 0) and lives as long as the iterator, so nothing is kept
-    on ``alg``.  Each (tuple, equation) is summed in one sparse dict per
-    component, and the component's nonzero entries are its row, so no row
-    is ever written out at the full width.
+    The slot-s term of unknown column (j, t[s]) is the prefix sign
+    (-1)^(xi |t[:s]|) times the bracket [alpha^k e_{t_0}, ..., e_j, ...,
+    alpha^k e_{t_{n-1}}], which is the entry t[:s] + (j,) + t[s+1:] of
+    :func:`~nhomlie.algebra.opened_tensor` at slot s; it is read by
+    lookup, so no bracket is evaluated here.  Each (tuple, equation) is
+    summed in one sparse dict per component, and the component's nonzero
+    entries are its row, so no row is ever written out at the full width.
     """
     d, n = alg.dim, alg.arity
     nblocks, equations = _EQUATIONS[kind](n)
@@ -295,21 +278,20 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     for m, (r, c) in enumerate(pos):
         colpos[c].append((r, m))
     values = alg.tensor[0]
-    # slot terms: alpha^k columns over aden in n - 1 slots, a unit vector in
-    # slot s; VALUE terms are lifted to the same denominator
-    acols, aden = sparse_columns(alg.alpha_power(k))
-    lift = aden ** (n - 1)
-    units = [((j, 1),) for j in range(d)]
+    parity = alg.parity
+    # slot terms are entries of the opened tensors, over the tensor's
+    # denominator times den(alpha^k)^(n-1); VALUE terms are lifted to it
+    lift = alg.alpha_power(k).ints[1] ** (n - 1)
+    opened = {s: opened_tensor(alg, k, s) for eq in equations
+              for b, s, _ in eq.terms if s is not VALUE and b not in known}
 
     def rows():
-        memo = {}  # (s, t[:s], t[s+1:]) -> {j: signed sparse slot bracket}
         for t in _tuples(d, n, start):
             # t is a representative of the equations sorted from slot first on
             first = n - 1 if reduced else 0
             while first and t[first - 1] <= t[first]:
                 first -= 1
             value = values.get(t, ())
-            signs = _prefix_signs(alg, t, xi)
             for eq in equations:
                 if eq.sorted_from < first:
                     continue
@@ -325,25 +307,14 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
                                 comp = comps[l]
                                 comp[off + m] = comp.get(off + m, 0) + x
                         continue
-                    cols = colpos[t[s]]
-                    if not cols:
-                        continue
-                    key = (s, t[:s], t[s + 1:])
-                    slot = memo.get(key)
-                    if slot is None:
-                        slot = memo[key] = {}
-                    for j, m in cols:
-                        vec = slot.get(j)
-                        if vec is None:
-                            args = [acols[i] for i in t]
-                            args[s] = units[j]
-                            acc = [0] * d
-                            bracket_ints(alg, acc, args, signs[s])
-                            vec = slot[j] = tuple((l, x) for l, x in enumerate(acc) if x)
+                    head, tail = t[:s], t[s + 1:]
+                    w = -c if xi and sum(map(parity.__getitem__, head)) & 1 else c
+                    slot = opened[s]
+                    for j, m in colpos[t[s]]:
                         col = off + m
-                        for l, x in vec:
+                        for l, x in slot.get(head + (j,) + tail, ()):
                             comp = comps[l]
-                            comp[col] = comp.get(col, 0) + c * x
+                            comp[col] = comp.get(col, 0) + w * x
                 for comp in comps:
                     row = [(col, x) for col, x in comp.items() if x] if comp else []
                     if row or known:
@@ -413,37 +384,13 @@ def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
 # membership by direct evaluation (the cross-validation path)
 # ---------------------------------------------------------------------------
 
-def _slot_terms(alg: NHomAlgebra, k: int, xi: int, mat: Mat, slots) -> tuple[dict, int]:
-    """``(terms, lift)``: the signed slot-bracket terms of a map D, pushed
-    from the tensor's support by :func:`~nhomlie.algebra.slot_terms` with
-    alpha^k in the other slots.
-
-    ``terms`` maps (t, s) to the dense slot-s term of t; every term missing
-    from it is zero.  Its entries are integer numerators over the tensor's
-    denominator times den(D) times ``lift`` = den(alpha^k)^(n-1).
-    """
-    # row r of a matrix, as a sparse vector, is column r of its transpose
-    drows, _ = sparse_columns(mat.transpose())
-    terms = {}
-    for t, s, coeff, value in slot_terms(alg, k, drows, slots, xi):
-        _add_to(terms, (t, s), coeff, value, alg.dim)
-    return terms, alg.alpha_power(k).ints[1] ** (alg.arity - 1)
-
-
-def _checked_tuples(alg: NHomAlgebra, terms: dict) -> set:
-    """The tuples on which a map's identity can fail: the tensor's support
-    (where the value side lives) and the tuples its slot terms reach."""
-    return set(alg.tensor[0]) | {t for t, _ in terms}
-
-
 def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEndo) -> bool:
     """Definition-level membership test, independent of :func:`solve`.
 
     Identities are re-evaluated on the integer structure tensor for the
-    explicit images of the basis, with the slot terms pushed from the
-    tensor's support (:func:`_slot_terms`), so only the support and the
-    tuples reached from it are checked; for QDer/GDer the witness blocks are
-    solved for afresh.
+    explicit images of the basis by :func:`~nhomlie.algebra.identity_failures`,
+    so only the support and the tuples its slot terms reach are checked;
+    for QDer/GDer the witness blocks are solved for afresh.
     """
     kind = Kind(kind)
     if endo.mat.rows != alg.dim:
@@ -463,41 +410,38 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    slots = (0,) if kind in (Kind.ZDER, Kind.GDER) else range(n)
-    terms, lift = _slot_terms(alg, k, xi, endo.mat, slots)
+    # row r of a matrix, as a sparse vector, is column r of its transpose
+    drows, dden = sparse_columns(endo.mat.transpose())
 
     if kind in (Kind.QDER, Kind.GDER):
-        # the leading block's terms, d rows per tuple in product order, are
-        # the right-hand side for the witness blocks; the witness system is
-        # homogeneous, so their common denominator drops out
+        # the leading block's slot terms (every slot for QDer, slot 0 for
+        # GDer), d rows per tuple in product order, are the right-hand side
+        # for the witness blocks; the witness system is homogeneous, so their
+        # common denominator drops out
         cols = _witness_system(alg, kind, k, xi)
         rhs = [0] * cols.ambient_dim
-        for (t, _), term in terms.items():
+        weights = dict.fromkeys(range(n) if kind is Kind.QDER else (0,), 1)
+        for t, term in summed_slot_terms(alg, k, xi, drows, weights).items():
             start = 0  # t's position in product order, times d
             for i in t:
                 start = (start + i) * d
-            for l, x in enumerate(term):
-                rhs[start + l] += x
+            rhs[start:start + d] = term
         return not any(_reduce(cols.rows, cols.leads, rhs))
 
-    dcols, _ = sparse_columns(endo.mat)
-    values = alg.tensor[0]
-    zero = [0] * d
-    for t in _checked_tuples(alg, terms):
-        # D [e_t], lifted to the slot terms' denominator
-        image = [x * lift for x in apply_ints(dcols, values.get(t, ()), d)]
-        slot = [terms.get((t, s), zero) for s in slots]
-        if kind is Kind.DER:
-            ok = [sum(xs) for xs in zip(*slot)] == image
-        elif kind is Kind.C:
-            ok = all(term == image for term in slot)
-        elif kind is Kind.QC:
-            ok = all(term == slot[0] for term in slot[1:])
-        else:  # ZDer
-            ok = not any(image) and not any(slot[0])
-        if not ok:
-            return False
-    return True
+    # each identity of the kind as (slot weights, W): the weighted sum of
+    # D's slot terms equals W [e_t], where W is D itself or zero
+    dcols = sparse_columns(endo.mat)[0]
+    zero = [()] * d
+    if kind is Kind.DER:
+        identities = [(dict.fromkeys(range(n), 1), dcols)]
+    elif kind is Kind.C:
+        identities = [({s: 1}, dcols) for s in range(n)]
+    elif kind is Kind.QC:
+        identities = [({0: 1, s: -1}, zero) for s in range(1, n)]
+    else:  # ZDer
+        identities = [({0: 1}, zero), ({}, dcols)]
+    return all(next(identity_failures(alg, k, xi, drows, dden, weights, wcols, dden), None)
+               is None for weights, wcols in identities)
 
 
 def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBasis:
@@ -540,19 +484,11 @@ def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    d, n = alg.dim, alg.arity
-    terms, lift = _slot_terms(alg, k, xi, endo.mat, range(n))
-    dden = endo.mat.ints[1]
+    # row r of a matrix, as a sparse vector, is column r of its transpose
+    drows, dden = sparse_columns(endo.mat.transpose())
     wcols, wden = sparse_columns(witness)
-    values = alg.tensor[0]
-    zero = [0] * d
-    # the left side is over tden dden lift, W [e_t] over tden wden
-    for t in _checked_tuples(alg, terms):
-        lhs = [sum(xs) * wden for xs in zip(*(terms.get((t, s), zero) for s in range(n)))]
-        rhs = [y * dden * lift for y in apply_ints(wcols, values.get(t, ()), d)]
-        if lhs != rhs:
-            return False
-    return True
+    weights = dict.fromkeys(range(alg.arity), 1)
+    return next(identity_failures(alg, k, xi, drows, dden, weights, wcols, wden), None) is None
 
 
 # ---------------------------------------------------------------------------

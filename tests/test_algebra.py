@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from nhomlie import algebra
 from nhomlie.algebra import (
     NHomAlgebra,
-    alpha_power,
     bracket,
     canonicalize_tuple,
     center,
@@ -252,7 +251,7 @@ class TestValidate:
         assert got["jacobi"] == ref_jacobi_failures(alg)
 
     def test_jacobi_cost_follows_the_support(self, monkeypatch):
-        # both sides are read from the support, with no bracket_ints call,
+        # both sides are read from the support, with no bracket call,
         # where the loop over every pair made 6,264 on this extension; with
         # alpha = id, the prefixes visited are the heads of support tuples
         ext = build_check(threeLie4()).ext
@@ -291,11 +290,11 @@ class TestValidate:
 
 
 def _count_calls(monkeypatch):
-    """Record every ``bracket_ints`` call and every Jacobi prefix visited."""
+    """Record every ``bracket`` call and every Jacobi prefix visited."""
     calls, visited = [], []
-    real_bracket, real_prefixes = algebra.bracket_ints, algebra._jacobi_prefixes
+    real_bracket, real_prefixes = algebra.bracket, algebra._jacobi_prefixes
 
-    def bracket_ints(*args, **kwargs):
+    def bracket(*args, **kwargs):
         calls.append(args)
         return real_bracket(*args, **kwargs)
 
@@ -304,7 +303,7 @@ def _count_calls(monkeypatch):
         visited.extend(out)
         return out
 
-    monkeypatch.setattr(algebra, "bracket_ints", bracket_ints)
+    monkeypatch.setattr(algebra, "bracket", bracket)
     monkeypatch.setattr(algebra, "_jacobi_prefixes", prefixes)
     return calls, visited
 
@@ -398,13 +397,13 @@ class TestCenterAndDerived:
 
 class TestAlphaPower:
     def test_power_zero_is_identity(self):
-        assert alpha_power(homaff1(), 0) == Mat.identity(2)
+        assert homaff1().alpha_power(0) == Mat.identity(2)
 
     def test_diagonal_square(self):
-        assert alpha_power(homaff1(), 2) == Mat.from_rows([[1, 0], [0, 4]])
+        assert homaff1().alpha_power(2) == Mat.from_rows([[1, 0], [0, 4]])
 
     def test_identity_alpha_stays_identity(self):
-        assert alpha_power(aff1(), 5) == Mat.identity(2)
+        assert aff1().alpha_power(5) == Mat.identity(2)
 
     def test_surjectivity(self):
         assert is_alpha_surjective(aff1())

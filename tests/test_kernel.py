@@ -1,6 +1,7 @@
 """Differential tests of the integer bracket kernel against Fraction references.
 
-The structure tensor is compared tuple by tuple with ``basis_value``.
+The structure tensor is compared tuple by tuple with ``basis_value``, and
+each opened tensor entry by entry with the bracket it stands for.
 ``bracket`` is compared with the multilinear expansion over
 ``basis_value``; ``in_space`` for the six tuple kinds and
 ``qder_identity_holds`` are compared with their definitions evaluated in
@@ -29,8 +30,8 @@ import pytest
 from conftest import basis_value, dense, sparse
 from hypothesis import given, settings
 
-from nhomlie import solver
-from nhomlie.algebra import NHomAlgebra, bracket, transport
+from nhomlie import algebra, solver
+from nhomlie.algebra import NHomAlgebra, bracket, opened_tensor, transport
 from nhomlie.extension import build_check
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
 from nhomlie.linalg import Mat, SubspaceBasis, kernel
@@ -435,27 +436,51 @@ def test_rows_are_the_reference_over_one_denominator(name, kind):
 
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 @pytest.mark.parametrize("name", ["threeLie4", "homheis4", "superheis3"])
-def test_rows_build_each_slot_bracket_once(name, kind, monkeypatch):
-    # the slot-s bracket of column (j, t[s]) does not depend on t[s]: at most
-    # one bracket per (slot, other arguments, j), and never one that a term
-    # by term evaluation would not make
+def test_rows_evaluate_no_bracket(name, kind, monkeypatch):
+    # slot terms are read from the opened tensors, so no bracket is
+    # evaluated, and every k, xi and known set of one algebra reads the same
+    # opened tensor of each (k, s): one built and cached for a non-identity
+    # alpha^k, the tensor itself otherwise
+    source = ALGEBRAS[name]
+    alg = NHomAlgebra(source.arity, source.dim, source.parity, source.table, source.alpha)
+    real_bracket, real_opened = algebra.bracket, solver.opened_tensor
+    brackets, opened = [], {}
+    monkeypatch.setattr(algebra, "bracket", lambda *a: brackets.append(a) or real_bracket(*a))
+
+    def opened_tensor(given, k, s):
+        out = real_opened(given, k, s)
+        opened.setdefault((k, s), []).append(out)
+        return out
+
+    monkeypatch.setattr(solver, "opened_tensor", opened_tensor)
+    for k, xi, known in product(range(3), (0, 1), ((), {0})):
+        list(_rows(alg, kind, k, xi, known)[0])
+    assert brackets == []
+    assert opened
+    for (k, s), got in opened.items():
+        assert all(x is got[0] for x in got), (k, s)
+        assert (got[0] is alg.tensor[0]) == alg.alpha_power(k).is_identity(), (k, s)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_opened_tensor_is_the_reference(name):
+    # entry v is the Fraction bracket of (alpha^k e_{v_0}, .., e_{v_s}, ..,
+    # alpha^k e_{v_{n-1}}) over tden den(alpha^k)^(n-1), and the keys are
+    # exactly the tuples with a nonzero entry, in product order
     alg = ALGEBRAS[name]
     d, n = alg.dim, alg.arity
-    real = solver.bracket_ints
-    calls = []
-    monkeypatch.setattr(solver, "bracket_ints", lambda *a: calls.append(1) or real(*a))
-    bound = d ** n if kind is Kind.ZDER else n * d ** n
-    _, equations = _EQUATIONS[kind](n)
-    for k, xi, known in product(range(3), (0, 1), ((), {0})):
-        columns = [sum(1 for r, c in allowed_positions(alg.parity, xi) if c == cc)
-                   for cc in range(d)]
-        per_term = sum(columns[t[s]] for t in product(range(d), repeat=n)
-                       for eq in equations for b, s, _ in eq.terms
-                       if s is not VALUE and b not in known)
-        calls.clear()
-        list(_rows(alg, kind, k, xi, known)[0])
-        assert len(calls) <= min(bound, per_term), (k, xi, known)
-        assert bool(calls) == bool(per_term), (k, xi, known)
+    tden = lcm(1, *(x.denominator for value in alg.table.values() for x in value))
+    for k in range(3):
+        kden = lcm(1, *(x.denominator for row in alg.alpha_power(k).entries for x in row))
+        factor = tden * kden ** (n - 1)
+        for s in range(n):
+            expected = []
+            for v in product(range(d), repeat=n):
+                scaled = [x * factor for x in unit_slot_bracket(name, k, v, s, v[s])]
+                assert all(x.denominator == 1 for x in scaled)
+                if any(scaled):
+                    expected.append((v, tuple((j, int(x)) for j, x in enumerate(scaled) if x)))
+            assert list(opened_tensor(alg, k, s).items()) == expected, (k, s)
 
 
 ORBIT_ALGEBRAS = {name: ALGEBRAS[name] for name in NAMES + ["ext(threeLie4)"]}
