@@ -29,10 +29,12 @@ which reads only the argument tails in the support.  Multiplicativity
 is alpha in slot 0 against W = alpha, and the twisted Jacobi identity is
 ad_xs in every slot against W = ad_{alpha xs}, for the prefixes xs the
 support reaches.  All of them compare integer numerators over a common
-denominator.  ``Fraction`` remains only in the stored table (the edge form
-that the serializer and the extension read), in the arguments and value
-of :func:`bracket`, and in a validation failure's residual, which is
-converted only when the failure is recorded.
+denominator; :func:`transport` pushes the support through the basis change
+with the loop of :func:`opened_tensor`.  ``Fraction`` remains only in the
+stored table (the edge form that the serializer and the extension read,
+and that :func:`transport` writes), in the arguments and value of
+:func:`bracket`, and in a validation failure's residual, made when the
+failure is recorded.
 
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from math import lcm, prod
 from typing import Mapping, Sequence
 
@@ -91,6 +93,17 @@ def canonicalize_tuple(indices: Sequence[int], parity: Sequence[int]) -> tuple[t
         if idx[j] == idx[j + 1] and parity[idx[j]] == EVEN:
             return tuple(idx), 0
     return tuple(idx), sign
+
+
+def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
+    """True iff ``mat`` maps each basis element of parity p into parity p + xi."""
+    grid = mat.ints[0]
+    d = len(parity)
+    for r in range(d):
+        for c in range(d):
+            if parity[r] != parity[c] ^ xi and grid[r][c]:
+                return False
+    return True
 
 
 class NHomAlgebra:
@@ -226,20 +239,28 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
     hit = alg._cache.get(key)
     if hit is not None:
         return hit
-    d = alg.dim
     # row r of a matrix, as a sparse vector, is column r of its transpose
-    arows = sparse_columns(power.transpose())[0]
+    slot_rows = [sparse_columns(power.transpose())[0]] * alg.arity
+    slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
+    hit = alg._cache[key] = _pushed(values, slot_rows, alg.dim)
+    return hit
+
+
+def _pushed(values: Mapping[tuple[int, ...], SparseInts],
+            slot_rows: Sequence[Sequence[SparseInts]], dim: int) -> dict[tuple[int, ...], SparseInts]:
+    """The tensor ``values`` pushed through one list of sparse integer rows per slot.
+
+    Entry v is the sum over the support tuples u of values[u] times the
+    product over the slots m of row u_m of ``slot_rows[m]`` at column v_m,
+    so the cost follows the support.  Returns the nonzero entries in
+    product order, over the denominators of ``values`` and of the rows.
+    """
     pushed: dict[tuple[int, ...], list[int]] = {}
     for u, value in values.items():
-        choices = [arows[i] for i in u]
-        choices[s] = ((u[s], 1),)
-        for picked in product(*choices):
-            _add_to(pushed, tuple(c for c, _ in picked), prod(x for _, x in picked), value, d)
-    hit = alg._cache[key] = {}
-    for v, dense in sorted(pushed.items()):
-        if any(dense):
-            hit[v] = tuple((j, x) for j, x in enumerate(dense) if x)
-    return hit
+        for picked in product(*(rows[i] for rows, i in zip(slot_rows, u))):
+            _add_to(pushed, tuple(c for c, _ in picked), prod(x for _, x in picked), value, dim)
+    return {v: tuple((j, x) for j, x in enumerate(dense) if x)
+            for v, dense in sorted(pushed.items()) if any(dense)}
 
 
 def summed_slot_terms(alg: NHomAlgebra, k: int, xi: int,
@@ -519,22 +540,25 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
     """Conjugate the structure through an even invertible basis change.
 
     New basis f_i = sum_j p[j][i] e_j; the bracket table and alpha are
-    rewritten in the f-coordinates.
+    rewritten in the f-coordinates.  [f_t] is the tensor pushed through the
+    rows of p in every slot, then mapped through p^-1: integer numerators
+    over the tensor's denominator times den(p)^n den(p^-1), made
+    ``Fraction``s only for the weakly increasing t that the new table keeps.
     """
     d, n = alg.dim, alg.arity
     if (p.rows, p.cols) != (d, d):
         raise ValueError("basis-change matrix has wrong shape")
-    for r in range(d):
-        for c in range(d):
-            if alg.parity[r] != alg.parity[c] and p.entries[r][c] != 0:
-                raise ValueError("basis-change matrix must be even")
+    if not is_homogeneous(alg.parity, 0, p):
+        raise ValueError("basis-change matrix must be even")
     p_inv = invert(p)
-    cols = [p.col(i) for i in range(d)]
+    values, tden = alg.tensor
+    prows, pden = sparse_columns(p.transpose())
+    inv_cols, inv_den = sparse_columns(p_inv)
+    den = tden * pden ** n * inv_den
     new_table = {}
-    for t in combinations_with_replacement(range(d), n):
-        val = bracket(alg, [cols[i] for i in t])
-        if any(val):
-            new_table[t] = p_inv.apply(val)
+    for t, value in _pushed(values, [prows] * n, d).items():
+        if all(a <= b for a, b in zip(t, t[1:])):
+            new_table[t] = tuple(Fraction(x, den) for x in apply_ints(inv_cols, value, d))
     new_alpha = p_inv @ alg.alpha @ p
     return NHomAlgebra(n, d, alg.parity, new_table, new_alpha,
                        name=f"{alg.name}~" if alg.name else "")

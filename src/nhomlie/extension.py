@@ -18,13 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import NHomAlgebra, center, derived_subspace, invert, validate
+from .algebra import NHomAlgebra, center, derived_subspace, invert, is_homogeneous, validate
 from .linalg import (
     Mat,
     SubspaceBasis,
     subspace_intersect,
     subspace_sum,
-    zero_vector,
     extend_to_complement,
     kernel,
 )
@@ -35,7 +34,6 @@ from .solver import (
     _mat_from_positions,
     _rows,
     in_space,
-    is_homogeneous,
     qder_identity_holds,
     solve,
 )
@@ -66,7 +64,7 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     d, n = alg.dim, alg.arity
     table = {}
     for key, val in alg.table.items():
-        table[key] = zero_vector(d) + tuple(val)
+        table[key] = (0,) * d + tuple(val)
     parity = alg.parity + alg.parity
     alpha = _block_diagonal(alg.alpha, alg.alpha)
     ext = NHomAlgebra(n, 2 * d, parity, table, alpha,

@@ -44,8 +44,6 @@ from typing import Iterable, NamedTuple, Sequence
 IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-
 
 def as_scalar(value) -> Fraction:
     """Coerce an int, string such as ``"2/3"``, or Fraction to a Fraction."""
@@ -58,10 +56,6 @@ def as_scalar(value) -> Fraction:
 
 def vector(values: Iterable) -> Vector:
     return tuple(as_scalar(v) for v in values)
-
-
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
 
 
 @dataclass(frozen=True)
@@ -153,18 +147,10 @@ class Mat:
         return Mat(self.rows, self.cols,
                    (tuple(tuple(num * x for x in row) for row in a), den * c.denominator))
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
-
     def transpose(self) -> "Mat":
         grid, den = self.ints
         return Mat(self.cols, self.rows,
                    (tuple(zip(*grid)) if grid else ((),) * self.cols, den))
-
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.ints[0]))

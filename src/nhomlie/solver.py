@@ -68,6 +68,7 @@ from typing import Callable, NamedTuple, Sequence
 from .algebra import (
     NHomAlgebra,
     identity_failures,
+    is_homogeneous,
     opened_tensor,
     sparse_columns,
     summed_slot_terms,
@@ -142,16 +143,6 @@ def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
     """Matrix entries a degree-xi map may occupy, column-major."""
     d = len(parity)
     return [(r, c) for c in range(d) for r in range(d) if parity[r] == parity[c] ^ xi]
-
-
-def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
-    grid = mat.ints[0]
-    d = len(parity)
-    for r in range(d):
-        for c in range(d):
-            if parity[r] != parity[c] ^ xi and grid[r][c]:
-                return False
-    return True
 
 
 def _alpha_key(alg: NHomAlgebra, k: int):

@@ -3,13 +3,16 @@
 ``basis_value`` is the bracket of one basis tuple in ``Fraction``
 arithmetic, read from the stored table through the graded sign rule, so
 the tests can compare the integer structure tensor with it.
+``ref_transport`` is the basis change as one ``bracket`` call per weakly
+increasing tuple, the reference for ``algebra.transport``.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import hypothesis
 
-from nhomlie.algebra import canonicalize_tuple
+from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert
 from nhomlie.linalg import _reduce
 
 hypothesis.settings.register_profile(
@@ -53,3 +56,39 @@ def dense(row, width):
     for j, x in row:
         out[j] += x
     return out
+
+
+def col(m, j):
+    """Column j of a matrix, as ``Fraction``s."""
+    return [row[j] for row in m.entries]
+
+
+def apply(m, v):
+    """The product m v in ``Fraction`` arithmetic."""
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    return [sum((row[j] * y for j, y in nonzero), Fraction(0)) for row in m.entries]
+
+
+def ref_transport(alg, p):
+    """Conjugate the structure through an even invertible basis change.
+
+    New basis f_i = sum_j p[j][i] e_j; the bracket table and alpha are
+    rewritten in the f-coordinates.
+    """
+    d, n = alg.dim, alg.arity
+    if (p.rows, p.cols) != (d, d):
+        raise ValueError("basis-change matrix has wrong shape")
+    for r in range(d):
+        for c in range(d):
+            if alg.parity[r] != alg.parity[c] and p.entries[r][c] != 0:
+                raise ValueError("basis-change matrix must be even")
+    p_inv = invert(p)
+    cols = [col(p, i) for i in range(d)]
+    new_table = {}
+    for t in combinations_with_replacement(range(d), n):
+        val = bracket(alg, [cols[i] for i in t])
+        if any(val):
+            new_table[t] = apply(p_inv, val)
+    new_alpha = p_inv @ alg.alpha @ p
+    return NHomAlgebra(n, d, alg.parity, new_table, new_alpha,
+                       name=f"{alg.name}~" if alg.name else "")

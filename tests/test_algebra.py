@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -5,7 +6,7 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from conftest import basis_value, unit_vector
+from conftest import apply, basis_value, col, ref_transport, unit_vector
 from hypothesis import example, given, settings
 
 from nhomlie import algebra
@@ -26,10 +27,12 @@ from nhomlie.fixtures import (
     abelian2,
     aff1,
     homaff1,
+    mixed_change,
     super2,
     threeLie4,
 )
 from nhomlie.linalg import Mat, vector
+from nhomlie.propositions import random_even_invertible
 
 F = Fraction
 
@@ -310,11 +313,11 @@ def _count_calls(monkeypatch):
 
 def ref_multiplicative_failures(alg):
     """``(t, alpha [e_t] - [alpha e_t])`` for every failing canonical tuple, through ``bracket``."""
-    cols = [alg.alpha.col(i) for i in range(alg.dim)]
+    cols = [col(alg.alpha, i) for i in range(alg.dim)]
     out = []
     for t in combinations_with_replacement(range(alg.dim), alg.arity):
-        lhs = alg.alpha.apply(basis_value(alg, t))
-        rhs = bracket(alg, [cols[i] for i in t])
+        lhs = apply(alg.alpha, basis_value(alg, t))
+        rhs = list(bracket(alg, [cols[i] for i in t]))
         if lhs != rhs:
             out.append((t, tuple(x - y for x, y in zip(lhs, rhs))))
     return out
@@ -323,7 +326,7 @@ def ref_multiplicative_failures(alg):
 def ref_jacobi_failures(alg):
     """``((xs, ys), lhs - rhs)`` for every failing Jacobi pair, through ``bracket``."""
     d, n = alg.dim, alg.arity
-    cols = [alg.alpha.col(i) for i in range(d)]
+    cols = [col(alg.alpha, i) for i in range(d)]
     out = []
     for xs in product(range(d), repeat=n - 1):
         px = alg.tuple_parity(xs)
@@ -431,3 +434,19 @@ class TestTransport:
         p = Mat.from_rows([[1, 1], [1, 1]])
         with pytest.raises(ValueError):
             transport(aff1(), p)
+
+    @given(alg=twisted_algebras(), seed=st.integers(0, 2**16))
+    def test_transport_is_the_reference(self, alg, seed):
+        for p in (random_even_invertible(alg.parity, random.Random(seed)),
+                  mixed_change(alg.parity)):
+            moved, ref = transport(alg, p), ref_transport(alg, p)
+            assert moved.table == ref.table
+            assert moved.alpha == ref.alpha
+            assert moved.name == ref.name
+
+    def test_transport_evaluates_no_bracket(self, monkeypatch):
+        calls, _ = _count_calls(monkeypatch)
+        transport(threeLie4(), mixed_change(threeLie4().parity))
+        bracketless = NHomAlgebra(4, 6, (0,) * 6, {}, Mat.identity(6))
+        assert transport(bracketless, mixed_change(bracketless.parity)).table == {}
+        assert calls == []

@@ -27,7 +27,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from conftest import basis_value, dense, sparse
+from conftest import apply, basis_value, col, dense, sparse
 from hypothesis import given, settings
 
 from nhomlie import algebra, solver
@@ -110,15 +110,6 @@ def ref_bracket(alg, args):
             if x:
                 out[j] += c * x
     return out
-
-
-def col(m, j):
-    return [row[j] for row in m.entries]
-
-
-def apply(m, v):
-    nonzero = [(j, y) for j, y in enumerate(v) if y]
-    return [sum((row[j] * y for j, y in nonzero), F(0)) for row in m.entries]
 
 
 def commutes(a, b):
