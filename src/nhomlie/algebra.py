@@ -519,17 +519,12 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
 
 def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Per-parity span of all brackets of basis elements."""
-    key = "derived"
-    if key in alg._cache:
-        return alg._cache[key]
     d = alg.dim
     by_parity = {EVEN: [], ODD: []}
     for t, val in alg.table.items():
         by_parity[alg.tuple_parity(t)].append(val)
-    result = (SubspaceBasis.span(d, by_parity[EVEN]),
-              SubspaceBasis.span(d, by_parity[ODD]))
-    alg._cache[key] = result
-    return result
+    return (SubspaceBasis.span(d, by_parity[EVEN]),
+            SubspaceBasis.span(d, by_parity[ODD]))
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:

@@ -8,9 +8,12 @@ to the second block.  The twist acts blockwise.
 
 Quasiderivations of N embed as derivations of the extension: a pair
 (D, D') acts as D on the first block, as D' on the bracket-image part of
-the second block, and as zero on the chosen complement U.  When N is
-centerless, these embedded maps together with the center derivations of
-the extension decompose its whole derivation space as a direct sum.
+the second block, and as zero on the chosen complement U.  D' is fixed
+only up to the maps that commute with alpha and kill [N, ..., N]; the QDer
+solve returns them as its ``slack``, and prop 4.2 checks that the
+embedding does not see them.  When N is centerless, these embedded maps
+together with the center derivations of the extension decompose its whole
+derivation space as a direct sum.
 """
 
 from __future__ import annotations
@@ -25,18 +28,9 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     extend_to_complement,
-    kernel,
 )
 from .propositions import Claim, PropReport, _mat_witness, _report
-from .solver import (
-    GradedEndo,
-    Kind,
-    _mat_from_positions,
-    _rows,
-    in_space,
-    qder_identity_holds,
-    solve,
-)
+from .solver import GradedEndo, Kind, in_space, qder_identity_holds, solve
 
 
 @dataclass(frozen=True)
@@ -111,24 +105,12 @@ def _block_diagonal(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows + b.rows, a.cols + b.cols, (grid, da * db))
 
 
-def _witness_slack_directions(alg: NHomAlgebra, xi: int) -> list[Mat]:
-    """Witness perturbations invisible to phi: maps killing the derived part.
-
-    These are exactly the degree-xi maps W with W alpha = alpha W and
-    W([N,...,N]) = 0, i.e. valid second components for the zero map: the
-    nullspace of the witness rows of QDer at k = 0.  Those rows say
-    W([e_t]) = 0 for every basis tuple t, and the values [e_t] span the
-    derived subspace.
-    """
-    rows, _, pos = _rows(alg, Kind.QDER, 0, xi, known={0})
-    npos = len(pos)  # every column of these rows lies in the witness block
-    return [_mat_from_positions(alg.dim, pos, v, next(x for x in v if x))
-            for v in kernel(([(c - npos, x) for c, x in row] for row in rows), npos)]
-
-
 def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropReport:
     """Parity preservation, injectivity, witness independence, image in Der.
 
+    Witness independence adds random combinations of the solved space's
+    ``slack`` to each witness: the maps that commute with alpha and kill
+    [N, ..., N], the witnesses of the zero map, which phi must not see.
     Each claim's witness is its first failure in (k, xi) order.
     """
     text = build_check(alg)
@@ -136,7 +118,6 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropR
     d2 = (2 * alg.dim) ** 2
     rng = random.Random(seed)
     bad_parity = bad_inject = bad_witness = bad_der = None
-    slack = {xi: _witness_slack_directions(alg, xi) for xi in (0, 1)}
     for k in range(kmax + 1):
         for xi in (0, 1):
             qd = solve(alg, Kind.QDER, k, xi)
@@ -149,10 +130,10 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropR
             stacked = SubspaceBasis.span(d2, [g.mat.vec_ints() for g in images])
             if bad_inject is None and stacked.dim != qd.dim:
                 bad_inject = ((k, xi, qd.dim, stacked.dim), ())
-            if bad_witness is None and slack[xi]:
+            if bad_witness is None and qd.slack:
                 for g, w, img in zip(qd.basis, qd.witnesses, images):
                     noise = Mat.zero(alg.dim, alg.dim)
-                    for s in slack[xi]:
+                    for s in qd.slack:
                         noise = noise + s.scale(rng.randint(-3, 3))
                     if phi(text, g, w + noise, k).mat != img.mat:
                         bad_witness = ((k, xi), _mat_witness(noise))

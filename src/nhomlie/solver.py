@@ -22,7 +22,12 @@ that entry.
 ``QDer`` and ``GDer`` are solved jointly with their witnesses in that one
 RREF and projected onto the leading block; the witness blocks of the rows
 that lead in it are the witness representatives aligned with the returned
-basis, kept for reporting and for the extension embedding.
+basis, kept for reporting and for the extension embedding.  The rows that
+lead past the first block have a zero leading block, so their trailing
+blocks are the canonical basis of the witnesses of the zero map, kept as
+the space's ``slack``: the freedom in every basis element's witness.  For
+``QDer`` these are the maps that commute with alpha and kill every
+bracket, whatever k is.
 
 ``_EQUATIONS`` is the one description of these identities, with each
 equation's tuple symmetry: the slot from which a basis tuple may be sorted
@@ -30,8 +35,8 @@ without changing the row space (all of t for Der, C, QC, QDer and ZDer's
 VALUE equation, t[1:] for ZDer's slot equation, none for GDer).
 :func:`_rows` turns it into rows: over each equation's weakly increasing
 representatives for :func:`solve`, and over every tuple
-for the QDer/GDer witness system and the extension's witness slack, whose
-right-hand sides cover every tuple.  The rows are integer numerators built
+for the QDer/GDer witness system, whose right-hand sides cover every
+tuple.  The rows are integer numerators built
 from the structure tensor, which holds only the tuples with a nonzero
 bracket and is read by lookup: a VALUE term reads the tensor itself, and
 the slot-s term of unknown column (j, t[s]) is the entry
@@ -60,7 +65,7 @@ position in product order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations_with_replacement, product
 from typing import Callable, NamedTuple, Sequence
@@ -123,6 +128,10 @@ class EndoSubspace:
     # QDer: one witness matrix per basis element; GDer: an n-tuple of
     # witness matrices per basis element.
     witnesses: tuple | None = None
+    # the witnesses of the zero map, in the form of ``witnesses`` (empty for
+    # one-block kinds): any combination of them added to a basis element's
+    # witness is again a witness
+    slack: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -145,10 +154,6 @@ def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
     return [(r, c) for c in range(d) for r in range(d) if parity[r] == parity[c] ^ xi]
 
 
-def _alpha_key(alg: NHomAlgebra, k: int):
-    return alg.alpha_power(k).ints
-
-
 # Each kind's defining identities: kind -> (arity -> (block count,
 # equations)).  An equation holds for every basis tuple t; its ``terms`` are
 # (block b, slot s, coefficient c).  A slot term is c times the prefix sign
@@ -160,7 +165,7 @@ def _alpha_key(alg: NHomAlgebra, k: int):
 # sorts all of t in its VALUE equation D[e_t] = 0 and only t[1:] in its slot
 # equation (whose one term singles out slot 0); GDer sorts nothing (each slot
 # has its own block).  Only :func:`solve` reads representatives; the witness
-# systems, :func:`in_space` and the dense oracle visit every tuple.
+# system, :func:`in_space` and the dense oracle visit every tuple.
 VALUE = None
 
 
@@ -247,7 +252,7 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     slot a minus slot b is (slot 0 minus slot b) minus (slot 0 minus
     slot a).  :func:`~nhomlie.linalg.kernel` returns the canonical form of
     the nullspace, so equal row spaces give equal bases.  The witness
-    systems (with ``known`` blocks) need every tuple and stay full.
+    system (with ``known`` blocks) needs every tuple and stays full.
 
     The slot-s term of unknown column (j, t[s]) is the prefix sign
     (-1)^(xi |t[:s]|) times the bracket [alpha^k e_{t_0}, ..., e_j, ...,
@@ -335,10 +340,10 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
         raise ValueError("twist power must be nonnegative")
     if kind not in TUPLE_KINDS:
         k = 0
-    cache_key = ("solve", kind, xi, _alpha_key(alg, k))
+    cache_key = ("solve", kind, xi, alg.alpha_power(k))
     hit = alg._cache.get(cache_key)
     if hit is not None:
-        return EndoSubspace(kind, k, xi, hit.basis, hit.witnesses)
+        return replace(hit, k=k)
     d = alg.dim
     # the tuple symmetry of _rows needs an even alpha; an input that breaks
     # that axiom (solve does not validate) is solved over every tuple
@@ -349,19 +354,21 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     # RREF the joint solution space with the leading block first: rows
     # pivoted inside the leading block restrict to the canonical basis of
     # its projection, and their trailing blocks are the minimal-echelon
-    # witness representatives; rows pivoted later have zero leading part.
-    basis = []
-    witnesses = []
+    # witness representatives; rows pivoted later have zero leading part,
+    # and their trailing blocks are the canonical basis of the slack.
+    basis, witnesses, slack = [], [], []
     for row in kernel(rows, width):
-        lead = next((x for x in row[:npos] if x), None)
-        if lead is None:
-            break
-        basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos], lead), xi))
+        lead = next(x for x in row if x)
         blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos], lead)
                        for b in range(1, nblocks))
-        witnesses.append(blocks[0] if kind is Kind.QDER else blocks)
+        witness = blocks[0] if kind is Kind.QDER else blocks
+        if any(row[:npos]):
+            basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos], lead), xi))
+            witnesses.append(witness)
+        else:
+            slack.append(witness)
     result = EndoSubspace(kind, k, xi, tuple(basis),
-                          tuple(witnesses) if nblocks > 1 else None)
+                          tuple(witnesses) if nblocks > 1 else None, tuple(slack))
     alg._cache[cache_key] = result
     return result
 
@@ -388,7 +395,7 @@ def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEn
         raise ValueError("endomorphism size does not match the algebra")
     if not is_homogeneous(alg.parity, xi, endo.mat):
         raise ValueError("endomorphism is not homogeneous of the stated parity")
-    cache_key = ("member", kind, xi, _alpha_key(alg, k), endo.mat.ints)
+    cache_key = ("member", kind, xi, alg.alpha_power(k), endo.mat)
     hit = alg._cache.get(cache_key)
     if hit is None:
         hit = alg._cache[cache_key] = _in_space_uncached(alg, kind, k, xi, endo)
@@ -441,7 +448,7 @@ def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBa
     The rows are :func:`_rows` with the leading block known; a right-hand
     side for them has a witness iff it lies in the span of the columns.
     """
-    cache_key = ("witness", kind, xi, _alpha_key(alg, k))
+    cache_key = ("witness", kind, xi, alg.alpha_power(k))
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return hit
@@ -463,7 +470,7 @@ def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
 
     Cached on ``alg`` by the operands' values, as :func:`in_space` is.
     """
-    cache_key = ("qder_identity", xi, _alpha_key(alg, k), endo.mat.ints, witness.ints)
+    cache_key = ("qder_identity", xi, alg.alpha_power(k), endo.mat, witness)
     hit = alg._cache.get(cache_key)
     if hit is None:
         hit = alg._cache[cache_key] = _qder_identity_uncached(alg, k, xi, endo, witness)

@@ -141,20 +141,25 @@ class TestWitnessSlack:
             alg = transport(alg, random_even_invertible(alg.parity, random.Random(3)))
         derived = [v for part in derived_subspace(alg) for v in part.vectors]
         d = alg.dim
-        for xi in (0, 1):
-            slack = extension._witness_slack_directions(alg, xi)
+        for k, xi in product(range(3), (0, 1)):
+            slack = solve(alg, Kind.QDER, k, xi).slack
             for w in slack:
                 assert is_homogeneous(alg.parity, xi, w)
                 assert commutes_with(w, alg.alpha)
                 assert not any(x for v in derived for x in apply(w, v))
             flat = [flatten(w) for w in slack]
             assert SubspaceBasis.span(d * d, flat).dim == len(slack)
+            # canonical form, in the canonical order
+            SubspaceBasis(d * d, tuple(tuple(w.vec_ints()) for w in slack))
             # no direction is missing: count the maps commuting with alpha
             # that kill the derived part, as a kernel inside Omega
             basis = omega(alg, xi).basis
             images = [tuple(x for v in derived for x in apply(b.mat, v)) for b in basis]
             rank = rref(Mat.from_rows(images, cols=d * len(derived))).rank if images else 0
             assert len(slack) == len(basis) - rank
+            for kind in Kind:
+                if kind not in (Kind.QDER, Kind.GDER):
+                    assert solve(alg, kind, k, xi).slack == ()
 
 
 class TestProp42:

@@ -47,10 +47,20 @@ DIGESTS = {
     "center-threeLie4": "c190d45adfdb72423882c5ed22ab3fe08ad2b345e907df8d4ad1661649866669",
     "center-threeLie4~": "384890911bf4baedf15532ece529071b267105057e928db37876bbf36a5f4cfa",
     "decompose-abelian2": "a6062db66bc9081eb5f446d1a124b8e40ae4d6a94a0b462c0c8e5005b0ad8850",
+    "decompose-abelian2~": "40c62c0859265a4fea95182cc7e368235c714dfe74d40e5f8b56f9e14c96dd97",
+    "decompose-abelian2~mixed": "1df8f9dac7eb305126e51f075662da92db6114f585f759f76c8bb7bf33c84592",
     "decompose-aff1": "9d8c4447401f540cbb2681c996f5081346e689d445e284eab95fdbd52fe597e7",
+    "decompose-aff1~": "69110e6684f9b7e6cd8d5246de5966fe70e6a18057b4b675ecfe3e9e1282a8ca",
+    "decompose-aff1~mixed": "63faf9787d5ee0c65de1db8e1696dceacc41e830daccb95ffbc0f8284713ccb7",
     "decompose-homaff1": "b6f89497b9bad19adfe0e8e9eb79ab44eb918b670edf3a6608ac11a7174634e7",
+    "decompose-homaff1~": "332f8da594e011a0d37a2280cf013459f4137378e2d1715456e4eafb0965c57c",
+    "decompose-homaff1~mixed": "a45134b6db5398eab6768aecc3422b7db60555bb7a1c8fe9055370838e8bf160",
     "decompose-super2": "d6996e89c470135f9a6dec085bcfd5c6466e3dba40454170632ea9e376bec871",
+    "decompose-super2~": "c0396147d9eda8764751ef7fd2d54e9096492256fbfc7635867565a2b0ea645a",
+    "decompose-super2~mixed": "f5f1642fc8a7f86b92b7b77447f4e9ff73bd630716ce826eab72f1f1ef7a0faa",
     "decompose-threeLie4": "1f1e4068b260add931d35106aaade07a8c2528b4182c3c5dbd2090c780545757",
+    "decompose-threeLie4~": "834736c94bf3acbf6a06d6d0383dfa70460497226c4e75f0156c41d53c3ae151",
+    "decompose-threeLie4~mixed": "a4e9b2b663662a365cd35b3c6f815faae368f0165a1478fdd102345135ff264d",
     "extend-threeLie4": "347d67a27dc4adef6d01db3bd8ce611ca5719738e2ebdb7043a4bef865b5cba1",
     "props-abelian2": "11466554d832bcf53ae1b170c01291b28a4a6347b22e79100830dc36d6302bb7",
     "props-abelian2~": "c047e865707caffee3e91d527ff684bae68b63df1228ab82d00a0eb050946962",
@@ -191,7 +201,7 @@ def _cases():
                 yield f"solve-{kind.value}-{source}", ["solve", "--kind", kind.value, "--kmax", "2"]
         for source in (name, name + "~", name + "~mixed"):
             yield f"props-{source}", ["props", "--kmax", "2"]
-        yield f"decompose-{name}", ["decompose", "--kmax", "2"]
+            yield f"decompose-{source}", ["decompose", "--kmax", "2"]
     yield "extend-threeLie4", ["extend"]
 
 
