@@ -1,9 +1,13 @@
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from nhomlie import propositions
 from nhomlie.algebra import transport
@@ -291,10 +295,8 @@ def test_prop38_matches_the_textbook_loop(name, mixed, kmax, seed):
     assert tuple(report.claim(c.claim_id) for c in ref) == ref
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
-@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
-def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monkeypatch):
-    alg = _fixture(name, mixed)
+def _plant_associator(alg, monkeypatch):
+    """Add the identity to the associator of one (J(a, b), T(w), T(c)) of basis maps."""
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
     a, b, c, w = (basis[i % len(basis)] for i in (3, 2, 1, 0))
     planted = (jordan_product(a, b).mat, alpha_twist(alg, w).mat, alpha_twist(alg, c).mat)
@@ -307,22 +309,92 @@ def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monke
         return value
 
     monkeypatch.setattr(propositions, "hom_associator", fake)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
+def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monkeypatch):
+    alg = _fixture(name, mixed)
+    _plant_associator(alg, monkeypatch)
     claim = check_prop38(alg, 1, samples=3, seed=5).claim("38.1.hom_jordan_identity")
     assert claim.status == "fail"
     assert claim == reference_prop38_claims(alg, 3, 5)[1]
 
 
-def test_prop38_evaluates_each_basis_term_once(monkeypatch):
-    calls = 0
-    real = propositions.hom_associator
+def _counted(monkeypatch, name):
+    """Patch ``propositions.<name>`` to record the arguments of every call."""
+    calls = []
+    real = getattr(propositions, name)
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(propositions, "hom_associator", counting)
-    claim = check_prop38(aff1(), 1, samples=5).claim("38.1.hom_jordan_identity")
-    assert claim.detail.startswith("checked 261 quadruples")
-    # 4^4 basis terms, one per (a, b, c, w), and 3 terms per sampled quadruple
-    assert calls <= 4 ** 4 + 3 * 5
+    monkeypatch.setattr(propositions, name, counting)
+    return calls
+
+
+def test_prop38_evaluates_each_basis_term_once(monkeypatch):
+    # one associator per distinct (J(a, b), T(w), T(c)); the samples are
+    # implied by the basis quadruples, so none is drawn
+    for name, distinct in (("aff1", 96), ("super2", 112)):
+        alg = FIXTURES[name]()
+        basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
+        twist = cache(partial(alpha_twist, alg))
+        triples = {(jordan_product(a, b), twist(w), twist(c))
+                   for a, b, c, w in product(basis, repeat=4)}
+        assert len(triples) == distinct
+        with monkeypatch.context() as patch:
+            calls = _counted(patch, "hom_associator")
+            draws = _counted(patch, "_random_homogeneous")
+            claim = check_prop38(alg, 1, samples=5).claim("38.1.hom_jordan_identity")
+        assert claim.status == "pass"
+        assert claim.detail == "checked 261 quadruples, seed 20260811"
+        assert len(calls) == distinct
+        assert {args[1:] for args in calls} == triples
+        assert draws == []
+
+
+def test_prop38_draws_and_evaluates_samples_past_the_basis_bound(monkeypatch):
+    # threeLie4 has 16^4 basis quadruples: four draws and at most three
+    # associators per sample
+    calls = _counted(monkeypatch, "hom_associator")
+    draws = _counted(monkeypatch, "_random_homogeneous")
+    claim = check_prop38(FIXTURES["threeLie4"](), 1, samples=5).claim(
+        "38.1.hom_jordan_identity")
+    assert claim.status == "pass"
+    assert claim.detail == "checked 5 quadruples, seed 20260811"
+    assert len(calls) <= 3 * 5
+    assert len(draws) == 4 * 5
+
+
+@settings(max_examples=15)
+@given(name=st.sampled_from(sorted(FIXTURES)), seed=st.integers(0, 2 ** 16))
+def test_prop38_matches_the_textbook_loop_on_dense_bases(name, seed):
+    # a random even basis change makes the commutant's basis dense, so the
+    # value-keyed caches see operands no fixture or mixed copy has
+    alg = FIXTURES[name]()
+    alg = transport(alg, random_even_invertible(alg.parity, random.Random(seed)))
+    report = check_prop38(alg, 1, samples=3, seed=seed)
+    ref = reference_prop38_claims(alg, 3, seed)
+    assert tuple(report.claim(c.claim_id) for c in ref) == ref
+
+
+def _hom_jordan_exact():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "hom_jordan_exact.py"
+    spec = importlib.util.spec_from_file_location("hom_jordan_exact", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+def test_exact_hom_jordan_script_reports_a_planted_term(mixed, monkeypatch):
+    alg = _fixture("aff1", mixed)
+    exact_failure = _hom_jordan_exact().exact_failure
+    assert exact_failure(alg) == (4 ** 4, ())
+    _plant_associator(alg, monkeypatch)
+    checked, failure = exact_failure(alg)
+    ref = reference_prop38_claims(alg, 0, 5)[1]
+    assert failure and ref.status == "fail"
+    assert (f"checked {checked} quadruples, seed 5", failure) == (ref.detail, ref.witness)
