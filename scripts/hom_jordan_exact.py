@@ -7,10 +7,12 @@ there are at most 10^4 of them.  On threeLie4 (Omega of dimension 16,
 random samples, and the report must not change.  The residual is 4-linear
 on homogeneous maps, so it vanishes everywhere iff it vanishes on every
 basis quadruple.  This script walks all of them through
-``propositions.hom_jordan_walk``, the loop ``check_prop38`` uses, so the
-Jordan values and the associators are cached on operand values exactly as
-in the report.  It prints one line per fixture and, on a nonzero residual,
-the parities of the quadruple and the residual, and then exits 1.
+``propositions.hom_jordan_walk``, the loop ``check_prop38`` uses: one
+quadruple per rotation class of its first three indices is evaluated (a
+rotation only reorders the residual's signed terms), and the Jordan values
+and the associators are cached on operand values exactly as in the report.
+It prints one line per fixture and, on a nonzero residual, the parities of
+the quadruple and the residual, and then exits 1.
 
     python3 scripts/hom_jordan_exact.py
 """
@@ -18,19 +20,18 @@ the parities of the quadruple and the residual, and then exits 1.
 import pathlib
 import sys
 from functools import cache
-from itertools import product
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nhomlie.fixtures import FIXTURES  # noqa: E402
-from nhomlie.propositions import hom_jordan_walk  # noqa: E402
+from nhomlie.propositions import hom_jordan_walk, rotation_classes  # noqa: E402
 from nhomlie.solver import jordan_product, omega  # noqa: E402
 
 
 def exact_failure(alg):
-    """Basis quadruples evaluated, and the first failure's (parities, residual) or ()."""
+    """Basis quadruples walked, and the first failure's (parities, residual) or ()."""
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
-    return hom_jordan_walk(alg, product(basis, repeat=4), cache(jordan_product))
+    return hom_jordan_walk(alg, rotation_classes(basis), cache(jordan_product))
 
 
 def main() -> int:

@@ -7,7 +7,6 @@ from .linalg import (  # noqa: F401
     SubspaceBasis,
     contains,
     extend_to_complement,
-    nullspace,
     rref,
     subspace_intersect,
     subspace_sum,

@@ -188,14 +188,21 @@ def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
     rows, cols = mats[0].rows, mats[0].cols
     if any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ValueError("shape mismatch")
+    return Mat(rows, cols, combined_ints(coeffs, mats))
+
+
+def combined_ints(coeffs: Sequence[int], mats: Sequence[Mat]) -> tuple[IntGrid, int]:
+    """The integer form of ``sum(c * m)``, unreduced, over the lcm of the denominators.
+
+    Each entry is summed in one pass over the zipped grids.  A caller that
+    only needs to know whether the sum vanishes reads the grid without
+    building a :class:`Mat`.
+    """
     den = lcm(*(m.ints[1] for m in mats))
-    acc = [[0] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        grid, d = m.ints
-        f = c * (den // d)
-        if f:
-            acc = [[a + f * x for a, x in zip(arow, row)] for arow, row in zip(acc, grid)]
-    return Mat(rows, cols, (tuple(map(tuple, acc)), den))
+    factors = [c * (den // m.ints[1]) for c, m in zip(coeffs, mats)]
+    grid = tuple(tuple(sum(map(mul, factors, entries)) for entries in zip(*rows))
+                 for rows in zip(*(m.ints[0] for m in mats)))
+    return grid, den
 
 
 def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
@@ -407,12 +414,6 @@ def rref(m: Mat) -> RrefResult:
     return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
 
 
-def nullspace(m: Mat) -> "SubspaceBasis":
-    """Canonical basis of ``{v : m v = 0}``."""
-    rows = ([(j, x) for j, x in enumerate(row) if x] for row in m.ints[0])
-    return SubspaceBasis(m.cols, kernel(rows, m.cols))
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -455,10 +456,6 @@ class SubspaceBasis:
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(ambient_dim, _identity_grid(ambient_dim))
 
     @cached_property
     def leads(self) -> tuple[int, ...]:

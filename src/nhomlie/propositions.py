@@ -17,6 +17,11 @@ Jordan product, and 3.8's associator) on the values of their operands, so
 an operation is evaluated once per distinct operand tuple, whichever grades,
 claims or quadruples share it; the caches are dropped when the check
 returns.  Solved bases are kept per kind, twist level and parity.
+
+3.8's Hom-Jordan residual of (x, y, z, w) is a sum of three terms, each with
+its own sign, and rotating (x, y, z) only reorders them; so of the basis
+quadruples, only those whose index triple is least among its rotations are
+evaluated, and the first failure in product order is always one of them.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
 from .linalg import (
     Mat,
     SubspaceBasis,
+    combined_ints,
     contains,
     linear_combination,
     subspace_sum,
@@ -348,17 +354,27 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
 
 def _hom_jordan_residual(term, x: GradedEndo, y: GradedEndo, z: GradedEndo,
-                         w: GradedEndo) -> Mat:
-    """Cyclic associator combination that a Hom-Jordan product must kill.
+                         w: GradedEndo) -> Mat | None:
+    """Cyclic associator combination that a Hom-Jordan product must kill, or None if zero.
 
-    ``term(a, b, c, w)`` is the associator of (a*b, twist(w), twist(c)).
+    ``term(a, b, c, w)`` is the associator of (a*b, twist(w), twist(c)), as a
+    ``Mat``.  The sum is decided on the nonzero terms' integer grids over
+    their lcm denominator; a ``Mat`` is built only when it is nonzero.
     """
     def sgn(e):
         return -1 if (e % 2) else 1
 
-    return linear_combination(
-        (sgn(z.xi * (x.xi + w.xi)), sgn(x.xi * (y.xi + w.xi)), sgn(y.xi * (z.xi + w.xi))),
-        (term(x, y, z, w).mat, term(y, z, x, w).mat, term(z, x, y, w).mat))
+    terms = [(s, m) for s, m in (
+        (sgn(z.xi * (x.xi + w.xi)), term(x, y, z, w)),
+        (sgn(x.xi * (y.xi + w.xi)), term(y, z, x, w)),
+        (sgn(y.xi * (z.xi + w.xi)), term(z, x, y, w))) if not m.is_zero()]
+    if not terms:
+        return None
+    signs, mats = zip(*terms)
+    grid, den = combined_ints(signs, mats)
+    if not any(map(any, grid)):
+        return None
+    return Mat(x.mat.rows, x.mat.cols, (grid, den))
 
 
 def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo:
@@ -370,35 +386,62 @@ def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo:
     return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
 
+def rotation_classes(basis):
+    """(position, quadruple) for the basis quadruples the Hom-Jordan walk evaluates.
+
+    Positions count every basis quadruple in product order, from 1; only
+    the quadruples whose index triple is the least of its three rotations
+    are yielded, in that order, and the last position, len(basis)^4, always is.
+    """
+    b = len(basis)
+    for i, j, k in product(range(b), repeat=3):
+        if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
+            head = ((i * b + j) * b + k) * b
+            x, y, z = basis[i], basis[j], basis[k]
+            for position, w in enumerate(basis, head + 1):
+                yield position, (x, y, z, w)
+
+
 def _hom_jordan_quadruples(basis, basis_by_parity, samples: int, rng: random.Random):
-    """The quadruples 38.1 evaluates, and the number of samples they imply.
+    """The (position, quadruple) pairs 38.1 evaluates, and the samples they imply.
 
     A sample is homogeneous, so its residual is a 4-linear combination of the
     residuals of basis quadruples of the same parities: evaluating all basis
-    quadruples, when there are at most 10^4, implies every sample.
+    quadruples (one per rotation class), when there are at most 10^4,
+    implies every sample.
     """
     if len(basis) ** 4 <= 10 ** 4:
-        return product(basis, repeat=4), samples if basis else 0
-    return ([_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
-            for _ in range(samples)), 0
+        return rotation_classes(basis), samples if basis else 0
+    return enumerate(([_random_homogeneous(rng, basis_by_parity) for _ in range(4)]
+                      for _ in range(samples)), 1), 0
 
 
 def hom_jordan_walk(alg: NHomAlgebra, quads, jordan):
-    """Quadruples evaluated and the first failure's (parities, residual), or ().
+    """Last position walked and the first failure's (parities, residual), or ().
 
-    A term A(J(a, b), T(w), T(c)) goes through the value J(a, b), and the
-    associator is cached on its operands' values (many J coincide or vanish).
+    ``quads`` yields (position, quadruple).  The residual of (x, y, z, w) is
+    the same three signed terms as that of (y, z, x, w), so every rotation of
+    a failing basis quadruple fails with the same residual and the least one
+    comes first in product order: :func:`rotation_classes` yields only that one.
+
+    A term A(J(a, b), T(w), T(c)) goes through the value J(a, b).  The
+    associator is cached on its operands' values (many J coincide or
+    vanish), and its inner Jordan products and twists go through the
+    value-keyed ``jordan`` and ``twist`` caches, shared by all associators.
     """
     twist = cache(partial(alpha_twist, alg))
-    associator = cache(partial(hom_associator, alg))
+
+    @cache
+    def associator(u, v, t):
+        return hom_associator(alg, u, v, t, jordan, twist).mat
 
     def term(a, b, c, w):
         return associator(jordan(a, b), twist(w), twist(c))
 
     checked = 0
-    for checked, quad in enumerate(quads, 1):
+    for checked, quad in quads:
         residual = _hom_jordan_residual(term, *quad)
-        if not residual.is_zero():
+        if residual is not None:
             return checked, (tuple(q.xi for q in quad), _mat_witness(residual))
     return checked, ()
 
@@ -407,8 +450,9 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
                  seed: int = 20260811) -> PropReport:
     """The half-anticommutator turns the commutant into a Hom-Jordan structure.
 
-    The residual is 4-linear, so up to 10^4 basis quadruples, all evaluated,
-    imply the ``samples`` random ones; past that, those are drawn and evaluated.
+    The residual is 4-linear, so up to 10^4 basis quadruples, walked one
+    rotation class at a time, imply the ``samples`` random ones; past that,
+    those are drawn and evaluated.
     """
     _require_valid(alg)
     claims = []

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property, partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, NamedTuple, Sequence
 
@@ -117,6 +118,14 @@ class GradedEndo:
             raise ValueError("parity must be 0 or 1")
         if self.mat.rows != self.mat.cols:
             raise ValueError("endomorphisms are square")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.mat, self.xi))
+
+    def __hash__(self):
+        # stored on first use, as Mat's is: value caches hash the same operands again and again
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -523,11 +532,18 @@ def alpha_twist(alg: NHomAlgebra, endo: GradedEndo) -> GradedEndo:
 
 
 def hom_associator(alg: NHomAlgebra, d1: GradedEndo, d2: GradedEndo,
-                   d3: GradedEndo) -> GradedEndo:
-    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product."""
+                   d3: GradedEndo, jordan=jordan_product, twist=None) -> GradedEndo:
+    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product.
+
+    ``jordan`` and ``twist`` (by default :func:`jordan_product` and
+    :func:`alpha_twist` on ``alg``) evaluate the inner operations, so a
+    caller that builds many associators can share value-keyed caches of
+    them across associators.
+    """
     for e in (d1, d2, d3):
         if not commutes_with(e.mat, alg.alpha):
             raise ValueError("hom associator requires commutation with alpha")
-    left = jordan_product(jordan_product(d1, d2), alpha_twist(alg, d3))
-    right = jordan_product(alpha_twist(alg, d1), jordan_product(d2, d3))
+    twist = twist or partial(alpha_twist, alg)
+    left = jordan(jordan(d1, d2), twist(d3))
+    right = jordan(twist(d1), jordan(d2, d3))
     return GradedEndo(left.mat - right.mat, left.xi)

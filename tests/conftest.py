@@ -4,7 +4,8 @@
 arithmetic, read from the stored table through the graded sign rule, so
 the tests can compare the integer structure tensor with it.
 ``ref_transport`` is the basis change as one ``bracket`` call per weakly
-increasing tuple, the reference for ``algebra.transport``.
+increasing tuple, the reference for ``algebra.transport``.  ``nullspace``
+and ``full_space`` build subspaces that only the tests need.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from itertools import combinations_with_replacement
 import hypothesis
 
 from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert
-from nhomlie.linalg import _reduce
+from nhomlie.linalg import Mat, SubspaceBasis, _reduce, kernel
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True
@@ -48,6 +49,16 @@ def flatten(m):
 def sparse(row):
     """The nonzero (column, value) pairs of a dense row: the row form of ``kernel``."""
     return [(j, x) for j, x in enumerate(row) if x]
+
+
+def nullspace(m):
+    """Canonical basis of ``{v : m v = 0}``, read off ``kernel``."""
+    return SubspaceBasis(m.cols, kernel(map(sparse, m.ints[0]), m.cols))
+
+
+def full_space(n):
+    """The whole of F^n, as its canonical subspace basis."""
+    return SubspaceBasis(n, Mat.identity(n).ints[0])
 
 
 def dense(row, width):

@@ -3,7 +3,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply, dense, is_subspace_of, sparse, unit_vector
+from conftest import apply, dense, full_space, is_subspace_of, nullspace, sparse, unit_vector
 from hypothesis import given, settings
 
 from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
@@ -14,7 +14,6 @@ from nhomlie.linalg import (
     contains,
     extend_to_complement,
     kernel,
-    nullspace,
     rref,
     subspace_intersect,
     subspace_sum,
@@ -74,7 +73,7 @@ def test_nullspace_single_relation():
 def test_sum_of_axes_is_plane():
     e1 = SubspaceBasis.span(2, [unit_vector(2, 0)])
     e2 = SubspaceBasis.span(2, [unit_vector(2, 1)])
-    assert subspace_sum(e1, e2) == SubspaceBasis.full(2)
+    assert subspace_sum(e1, e2) == full_space(2)
 
 
 def test_sum_idempotent():
@@ -116,8 +115,8 @@ def test_contains_zero_and_units():
 
 def test_extend_complement_examples():
     zero = SubspaceBasis.zero(2)
-    assert extend_to_complement(zero, [0, 1]) == SubspaceBasis.full(2)
-    assert extend_to_complement(SubspaceBasis.full(2), [0, 1]).dim == 0
+    assert extend_to_complement(zero, [0, 1]) == full_space(2)
+    assert extend_to_complement(full_space(2), [0, 1]).dim == 0
     diag = SubspaceBasis.span(2, [vector([1, 1])])
     assert extend_to_complement(diag, [0, 1]) == SubspaceBasis.span(2, [unit_vector(2, 0)])
 
@@ -723,7 +722,7 @@ def test_floats_are_rejected_where_vectors_come_in():
     with pytest.raises(TypeError):
         SubspaceBasis.span(2, [(0.5, 1)])
     with pytest.raises(TypeError):
-        contains(SubspaceBasis.full(2), (0.5, 0))
+        contains(full_space(2), (0.5, 0))
 
 
 def test_extend_complement_rejects_indices_outside_the_space():

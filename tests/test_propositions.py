@@ -23,6 +23,7 @@ from nhomlie.fixtures import (
 from nhomlie.linalg import Mat, linear_combination
 from nhomlie.propositions import (
     Claim,
+    _hom_jordan_residual,
     _mat_witness,
     _random_homogeneous,
     check_basis_change,
@@ -39,6 +40,7 @@ from nhomlie.solver import (
     GradedEndo,
     Kind,
     alpha_twist,
+    hom_associator,
     jordan_product,
     omega,
     solve,
@@ -295,15 +297,24 @@ def test_prop38_matches_the_textbook_loop(name, mixed, kmax, seed):
     assert tuple(report.claim(c.claim_id) for c in ref) == ref
 
 
-def _plant_associator(alg, monkeypatch):
+# (a, b, c, w) as basis indices, taken modulo the basis size.  The walk
+# evaluates a basis quadruple only when its index triple is the least of its
+# rotations, so a term t(a, b, c, w) with (a, b, c) not least is reached only
+# as a later term of that least rotation: (3, 2, 1) is the second term of
+# (1, 3, 2), (2, 0, 1) the third of (0, 1, 2).  On super2 (parities 0, 0, 1, 1)
+# (3, 2, ...) and (2, 3, ...) plant the Jordan product of two odd maps.
+PLANTS = [(3, 2, 1, 0), (0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (1, 1, 3, 2)]
+
+
+def _plant_associator(alg, monkeypatch, indices=PLANTS[0]):
     """Add the identity to the associator of one (J(a, b), T(w), T(c)) of basis maps."""
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
-    a, b, c, w = (basis[i % len(basis)] for i in (3, 2, 1, 0))
+    a, b, c, w = (basis[i % len(basis)] for i in indices)
     planted = (jordan_product(a, b).mat, alpha_twist(alg, w).mat, alpha_twist(alg, c).mat)
     real = propositions.hom_associator
 
-    def fake(alg_, d1, d2, d3):
-        value = real(alg_, d1, d2, d3)
+    def fake(alg_, d1, d2, d3, *ops):
+        value = real(alg_, d1, d2, d3, *ops)
         if (d1.mat, d2.mat, d3.mat) == planted:
             return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
         return value
@@ -311,14 +322,26 @@ def _plant_associator(alg, monkeypatch):
     monkeypatch.setattr(propositions, "hom_associator", fake)
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
-@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
-def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monkeypatch):
+def _assert_planted_term_like_the_textbook_loop(name, mixed, indices, monkeypatch):
     alg = _fixture(name, mixed)
-    _plant_associator(alg, monkeypatch)
+    _plant_associator(alg, monkeypatch, indices)
     claim = check_prop38(alg, 1, samples=3, seed=5).claim("38.1.hom_jordan_identity")
     assert claim.status == "fail"
     assert claim == reference_prop38_claims(alg, 3, 5)[1]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
+def test_prop38_reports_a_planted_term_like_the_textbook_loop(name, mixed, monkeypatch):
+    _assert_planted_term_like_the_textbook_loop(name, mixed, PLANTS[0], monkeypatch)
+
+
+@pytest.mark.parametrize("indices", PLANTS[1:], ids=lambda t: "".join(map(str, t)))
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", ["abelian2", "aff1", "homaff1", "super2"])
+def test_prop38_reports_terms_planted_elsewhere_like_the_textbook_loop(name, mixed, indices,
+                                                                        monkeypatch):
+    _assert_planted_term_like_the_textbook_loop(name, mixed, indices, monkeypatch)
 
 
 def _counted(monkeypatch, name):
@@ -351,7 +374,7 @@ def test_prop38_evaluates_each_basis_term_once(monkeypatch):
         assert claim.status == "pass"
         assert claim.detail == "checked 261 quadruples, seed 20260811"
         assert len(calls) == distinct
-        assert {args[1:] for args in calls} == triples
+        assert {args[1:4] for args in calls} == triples
         assert draws == []
 
 
@@ -398,3 +421,50 @@ def test_exact_hom_jordan_script_reports_a_planted_term(mixed, monkeypatch):
     ref = reference_prop38_claims(alg, 0, 5)[1]
     assert failure and ref.status == "fail"
     assert (f"checked {checked} quadruples, seed 5", failure) == (ref.detail, ref.witness)
+
+
+def _rotation_terms(alg):
+    """The walk's associator term, and a term that is no associator: J(a, b) T(w) T(c)."""
+    jordan = cache(jordan_product)
+    twist = cache(partial(alpha_twist, alg))
+
+    def associator(a, b, c, w):
+        return hom_associator(alg, jordan(a, b), twist(w), twist(c)).mat
+
+    def composite(a, b, c, w):
+        return jordan(a, b).mat @ twist(w).mat @ twist(c).mat
+
+    return associator, composite
+
+
+def _assert_residual_rotation_invariant(alg, rng):
+    """R(x, y, z, w) == R(y, z, x, w) for every term: the walk's reduction rests on it."""
+    by_parity = {xi: list(omega(alg, xi).basis) for xi in (0, 1)}
+    basis = by_parity[0] + by_parity[1]
+    quads = list(product(basis, repeat=4)) if len(basis) ** 4 <= 10 ** 4 else []
+    quads += [[_random_homogeneous(rng, by_parity) for _ in range(4)] for _ in range(5)]
+    associator, composite = _rotation_terms(alg)
+    nonzero = 0
+    for x, y, z, w in quads:
+        assert _hom_jordan_residual(associator, x, y, z, w) is None
+        assert _hom_jordan_residual(associator, y, z, x, w) is None
+        residual = _hom_jordan_residual(composite, x, y, z, w)
+        assert residual == _hom_jordan_residual(composite, y, z, x, w)
+        nonzero += residual is not None
+    # the composite term does not cancel, so the comparison has nonzero residuals
+    assert nonzero
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_hom_jordan_residual_is_rotation_invariant(name, mixed):
+    _assert_residual_rotation_invariant(_fixture(name, mixed), random.Random(name))
+
+
+@settings(max_examples=10)
+@given(name=st.sampled_from(sorted(FIXTURES)), seed=st.integers(0, 2 ** 16))
+def test_hom_jordan_residual_is_rotation_invariant_on_dense_bases(name, seed):
+    alg = FIXTURES[name]()
+    rng = random.Random(seed)
+    _assert_residual_rotation_invariant(
+        transport(alg, random_even_invertible(alg.parity, rng)), rng)
