@@ -1,8 +1,15 @@
 """Command-line driver.
 
-Commands emit a canonical JSON report on stdout (or ``--out``).  Exit code
-0 means every requested check passed, 1 means a mathematical check failed
-(the report is still emitted), 2 means the input could not be used.
+:func:`main` is the one driver.  It reads the input file once and hashes
+those bytes, refuses an algebra that fails its axioms (exit 2) for the
+commands in :data:`NEEDS_VALID`, runs the command, and emits its report
+in the canonical JSON envelope on stdout (or ``--out``); ``extend`` emits
+the extension as an algebra file instead.  Each command maps
+``(args, alg)`` to ``(body, passed)`` and formats nothing itself.
+
+Exit code 0 means every requested check passed, 1 means a mathematical
+check failed (the report is still emitted), 2 means the input could not
+be used.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from .io import (
     PrecheckError,
     SchemaError,
     canonical_json,
+    center_doc,
     digest_bytes,
     dims_doc,
     endospace_doc,
@@ -23,7 +31,7 @@ from .io import (
     prop_report_doc,
     report_envelope,
     serialize_algebra,
-    subspace_doc,
+    validation_doc,
 )
 from .propositions import (
     check_prop31,
@@ -38,6 +46,9 @@ from .solver import TUPLE_KINDS, Kind, solve
 
 KIND_NAMES = [k.value for k in Kind]
 
+# commands whose checks presuppose the axioms
+NEEDS_VALID = frozenset({"props", "extend", "decompose"})
+
 
 def nonnegative_int(text: str) -> int:
     """argparse type of ``--kmax``: a negative twist power is a usage error (exit 2)."""
@@ -47,62 +58,16 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load(path):
-    """The algebra at ``path`` and the SHA-256 of the bytes it was parsed from.
-
-    The file is read once, so a pipe is hashed as it was parsed.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return parse_algebra(path, raw), digest_bytes(raw)
-
-
-def _cmd_validate(args) -> int:
-    alg, digest = _load(args.file)
+def _cmd_validate(args, alg):
     report = validate(alg)
-    body = {
-        "validation": {
-            "skew_ok": report.skew_ok,
-            "jacobi_ok": report.jacobi_ok,
-            "multiplicative_ok": report.multiplicative_ok,
-            "even_alpha_ok": report.even_alpha_ok,
-            "degree_ok": report.degree_ok,
-            "failures": [
-                {"axiom": f.axiom, "witness": repr(f.witness),
-                 "residual": [str(x) for x in f.residual]}
-                for f in report.failures
-            ],
-        }
-    }
-    doc = report_envelope("validate", args.file, digest, body, report.all_ok)
-    _emit(canonical_json(doc), args.out)
-    return 0 if report.all_ok else 1
+    return validation_doc(report), report.all_ok
 
 
-def _cmd_center(args) -> int:
-    alg, digest = _load(args.file)
-    even, odd = center(alg)
-    body = {
-        "center": {
-            "even": {"dim": even.dim, "basis": subspace_doc(even)},
-            "odd": {"dim": odd.dim, "basis": subspace_doc(odd)},
-        }
-    }
-    doc = report_envelope("center", args.file, digest, body, True)
-    _emit(canonical_json(doc), args.out)
-    return 0
+def _cmd_center(args, alg):
+    return center_doc(*center(alg)), True
 
 
-def _cmd_solve(args) -> int:
-    alg, digest = _load(args.file)
+def _cmd_solve(args, alg):
     kind = Kind(args.kind)
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
     docs = []
@@ -121,17 +86,10 @@ def _cmd_solve(args) -> int:
             if entry is None:
                 entry = rendered[key] = endospace_doc(space)
             docs.append({**entry, "k": k})
-    body = {"dims": dims_doc(sorted(dims)), "spaces": docs}
-    doc = report_envelope("solve", args.file, digest, body, True)
-    _emit(canonical_json(doc), args.out)
-    return 0
+    return {"dims": dims_doc(sorted(dims)), "spaces": docs}, True
 
 
-def _cmd_props(args) -> int:
-    alg, digest = _load(args.file)
-    if not validate(alg).all_ok:
-        print("input algebra does not satisfy its axioms", file=sys.stderr)
-        return 2
+def _cmd_props(args, alg):
     reports = [
         check_prop31(alg, args.kmax),
         check_prop32(alg, args.kmax),
@@ -140,37 +98,21 @@ def _cmd_props(args) -> int:
         check_prop38(alg, args.kmax, seed=args.seed),
         check_prop39(alg, args.kmax),
     ]
-    passed = all(r.passed for r in reports)
     body = {
         "dims": dims_doc(solved_dims(alg, args.kmax)),
         "propositions": [prop_report_doc(r) for r in reports],
     }
-    doc = report_envelope("props", args.file, digest, body, passed)
-    _emit(canonical_json(doc), args.out)
-    return 0 if passed else 1
+    return body, all(r.passed for r in reports)
 
 
-def _cmd_extend(args) -> int:
-    alg = parse_algebra(args.file)
-    if not validate(alg).all_ok:
-        print("input algebra does not satisfy its axioms", file=sys.stderr)
-        return 2
-    text = build_check(alg)
-    _emit(serialize_algebra(text.ext), args.out)
-    return 0
+def _cmd_extend(args, alg):
+    return serialize_algebra(build_check(alg).ext), True
 
 
-def _cmd_decompose(args) -> int:
-    alg, digest = _load(args.file)
-    if not validate(alg).all_ok:
-        print("input algebra does not satisfy its axioms", file=sys.stderr)
-        return 2
+def _cmd_decompose(args, alg):
     reports = [check_prop42(alg, args.kmax), check_prop43(alg, args.kmax)]
-    passed = all(r.passed for r in reports)
     body = {"propositions": [prop_report_doc(r) for r in reports]}
-    doc = report_envelope("decompose", args.file, digest, body, passed)
-    _emit(canonical_json(doc), args.out)
-    return 0 if passed else 1
+    return body, all(r.passed for r in reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +164,24 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
+        alg = parse_algebra(args.file, raw)
+        if args.command in NEEDS_VALID and not validate(alg).all_ok:
+            print("input algebra does not satisfy its axioms", file=sys.stderr)
+            return 2
+        body, passed = args.func(args, alg)
+        text = body if args.command == "extend" else canonical_json(report_envelope(
+            args.command, args.file, digest_bytes(raw), body, passed))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (OSError, SchemaError, PrecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

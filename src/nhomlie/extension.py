@@ -25,6 +25,7 @@ from .algebra import NHomAlgebra, center, derived_subspace, invert, is_homogeneo
 from .linalg import (
     Mat,
     SubspaceBasis,
+    linear_combination,
     subspace_intersect,
     subspace_sum,
     extend_to_complement,
@@ -132,9 +133,7 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2, seed: int = 20260811) -> PropR
                 bad_inject = ((k, xi, qd.dim, stacked.dim), ())
             if bad_witness is None and qd.slack:
                 for g, w, img in zip(qd.basis, qd.witnesses, images):
-                    noise = Mat.zero(alg.dim, alg.dim)
-                    for s in qd.slack:
-                        noise = noise + s.scale(rng.randint(-3, 3))
+                    noise = linear_combination([rng.randint(-3, 3) for _ in qd.slack], qd.slack)
                     if phi(text, g, w + noise, k).mat != img.mat:
                         bad_witness = ((k, xi), _mat_witness(noise))
                         break

@@ -6,6 +6,11 @@ integers are also accepted on input).  Serialization is canonical: sorted
 keys, compact separators, lowest-term rationals, one trailing newline, so
 a parsed-and-reserialized file is byte-identical and reports are
 reproducible run to run.
+
+Every document the CLI emits is built here, and every rational in it is
+written by one formatter, :func:`_ratio_str`, from an integer pair: a
+matrix's numerators over its denominator, a subspace row's entries over
+its leading entry, a ``Fraction``'s numerator over its denominator.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import NHomAlgebra
+from .algebra import NHomAlgebra, ValidationReport
 from .linalg import Mat, SubspaceBasis
-from .propositions import PropReport
 from .solver import EndoSubspace, Kind
+
+if TYPE_CHECKING:  # propositions imports this module's formatter
+    from .propositions import PropReport
 
 
 class SchemaError(ValueError):
@@ -37,10 +45,6 @@ class PrecheckError(ValueError):
     def __init__(self, message: str, witness=()):
         super().__init__(message)
         self.witness = witness
-
-
-def rational_str(x: Fraction) -> str:
-    return _ratio_str(x.numerator, x.denominator)
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -159,7 +163,7 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
             if x and parity[j] != want:
                 raise PrecheckError(
                     f"bracket {list(args)} has a component of wrong degree at index {j}",
-                    witness=(args, j, rational_str(x)))
+                    witness=(args, j, _ratio_str(x.numerator, x.denominator)))
     return NHomAlgebra(arity, dim, parity, table, alpha, name=name)
 
 
@@ -182,7 +186,7 @@ def algebra_to_doc(alg: NHomAlgebra) -> dict:
     brackets = []
     for args in sorted(alg.table):
         vec = alg.table[args]
-        terms = [{"index": j, "coeff": rational_str(x)}
+        terms = [{"index": j, "coeff": _ratio_str(x.numerator, x.denominator)}
                  for j, x in enumerate(vec) if x]
         brackets.append({"args": list(args), "value": terms})
     return {
@@ -216,7 +220,8 @@ def mat_doc(m: Mat) -> list:
 
 
 def subspace_doc(s: SubspaceBasis) -> list:
-    return [[rational_str(x) for x in v] for v in s.vectors]
+    """The basis rows scaled to leading entry 1, read off the primitive rows."""
+    return [[_ratio_str(x, row[j]) for x in row] for row, j in zip(s.rows, s.leads)]
 
 
 def dims_doc(dims) -> dict:
@@ -239,14 +244,30 @@ def endospace_doc(space: EndoSubspace) -> dict:
     return doc
 
 
-def _json_safe(value):
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return value
+def validation_doc(report: ValidationReport) -> dict:
+    return {
+        "validation": {
+            "skew_ok": report.skew_ok,
+            "jacobi_ok": report.jacobi_ok,
+            "multiplicative_ok": report.multiplicative_ok,
+            "even_alpha_ok": report.even_alpha_ok,
+            "degree_ok": report.degree_ok,
+            "failures": [
+                {"axiom": f.axiom, "witness": repr(f.witness),
+                 "residual": [_ratio_str(x.numerator, x.denominator) for x in f.residual]}
+                for f in report.failures
+            ],
+        }
+    }
+
+
+def center_doc(even: SubspaceBasis, odd: SubspaceBasis) -> dict:
+    return {
+        "center": {
+            "even": {"dim": even.dim, "basis": subspace_doc(even)},
+            "odd": {"dim": odd.dim, "basis": subspace_doc(odd)},
+        }
+    }
 
 
 def prop_report_doc(report: PropReport) -> dict:
@@ -258,7 +279,7 @@ def prop_report_doc(report: PropReport) -> dict:
                 "id": c.claim_id,
                 "status": c.status,
                 "detail": c.detail,
-                "witness": _json_safe(c.witness),
+                "witness": c.witness,
             }
             for c in report.claims
         ],

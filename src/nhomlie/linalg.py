@@ -462,12 +462,6 @@ class SubspaceBasis:
         """The leading column of each row."""
         return tuple(map(_lead, self.rows))
 
-    @cached_property
-    def vectors(self) -> tuple[Vector, ...]:
-        """The basis as ``Fraction`` vectors with leading entry 1, built on first use."""
-        return tuple(tuple(Fraction(x, row[j]) for x in row)
-                     for row, j in zip(self.rows, self.leads))
-
     @property
     def dim(self) -> int:
         return len(self.rows)

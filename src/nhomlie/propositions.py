@@ -32,6 +32,7 @@ from functools import cache, partial
 from itertools import product, starmap
 
 from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport, validate
+from .io import _ratio_str
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -82,7 +83,8 @@ class PropReport:
 
 
 def _mat_witness(mat: Mat) -> tuple:
-    return tuple(tuple(str(x) for x in row) for row in mat.entries)
+    grid, den = mat.ints
+    return tuple(tuple(_ratio_str(x, den) for x in row) for row in grid)
 
 
 def _report(prop: str, claims: list[Claim], dims=()) -> PropReport:
@@ -540,13 +542,3 @@ def random_even_invertible(parity, rng: random.Random) -> Mat:
         except ValueError:
             continue
         return m
-
-
-ALL_PROP_CHECKS = {
-    "3.1": check_prop31,
-    "3.2": check_prop32,
-    "3.3": check_prop33,
-    "3.4": check_prop34,
-    "3.8": check_prop38,
-    "3.9": check_prop39,
-}

@@ -5,7 +5,8 @@ arithmetic, read from the stored table through the graded sign rule, so
 the tests can compare the integer structure tensor with it.
 ``ref_transport`` is the basis change as one ``bracket`` call per weakly
 increasing tuple, the reference for ``algebra.transport``.  ``nullspace``
-and ``full_space`` build subspaces that only the tests need.
+and ``full_space`` build subspaces that only the tests need, and
+``vectors`` reads a subspace basis back as ``Fraction`` vectors.
 """
 
 from fractions import Fraction
@@ -59,6 +60,11 @@ def nullspace(m):
 def full_space(n):
     """The whole of F^n, as its canonical subspace basis."""
     return SubspaceBasis(n, Mat.identity(n).ints[0])
+
+
+def vectors(s):
+    """The basis of ``s`` as ``Fraction`` vectors with leading entry 1."""
+    return tuple(tuple(Fraction(x, row[j]) for x in row) for row, j in zip(s.rows, s.leads))
 
 
 def dense(row, width):

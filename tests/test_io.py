@@ -6,26 +6,28 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+from conftest import vectors
 from hypothesis import example, given
 
 from nhomlie import cli
 from nhomlie.algebra import validate
 from nhomlie.cli import main
-from nhomlie.fixtures import FIXTURES
+from nhomlie.fixtures import CORRUPTED, FIXTURES
 from nhomlie.io import (
     MAX_DECIMAL_EXPONENT,
     MAX_LITERAL_CHARS,
     PrecheckError,
     SchemaError,
+    _ratio_str,
     algebra_from_doc,
     endospace_doc,
     mat_doc,
     parse_algebra,
     parse_rational,
-    rational_str,
     serialize_algebra,
+    subspace_doc,
 )
-from nhomlie.linalg import Mat
+from nhomlie.linalg import Mat, SubspaceBasis
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
@@ -78,9 +80,10 @@ class TestRationals:
         assert info.value.field == "alpha[1][1]"
 
     def test_canonical_strings(self):
-        from fractions import Fraction
-        assert rational_str(Fraction(4, 2)) == "2"
-        assert rational_str(Fraction(-1, 3)) == "-1/3"
+        assert _ratio_str(4, 2) == "2"
+        assert _ratio_str(-1, 3) == "-1/3"
+        assert _ratio_str(-6, 4) == "-3/2"
+        assert _ratio_str(0, 5) == "0"
 
 
 class TestParse:
@@ -222,6 +225,17 @@ class TestCli:
         assert piped["input"]["digest"] == hashlib.sha256(raw).hexdigest()
         assert {**piped, "input": None} == {**from_file, "input": None}
 
+    @pytest.mark.parametrize("command", ["props", "extend", "decompose"])
+    def test_invalid_algebra_exits_two_before_any_output(self, command, tmp_path, capsys):
+        f = tmp_path / "corrupt_jacobi.json"
+        f.write_text(serialize_algebra(CORRUPTED["corrupt_jacobi"]()))
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input algebra does not satisfy its axioms\n"
+        assert captured.out == ""
+        assert main([command, str(f), "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/algebra.json"]) == 2
 
@@ -316,4 +330,11 @@ def doc_matrices(draw):
 @example(Mat.from_rows([[Fraction(-1, 2), 0, 3], [Fraction(2, 3), -4, Fraction(5, 6)]]))
 @example(Mat.from_rows([[0, -7], [2, 0]]))
 def test_mat_doc_formats_each_entry_from_the_integer_form(m):
-    assert mat_doc(m) == [[rational_str(x) for x in row] for row in m.entries]
+    assert mat_doc(m) == [[str(x) for x in row] for row in m.entries]
+
+
+@given(doc_matrices())
+@example(Mat.from_rows([[2, -4, 6], [0, 3, -1], [1, 0, 0]]))
+def test_subspace_doc_formats_each_entry_from_the_primitive_rows(m):
+    s = SubspaceBasis.span(m.cols, m.entries)
+    assert subspace_doc(s) == [[str(x) for x in v] for v in vectors(s)]

@@ -16,7 +16,9 @@ The corrupted fixtures are pinned in-process, as the ``repr`` of their
 ``validate`` report (the parser rejects ``corrupt_degree`` before the CLI
 could validate it): as they are and as ``<name>~``, transported through
 ``mixed_change``, so every failure's witness and residual is pinned, with
-mixed denominators in the copies.
+mixed denominators in the copies.  The same files also go through the
+CLI, whose JSON report renders each witness with ``repr`` and each
+residual entry as a string; those reports are pinned as digests too.
 """
 
 import hashlib
@@ -251,3 +253,40 @@ def test_validation_digest(case):
     report = validate(alg)
     assert not report.all_ok
     assert hashlib.sha256(repr(report).encode("utf-8")).hexdigest() == DIGESTS[case]
+
+
+# the CLI's validate reports of the corrupted inputs, serialized into a
+# scratch directory as ``<name>.json`` and ``<name>~.json``
+CLI_VALIDATION_DIGESTS = {
+    "validate-corrupt_jacobi": "5e29487d957d4fdad19f7743fffe870e805b70b1e686cc9b69559132e910696c",
+    "validate-corrupt_jacobi~": "9a7029d3074c31f511eb48f727e7b7400b2f97257b62b0476ecde9c4b462e421",
+    "validate-corrupt_multiplicative": "9c96d6b8df064c9055702b2f3a652dddab696f171525de73a03a981651494fb9",
+    "validate-corrupt_multiplicative~": "e15b6ada2f2a5bda7b92782c31fe71158f7f37ad0f067798e9775db98273205d",
+}
+
+# the parser's grading precheck rejects corrupt_degree before it can be validated
+PRECHECK_ERROR = "error: bracket [0, 1] has a component of wrong degree at index 0\n"
+
+
+@pytest.fixture(scope="module")
+def corrupted_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corrupted")
+    for name, make in CORRUPTED.items():
+        alg = make()
+        (out / f"{name}.json").write_text(serialize_algebra(alg), encoding="utf-8")
+        moved = transport(alg, mixed_change(alg.parity))
+        (out / f"{name}~.json").write_text(serialize_algebra(moved), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_cli_validation_report(case, corrupted_dir, monkeypatch, capsys):
+    name, suffix = VALIDATION_CASES[case]
+    monkeypatch.chdir(corrupted_dir)
+    rc = main(["validate", f"{name}{suffix}.json"])
+    out, err = capsys.readouterr()
+    if name == "corrupt_degree":
+        assert (rc, out, err) == (2, "", PRECHECK_ERROR)
+    else:
+        assert (rc, err) == (1, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_VALIDATION_DIGESTS[case]
