@@ -210,6 +210,12 @@ def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
             for c in range(m.cols)], den
 
 
+def sparse_rows(m: Mat) -> tuple[list[SparseInts], int]:
+    """The rows of ``m``'s integer form as sparse vectors, and its denominator."""
+    grid, den = m.ints
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in grid], den
+
+
 def apply_ints(cols: Sequence[SparseInts], vec: SparseInts, dim: int) -> list[int]:
     """Dense integer image of ``vec`` under the matrix with sparse columns ``cols``."""
     out = [0] * dim
@@ -239,8 +245,7 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
     hit = alg._cache.get(key)
     if hit is not None:
         return hit
-    # row r of a matrix, as a sparse vector, is column r of its transpose
-    slot_rows = [sparse_columns(power.transpose())[0]] * alg.arity
+    slot_rows = [sparse_rows(power)[0]] * alg.arity
     slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
     hit = alg._cache[key] = _pushed(values, slot_rows, alg.dim)
     return hit
@@ -430,8 +435,7 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     # W = alpha, both over tden aden^(n+1); kept to the weakly increasing t,
     # in combinations_with_replacement order.
     multiplicative_ok = True
-    # row r of alpha, as a sparse vector, is column r of its transpose
-    alpha_rows = sparse_columns(alg.alpha.transpose())[0]
+    alpha_rows = sparse_rows(alg.alpha)[0]
     for t, lhs, rhs in identity_failures(alg, 1, 0, alpha_rows, aden, {0: 1}, alpha_cols, aden):
         if all(a <= b for a, b in zip(t, t[1:])):
             multiplicative_ok = False
@@ -547,7 +551,7 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
         raise ValueError("basis-change matrix must be even")
     p_inv = invert(p)
     values, tden = alg.tensor
-    prows, pden = sparse_columns(p.transpose())
+    prows, pden = sparse_rows(p)
     inv_cols, inv_den = sparse_columns(p_inv)
     den = tden * pden ** n * inv_den
     new_table = {}

@@ -33,34 +33,28 @@ bracket, whatever k is.
 equation's tuple symmetry: the slot from which a basis tuple may be sorted
 without changing the row space (all of t for Der, C, QC, QDer and ZDer's
 VALUE equation, t[1:] for ZDer's slot equation, none for GDer).
-:func:`_rows` turns it into rows: over each equation's weakly increasing
-representatives for :func:`solve`, and over every tuple
-for the QDer/GDer witness system, whose right-hand sides cover every
-tuple.  The rows are integer numerators built
-from the structure tensor, which holds only the tuples with a nonzero
-bracket and is read by lookup: a VALUE term reads the tensor itself, and
-the slot-s term of unknown column (j, t[s]) is the entry
-t[:s] + (j,) + t[s+1:] of :func:`~nhomlie.algebra.opened_tensor` at slot s,
-the tensor with alpha^k in every other slot, times the prefix sign.  Every
-equation row is over the tensor's denominator times den(alpha^k)^(n-1),
-and every commutation row over den(alpha).  Each (tuple, equation) is
-summed sparsely, component by component, and each nonzero component
-becomes one row: the list of its nonzero (column, value) pairs, which is
-the one row form :func:`~nhomlie.linalg.kernel` reads.
-:func:`in_space` and :func:`qder_identity_holds` re-evaluate each
-definition on the integer structure tensor without reading the table, so
-they are a cross-check of the table rather than a copy of it; only the
-witness blocks :func:`in_space` solves for come from the table.  Each
-one-block kind is written there as (slot weights, W) pairs, from the
-definitions rather than from ``_EQUATIONS``, and compared by
-:func:`~nhomlie.algebra.identity_failures`, the evaluator that
+:func:`_rows` turns it into rows over each equation's weakly increasing
+representatives.  The rows are integer numerators built from the structure
+tensor, which holds only the tuples with a nonzero bracket and is read by
+lookup: a VALUE term reads the tensor itself, and the slot-s term of
+unknown column (j, t[s]) is the entry t[:s] + (j,) + t[s+1:] of
+:func:`~nhomlie.algebra.opened_tensor` at slot s, the tensor with alpha^k
+in every other slot, times the prefix sign.  Each (tuple, equation) is
+summed sparsely, component by component, and each nonzero component becomes
+one row: the list of its nonzero (column, value) pairs, which is the one
+row form :func:`~nhomlie.linalg.kernel` reads.  :func:`in_space` and
+:func:`qder_identity_holds` re-evaluate each definition on the integer
+structure tensor without reading the table, so they are a cross-check of
+the table rather than a copy of it; the only rows they read are Omega's
+commutation rows.  Each one-block kind is written there as (slot weights,
+W) pairs, from the definitions rather than from ``_EQUATIONS``, and
+compared by :func:`~nhomlie.algebra.identity_failures`, the evaluator that
 :func:`~nhomlie.algebra.validate` uses for its axioms: the weighted sum of
 the slot terms, pushed from the tensor's support through the row supports
 of alpha^k and of the map, must equal W [e_t], and it is checked only on
-the support and the tuples reached, since on any other tuple both sides
-are zero.  The QDer/GDer right-hand side is
-:func:`~nhomlie.algebra.summed_slot_terms`, placed at each tuple's
-position in product order.
+the support and the tuples reached, since on any other tuple both sides are
+zero.  The QDer/GDer slot terms must lie in :func:`_witness_span`, the span
+of what Omega's basis gives as witnesses.
 """
 
 from __future__ import annotations
@@ -73,10 +67,12 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     NHomAlgebra,
+    apply_ints,
     identity_failures,
     is_homogeneous,
     opened_tensor,
     sparse_columns,
+    sparse_rows,
     summed_slot_terms,
 )
 from .linalg import (
@@ -173,8 +169,7 @@ def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
 # :func:`_rows`), n if none may be.  Der, C, QC and QDer sort all of t; ZDer
 # sorts all of t in its VALUE equation D[e_t] = 0 and only t[1:] in its slot
 # equation (whose one term singles out slot 0); GDer sorts nothing (each slot
-# has its own block).  Only :func:`solve` reads representatives; the witness
-# system, :func:`in_space` and the dense oracle visit every tuple.
+# has its own block).  Only :func:`solve` reads representatives.
 VALUE = None
 
 
@@ -225,21 +220,17 @@ def _tuples(d: int, n: int, sorted_from: int):
             for tail in combinations_with_replacement(range(d), n - sorted_from))
 
 
-def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False):
+def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
     """Sparse integer rows of the equations of ``kind`` over its vectorized blocks.
 
-    Each row is the list of its nonzero (column, value) pairs, the row form
-    of :func:`~nhomlie.linalg.kernel`.  Rows come tuple by tuple in product
-    order, then equation by equation, then component by component, followed
-    by the commutation rows of every block not in ``known``.  Terms of the
-    ``known`` blocks are left out.  Without known blocks only nonzero rows
-    are kept; with them all d rows of each (tuple, equation) are kept, an
-    empty list for a zero row, so a right-hand side computed for the known
-    blocks lines up with the rows.  Every equation row is the rational
-    row times one factor, the tensor's denominator times den(alpha^k)^(n-1),
-    and rows are not normalized one by one, so such a right-hand side needs
-    only to share that factor.  Returns (an iterator over the rows, block
-    count, positions); ``solve`` consumes the rows as they are built.
+    Each row is the list of its nonzero (column, value) pairs, the row form of
+    :func:`~nhomlie.linalg.kernel`.  Rows come tuple by tuple in product order,
+    then equation by equation, then component by component, followed by the
+    commutation rows of every block; zero rows are left out.  Every equation
+    row is the rational row times one factor, the tensor's denominator times
+    den(alpha^k)^(n-1), and every commutation row the rational row times
+    den(alpha).  Returns (an iterator over the rows, block count, positions);
+    ``solve`` consumes the rows as they are built.
 
     With ``reduced``, each equation is read only on its representative
     tuples: those weakly increasing from its ``sorted_from`` slot on (every
@@ -260,8 +251,7 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     no slot term to move) or, for QC, a difference of two of them:
     slot a minus slot b is (slot 0 minus slot b) minus (slot 0 minus
     slot a).  :func:`~nhomlie.linalg.kernel` returns the canonical form of
-    the nullspace, so equal row spaces give equal bases.  The witness
-    system (with ``known`` blocks) needs every tuple and stays full.
+    the nullspace, so equal row spaces give equal bases.
 
     The slot-s term of unknown column (j, t[s]) is the prefix sign
     (-1)^(xi |t[:s]|) times the bracket [alpha^k e_{t_0}, ..., e_j, ...,
@@ -288,7 +278,7 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
     # denominator times den(alpha^k)^(n-1); VALUE terms are lifted to it
     lift = alg.alpha_power(k).ints[1] ** (n - 1)
     opened = {s: opened_tensor(alg, k, s) for eq in equations
-              for b, s, _ in eq.terms if s is not VALUE and b not in known}
+              for b, s, _ in eq.terms if s is not VALUE}
 
     def rows():
         for t in _tuples(d, n, start):
@@ -302,8 +292,6 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
                     continue
                 comps = [{} for _ in range(d)]  # component -> {column: coefficient}
                 for b, s, c in eq.terms:
-                    if b in known:
-                        continue
                     off = b * npos
                     if s is VALUE:
                         for j, v in value:
@@ -321,12 +309,11 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, known=(), reduced=False
                             comp = comps[l]
                             comp[col] = comp.get(col, 0) + w * x
                 for comp in comps:
-                    row = [(col, x) for col, x in comp.items() if x] if comp else []
-                    if row or known:
+                    row = [(col, x) for col, x in comp.items() if x]
+                    if row:
                         yield row
         for b in range(nblocks):
-            if b not in known:
-                yield from _commutation_rows(alg, posidx, b * npos)
+            yield from _commutation_rows(alg, posidx, b * npos)
 
     return rows(), nblocks, pos
 
@@ -397,7 +384,7 @@ def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEn
     Identities are re-evaluated on the integer structure tensor for the
     explicit images of the basis by :func:`~nhomlie.algebra.identity_failures`,
     so only the support and the tuples its slot terms reach are checked;
-    for QDer/GDer the witness blocks are solved for afresh.
+    for QDer/GDer the slot terms must lie in :func:`_witness_span`.
     """
     kind = Kind(kind)
     if endo.mat.rows != alg.dim:
@@ -417,23 +404,15 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    # row r of a matrix, as a sparse vector, is column r of its transpose
-    drows, dden = sparse_columns(endo.mat.transpose())
+    drows, dden = sparse_rows(endo.mat)
 
     if kind in (Kind.QDER, Kind.GDER):
         # the leading block's slot terms (every slot for QDer, slot 0 for
-        # GDer), d rows per tuple in product order, are the right-hand side
-        # for the witness blocks; the witness system is homogeneous, so their
-        # common denominator drops out
-        cols = _witness_system(alg, kind, k, xi)
-        rhs = [0] * cols.ambient_dim
+        # GDer) need a witness, whatever their denominator
+        reached, span = _witness_span(alg, kind, k, xi)
         weights = dict.fromkeys(range(n) if kind is Kind.QDER else (0,), 1)
-        for t, term in summed_slot_terms(alg, k, xi, drows, weights).items():
-            start = 0  # t's position in product order, times d
-            for i in t:
-                start = (start + i) * d
-            rhs[start:start + d] = term
-        return not any(_reduce(cols.rows, cols.leads, rhs))
+        row = _laid_out(reached, summed_slot_terms(alg, k, xi, drows, weights), d)
+        return row is not None and not any(_reduce(span.rows, span.leads, row))
 
     # each identity of the kind as (slot weights, W): the weighted sum of
     # D's slot terms equals W [e_t], where W is D itself or zero
@@ -451,26 +430,42 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
                is None for weights, wcols in identities)
 
 
-def _witness_system(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> SubspaceBasis:
-    """Canonical column space of the witness blocks of QDer or GDer, cached.
+def _witness_span(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> tuple[dict, SubspaceBasis]:
+    """``(reached, span)``: the QDer/GDer right-hand sides with a witness, cached.
 
-    The rows are :func:`_rows` with the leading block known; a right-hand
-    side for them has a witness iff it lies in the span of the columns.
+    Witnesses lie in Omega and enter linearly, so these are the span of what
+    Omega's basis maps W give: W [e_t], and for GDer W's slot-s terms for
+    s = 1..n-1, each over its own denominator, laid out d components per
+    tuple that ``reached`` numbers in product order.
     """
     cache_key = ("witness", kind, xi, alg.alpha_power(k))
     hit = alg._cache.get(cache_key)
     if hit is not None:
         return hit
-    rows, nblocks, pos = _rows(alg, kind, k, xi, known={0})
-    rows = list(rows)
-    npos = len(pos)
-    witness_cols = [[0] * len(rows) for _ in range((nblocks - 1) * npos)]
-    for r, row in enumerate(rows):
-        for c, x in row:
-            witness_cols[c - npos][r] = x
-    cols = _grown(len(rows), [], [], witness_cols)
-    alg._cache[cache_key] = cols
-    return cols
+    values, d = alg.tensor[0], alg.dim
+    slots = range(1, alg.arity) if kind is Kind.GDER else ()
+    contributions = []
+    for w in omega(alg, xi).basis:
+        wcols, wrows = sparse_columns(w.mat)[0], sparse_rows(w.mat)[0]
+        contributions.append({t: apply_ints(wcols, value, d) for t, value in values.items()})
+        contributions.extend(summed_slot_terms(alg, k, xi, wrows, {s: 1}) for s in slots)
+    reached = sorted({t for terms in contributions for t, term in terms.items() if any(term)})
+    reached = {t: i for i, t in enumerate(reached)}
+    rows = (_laid_out(reached, terms, d) for terms in contributions)
+    hit = alg._cache[cache_key] = (reached, _grown(len(reached) * d, [], [], rows))
+    return hit
+
+
+def _laid_out(reached: dict, terms: dict, d: int) -> list[int] | None:
+    """``terms`` laid out d per ``reached`` tuple; None if nonzero at another tuple."""
+    row = [0] * (len(reached) * d)
+    for t, term in terms.items():
+        i = reached.get(t)
+        if i is not None:
+            row[i * d:(i + 1) * d] = term
+        elif any(term):
+            return None
+    return row
 
 
 def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
@@ -479,6 +474,8 @@ def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
 
     Cached on ``alg`` by the operands' values, as :func:`in_space` is.
     """
+    if endo.mat.rows != alg.dim or (witness.rows, witness.cols) != (alg.dim, alg.dim):
+        raise ValueError("endomorphism size does not match the algebra")
     cache_key = ("qder_identity", xi, alg.alpha_power(k), endo.mat, witness)
     hit = alg._cache.get(cache_key)
     if hit is None:
@@ -491,8 +488,7 @@ def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    # row r of a matrix, as a sparse vector, is column r of its transpose
-    drows, dden = sparse_columns(endo.mat.transpose())
+    drows, dden = sparse_rows(endo.mat)
     wcols, wden = sparse_columns(witness)
     weights = dict.fromkeys(range(alg.arity), 1)
     return next(identity_failures(alg, k, xi, drows, dden, weights, wcols, wden), None) is None

@@ -7,12 +7,12 @@ each opened tensor entry by entry with the bracket it stands for.
 ``qder_identity_holds`` are compared with their definitions evaluated in
 ``Fraction`` arithmetic, with the QDer/GDer witnesses solved for by rank.
 The solver's integer constraint rows are compared with the same rows built
-in ``Fraction`` arithmetic through ``bracket``, scaled by the one
-denominator the witness system relies on, and the rows ``solve`` reads,
+in ``Fraction`` arithmetic through ``bracket``, scaled by one denominator
+for each kind of row, and the rows ``solve`` reads,
 over tuple-orbit representatives only, with the rows over every tuple.
 The algebras are aff1, homaff1, super2 and threeLie4, three Heisenberg
-algebras on which QDer and GDer are proper subspaces of Omega (so their
-witness systems can fail), and a copy of each transported through
+algebras on which QDer and GDer are proper subspaces of Omega (so a map
+of Omega can lack a witness), and a copy of each transported through
 ``mixed_change``, whose table and twist carry mixed denominators; the
 membership tests also run on the two-block extensions of threeLie4 and
 homaff1, whose slot terms reach few of their tuples.  Each
@@ -20,6 +20,7 @@ example checks a random combination of a space's basis (a member) and the
 same map plus a random alpha-commuting perturbation (mostly a non-member).
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -31,7 +32,14 @@ from conftest import apply, basis_value, col, dense, sparse
 from hypothesis import given, settings
 
 from nhomlie import algebra, solver
-from nhomlie.algebra import NHomAlgebra, bracket, opened_tensor, transport
+from nhomlie.algebra import (
+    NHomAlgebra,
+    bracket,
+    opened_tensor,
+    sparse_rows,
+    summed_slot_terms,
+    transport,
+)
 from nhomlie.extension import build_check
 from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
 from nhomlie.linalg import Mat, SubspaceBasis, kernel
@@ -270,13 +278,12 @@ def unit_slot_bracket(name, k, t, s, r):
     return bracket(alg, args)
 
 
-def ref_rows(name, kind, k, xi, known):
+def ref_rows(name, kind, k, xi):
     """``(equation rows, commutation rows)`` of ``kind`` in ``Fraction`` arithmetic.
 
     The order is that of the solver's rows: tuple, equation, component, then
-    the commutation rows of each block not in ``known``; unknowns are the
-    blocks' allowed positions.  Zero rows are dropped, except the equation
-    rows when ``known`` is not empty.
+    the commutation rows of each block; unknowns are the blocks' allowed
+    positions.  Zero rows are dropped.
     """
     alg = ALGEBRAS[name]
     d, n = alg.dim, alg.arity
@@ -288,8 +295,6 @@ def ref_rows(name, kind, k, xi, known):
         for eq in equations:
             block = [[F(0)] * width for _ in range(d)]
             for b, s, c in eq.terms:
-                if b in known:
-                    continue
                 for m, (r, cc) in enumerate(pos):
                     j = b * len(pos) + m
                     if s is VALUE:  # E_{r cc} [e_t]
@@ -297,12 +302,10 @@ def ref_rows(name, kind, k, xi, known):
                     elif t[s] == cc:  # E_{r cc} e_{t_s} = e_r
                         for l, x in enumerate(unit_slot_bracket(name, k, t, s, r)):
                             block[l][j] += c * sign(alg, t, s, xi) * x
-            eq_rows.extend(block if known else [row for row in block if any(row)])
+            eq_rows.extend(row for row in block if any(row))
     alpha = alg.alpha.entries
     comm_rows = []
     for b in range(nblocks):
-        if b in known:
-            continue
         for l in range(d):
             for m in range(d):
                 row = [F(0)] * width
@@ -386,6 +389,54 @@ def test_in_space_matches_reference_on_omega_basis(name, kind):
                 (k, xi, g.mat.ints)
 
 
+@pytest.mark.parametrize("name", ["threeLie4~", "homheis4~"])
+def test_membership_reads_no_equation_rows(name, monkeypatch):
+    # every witness lies in Omega, so QDer/GDer membership reads Omega's
+    # commutation rows and no equation row that solve reads
+    source = ALGEBRAS[name]
+    alg = NHomAlgebra(source.arity, source.dim, source.parity, source.table, source.alpha)
+    cases = [(kind, k, xi, g) for kind, k, xi in product((Kind.QDER, Kind.GDER), range(2), (0, 1))
+             for g in solve(source, kind, k, xi).basis + omega(source, xi).basis]
+    real_rows, kinds = solver._rows, []
+
+    def rows(given, kind, *args, **kwargs):
+        kinds.append(kind)
+        return real_rows(given, kind, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rows", rows)
+    for kind, k, xi, g in cases:
+        in_space(alg, kind, k, xi, g)
+    assert set(kinds) == {Kind.OMEGA}
+
+
+def test_drawn_maps_reach_both_rejections():
+    # a map of Omega outside QDer/GDer has slot terms either at a tuple
+    # that no witness reaches or, inside the reached tuples, outside the
+    # span of the witnesses' contributions; the drawn maps hit both
+    rng = random.Random(25)
+
+    def draw(mats, d):
+        return sum((m.scale(F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))) for m in mats),
+                   Mat.zero(d, d))
+
+    unreached = outside = 0
+    for name, kind, k, xi in product(NAMES + EXTENSIONS, (Kind.QDER, Kind.GDER), range(3), (0, 1)):
+        alg = ALGEBRAS[name]
+        reached, span = solver._witness_span(alg, kind, k, xi)
+        weights = dict.fromkeys(range(alg.arity) if kind is Kind.QDER else (0,), 1)
+        member = draw([g.mat for g in solve(alg, kind, k, xi).basis], alg.dim)
+        for _ in range(3):
+            m = member + draw([g.mat for g in omega(alg, xi).basis], alg.dim)
+            if in_space(alg, kind, k, xi, GradedEndo(m, xi)):
+                continue
+            terms = summed_slot_terms(alg, k, xi, sparse_rows(m)[0], weights)
+            if any(any(term) for t, term in terms.items() if t not in reached):
+                unreached += 1
+            else:
+                outside += 1
+    assert unreached >= 10 and outside >= 10, (unreached, outside)
+
+
 @pytest.mark.parametrize("name", NAMES + EXTENSIONS)
 @settings(max_examples=10)
 @given(data=st.data())
@@ -409,17 +460,17 @@ def test_qder_identity_matches_reference(name, data):
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_are_the_reference_over_one_denominator(name, kind):
     # every equation row is over tden den(alpha^k)^(n-1), every commutation
-    # row over den(alpha); the witness system relies on the first
+    # row over den(alpha)
     alg = ALGEBRAS[name]
     tden = lcm(1, *(x.denominator for value in alg.table.values() for x in value))
     aden = lcm(1, *(x.denominator for row in alg.alpha.entries for x in row))
-    for k, xi, known in product(range(3), (0, 1), ((), {0})):
+    for k, xi in product(range(3), (0, 1)):
         kden = lcm(1, *(x.denominator for row in alg.alpha_power(k).entries for x in row))
-        eq_rows, comm_rows = ref_rows(name, kind, k, xi, known)
+        eq_rows, comm_rows = ref_rows(name, kind, k, xi)
         factor = tden * kden ** (alg.arity - 1)
         expected = ([sparse([x * factor for x in row]) for row in eq_rows] +
                     [sparse([x * aden for x in row]) for row in comm_rows])
-        rows = list(_rows(alg, kind, k, xi, known)[0])
+        rows = list(_rows(alg, kind, k, xi)[0])
         assert all(type(j) is int and type(x) is int for row in rows for j, x in row)
         # the same nonzero entries at the same columns, in the same rows
         assert [sorted(row) for row in rows] == expected
@@ -429,7 +480,7 @@ def test_rows_are_the_reference_over_one_denominator(name, kind):
 @pytest.mark.parametrize("name", ["threeLie4", "homheis4", "superheis3"])
 def test_rows_evaluate_no_bracket(name, kind, monkeypatch):
     # slot terms are read from the opened tensors, so no bracket is
-    # evaluated, and every k, xi and known set of one algebra reads the same
+    # evaluated, and every k and xi of one algebra reads the same
     # opened tensor of each (k, s): one built and cached for a non-identity
     # alpha^k, the tensor itself otherwise
     source = ALGEBRAS[name]
@@ -444,8 +495,8 @@ def test_rows_evaluate_no_bracket(name, kind, monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "opened_tensor", opened_tensor)
-    for k, xi, known in product(range(3), (0, 1), ((), {0})):
-        list(_rows(alg, kind, k, xi, known)[0])
+    for k, xi in product(range(3), (0, 1)):
+        list(_rows(alg, kind, k, xi)[0])
     assert brackets == []
     assert opened
     for (k, s), got in opened.items():

@@ -6,7 +6,7 @@ from conftest import is_subspace_of
 
 from nhomlie import solver
 from nhomlie.algebra import NHomAlgebra
-from nhomlie.extension import build_check
+from nhomlie.extension import build_check, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, super2, threeLie4
 from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains
 from nhomlie.solver import (
@@ -115,6 +115,21 @@ class TestWitnesses:
     def test_gder_witness_count(self):
         sp = solve(threeLie4(), Kind.GDER, 0, 0)
         assert all(len(ws) == 3 for ws in sp.witnesses)
+
+    @pytest.mark.parametrize("size", [(2, 1), (3, 2), (2, 3)],
+                             ids=["1x1 witness", "3x3 map", "3x3 witness"])
+    def test_identity_rejects_a_map_or_witness_of_the_wrong_size(self, size):
+        # aff1 has dimension 2; both the check and the extension embedding
+        # refuse the operands as in_space refuses a map of the wrong size
+        alg = aff1()
+        g, w = GradedEndo(Mat.identity(size[0]), 0), Mat.identity(size[1])
+        with pytest.raises(ValueError, match="size does not match the algebra"):
+            qder_identity_holds(alg, 0, 0, g, w)
+        with pytest.raises(ValueError, match="size does not match the algebra"):
+            phi(build_check(alg), g, w, 0)
+        if size[0] != 2:
+            with pytest.raises(ValueError, match="size does not match the algebra"):
+                in_space(alg, Kind.QDER, 0, 0, g)
 
 
 class TestInSpace:
