@@ -37,7 +37,6 @@ from .solver import (  # noqa: F401
 from .propositions import (  # noqa: F401
     Claim,
     PropReport,
-    check_basis_change,
     check_prop31,
     check_prop32,
     check_prop33,

@@ -30,11 +30,11 @@ is alpha in slot 0 against W = alpha, and the twisted Jacobi identity is
 ad_xs in every slot against W = ad_{alpha xs}, for the prefixes xs the
 support reaches.  All of them compare integer numerators over a common
 denominator; :func:`transport` pushes the support through the basis change
-with the loop of :func:`opened_tensor`.  ``Fraction`` remains only in the
-stored table (the edge form that the serializer and the extension read,
-and that :func:`transport` writes), in the arguments and value of
-:func:`bracket`, and in a validation failure's residual, made when the
-failure is recorded.
+with the loop of :func:`opened_tensor`.  The table is stored in the same
+integer form, which the parser, the serializer and the extension write or
+read.  ``Fraction`` remains only in the rational tables the constructor
+accepts, in the :attr:`NHomAlgebra.table` view, in the arguments and value
+of :func:`bracket`, and in a validation failure's residual.
 
 The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
@@ -47,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .linalg import (
     Mat,
     SubspaceBasis,
     Vector,
-    as_scalar,
     kernel,
     rref,
     vector,
@@ -107,14 +106,20 @@ def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
 
 
 class NHomAlgebra:
-    """Multiplicative n-ary Hom-Lie superalgebra given by structure constants."""
+    """Multiplicative n-ary Hom-Lie superalgebra given by structure constants.
 
-    __slots__ = ("arity", "dim", "parity", "table", "alpha", "name",
-                 "_alpha_pows", "_tensor", "_cache")
+    ``table_ints = (values, den)`` is the stored table: each weakly increasing
+    key with a nonzero bracket maps to its value as sparse integer numerators
+    over ``den``, the lcm of the values' denominators.  The constructor takes
+    a table of rational vectors, or a pair of that form over any denominator.
+    """
+
+    __slots__ = ("arity", "dim", "parity", "table_ints", "alpha", "name",
+                 "_table", "_alpha_pows", "_tensor", "_cache")
 
     def __init__(self, arity: int, dim: int, parity: Sequence[int],
-                 table: Mapping[Sequence[int], Sequence], alpha: Mat,
-                 name: str = ""):
+                 table: Mapping[Sequence[int], Sequence] | tuple[Mapping, int],
+                 alpha: Mat, name: str = ""):
         if arity < 2:
             raise ValueError("arity must be at least 2")
         if dim < 0:
@@ -124,7 +129,8 @@ class NHomAlgebra:
             raise ValueError("parity vector must contain 0/1 entries, one per basis element")
         if (alpha.rows, alpha.cols) != (dim, dim):
             raise ValueError("alpha must be a dim x dim matrix")
-        canon: dict[tuple[int, ...], Vector] = {}
+        table, den = table if isinstance(table, tuple) else (table, None)
+        canon = {}
         for key, value in table.items():
             key = tuple(int(i) for i in key)
             if len(key) != arity:
@@ -133,26 +139,44 @@ class NHomAlgebra:
                 raise ValueError(f"bracket key {key} has an index out of range")
             if any(key[i] > key[i + 1] for i in range(arity - 1)):
                 raise ValueError(f"bracket key {key} is not weakly increasing")
-            vec = vector(value)
-            if len(vec) != dim:
-                raise ValueError(f"bracket value for {key} has wrong length")
-            if any(vec):
-                canon[key] = vec
+            if den is None:
+                value = vector(value)
+                if len(value) != dim:
+                    raise ValueError(f"bracket value for {key} has wrong length")
+            if any(value):
+                canon[key] = value
+        self._table = None
+        if den is None:  # rational values: they are the Fraction view
+            self._table = canon
+            den = lcm(1, *(x.denominator for vec in canon.values() for x in vec))
+            canon = {key: tuple((j, x.numerator * (den // x.denominator))
+                                for j, x in enumerate(vec) if x) for key, vec in canon.items()}
+        g = gcd(den, *(x for ints in canon.values() for _, x in ints)) if den > 1 else 1
         self.arity = arity
         self.dim = dim
         self.parity = parity
-        self.table = canon
+        self.table_ints = ({key: tuple((j, x // g) for j, x in ints) for key, ints in canon.items()}
+                           if g > 1 else canon, den // g)
         self.alpha = alpha
         self.name = name
         self._alpha_pows: dict[int, Mat] = {0: Mat.identity(dim)}
         self._tensor: tuple[dict[tuple[int, ...], SparseInts], int] | None = None
         self._cache: dict = {}
 
+    @property
+    def table(self) -> dict[tuple[int, ...], Vector]:
+        """The bracket values as ``Fraction`` vectors, built on first read."""
+        if self._table is None:
+            values, den = self.table_ints
+            self._table = {key: tuple(Fraction(row.get(j, 0), den) for j in range(self.dim))
+                           for key, row in zip(values, map(dict, values.values()))}
+        return self._table
+
     def __eq__(self, other):
         if not isinstance(other, NHomAlgebra):
             return NotImplemented
-        return (self.arity, self.dim, self.parity, self.table, self.alpha) == \
-               (other.arity, other.dim, other.parity, other.table, other.alpha)
+        return (self.arity, self.dim, self.parity, self.table_ints, self.alpha) == \
+               (other.arity, other.dim, other.parity, other.table_ints, other.alpha)
 
     __hash__ = None
 
@@ -172,17 +196,15 @@ class NHomAlgebra:
 
         ``values`` maps each ordered basis tuple with a nonzero bracket, in
         ``product(range(dim), repeat=arity)`` order, to that bracket as
-        integer numerators over ``denominator``, the lcm of the table's
-        denominators.  The orderings of a stored key carry its value times
-        the sign :func:`canonicalize_tuple` gives them; those with sign 0
-        (a repeated even index) are left out.
+        integer numerators over ``denominator``, that of :attr:`table_ints`.
+        The orderings of a stored key carry its value times the sign
+        :func:`canonicalize_tuple` gives them; those with sign 0 (a repeated
+        even index) are left out.
         """
         if self._tensor is None:
-            den = lcm(1, *(x.denominator for val in self.table.values() for x in val))
+            table, den = self.table_ints
             values = {}
-            for key, val in self.table.items():
-                ints = tuple((j, x.numerator * (den // x.denominator))
-                             for j, x in enumerate(val) if x)
+            for key, ints in table.items():
                 for t in set(permutations(key)):
                     sign = canonicalize_tuple(t, self.parity)[1]
                     if sign:
@@ -332,14 +354,6 @@ def _add_to(acc: dict, key, coeff: int, value: SparseInts, dim: int) -> None:
         dense[j] += coeff * v
 
 
-def _sparse_ints(vec: Sequence) -> tuple[SparseInts, int]:
-    """A rational vector as sparse integer numerators over the lcm of its denominators."""
-    vec = [as_scalar(x) for x in vec]
-    den = lcm(1, *(x.denominator for x in vec))
-    return tuple((j, x.numerator * (den // x.denominator))
-                 for j, x in enumerate(vec) if x), den
-
-
 def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     """Multilinear bracket of ``n`` coefficient vectors."""
     if len(args) != alg.arity:
@@ -351,8 +365,8 @@ def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     for a in args:
         if len(a) != d:
             raise ValueError("argument length does not match algebra dimension")
-        vec, a_den = _sparse_ints(a)
-        terms = [(t + (j,), c * x) for t, c in terms for j, x in vec]
+        (row,), a_den = Mat.from_rows([a]).ints
+        terms = [(t + (j,), c * x) for t, c in terms for j, x in enumerate(row) if x]
         den *= a_den
     acc = [0] * d
     for t, c in terms:
@@ -395,31 +409,28 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     failures: list[ValidationFailure] = []
 
     # stored-table canonical form: repeated even index must map to zero
-    skew_ok = True
-    for key, val in alg.table.items():
+    stored = alg.table_ints[0]
+    for key in stored:
         if any(key[i] == key[i + 1] and parity[key[i]] == EVEN for i in range(n - 1)):
-            skew_ok = False
-            failures.append(ValidationFailure("skew", key, val))
+            failures.append(ValidationFailure("skew", key, alg.table[key]))
+    skew_ok = not failures
 
     # degree law and evenness of alpha
     degree_ok = True
-    for key, val in alg.table.items():
+    for key, ints in stored.items():
         want = alg.tuple_parity(key)
-        bad = tuple(x if parity[j] != want else Fraction(0) for j, x in enumerate(val))
-        if any(bad):
+        if any(parity[j] != want for j, _ in ints):
             degree_ok = False
-            failures.append(ValidationFailure("degree", key, bad))
-    even_alpha_ok = True
-    for r in range(d):
-        for c in range(d):
-            if parity[r] != parity[c] and alg.alpha.entries[r][c] != 0:
-                even_alpha_ok = False
-                failures.append(
-                    ValidationFailure("even_alpha", (r, c),
-                                      (alg.alpha.entries[r][c],)))
+            failures.append(ValidationFailure("degree", key, tuple(
+                x if parity[j] != want else Fraction(0) for j, x in enumerate(alg.table[key]))))
+    grid, aden = alg.alpha.ints
+    odd = [ValidationFailure("even_alpha", (r, c), (Fraction(grid[r][c], aden),))
+           for r, c in product(range(d), repeat=2) if parity[r] != parity[c] and grid[r][c]]
+    failures += odd
+    even_alpha_ok = not odd
 
     values, tden = alg.tensor
-    alpha_cols, aden = sparse_columns(alg.alpha)
+    alpha_cols = sparse_columns(alg.alpha)[0]
 
     # The tensor needs no sign check.  Each entry is a stored value times
     # the sign that sorts its tuple: the product of -(-1)^{pq} over its
@@ -525,8 +536,9 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Per-parity span of all brackets of basis elements."""
     d = alg.dim
     by_parity = {EVEN: [], ODD: []}
-    for t, val in alg.table.items():
-        by_parity[alg.tuple_parity(t)].append(val)
+    values = alg.table_ints[0]
+    for t, row in zip(values, map(dict, values.values())):
+        by_parity[alg.tuple_parity(t)].append([row.get(j, 0) for j in range(d)])
     return (SubspaceBasis.span(d, by_parity[EVEN]),
             SubspaceBasis.span(d, by_parity[ODD]))
 
@@ -541,8 +553,8 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
     New basis f_i = sum_j p[j][i] e_j; the bracket table and alpha are
     rewritten in the f-coordinates.  [f_t] is the tensor pushed through the
     rows of p in every slot, then mapped through p^-1: integer numerators
-    over the tensor's denominator times den(p)^n den(p^-1), made
-    ``Fraction``s only for the weakly increasing t that the new table keeps.
+    over the tensor's denominator times den(p)^n den(p^-1), which the new
+    table keeps for the weakly increasing t.
     """
     d, n = alg.dim, alg.arity
     if (p.rows, p.cols) != (d, d):
@@ -557,9 +569,10 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
     new_table = {}
     for t, value in _pushed(values, [prows] * n, d).items():
         if all(a <= b for a, b in zip(t, t[1:])):
-            new_table[t] = tuple(Fraction(x, den) for x in apply_ints(inv_cols, value, d))
+            image = apply_ints(inv_cols, value, d)
+            new_table[t] = tuple((j, x) for j, x in enumerate(image) if x)
     new_alpha = p_inv @ alg.alpha @ p
-    return NHomAlgebra(n, d, alg.parity, new_table, new_alpha,
+    return NHomAlgebra(n, d, alg.parity, (new_table, den), new_alpha,
                        name=f"{alg.name}~" if alg.name else "")
 
 

@@ -57,12 +57,11 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     if not validate(alg).all_ok:
         raise ValueError("source algebra does not satisfy its axioms")
     d, n = alg.dim, alg.arity
-    table = {}
-    for key, val in alg.table.items():
-        table[key] = (0,) * d + tuple(val)
+    values, den = alg.table_ints
+    table = {key: tuple((j + d, x) for j, x in ints) for key, ints in values.items()}
     parity = alg.parity + alg.parity
     alpha = _block_diagonal(alg.alpha, alg.alpha)
-    ext = NHomAlgebra(n, 2 * d, parity, table, alpha,
+    ext = NHomAlgebra(n, 2 * d, parity, (table, den), alpha,
                       name=f"{alg.name}^ext" if alg.name else "ext")
     if not validate(ext).all_ok:
         raise ValueError("extension failed axiom validation")

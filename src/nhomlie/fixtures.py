@@ -15,8 +15,6 @@ All of them are desk-scale and exactly verifiable:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import NHomAlgebra
 from .linalg import Mat
 
@@ -58,10 +56,6 @@ FIXTURES = {
 }
 
 
-def all_fixtures() -> dict[str, NHomAlgebra]:
-    return {name: build() for name, build in FIXTURES.items()}
-
-
 # --- deliberately broken variants, used to exercise the validator ----------
 
 def corrupt_degree() -> NHomAlgebra:
@@ -96,19 +90,3 @@ CORRUPTED = {
     "corrupt_multiplicative": corrupt_multiplicative,
 }
 
-
-def mixed_change(parity) -> Mat:
-    """An even, upper-triangular basis change with entries over 1, 2 and 3.
-
-    Transported through it, an algebra's table and twist carry mixed
-    denominators; the tests use such copies to exercise the integer
-    structure tensor's common denominator.
-    """
-    d = len(parity)
-    grid = [[0] * d for _ in range(d)]
-    for r in range(d):
-        grid[r][r] = Fraction(r + 2, r + 1)
-        for c in range(r + 1, d):
-            if parity[r] == parity[c]:
-                grid[r][c] = Fraction(1, 2 + (c - r) % 2)
-    return Mat.from_rows(grid, cols=d)

@@ -2,24 +2,29 @@
 
 Algebra files are JSON with keys ``arity``, ``dim``, ``parity``, ``alpha``
 and ``brackets``; rationals travel as strings like ``"-2/3"`` (plain
-integers are also accepted on input).  Serialization is canonical: sorted
-keys, compact separators, lowest-term rationals, one trailing newline, so
-a parsed-and-reserialized file is byte-identical and reports are
-reproducible run to run.
+integers are also accepted on input).  A plain literal such as ``"-7"`` or
+``"6/4"`` is read as an integer pair, and alpha and the table are built as
+integer numerators over one denominator; any other literal goes through
+``Fraction``, which decides its value or why it is malformed.
+Serialization is canonical: sorted keys, compact separators, lowest-term
+rationals, one trailing newline, so a parsed-and-reserialized file is
+byte-identical and reports are reproducible run to run.
 
 Every document the CLI emits is built here, and every rational in it is
 written by one formatter, :func:`_ratio_str`, from an integer pair: a
 matrix's numerators over its denominator, a subspace row's entries over
-its leading entry, a ``Fraction``'s numerator over its denominator.
+its leading entry, and a validation residual's ``Fraction`` entries, the
+only rationals of a report not held as integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -60,6 +65,7 @@ MAX_LITERAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)")
+_PLAIN = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a nonzero denominator
 
 
 def _bounded_int(text: str):
@@ -84,6 +90,20 @@ def parse_rational(value, fld: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed rational {value!r} ({exc})", fld) from None
     raise SchemaError(f"expected a rational string or integer, got {type(value).__name__}", fld)
+
+
+def _rational_pair(value, fld: str) -> tuple[int, int]:
+    """``value`` in lowest terms as ``(num, den)``, ``den`` positive: a plain
+    literal read with ``int``, any other form by :func:`parse_rational`."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_LITERAL_CHARS and _PLAIN.fullmatch(value):
+        num, _, den = value.partition("/")
+        num, den = int(num), int(den or 1)
+        g = gcd(num, den)
+        return num // g, den // g
+    x = parse_rational(value, fld)
+    return x.numerator, x.denominator
 
 
 def _expect_int(value, fld: str) -> int:
@@ -119,13 +139,15 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
     for i, row in enumerate(alpha_doc):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"alpha row must have length {dim}", f"alpha[{i}]")
-        rows.append([parse_rational(x, f"alpha[{i}][{j}]") for j, x in enumerate(row)])
-    alpha = Mat.from_rows(rows, cols=dim)
+        rows.append([_rational_pair(x, f"alpha[{i}][{j}]") for j, x in enumerate(row)])
+    den = lcm(1, *(d for row in rows for _, d in row))
+    alpha = Mat(dim, dim, (tuple(tuple(x * (den // d) for x, d in row) for row in rows), den))
 
     brackets = doc["brackets"]
     if not isinstance(brackets, list):
         raise SchemaError("brackets must be an array", "brackets")
-    table = {}
+    # each bracket's value as {index: (num, den)} in lowest terms
+    terms = {}
     for b, entry in enumerate(brackets):
         fld = f"brackets[{b}]"
         if not isinstance(entry, dict) or set(entry) != {"args", "value"}:
@@ -138,12 +160,12 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
             raise SchemaError("args index out of range", f"{fld}.args")
         if any(args[i] > args[i + 1] for i in range(arity - 1)):
             raise SchemaError("args must be weakly increasing", f"{fld}.args")
-        if args in table:
+        if args in terms:
             raise SchemaError("duplicate bracket key", f"{fld}.args")
         value = entry["value"]
         if not isinstance(value, list):
             raise SchemaError("value must be an array of terms", f"{fld}.value")
-        vec = [Fraction(0)] * dim
+        vec = terms[args] = {}
         for t, term in enumerate(value):
             tfld = f"{fld}.value[{t}]"
             if not isinstance(term, dict) or set(term) != {"index", "coeff"}:
@@ -151,20 +173,24 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
             idx = _expect_int(term["index"], f"{tfld}.index")
             if not 0 <= idx < dim:
                 raise SchemaError("term index out of range", f"{tfld}.index")
-            vec[idx] += parse_rational(term["coeff"], f"{tfld}.coeff")
-        table[args] = tuple(vec)
+            num, den = _rational_pair(term["coeff"], f"{tfld}.coeff")
+            if idx in vec:  # a repeated index, rare: summed in lowest terms
+                x = Fraction(*vec[idx]) + Fraction(num, den)
+                num, den = x.numerator, x.denominator
+            vec[idx] = num, den
 
-    # grading precheck: the value of a bracket must carry the degree of its args
-    for args, vec in table.items():
-        want = 0
-        for a in args:
-            want ^= parity[a]
-        for j, x in enumerate(vec):
-            if x and parity[j] != want:
+    den = lcm(1, *(d for vec in terms.values() for _, d in vec.values()))
+    table = {}
+    for args, vec in terms.items():
+        table[args] = ints = tuple((j, x * (den // d)) for j, (x, d) in sorted(vec.items()) if x)
+        # grading precheck: the value of a bracket must carry the degree of its args
+        want = sum(parity[a] for a in args) & 1
+        for j, x in ints:
+            if parity[j] != want:
                 raise PrecheckError(
                     f"bracket {list(args)} has a component of wrong degree at index {j}",
-                    witness=(args, j, _ratio_str(x.numerator, x.denominator)))
-    return NHomAlgebra(arity, dim, parity, table, alpha, name=name)
+                    witness=(args, j, _ratio_str(x, den)))
+    return NHomAlgebra(arity, dim, parity, (table, den), alpha, name=name)
 
 
 def parse_algebra(path, raw: bytes | None = None) -> NHomAlgebra:
@@ -178,17 +204,14 @@ def parse_algebra(path, raw: bytes | None = None) -> NHomAlgebra:
         doc = json.loads(raw, parse_int=_bounded_int)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
-    import os
     return algebra_from_doc(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
 def algebra_to_doc(alg: NHomAlgebra) -> dict:
-    brackets = []
-    for args in sorted(alg.table):
-        vec = alg.table[args]
-        terms = [{"index": j, "coeff": _ratio_str(x.numerator, x.denominator)}
-                 for j, x in enumerate(vec) if x]
-        brackets.append({"args": list(args), "value": terms})
+    values, den = alg.table_ints
+    brackets = [{"args": list(args),
+                 "value": [{"index": j, "coeff": _ratio_str(x, den)} for j, x in values[args]]}
+                for args in sorted(values)]
     return {
         "arity": alg.arity,
         "dim": alg.dim,
@@ -215,8 +238,11 @@ def digest_bytes(raw: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 def mat_doc(m: Mat) -> list:
+    """The entries as strings: each distinct row is formatted once and its
+    copies share that list, and a zero is written without a gcd."""
     grid, den = m.ints
-    return [[_ratio_str(x, den) for x in row] for row in grid]
+    lines = {row: [_ratio_str(x, den) if x else "0" for x in row] for row in set(grid)}
+    return list(map(lines.__getitem__, grid))
 
 
 def subspace_doc(s: SubspaceBasis) -> list:

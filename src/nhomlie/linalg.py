@@ -106,12 +106,11 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, (((0,) * cols,) * rows, 1))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.rows, self.cols, self.ints))
+    _hash = None  # not a field: stored on first use, as value caches hash operands often
 
     def __hash__(self):
-        # stored on first use: value caches hash the same operands again and again
+        if self._hash is None:  # set directly: a cached_property would take a lock
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.ints)))
         return self._hash
 
     @cached_property

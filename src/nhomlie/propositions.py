@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product, starmap
 
-from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport, validate
+from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, validate
 from .io import _ratio_str
 from .linalg import (
     Mat,
@@ -511,20 +511,6 @@ def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         claims.append(Claim("39.2.centerless_equivalence", "skipped",
                             detail="center is nonzero"))
     return _report("3.9", claims, solved_dims(alg, kmax))
-
-
-def check_basis_change(alg: NHomAlgebra, p: Mat, kmax: int = 2) -> PropReport:
-    """Every solved dimension is unchanged under an even invertible change."""
-    moved = transport(alg, p)  # raises when p is odd or singular
-    before = solved_dims(alg, kmax)
-    after = solved_dims(moved, kmax)
-    mismatches = tuple(
-        (b, a) for b, a in zip(before, after) if b != a
-    )
-    claims = [Claim("basis_change.dims_invariant",
-                    "fail" if mismatches else "pass",
-                    witness=mismatches)]
-    return _report("basis-change", claims, after)
 
 
 def random_even_invertible(parity, rng: random.Random) -> Mat:

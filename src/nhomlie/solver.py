@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, NamedTuple, Sequence
 
@@ -115,12 +115,11 @@ class GradedEndo:
         if self.mat.rows != self.mat.cols:
             raise ValueError("endomorphisms are square")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.mat, self.xi))
+    _hash = None  # not a field: stored on first use, as Mat's is
 
     def __hash__(self):
-        # stored on first use, as Mat's is: value caches hash the same operands again and again
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.mat, self.xi)))
         return self._hash
 
 

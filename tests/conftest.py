@@ -4,7 +4,10 @@
 arithmetic, read from the stored table through the graded sign rule, so
 the tests can compare the integer structure tensor with it.
 ``ref_transport`` is the basis change as one ``bracket`` call per weakly
-increasing tuple, the reference for ``algebra.transport``.  ``nullspace``
+increasing tuple, the reference for ``algebra.transport``;
+``mixed_change`` is a basis change whose copies carry mixed denominators,
+and ``check_basis_change`` compares the solved dimensions of an algebra
+and of such a copy (acceptance criterion 6).  ``nullspace``
 and ``full_space`` build subspaces that only the tests need, and
 ``vectors`` reads a subspace basis back as ``Fraction`` vectors.
 """
@@ -14,8 +17,9 @@ from itertools import combinations_with_replacement
 
 import hypothesis
 
-from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert
+from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert, transport
 from nhomlie.linalg import Mat, SubspaceBasis, _reduce, kernel
+from nhomlie.propositions import Claim, _report, solved_dims
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True
@@ -109,3 +113,34 @@ def ref_transport(alg, p):
     new_alpha = p_inv @ alg.alpha @ p
     return NHomAlgebra(n, d, alg.parity, new_table, new_alpha,
                        name=f"{alg.name}~" if alg.name else "")
+
+
+def mixed_change(parity):
+    """An even, upper-triangular basis change with entries over 1, 2 and 3.
+
+    Transported through it, an algebra's table and twist carry mixed
+    denominators; the tests use such copies to exercise the integer
+    structure tensor's common denominator.
+    """
+    d = len(parity)
+    grid = [[0] * d for _ in range(d)]
+    for r in range(d):
+        grid[r][r] = Fraction(r + 2, r + 1)
+        for c in range(r + 1, d):
+            if parity[r] == parity[c]:
+                grid[r][c] = Fraction(1, 2 + (c - r) % 2)
+    return Mat.from_rows(grid, cols=d)
+
+
+def check_basis_change(alg, p, kmax=2):
+    """Every solved dimension is unchanged under an even invertible change."""
+    moved = transport(alg, p)  # raises when p is odd or singular
+    before = solved_dims(alg, kmax)
+    after = solved_dims(moved, kmax)
+    mismatches = tuple(
+        (b, a) for b, a in zip(before, after) if b != a
+    )
+    claims = [Claim("basis_change.dims_invariant",
+                    "fail" if mismatches else "pass",
+                    witness=mismatches)]
+    return _report("basis-change", claims, after)

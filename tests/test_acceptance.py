@@ -12,7 +12,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import is_subspace_of, unit_vector
+from conftest import check_basis_change, is_subspace_of, unit_vector
 
 from nhomlie.algebra import center, validate
 from nhomlie.cli import main
@@ -20,7 +20,6 @@ from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import CORRUPTED, FIXTURES
 from nhomlie.linalg import Mat, contains
 from nhomlie.propositions import (
-    check_basis_change,
     check_prop31,
     check_prop32,
     check_prop33,

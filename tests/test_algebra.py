@@ -6,7 +6,7 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply, basis_value, col, ref_transport, unit_vector, vectors
+from conftest import apply, basis_value, col, mixed_change, ref_transport, unit_vector, vectors
 from hypothesis import example, given, settings
 
 from nhomlie import algebra
@@ -27,7 +27,6 @@ from nhomlie.fixtures import (
     abelian2,
     aff1,
     homaff1,
-    mixed_change,
     super2,
     threeLie4,
 )

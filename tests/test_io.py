@@ -2,15 +2,17 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from conftest import vectors
+from conftest import mixed_change, vectors
 from hypothesis import example, given
 
 from nhomlie import cli
-from nhomlie.algebra import validate
+from nhomlie.algebra import NHomAlgebra, transport, validate
 from nhomlie.cli import main
 from nhomlie.fixtures import CORRUPTED, FIXTURES
 from nhomlie.io import (
@@ -19,7 +21,9 @@ from nhomlie.io import (
     PrecheckError,
     SchemaError,
     _ratio_str,
+    _rational_pair,
     algebra_from_doc,
+    canonical_json,
     endospace_doc,
     mat_doc,
     parse_algebra,
@@ -28,6 +32,7 @@ from nhomlie.io import (
     subspace_doc,
 )
 from nhomlie.linalg import Mat, SubspaceBasis
+from nhomlie.propositions import random_even_invertible
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
@@ -78,6 +83,30 @@ class TestRationals:
         with pytest.raises(SchemaError) as info:
             parse_algebra(path)
         assert info.value.field == "alpha[1][1]"
+
+    @given(st.one_of(
+        st.sampled_from(["7", "6/4", "-0", "007", "-007/0021", "+1", " 1", "1 ", "1_0", "1/1_0",
+                         "1.5", "-.5", "1e3", "2.5e-1", "1e1001", "1/0", "0/0", "-1/00", "1/-2",
+                         "1//2", "/2", "1/", "-", "", "x", "\u0661", "1\n",
+                         "7" * MAX_LITERAL_CHARS, "7" * (MAX_LITERAL_CHARS + 1),
+                         "1/" + "3" * (MAX_LITERAL_CHARS - 2), "1/" + "3" * (MAX_LITERAL_CHARS - 1)]),
+        st.from_regex(r"[-+ ]?[0-9]{1,5}(/[0-9]{1,4})?", fullmatch=True),
+        st.text(alphabet="0123456789-+/._eE \u0661", max_size=10),
+        st.integers(-10 ** 30, 10 ** 30),
+        st.booleans(),
+        st.sampled_from([1.5, None, [1], {"n": 1}])))
+    def test_literal_pairs_match_the_fraction_parser(self, value):
+        # the integer fast path gives parse_rational's value, or its error and field
+        def outcome(parse):
+            try:
+                x = parse(value, "brackets[0].value[0].coeff")
+            except SchemaError as exc:
+                return str(exc), exc.field
+            if isinstance(x, tuple):
+                assert x[1] > 0
+                x = Fraction(*x)
+            return x
+        assert outcome(_rational_pair) == outcome(parse_rational)
 
     def test_canonical_strings(self):
         assert _ratio_str(4, 2) == "2"
@@ -140,6 +169,21 @@ class TestParse:
         with pytest.raises(PrecheckError) as err:
             algebra_from_doc(doc)
         assert err.value.witness
+
+    def test_cancelling_terms_keep_no_denominator(self):
+        # 1200 terms over distinct 300-digit denominators that cancel in
+        # pairs: each value is summed in lowest terms, so the table's
+        # denominator never holds their product (which took seconds to build)
+        terms = []
+        for i in range(600):
+            den = 10 ** 299 + 2 * i + 1
+            terms += [{"index": 1, "coeff": f"1/{den}"}, {"index": 1, "coeff": f"-1/{den}"}]
+        doc = {"arity": 2, "dim": 2, "parity": [0, 0], "alpha": [["1", "0"], ["0", "1"]],
+               "brackets": [{"args": [0, 1], "value": terms + [{"index": 1, "coeff": "3/2"}]}]}
+        start = time.perf_counter()
+        alg = algebra_from_doc(doc)
+        assert time.perf_counter() - start < 1.0
+        assert alg.table_ints == ({(0, 1): ((1, 3),)}, 2)
 
     def test_arity_too_small(self):
         doc = doc_for("aff1")
@@ -326,11 +370,31 @@ def doc_matrices(draw):
     return Mat.from_rows(grid, cols=cols)
 
 
-@given(doc_matrices())
+@st.composite
+def repeated_row_matrices(draw):
+    """Matrices drawn from a few rows, a zero row among them, over mixed denominators."""
+    cols = draw(st.integers(0, 4))
+    entry = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+    pool = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    grid = draw(st.lists(st.sampled_from(pool + [[0] * cols]), max_size=6))
+    return Mat.from_rows(grid, cols=cols)
+
+
+@given(st.one_of(doc_matrices(), repeated_row_matrices()))
 @example(Mat.from_rows([[Fraction(-1, 2), 0, 3], [Fraction(2, 3), -4, Fraction(5, 6)]]))
 @example(Mat.from_rows([[0, -7], [2, 0]]))
+@example(Mat.from_rows([[Fraction(1, 2), 0, Fraction(-1, 3)], [0, 0, 0],
+                        [Fraction(1, 2), 0, Fraction(-1, 3)], [0, 0, 0], [4, Fraction(5, 4), 0]]))
+@example(Mat.zero(3, 2))
 def test_mat_doc_formats_each_entry_from_the_integer_form(m):
-    assert mat_doc(m) == [[str(x) for x in row] for row in m.entries]
+    want = [[str(x) for x in row] for row in m.entries]
+    doc = mat_doc(m)
+    assert doc == want
+    assert canonical_json(doc) == canonical_json(want)
+    # each distinct row is rendered once, and equal rows share it
+    grid = m.ints[0]
+    assert all((doc[i] is doc[j]) == (grid[i] == grid[j])
+               for i in range(m.rows) for j in range(m.rows))
 
 
 @given(doc_matrices())
@@ -338,3 +402,108 @@ def test_mat_doc_formats_each_entry_from_the_integer_form(m):
 def test_subspace_doc_formats_each_entry_from_the_primitive_rows(m):
     s = SubspaceBasis.span(m.cols, m.entries)
     assert subspace_doc(s) == [[str(x) for x in v] for v in vectors(s)]
+
+
+def reparsed(alg):
+    """``alg`` serialized, then parsed again."""
+    return parse_algebra("reparsed.json", serialize_algebra(alg).encode())
+
+
+def so3_pair():
+    """so(3) + so(3), built in the test: [e0,e1]=e2, [e1,e2]=e0, [e2,e0]=e1 per copy."""
+    table = {}
+    for i in (0, 3):
+        table[(i, i + 1)] = tuple(int(j == i + 2) for j in range(6))
+        table[(i + 1, i + 2)] = tuple(int(j == i) for j in range(6))
+        table[(i, i + 2)] = tuple(-int(j == i + 1) for j in range(6))
+    return NHomAlgebra(2, 6, (0,) * 6, table, Mat.identity(6), name="so3x2")
+
+
+def parse_cases():
+    for name in sorted(FIXTURES):
+        alg = FIXTURES[name]()
+        yield name, alg
+        rng = random.Random(2016)
+        yield f"{name}~", transport(alg, random_even_invertible(alg.parity, rng))
+        yield f"{name}~mixed", transport(alg, mixed_change(alg.parity))
+    dense = transport(so3_pair(), random_even_invertible((0,) * 6, random.Random(7)))
+    assert len(dense.table) > 6 and dense.tensor[1] > 1
+    yield "so3x2~", dense
+
+
+@pytest.mark.parametrize("name, alg", list(parse_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_parsed_algebra_equals_the_one_built_from_fractions(name, alg):
+    again = reparsed(alg)
+    assert again.tensor == alg.tensor
+    assert again.table == alg.table
+    assert again == alg
+    rational = NHomAlgebra(alg.arity, alg.dim, alg.parity, alg.table, alg.alpha)
+    assert rational.table_ints == alg.table_ints
+    assert rational.tensor == alg.tensor
+    assert rational == alg == again
+
+
+def fraction_reference(doc):
+    """The algebra of ``doc`` with every literal read by ``Fraction`` and each value summed."""
+    dim = doc["dim"]
+    table = {}
+    for entry in doc["brackets"]:
+        vec = [Fraction(0)] * dim
+        for term in entry["value"]:
+            vec[term["index"]] += Fraction(term["coeff"])
+        table[tuple(entry["args"])] = vec
+    alpha = Mat.from_rows([[Fraction(x) for x in row] for row in doc["alpha"]], cols=dim)
+    return NHomAlgebra(doc["arity"], dim, doc["parity"], table, alpha)
+
+
+def test_unreduced_and_cancelling_terms_parse_to_the_fraction_values():
+    terms = lambda *pairs: [{"index": j, "coeff": c} for j, c in pairs]  # noqa: E731
+    doc = {"arity": 2, "dim": 3, "parity": [0, 0, 0],
+           "alpha": [["2/4", "0", "0"], ["0", "6/3", "0/7"], ["0", "0", "-0"]],
+           "brackets": [
+               # 1/6 + 1/3 = 1/2: the sum cancels the 3 of the denominator
+               {"args": [0, 1], "value": terms((2, "1/6"), (2, "1/3"), (0, "-4/8"))},
+               # the whole value cancels, so its 5 and 10 leave no trace
+               {"args": [0, 2], "value": terms((1, "1/5"), (1, "-2/10"))},
+               # 6/4 + 1/2 = 2 and 9/3 = 3: integers written over 4, 2 and 3
+               {"args": [1, 2], "value": terms((0, "6/4"), (0, "1/2"), (1, "9/3"), (2, 0))}]}
+    alg = algebra_from_doc(doc)
+    ref = fraction_reference(doc)
+    assert alg.table_ints == ({(0, 1): ((0, -1), (2, 1)), (1, 2): ((0, 4), (1, 6))}, 2)
+    assert alg.tensor == ref.tensor
+    assert alg.table == ref.table
+    assert alg.alpha.ints == (((1, 0, 0), (0, 4, 0), (0, 0, 0)), 2)
+    assert alg == ref
+    again = reparsed(alg)
+    assert (again.tensor, again.table) == (alg.tensor, alg.table)
+    assert again == alg
+    # every term cancels: no bracket and denominator 1
+    doc["brackets"] = [{"args": [0, 1], "value": terms((2, "1/7"), (2, "-3/21"))}]
+    assert algebra_from_doc(doc).table_ints == ({}, 1)
+
+
+@st.composite
+def literal_docs(draw):
+    """Even documents whose values repeat indices, with plain literals in unreduced forms."""
+    dim = draw(st.integers(1, 3))
+    literal = st.one_of(
+        st.integers(-6, 6),
+        st.builds(lambda n, d: f"{n}/{d}", st.integers(-12, 12), st.integers(1, 12)),
+        st.builds(str, st.integers(-12, 12)))
+    keys = [(i, j) for i in range(dim) for j in range(i, dim)]
+    brackets = [{"args": list(key),
+                 "value": draw(st.lists(st.builds(lambda j, c: {"index": j, "coeff": c},
+                                                  st.integers(0, dim - 1), literal), max_size=4))}
+                for key in draw(st.lists(st.sampled_from(keys), unique=True))]
+    alpha = draw(st.lists(st.lists(literal, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    return {"arity": 2, "dim": dim, "parity": [0] * dim, "alpha": alpha, "brackets": brackets}
+
+
+@given(literal_docs())
+def test_parsed_documents_match_their_fraction_reading(doc):
+    alg = algebra_from_doc(doc)
+    ref = fraction_reference(doc)
+    assert alg.tensor == ref.tensor
+    assert alg.table == ref.table
+    assert alg == ref
+    assert reparsed(alg) == alg

@@ -28,7 +28,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply, basis_value, col, dense, sparse
+from conftest import apply, basis_value, col, dense, mixed_change, sparse
 from hypothesis import given, settings
 
 from nhomlie import algebra, solver
@@ -41,7 +41,7 @@ from nhomlie.algebra import (
     transport,
 )
 from nhomlie.extension import build_check
-from nhomlie.fixtures import aff1, homaff1, mixed_change, super2, threeLie4
+from nhomlie.fixtures import aff1, homaff1, super2, threeLie4
 from nhomlie.linalg import Mat, SubspaceBasis, kernel
 from nhomlie.solver import (
     _EQUATIONS,

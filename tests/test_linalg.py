@@ -1,15 +1,17 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from conftest import (
-    apply, dense, full_space, is_subspace_of, nullspace, sparse, unit_vector, vectors,
+    apply, dense, full_space, is_subspace_of, mixed_change, nullspace, sparse, unit_vector,
+    vectors,
 )
 from hypothesis import given, settings
 
 from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, transport
-from nhomlie.fixtures import all_fixtures, mixed_change
+from nhomlie.fixtures import FIXTURES
 from nhomlie.linalg import (
     Mat,
     SubspaceBasis,
@@ -285,6 +287,9 @@ def test_a_stored_hash_stays_the_hash_of_the_value(data):
     assert hash(third) == before
     assert before == hash((r, c, first.ints))
     assert len({first, second, third, Mat(r, c, first.ints)}) == 1
+    # the stored hash is no field: equality and repr read the value alone
+    assert [f.name for f in dataclasses.fields(Mat)] == ["rows", "cols", "ints"]
+    assert repr(first) == repr(Mat(r, c, first.ints))
 
 
 def test_a_matrix_needs_a_positive_denominator():
@@ -683,7 +688,7 @@ def test_every_subspace_result_is_canonical(case, data):
 
 
 def test_center_bases_are_canonical():
-    for alg in all_fixtures().values():
+    for alg in map(lambda build: build(), FIXTURES.values()):
         for copy in (alg, transport(alg, mixed_change(alg.parity))):
             for s in center(copy):
                 assert_canonical(s)

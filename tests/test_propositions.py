@@ -7,6 +7,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
+from conftest import check_basis_change, mixed_change
 from hypothesis import given, settings
 
 from nhomlie import propositions
@@ -16,7 +17,6 @@ from nhomlie.fixtures import (
     abelian2,
     aff1,
     homaff1,
-    mixed_change,
     nonsurjective_abelian2,
     super2,
 )
@@ -26,7 +26,6 @@ from nhomlie.propositions import (
     _hom_jordan_residual,
     _mat_witness,
     _random_homogeneous,
-    check_basis_change,
     check_prop31,
     check_prop32,
     check_prop33,

@@ -26,10 +26,11 @@ import pathlib
 import random
 
 import pytest
+from conftest import mixed_change
 
 from nhomlie.algebra import transport, validate
 from nhomlie.cli import main
-from nhomlie.fixtures import CORRUPTED, FIXTURES, mixed_change
+from nhomlie.fixtures import CORRUPTED, FIXTURES
 from nhomlie.io import serialize_algebra
 from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import Kind

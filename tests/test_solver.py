@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -388,3 +389,13 @@ def test_identity_twist_is_skipped():
     d = endo([[1, 2], [3, 4]])
     assert alpha_twist(alg, d) is d
     assert commutes_with(d.mat, alg.alpha)
+
+
+def test_a_graded_endo_stores_the_hash_of_its_value():
+    m = Mat.from_rows([[1, F(1, 2)], [0, 3]])
+    a, b = GradedEndo(m, 1), GradedEndo(Mat.from_rows([[2, 1], [0, 6]]).scale(F(1, 2)), 1)
+    assert hash(a) == hash((m, 1)) == hash(b) == hash(a)
+    assert a == b and len({a, b, GradedEndo(m, 0)}) == 2
+    # the stored hash is no field: equality and repr read the value alone
+    assert [f.name for f in dataclasses.fields(GradedEndo)] == ["mat", "xi"]
+    assert repr(a) == repr(GradedEndo(m, 1)) and a == GradedEndo(m, 1)
