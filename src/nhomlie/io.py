@@ -173,11 +173,11 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
             idx = _expect_int(term["index"], f"{tfld}.index")
             if not 0 <= idx < dim:
                 raise SchemaError("term index out of range", f"{tfld}.index")
-            num, den = _rational_pair(term["coeff"], f"{tfld}.coeff")
+            pair = _rational_pair(term["coeff"], f"{tfld}.coeff")
             if idx in vec:  # a repeated index, rare: summed in lowest terms
-                x = Fraction(*vec[idx]) + Fraction(num, den)
-                num, den = x.numerator, x.denominator
-            vec[idx] = num, den
+                x = Fraction(*vec[idx]) + Fraction(*pair)
+                pair = x.numerator, x.denominator
+            vec[idx] = pair
 
     den = lcm(1, *(d for vec in terms.values() for _, d in vec.values()))
     table = {}
