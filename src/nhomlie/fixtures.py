@@ -11,6 +11,10 @@ All of them are desk-scale and exactly verifiable:
 * ``threeLie4`` -- n=3, dim 4, even, [e_i, e_j, e_k] = sign * e_l over
                    complementary indices (the Levi-Civita ternary bracket),
                    alpha = id.
+
+``filippov(n)`` builds the simple n-Lie algebra A_{n+1} (Filippov, "n-Lie
+algebras", Sib. Math. J. 26 (1985)): dim n + 1, even, [e_0, .., ê_i, ..,
+e_n] = (-1)^{i+1} e_i, alpha = id.  At n = 3 it is ``threeLie4``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,15 @@ def threeLie4() -> NHomAlgebra:
         (1, 2, 3): (-1, 0, 0, 0),
     }
     return NHomAlgebra(3, 4, (0, 0, 0, 0), table, Mat.identity(4), name="threeLie4")
+
+
+def filippov(n: int) -> NHomAlgebra:
+    # the key omitting i, whose value is (-1)^{i+1} e_i
+    d = n + 1
+    table = {tuple(j for j in range(d) if j != i): tuple((-1) ** (i + 1) if j == i else 0
+                                                          for j in range(d))
+             for i in range(d)}
+    return NHomAlgebra(n, d, (0,) * d, table, Mat.identity(d), name=f"filippov{n}")
 
 
 FIXTURES = {

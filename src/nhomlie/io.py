@@ -92,9 +92,10 @@ def parse_rational(value, fld: str) -> Fraction:
     raise SchemaError(f"expected a rational string or integer, got {type(value).__name__}", fld)
 
 
-def _rational_pair(value, fld: str) -> tuple[int, int]:
+def _rational_pair(value, fld: str, *where: int) -> tuple[int, int]:
     """``value`` in lowest terms as ``(num, den)``, ``den`` positive: a plain
-    literal read with ``int``, any other form by :func:`parse_rational`."""
+    literal read with ``int``, any other form by :func:`parse_rational`.
+    The field name is ``fld.format(*where)``, built only for that form."""
     if type(value) is int:
         return value, 1
     if type(value) is str and len(value) <= MAX_LITERAL_CHARS and _PLAIN.fullmatch(value):
@@ -102,13 +103,15 @@ def _rational_pair(value, fld: str) -> tuple[int, int]:
         num, den = int(num), int(den or 1)
         g = gcd(num, den)
         return num // g, den // g
-    x = parse_rational(value, fld)
+    x = parse_rational(value, fld.format(*where))
     return x.numerator, x.denominator
 
 
-def _expect_int(value, fld: str) -> int:
+def _expect_int(value, fld: str, *where: int) -> int:
+    """``value`` if it is an integer; else a ``SchemaError`` naming the
+    field ``fld.format(*where)``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {type(value).__name__}", fld)
+        raise SchemaError(f"expected an integer, got {type(value).__name__}", fld.format(*where))
     return value
 
 
@@ -128,7 +131,7 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
     parity = doc["parity"]
     if not isinstance(parity, list) or len(parity) != dim:
         raise SchemaError(f"parity must be a list of length {dim}", "parity")
-    parity = tuple(_expect_int(p, f"parity[{i}]") for i, p in enumerate(parity))
+    parity = tuple(_expect_int(p, "parity[{}]", i) for i, p in enumerate(parity))
     if any(p not in (0, 1) for p in parity):
         raise SchemaError("parity entries must be 0 or 1", "parity")
 
@@ -139,7 +142,7 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
     for i, row in enumerate(alpha_doc):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"alpha row must have length {dim}", f"alpha[{i}]")
-        rows.append([_rational_pair(x, f"alpha[{i}][{j}]") for j, x in enumerate(row)])
+        rows.append([_rational_pair(x, "alpha[{}][{}]", i, j) for j, x in enumerate(row)])
     den = lcm(1, *(d for row in rows for _, d in row))
     alpha = Mat(dim, dim, (tuple(tuple(x * (den // d) for x, d in row) for row in rows), den))
 
@@ -148,32 +151,32 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
         raise SchemaError("brackets must be an array", "brackets")
     # each bracket's value as {index: (num, den)} in lowest terms
     terms = {}
+    # field names are formatted only when an entry is rejected
     for b, entry in enumerate(brackets):
-        fld = f"brackets[{b}]"
         if not isinstance(entry, dict) or set(entry) != {"args", "value"}:
-            raise SchemaError("each bracket needs exactly 'args' and 'value'", fld)
+            raise SchemaError("each bracket needs exactly 'args' and 'value'", f"brackets[{b}]")
         args = entry["args"]
         if not isinstance(args, list) or len(args) != arity:
-            raise SchemaError(f"args must be a list of {arity} indices", f"{fld}.args")
-        args = tuple(_expect_int(a, f"{fld}.args[{i}]") for i, a in enumerate(args))
+            raise SchemaError(f"args must be a list of {arity} indices", f"brackets[{b}].args")
+        args = tuple(_expect_int(a, "brackets[{}].args[{}]", b, i) for i, a in enumerate(args))
         if any(not 0 <= a < dim for a in args):
-            raise SchemaError("args index out of range", f"{fld}.args")
+            raise SchemaError("args index out of range", f"brackets[{b}].args")
         if any(args[i] > args[i + 1] for i in range(arity - 1)):
-            raise SchemaError("args must be weakly increasing", f"{fld}.args")
+            raise SchemaError("args must be weakly increasing", f"brackets[{b}].args")
         if args in terms:
-            raise SchemaError("duplicate bracket key", f"{fld}.args")
+            raise SchemaError("duplicate bracket key", f"brackets[{b}].args")
         value = entry["value"]
         if not isinstance(value, list):
-            raise SchemaError("value must be an array of terms", f"{fld}.value")
+            raise SchemaError("value must be an array of terms", f"brackets[{b}].value")
         vec = terms[args] = {}
         for t, term in enumerate(value):
-            tfld = f"{fld}.value[{t}]"
             if not isinstance(term, dict) or set(term) != {"index", "coeff"}:
-                raise SchemaError("each term needs exactly 'index' and 'coeff'", tfld)
-            idx = _expect_int(term["index"], f"{tfld}.index")
+                raise SchemaError("each term needs exactly 'index' and 'coeff'",
+                                  f"brackets[{b}].value[{t}]")
+            idx = _expect_int(term["index"], "brackets[{}].value[{}].index", b, t)
             if not 0 <= idx < dim:
-                raise SchemaError("term index out of range", f"{tfld}.index")
-            pair = _rational_pair(term["coeff"], f"{tfld}.coeff")
+                raise SchemaError("term index out of range", f"brackets[{b}].value[{t}].index")
+            pair = _rational_pair(term["coeff"], "brackets[{}].value[{}].coeff", b, t)
             if idx in vec:  # a repeated index, rare: summed in lowest terms
                 x = Fraction(*vec[idx]) + Fraction(*pair)
                 pair = x.numerator, x.denominator
