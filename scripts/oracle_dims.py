@@ -7,25 +7,32 @@ sign bookkeeping, the unknown matrices are kept dense (homogeneity enters
 as extra equations rather than by restricting unknowns), every one of the
 d^n argument tuples contributes rows, and the rank comes from a textbook
 fraction Gaussian elimination.  Only the fixture *data* is shared with the
-package.  Run as a script, it recomputes the reference dimension table and
-fails loudly on any mismatch.
+package: each fixture is read from its bundled document
+``src/nhomlie/data/<name>.json`` with ``json`` and ``Fraction``, and no
+package code is imported.  Run as a script, it recomputes the reference
+dimension table and fails loudly on any mismatch.
 """
 
+import json
 import pathlib
-import sys
 from fractions import Fraction
 from itertools import product
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from nhomlie.fixtures import FIXTURES  # noqa: E402  (data only)
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
 
-def raw_data(alg):
-    """Plain-python copy of the fixture data (no package objects kept)."""
-    table = {tuple(k): tuple(Fraction(x) for x in v) for k, v in alg.table.items()}
-    alpha = [[Fraction(x) for x in row] for row in alg.alpha.entries]
-    return alg.arity, alg.dim, tuple(alg.parity), table, alpha
+def raw_data(path):
+    """Plain-python copy of one bundled algebra document."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    dim = doc["dim"]
+    table = {}
+    for entry in doc["brackets"]:
+        value = [Fraction(0)] * dim
+        for term in entry["value"]:
+            value[term["index"]] += Fraction(term["coeff"])
+        table[tuple(entry["args"])] = tuple(value)
+    alpha = [[Fraction(x) for x in row] for row in doc["alpha"]]
+    return doc["arity"], dim, tuple(doc["parity"]), table, alpha
 
 
 def sorted_value(t, parity, table, dim):
@@ -308,7 +315,7 @@ REFERENCE_EXTENSION = [("Der", 10), ("ZDer", 6)]
 
 
 def compute_reference():
-    data = {name: raw_data(build()) for name, build in FIXTURES.items()}
+    data = {path.stem: raw_data(path) for path in sorted(DATA.glob("*.json"))}
     dims = {(f, kind, k, xi): space_dim(kind, data[f], k, xi)
             for f, kind, k, xi, _ in REFERENCE_TABLE}
     centers = {f: center_dim(data[f]) for f, _ in REFERENCE_CENTERS}

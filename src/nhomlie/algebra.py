@@ -50,6 +50,10 @@ The constructor only enforces the structural shape (canonical keys, index
 ranges, lengths); the mathematical axioms, including the twisted Jacobi
 identity, are checked by :func:`validate` so that deliberately broken
 inputs can be constructed and reported on.
+
+Every object derived from an algebra is kept by :meth:`NHomAlgebra.cached`
+under the values it depends on; one at twist power k depends on k only
+through alpha^k, so powers with equal alpha^k share one object.
 """
 
 from __future__ import annotations
@@ -173,13 +177,20 @@ class NHomAlgebra:
         self._tensor: tuple[dict[tuple[int, ...], SparseInts], int] | None = None
         self._cache: dict = {}
 
+    def cached(self, key, build):
+        """The derived object under ``key``, made by ``build()`` (never None)
+        on the first request; the one reader and writer of the cache."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build()
+        return hit
+
     @property
     def table(self) -> dict[tuple[int, ...], Vector]:
         """The bracket values as ``Fraction`` vectors, built on first read."""
         if self._table is None:
             values, den = self.table_ints
-            self._table = {key: tuple(Fraction(row.get(j, 0), den) for j in range(self.dim))
-                           for key, row in zip(values, map(dict, values.values()))}
+            self._table = {key: _fractions(ints, den, self.dim) for key, ints in values.items()}
         return self._table
 
     def __eq__(self, other):
@@ -267,20 +278,18 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
     support, and maps each v with a nonzero entry, in product order, to
     integer numerators over the tensor's denominator times
     den(alpha^k)^(n-1).  When alpha^k is the identity it is the tensor
-    itself; otherwise it is cached on ``alg``.
+    itself; otherwise it is cached on ``alg`` under alpha^k.
     """
     values = alg.tensor[0]
     power = alg.alpha_power(k)
     if power.is_identity():
         return values
-    key = ("opened", k, s)
-    hit = alg._cache.get(key)
-    if hit is not None:
-        return hit
-    slot_rows = [sparse_rows(power)[0]] * alg.arity
-    slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
-    hit = alg._cache[key] = _pushed(values, slot_rows, alg.dim)
-    return hit
+
+    def build():
+        slot_rows = [sparse_rows(power)[0]] * alg.arity
+        slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
+        return _pushed(values, slot_rows, alg.dim)
+    return alg.cached(("opened", power, s), build)
 
 
 def _pushed(values: Mapping[tuple[int, ...], SparseInts],
@@ -343,13 +352,10 @@ def summed_slot_terms(alg: NHomAlgebra, k: int, xi: int,
 
 def _increasing_opened(alg: NHomAlgebra, k: int, s: int) -> list[tuple[tuple[int, ...], SparseInts]]:
     """The entries of :func:`opened_tensor` whose slots other than s are
-    weakly increasing, in product order; cached on ``alg``."""
-    key = ("increasing", k, s)
-    hit = alg._cache.get(key)
-    if hit is None:
-        hit = alg._cache[key] = [(v, value) for v, value in opened_tensor(alg, k, s).items()
-                                 if _is_increasing(v[:s] + v[s + 1:])]
-    return hit
+    weakly increasing, in product order; cached on ``alg`` under alpha^k."""
+    return alg.cached(("increasing", alg.alpha_power(k), s), lambda: [
+        (v, value) for v, value in opened_tensor(alg, k, s).items()
+        if _is_increasing(v[:s] + v[s + 1:])])
 
 
 def _is_increasing(t: tuple[int, ...]) -> bool:
@@ -416,6 +422,12 @@ def _residual(lhs: Sequence[int], rhs: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(x - y, den) for x, y in zip(lhs, rhs))
 
 
+def _fractions(ints: SparseInts, den: int, dim: int) -> Vector:
+    """The sparse integer vector ``ints`` over ``den`` as ``dim`` fractions."""
+    row = dict(ints)
+    return tuple(Fraction(row.get(j, 0), den) for j in range(dim))
+
+
 @dataclass(frozen=True)
 class ValidationFailure:
     axiom: str
@@ -439,27 +451,29 @@ class ValidationReport:
 
 def validate(alg: NHomAlgebra) -> ValidationReport:
     """Check all defining axioms on basis tuples, collecting witnesses."""
-    if "validate" in alg._cache:
-        return alg._cache["validate"]
+    return alg.cached("validate", lambda: _validate(alg))
+
+
+def _validate(alg: NHomAlgebra) -> ValidationReport:
     d, n = alg.dim, alg.arity
     parity = alg.parity
     failures: list[ValidationFailure] = []
 
     # stored-table canonical form: repeated even index must map to zero
-    stored = alg.table_ints[0]
-    for key in stored:
+    stored, sden = alg.table_ints
+    for key, ints in stored.items():
         if any(key[i] == key[i + 1] and parity[key[i]] == EVEN for i in range(n - 1)):
-            failures.append(ValidationFailure("skew", key, alg.table[key]))
+            failures.append(ValidationFailure("skew", key, _fractions(ints, sden, d)))
     skew_ok = not failures
 
-    # degree law and evenness of alpha
+    # degree law and evenness of alpha; the residual is the off-degree part
     degree_ok = True
     for key, ints in stored.items():
         want = alg.tuple_parity(key)
-        if any(parity[j] != want for j, _ in ints):
+        off = [(j, x) for j, x in ints if parity[j] != want]
+        if off:
             degree_ok = False
-            failures.append(ValidationFailure("degree", key, tuple(
-                x if parity[j] != want else Fraction(0) for j, x in enumerate(alg.table[key]))))
+            failures.append(ValidationFailure("degree", key, _fractions(off, sden, d)))
     grid, aden = alg.alpha.ints
     odd = [ValidationFailure("even_alpha", (r, c), (Fraction(grid[r][c], aden),))
            for r, c in product(range(d), repeat=2) if parity[r] != parity[c] and grid[r][c]]
@@ -508,10 +522,8 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
             jacobi_ok = False
             failures.append(ValidationFailure("jacobi", (xs, ys), _residual(lhs, rhs, jden)))
 
-    report = ValidationReport(skew_ok, jacobi_ok, multiplicative_ok,
-                              even_alpha_ok, degree_ok, tuple(failures))
-    alg._cache["validate"] = report
-    return report
+    return ValidationReport(skew_ok, jacobi_ok, multiplicative_ok,
+                            even_alpha_ok, degree_ok, tuple(failures))
 
 
 def _jacobi_failures(alg: NHomAlgebra, canonical: bool):
@@ -559,9 +571,10 @@ def _jacobi_prefixes(alg: NHomAlgebra, canonical: bool) -> list[tuple[int, ...]]
 
 def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Per-parity bases of {x : [x, y_2, ..., y_n] = 0 for all y}."""
-    key = "center"
-    if key in alg._cache:
-        return alg._cache[key]
+    return alg.cached("center", lambda: _center(alg))
+
+
+def _center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     d = alg.dim
     values = alg.tensor[0]
     out = []
@@ -588,9 +601,7 @@ def center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
                 full[i] = v[pos]
             vecs.append(tuple(full))
         out.append(SubspaceBasis(d, tuple(vecs)))
-    result = (out[0], out[1])
-    alg._cache[key] = result
-    return result
+    return out[0], out[1]
 
 
 def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:

@@ -73,7 +73,7 @@ def _cmd_solve(args, alg):
     docs = []
     dims = []
     # grades whose alpha powers coincide share one solved space: render it
-    # once and share its lists, only "k" differs
+    # once and share its lists
     rendered = {}
     # Omega's identities do not involve the twist, so it has one grade per parity
     kmax = args.kmax if kind in TUPLE_KINDS else 0
@@ -81,10 +81,9 @@ def _cmd_solve(args, alg):
         for k in range(kmax + 1):
             space = solve(alg, kind, k, xi)
             dims.append((kind.value, k, xi, space.dim))
-            key = (xi, space.basis, space.witnesses)
-            entry = rendered.get(key)
+            entry = rendered.get(space)
             if entry is None:
-                entry = rendered[key] = endospace_doc(space)
+                entry = rendered[space] = endospace_doc(space)
             docs.append({**entry, "k": k})
     return {"dims": dims_doc(sorted(dims)), "spaces": docs}, True
 

@@ -38,10 +38,6 @@ from .solver import GradedEndo, Kind, in_space, qder_identity_holds, solve
 class TExtension:
     base: NHomAlgebra
     ext: NHomAlgebra
-    u_even: SubspaceBasis
-    u_odd: SubspaceBasis
-    derived_even: SubspaceBasis
-    derived_odd: SubspaceBasis
     # projection of the base space onto the derived subspace along U
     derived_projection: Mat
 
@@ -52,8 +48,10 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     The result is cached on ``alg``, so every check on one source algebra
     shares one extension, with its validation and solver caches.
     """
-    if "build_check" in alg._cache:
-        return alg._cache["build_check"]
+    return alg.cached("build_check", lambda: _build_check(alg))
+
+
+def _build_check(alg: NHomAlgebra) -> TExtension:
     if not validate(alg).all_ok:
         raise ValueError("source algebra does not satisfy its axioms")
     d, n = alg.dim, alg.arity
@@ -78,9 +76,7 @@ def build_check(alg: NHomAlgebra) -> TExtension:
     n_u = u_even.dim + u_odd.dim
     selector = Mat(d, d, (((0,) * d,) * n_u + Mat.identity(d).ints[0][n_u:], 1))
     projection = change @ selector @ change_inv
-    text = TExtension(alg, ext, u_even, u_odd, der_even, der_odd, projection)
-    alg._cache["build_check"] = text
-    return text
+    return TExtension(alg, ext, projection)
 
 
 def phi(text: TExtension, endo: GradedEndo, witness: Mat, k: int) -> GradedEndo:

@@ -260,7 +260,6 @@ def dims_doc(dims) -> dict:
 def endospace_doc(space: EndoSubspace) -> dict:
     doc = {
         "kind": space.kind.value,
-        "k": space.k,
         "xi": space.xi,
         "dim": space.dim,
         "basis": [mat_doc(g.mat) for g in space.basis],

@@ -16,7 +16,9 @@ Each check caches the operations it applies (bracket, composition, twist,
 Jordan product, and 3.8's associator) on the values of their operands, so
 an operation is evaluated once per distinct operand tuple, whichever grades,
 claims or quadruples share it; the caches are dropped when the check
-returns.  Solved bases are kept per kind, twist level and parity.
+returns.  Solved bases are kept per kind, alpha^k and parity, and 3.3's
+pieces per value and parity, so grades whose twist powers have equal
+alpha^k share them.
 
 3.8's Hom-Jordan residual of (x, y, z, w) is a sum of three terms, each with
 its own sign, and rotating (x, y, z) only reorders them; so of the basis
@@ -102,18 +104,15 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
     The table is built once per algebra and kmax; every check of one
     ``props`` command reports the same table.
     """
-    cache_key = ("dims", kmax)
-    hit = alg._cache.get(cache_key)
-    if hit is not None:
-        return hit
-    out = []
-    for xi in (0, 1):
-        out.append((Kind.OMEGA.value, 0, xi, omega(alg, xi).dim))
-        for kind in TUPLE_KINDS:
-            for k in range(kmax + 1):
-                out.append((kind.value, k, xi, solve(alg, kind, k, xi).dim))
-    result = alg._cache[cache_key] = tuple(sorted(out))
-    return result
+    def build():
+        out = []
+        for xi in (0, 1):
+            out.append((Kind.OMEGA.value, 0, xi, omega(alg, xi).dim))
+            for kind in TUPLE_KINDS:
+                for k in range(kmax + 1):
+                    out.append((kind.value, k, xi, solve(alg, kind, k, xi).dim))
+        return tuple(sorted(out))
+    return alg.cached(("dims", kmax), build)
 
 
 def _grades(kmax: int, bound: int | None = None):
@@ -135,20 +134,17 @@ class _Spaces:
     """Solved spaces of one algebra, under keys that coincide for equal spaces.
 
     A space at twist power k is determined by alpha^k, so its key carries
-    the least j with alpha^j == alpha^k instead of k.  Each key's basis is
-    built once.
+    alpha^k instead of k.  Each key's basis is built once per check.
     """
 
-    def __init__(self, alg: NHomAlgebra, kmax: int):
+    def __init__(self, alg: NHomAlgebra):
         self.alg = alg
-        pows = [alg.alpha_power(k) for k in range(kmax + 1)]
-        self.level = [pows.index(p) for p in pows]
         self._bases: dict = {}
 
     def basis(self, kinds, k: int, xi: int):
         """(key, basis) of one kind, or of the sum of a tuple of kinds."""
         kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        key = (kinds, self.level[k], xi)
+        key = (kinds, self.alg.alpha_power(k), xi)
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = tuple(
@@ -164,7 +160,7 @@ class _Spaces:
         """Membership target at the total grade of g, its power raised by ``shift``."""
         def target(g):
             k, xi = sum(g[0::2]) + shift, sum(g[1::2]) % 2
-            return (kind, self.level[k], xi), (kind, k, xi)
+            return (kind, self.alg.alpha_power(k), xi), (kind, k, xi)
         return target
 
     def member(self, target, endo: GradedEndo) -> bool:
@@ -231,7 +227,7 @@ def _same(endo: GradedEndo) -> GradedEndo:
 def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
     _require_valid(alg)
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     bracket = cache(supercommutator)
     twist = cache(partial(alpha_twist, alg))
 
@@ -253,7 +249,7 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """The six inclusion statements tying Der, C, QC, QDer and GDer together."""
     _require_valid(alg)
     n = alg.arity
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     bracket = cache(supercommutator)
     claims = []
 
@@ -291,15 +287,11 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """QC + [QC, QC] sits inside GDer and is closed under the bracket."""
     _require_valid(alg)
     d = alg.dim
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     bracket = cache(supercommutator)
     pieces = _qc_plus_brackets(sp, kmax, bracket)
-    # a piece's key is the first grade of its parity holding an equal piece
-    keyed = {}
-    for (k, xi), piece in pieces.items():
-        first = next(g for g, p in pieces.items() if g[1] == xi and p == piece)
-        keyed[(k, xi)] = (("S",) + first, tuple(GradedEndo(_unflatten(d, v), xi)
-                                                for v in piece.rows))
+    keyed = {(k, xi): ((piece, xi), tuple(GradedEndo(_unflatten(d, v), xi) for v in piece.rows))
+             for (k, xi), piece in pieces.items()}
 
     def into_piece(g):
         grade = _total(g)[0]
@@ -330,7 +322,7 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         return _report("3.4", claims, solved_dims(alg, kmax))
     z_even, z_odd = center(alg)
     z_full = subspace_sum(z_even, z_odd)
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     bracket = cache(supercommutator)
     inputs = sp.inputs(Kind.C, Kind.QC)
 
@@ -480,7 +472,7 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
                         detail=f"checked {checked} quadruples, seed {seed}",
                         witness=bad))
 
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     claims.append(_claim("38.2.QC_jordan_closed", _first_failure(
         _grades(kmax), sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC), jordan, sp.member)))
     return _report("3.8", claims, solved_dims(alg, kmax))
@@ -489,7 +481,7 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Bracket closure of QC versus composition closure and commutativity."""
     _require_valid(alg)
-    sp = _Spaces(alg, kmax)
+    sp = _Spaces(alg)
     bracket = cache(supercommutator)
     qc_pairs, into_qc = sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC)
     p1 = _first_failure(_grades(kmax), qc_pairs, into_qc, bracket, sp.member) is None

@@ -59,7 +59,7 @@ of what Omega's basis gives as witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -126,7 +126,6 @@ class GradedEndo:
 @dataclass(frozen=True)
 class EndoSubspace:
     kind: Kind
-    k: int
     xi: int
     basis: tuple[GradedEndo, ...]
     # QDer: one witness matrix per basis element; GDer: an n-tuple of
@@ -328,17 +327,20 @@ def _mat_from_positions(d: int, pos, coeffs, den: int) -> Mat:
 def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     """Canonical basis of the requested space at twist power k and parity xi.
 
-    Omega does not depend on k and is returned with k = 0.
+    The space depends on k only through alpha^k (Omega not at all), so it
+    is cached on ``alg`` under alpha^k, and twist powers with equal alpha^k
+    return the same object.
     """
     kind = Kind(kind)
     if k < 0:
         raise ValueError("twist power must be nonnegative")
     if kind not in TUPLE_KINDS:
         k = 0
-    cache_key = ("solve", kind, xi, alg.alpha_power(k))
-    hit = alg._cache.get(cache_key)
-    if hit is not None:
-        return replace(hit, k=k)
+    return alg.cached(("solve", kind, xi, alg.alpha_power(k)),
+                      lambda: _solve_uncached(alg, kind, k, xi))
+
+
+def _solve_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> EndoSubspace:
     d = alg.dim
     # the tuple symmetry of _rows needs an even alpha; an input that breaks
     # that axiom (solve does not validate) is solved over every tuple
@@ -362,10 +364,8 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
             witnesses.append(witness)
         else:
             slack.append(witness)
-    result = EndoSubspace(kind, k, xi, tuple(basis),
-                          tuple(witnesses) if nblocks > 1 else None, tuple(slack))
-    alg._cache[cache_key] = result
-    return result
+    return EndoSubspace(kind, xi, tuple(basis),
+                        tuple(witnesses) if nblocks > 1 else None, tuple(slack))
 
 
 def omega(alg: NHomAlgebra, xi: int) -> EndoSubspace:
@@ -390,11 +390,8 @@ def in_space(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int, endo: GradedEn
         raise ValueError("endomorphism size does not match the algebra")
     if not is_homogeneous(alg.parity, xi, endo.mat):
         raise ValueError("endomorphism is not homogeneous of the stated parity")
-    cache_key = ("member", kind, xi, alg.alpha_power(k), endo.mat)
-    hit = alg._cache.get(cache_key)
-    if hit is None:
-        hit = alg._cache[cache_key] = _in_space_uncached(alg, kind, k, xi, endo)
-    return hit
+    return alg.cached(("member", kind, xi, alg.alpha_power(k), endo.mat),
+                      lambda: _in_space_uncached(alg, kind, k, xi, endo))
 
 
 def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
@@ -437,10 +434,11 @@ def _witness_span(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> tuple[dict, 
     s = 1..n-1, each over its own denominator, laid out d components per
     tuple that ``reached`` numbers in product order.
     """
-    cache_key = ("witness", kind, xi, alg.alpha_power(k))
-    hit = alg._cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return alg.cached(("witness", kind, xi, alg.alpha_power(k)),
+                      lambda: _witness_span_uncached(alg, kind, k, xi))
+
+
+def _witness_span_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     values, d = alg.tensor[0], alg.dim
     slots = range(1, alg.arity) if kind is Kind.GDER else ()
     contributions = []
@@ -451,8 +449,7 @@ def _witness_span(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> tuple[dict, 
     reached = sorted({t for terms in contributions for t, term in terms.items() if any(term)})
     reached = {t: i for i, t in enumerate(reached)}
     rows = (_laid_out(reached, terms, d) for terms in contributions)
-    hit = alg._cache[cache_key] = (reached, _grown(len(reached) * d, [], [], rows))
-    return hit
+    return reached, _grown(len(reached) * d, [], [], rows)
 
 
 def _laid_out(reached: dict, terms: dict, d: int) -> list[int] | None:
@@ -475,11 +472,8 @@ def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,
     """
     if endo.mat.rows != alg.dim or (witness.rows, witness.cols) != (alg.dim, alg.dim):
         raise ValueError("endomorphism size does not match the algebra")
-    cache_key = ("qder_identity", xi, alg.alpha_power(k), endo.mat, witness)
-    hit = alg._cache.get(cache_key)
-    if hit is None:
-        hit = alg._cache[cache_key] = _qder_identity_uncached(alg, k, xi, endo, witness)
-    return hit
+    return alg.cached(("qder_identity", xi, alg.alpha_power(k), endo.mat, witness),
+                      lambda: _qder_identity_uncached(alg, k, xi, endo, witness))
 
 
 def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:

@@ -10,6 +10,7 @@ and ``check_basis_change`` compares the solved dimensions of an algebra
 and of such a copy (acceptance criterion 6).  ``nullspace``
 and ``full_space`` build subspaces that only the tests need, and
 ``vectors`` reads a subspace basis back as ``Fraction`` vectors.
+``yau_twist`` composes an algebra with a diagonal morphism.
 """
 
 from fractions import Fraction
@@ -34,6 +35,13 @@ def basis_value(alg, indices):
     if val is None:
         return (Fraction(0),) * alg.dim
     return val if sign == 1 else tuple(-x for x in val)
+
+
+def yau_twist(alg, diag):
+    """The algebra with bracket diag [..] and twist diag, for a diagonal map."""
+    table = {key: [x * c for x, c in zip(value, diag)] for key, value in alg.table.items()}
+    alpha = Mat.from_rows([[c if i == j else 0 for j in range(alg.dim)] for i, c in enumerate(diag)])
+    return NHomAlgebra(alg.arity, alg.dim, alg.parity, table, alpha)
 
 
 def unit_vector(n, i):

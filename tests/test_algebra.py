@@ -6,7 +6,16 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply, basis_value, col, mixed_change, ref_transport, unit_vector, vectors
+from conftest import (
+    apply,
+    basis_value,
+    col,
+    mixed_change,
+    ref_transport,
+    unit_vector,
+    vectors,
+    yau_twist,
+)
 from hypothesis import example, given, settings
 
 from nhomlie import algebra
@@ -94,13 +103,6 @@ def degree_respecting_algebras(draw):
               else draw(st.sampled_from([0, 0, 1])) if parity[i] == parity[j] else 0
               for j in range(d)] for i in range(d)]
     return NHomAlgebra(n, d, parity, table, Mat.from_rows(alpha))
-
-
-def yau_twist(alg, diag):
-    """The algebra with bracket diag [..] and twist diag, for a diagonal map."""
-    table = {key: [x * c for x, c in zip(value, diag)] for key, value in alg.table.items()}
-    alpha = Mat.from_rows([[c if i == j else 0 for j in range(alg.dim)] for i, c in enumerate(diag)])
-    return NHomAlgebra(alg.arity, alg.dim, alg.parity, table, alpha)
 
 
 class TestCanonicalize:

@@ -12,7 +12,7 @@ from nhomlie.algebra import bracket, center, derived_subspace, is_homogeneous, t
 from nhomlie.cli import main
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, rref, vector
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, extend_to_complement, rref, vector
 from nhomlie.propositions import _mat_witness, random_even_invertible
 from nhomlie.solver import GradedEndo, Kind, omega, solve
 
@@ -60,9 +60,12 @@ class TestBuildCheck:
                     assert basis_value(ext, t) == vector([0] * 2 * d)
 
     def test_complement_splits_the_space(self):
-        text = build_check(aff1())
-        assert vectors(text.u_even) == (unit_vector(2, 0),)
-        assert vectors(text.derived_even) == (unit_vector(2, 1),)
+        derived_even = derived_subspace(aff1())[0]
+        u_even = extend_to_complement(derived_even, [0, 1])
+        assert vectors(u_even) == (unit_vector(2, 0),)
+        assert vectors(derived_even) == (unit_vector(2, 1),)
+        # the projection onto the derived part kills that complement
+        assert build_check(aff1()).derived_projection == Mat.from_rows([[0, 0], [0, 1]])
 
     def test_rejects_invalid_source(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from conftest import check_basis_change, mixed_change
 from hypothesis import given, settings
 
 from nhomlie import propositions
-from nhomlie.algebra import transport
+from nhomlie.algebra import NHomAlgebra, center, transport, validate
+from nhomlie.extension import check_prop43
 from nhomlie.fixtures import (
     FIXTURES,
     abelian2,
@@ -19,6 +20,7 @@ from nhomlie.fixtures import (
     homaff1,
     nonsurjective_abelian2,
     super2,
+    threeLie4,
 )
 from nhomlie.linalg import Mat, linear_combination
 from nhomlie.propositions import (
@@ -84,6 +86,35 @@ def test_prop39_equivalence_gated_by_center():
     assert report.claim("39.2.centerless_equivalence").status == "skipped"
     report = check_prop39(aff1(), 1)
     assert report.claim("39.2.centerless_equivalence").status == "pass"
+
+
+def _with_diagonal_alpha(build, diag):
+    alg = build()
+    alpha = Mat.from_rows([[c if i == j else 0 for j in range(alg.dim)] for i, c in enumerate(diag)])
+    return NHomAlgebra(alg.arity, alg.dim, alg.parity, alg.table_ints, alpha)
+
+
+@pytest.mark.parametrize("build, diag, dims, p3", [
+    (aff1, [0, 0], ["4+6=10", "0+0=0", "4+12=12", "0+0=0", "4+12=12", "0+0=0"], False),
+    (threeLie4, [0] * 4, ["16+16=32", "0+0=0", "16+32=32", "0+0=0", "16+32=32", "0+0=0"],
+     False),
+    (super2, [0, 0], ["2+3=5", "1+3=4", "2+6=6", "2+6=6", "2+6=6", "2+6=6"], False),
+    (aff1, [1, 0], ["2+3=5", "0+0=0", "2+5=6", "0+0=0", "2+5=6", "0+0=0"], True),
+])
+def test_centerless_claims_fail_when_alpha_is_not_onto(build, diag, dims, p3):
+    # Pinned as found, not as the paper's verdict: 43.direct_sum and 39.2
+    # gate only on Z(N) = 0, while 3.4 also gates on a surjective alpha.
+    # Whether the paper assumes alpha onto must be settled before a gate moves.
+    alg = _with_diagonal_alpha(build, diag)
+    assert validate(alg).all_ok
+    assert all(z.dim == 0 for z in center(alg))
+    direct = check_prop43(alg, 2).claim("43.direct_sum")
+    assert (direct.status, direct.witness) == ("fail", (((1, 0), "intersection is nonzero"),))
+    assert direct.detail == "; ".join(
+        f"k={k} xi={xi}: {sums}" for (k, xi), sums in zip(product(range(3), (0, 1)), dims))
+    equivalence = check_prop39(alg, 2).claim("39.2.centerless_equivalence")
+    assert equivalence == Claim("39.2.centerless_equivalence", "pass" if p3 else "fail",
+                                f"P1=True, P3={p3}")
 
 
 def test_prop38_records_the_seed():

@@ -3,12 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import is_subspace_of
+from conftest import is_subspace_of, yau_twist
 
 from nhomlie import solver
-from nhomlie.algebra import NHomAlgebra
+from nhomlie.algebra import NHomAlgebra, opened_tensor, validate
 from nhomlie.extension import build_check, phi
-from nhomlie.fixtures import FIXTURES, abelian2, aff1, homaff1, super2, threeLie4
+from nhomlie.fixtures import (
+    FIXTURES,
+    abelian2,
+    aff1,
+    filippov,
+    homaff1,
+    nonsurjective_abelian2,
+    super2,
+    threeLie4,
+)
 from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains
 from nhomlie.solver import (
     GradedEndo,
@@ -193,6 +202,22 @@ class TestTower:
                 chain.append(omega(alg, xi).as_subspace(d2))
                 for small, big in zip(chain, chain[1:]):
                     assert is_subspace_of(small, big)
+
+
+@pytest.mark.parametrize("build, k, j", [
+    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), 3, 1),  # alpha^2 = id
+    (nonsurjective_abelian2, 2, 1),  # alpha = 0
+])
+def test_equal_alpha_powers_share_one_object(build, k, j):
+    # opened tensors and solved spaces depend on k only through alpha^k
+    alg = build()
+    assert validate(alg).all_ok
+    assert alg.alpha_power(k) == alg.alpha_power(j)
+    for s in range(alg.arity):
+        assert opened_tensor(alg, k, s) is opened_tensor(alg, j, s)
+    for kind in Kind:
+        for xi in (0, 1):
+            assert solve(alg, kind, k, xi) is solve(alg, kind, j, xi)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["threeLie4^ext"])
