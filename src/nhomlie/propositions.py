@@ -16,9 +16,10 @@ Each check caches the operations it applies (bracket, composition, twist,
 Jordan product, and 3.8's associator) on the values of their operands, so
 an operation is evaluated once per distinct operand tuple, whichever grades,
 claims or quadruples share it; the caches are dropped when the check
-returns.  Solved bases are kept per kind, alpha^k and parity, and 3.3's
-pieces per value and parity, so grades whose twist powers have equal
-alpha^k share them.
+returns.  Solved spaces depend on a twist power k only through alpha^k, so
+the walks skip every grade with a power k that is not the least with its
+alpha^k (:func:`_least_powers`): it would repeat an earlier grade's checks.
+3.3's pieces depend on k itself, so its walks take every grade.
 
 3.8's Hom-Jordan residual of (x, y, z, w) is a sum of three terms, each with
 its own sign, and rotating (x, y, z) only reorders them; so of the basis
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product, starmap
+from itertools import combinations_with_replacement, product, starmap
 
 from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, validate
 from .io import _ratio_str
@@ -115,100 +116,60 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
     return alg.cached(("dims", kmax), build)
 
 
-def _grades(kmax: int, bound: int | None = None):
-    """Pairs of (k, xi) grades with k1, k2 <= kmax and k1 + k2 <= bound (default kmax)."""
-    bound = kmax if bound is None else bound
+def _least_powers(alg: NHomAlgebra, kmax: int) -> list[int]:
+    """For each k <= kmax, the least j with alpha^j = alpha^k."""
+    first = {}
+    return [first.setdefault(alg.alpha_power(k), k) for k in range(kmax + 1)]
+
+
+def _grades(kmax: int, bound: int, least):
+    """Pairs of (k, xi) grades with k1, k2 <= kmax, k1 + k2 <= bound and least powers.
+
+    A space at twist power k depends on k only through alpha^k, and
+    alpha^(k1 + k2) = alpha^k1 alpha^k2, so a grade whose powers are not
+    least repeats the inputs and target of the grade of their least
+    powers, which comes earlier in this order; only ``least[k] == k`` is
+    walked.
+    """
     for k1, k2 in product(range(kmax + 1), repeat=2):
-        if k1 + k2 > bound:
-            continue
-        for x1, x2 in product((0, 1), repeat=2):
-            yield k1, x1, k2, x2
+        if k1 + k2 <= bound and least[k1] == k1 and least[k2] == k2:
+            for x1, x2 in product((0, 1), repeat=2):
+                yield k1, x1, k2, x2
 
 
-def _levels(kmax: int):
-    """Single (k, xi) grades with k <= kmax."""
-    return product(range(kmax + 1), (0, 1))
+def _levels(kmax: int, least):
+    """Single (k, xi) grades with k <= kmax and least powers."""
+    return ((k, xi) for k in range(kmax + 1) if least[k] == k for xi in (0, 1))
 
 
-class _Spaces:
-    """Solved spaces of one algebra, under keys that coincide for equal spaces.
-
-    A space at twist power k is determined by alpha^k, so its key carries
-    alpha^k instead of k.  Each key's basis is built once per check.
-    """
-
-    def __init__(self, alg: NHomAlgebra):
-        self.alg = alg
-        self._bases: dict = {}
-
-    def basis(self, kinds, k: int, xi: int):
-        """(key, basis) of one kind, or of the sum of a tuple of kinds."""
-        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        key = (kinds, self.alg.alpha_power(k), xi)
-        basis = self._bases.get(key)
-        if basis is None:
-            basis = self._bases[key] = tuple(
-                g for kind in kinds for g in solve(self.alg, kind, k, xi).basis)
-        return key, basis
-
-    def inputs(self, *kinds):
-        """Input spaces at a grade (k1, x1, k2, x2, ...), one kind per (k, xi)."""
-        return lambda g: tuple(self.basis(kind, g[2 * i], g[2 * i + 1])
-                               for i, kind in enumerate(kinds))
-
-    def into(self, kind, shift: int = 0):
-        """Membership target at the total grade of g, its power raised by ``shift``."""
-        def target(g):
-            k, xi = sum(g[0::2]) + shift, sum(g[1::2]) % 2
-            return (kind, self.alg.alpha_power(k), xi), (kind, k, xi)
-        return target
-
-    def member(self, target, endo: GradedEndo) -> bool:
-        return in_space(self.alg, *target, endo)
+def _basis(alg: NHomAlgebra, kinds, k: int, xi: int):
+    """The solved basis of one kind, or of a tuple of kinds in turn."""
+    if isinstance(kinds, Kind):
+        return solve(alg, kinds, k, xi).basis
+    return [e for kind in kinds for e in solve(alg, kind, k, xi).basis]
 
 
-def _nowhere(g):
-    return None, None
+def _inputs(alg: NHomAlgebra, *kinds):
+    """Input bases at a grade (k1, x1, k2, x2, ...), one kind per (k, xi)."""
+    return lambda g: [_basis(alg, kind, g[2 * i], g[2 * i + 1]) for i, kind in enumerate(kinds)]
 
 
-def _total(g):
-    """The total grade (k, xi) of g, as target key and as target."""
-    grade = (sum(g[0::2]), sum(g[1::2]) % 2)
-    return grade, grade
+def _member(alg: NHomAlgebra, kind, shift: int):
+    """Membership in ``kind`` at the total grade of g, its power raised by ``shift``."""
+    return lambda g, endo: in_space(alg, kind, sum(g[0::2]) + shift, sum(g[1::2]) % 2, endo)
 
 
-def _values(spaces, op):
-    """``op`` on every tuple of basis elements, one from each input space."""
-    return starmap(op, product(*(basis for _, basis in spaces)))
-
-
-def _distinct(grades, inputs, target):
-    """``(g, inputs(g), t)`` for each grade in order, with ``(key, t) = target(g)``.
-
-    A grade whose input and target keys all match an earlier grade's
-    would repeat its checks and is skipped.
-    """
-    seen = set()
-    for g in grades:
-        spaces = inputs(g)
-        tkey, t = target(g)
-        key = (tuple(k for k, _ in spaces), tkey)
-        if key not in seen:
-            seen.add(key)
-            yield g, spaces, t
-
-
-def _first_failure(grades, inputs, target, op, holds):
+def _first_failure(grades, inputs, op, holds):
     """The closure-check loop shared by every grade-indexed claim.
 
-    For each distinct grade ``g`` in order, ``op`` is applied to basis
-    elements of the spaces ``inputs(g)`` and each value must satisfy
-    ``holds(t, value)``.  Returns ``(g, value)`` for the first failure,
-    or None.
+    For each grade ``g`` in order, ``op`` is applied to every tuple of
+    basis elements, one from each basis of ``inputs(g)``, and each value
+    must satisfy ``holds(g, value)``.  Returns ``(g, value)`` for the
+    first failure, or None.
     """
-    for g, spaces, t in _distinct(grades, inputs, target):
-        for value in _values(spaces, op):
-            if not holds(t, value):
+    for g in grades:
+        for value in starmap(op, product(*inputs(g))):
+            if not holds(g, value):
                 return g, value
     return None
 
@@ -227,21 +188,21 @@ def _same(endo: GradedEndo) -> GradedEndo:
 def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
     _require_valid(alg)
-    sp = _Spaces(alg)
+    least = _least_powers(alg, kmax)
+    pairs, levels = partial(_grades, kmax, kmax, least), partial(_levels, kmax - 1, least)
     bracket = cache(supercommutator)
     twist = cache(partial(alpha_twist, alg))
 
     claims = []
     for kind in (Kind.GDER, Kind.QDER, Kind.C):
         claims.append(_claim(f"31.1.{kind.value}.bracket", _first_failure(
-            _grades(kmax), sp.inputs(kind, kind), sp.into(kind), bracket, sp.member)))
+            pairs(), _inputs(alg, kind, kind), bracket, _member(alg, kind, 0))))
         claims.append(_claim(f"31.1.{kind.value}.twist", _first_failure(
-            _levels(kmax - 1), sp.inputs(kind), sp.into(kind, 1), twist, sp.member)))
+            levels(), _inputs(alg, kind), twist, _member(alg, kind, 1))))
     claims.append(_claim("31.2.ZDer.ideal", _first_failure(
-        _grades(kmax), sp.inputs(Kind.DER, Kind.ZDER), sp.into(Kind.ZDER), bracket,
-        sp.member)))
+        pairs(), _inputs(alg, Kind.DER, Kind.ZDER), bracket, _member(alg, Kind.ZDER, 0))))
     claims.append(_claim("31.2.ZDer.twist", _first_failure(
-        _levels(kmax - 1), sp.inputs(Kind.ZDER), sp.into(Kind.ZDER, 1), twist, sp.member)))
+        levels(), _inputs(alg, Kind.ZDER), twist, _member(alg, Kind.ZDER, 1))))
     return _report("3.1", claims, solved_dims(alg, kmax))
 
 
@@ -249,60 +210,78 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """The six inclusion statements tying Der, C, QC, QDer and GDer together."""
     _require_valid(alg)
     n = alg.arity
-    sp = _Spaces(alg)
+    least = _least_powers(alg, kmax)
     bracket = cache(supercommutator)
     claims = []
 
     def pair_claim(cid, kind_a, kind_b, target, op):
         claims.append(_claim(cid, _first_failure(
-            _grades(kmax), sp.inputs(kind_a, kind_b), sp.into(target), op, sp.member)))
+            _grades(kmax, kmax, least), _inputs(alg, kind_a, kind_b), op,
+            _member(alg, target, 0))))
 
-    def qder_with_witness(target, da):
-        return sp.member(target, da) and qder_identity_holds(alg, *target[1:], da,
-                                                             da.mat.scale(n))
+    in_qder = _member(alg, Kind.QDER, 0)
+
+    def qder_with_witness(g, da):
+        return in_qder(g, da) and qder_identity_holds(alg, *g, da, da.mat.scale(n))
 
     pair_claim("32.1.[Der,C]_in_C", Kind.DER, Kind.C, Kind.C, bracket)
     pair_claim("32.2.[QDer,QC]_in_QC", Kind.QDER, Kind.QC, Kind.QC, bracket)
     pair_claim("32.3.C.Der_in_Der", Kind.C, Kind.DER, Kind.DER, cache(compose))
     claims.append(_claim("32.4.C_in_QDer", _first_failure(
-        _levels(kmax), sp.inputs(Kind.C), sp.into(Kind.QDER), _same, qder_with_witness),
+        _levels(kmax, least), _inputs(alg, Kind.C), _same, qder_with_witness),
         detail="witness n*D verified"))
     pair_claim("32.5.[QC,QC]_in_QDer", Kind.QC, Kind.QC, Kind.QDER, bracket)
     claims.append(_claim("32.6.QDer+QC_in_GDer", _first_failure(
-        _levels(kmax), sp.inputs((Kind.QDER, Kind.QC)), sp.into(Kind.GDER), _same,
-        sp.member)))
+        _levels(kmax, least), _inputs(alg, (Kind.QDER, Kind.QC)), _same,
+        _member(alg, Kind.GDER, 0))))
     return _report("3.2", claims, solved_dims(alg, kmax))
 
 
-def _qc_plus_brackets(sp: _Spaces, kmax: int, bracket):
-    """Graded pieces of QC + [QC, QC], as flattened-matrix subspaces."""
-    vecs = {grade: [g.mat.flat_ints() for g in sp.basis(Kind.QC, *grade)[1]]
-            for grade in _levels(kmax)}
-    for _, spaces, grade in _distinct(_grades(kmax), sp.inputs(Kind.QC, Kind.QC), _total):
-        vecs[grade].extend(c.mat.flat_ints() for c in _values(spaces, bracket))
-    return {grade: SubspaceBasis.span(sp.alg.dim ** 2, v) for grade, v in vecs.items()}
+def _qc_plus_brackets(alg: NHomAlgebra, kmax: int, bracket):
+    """Graded pieces of QC + [QC, QC] at every level, as flattened-matrix subspaces.
+
+    A bracket set depends on the grade's powers through their least powers,
+    but lands in the piece of the exact total, so each set is added once per
+    (least k1, x1, least k2, x2, total).
+    """
+    every, least = list(range(kmax + 1)), _least_powers(alg, kmax)
+    vecs = {grade: [g.mat.flat_ints() for g in solve(alg, Kind.QC, *grade).basis]
+            for grade in _levels(kmax, every)}
+    for k1, x1, k2, x2, total in dict.fromkeys(
+            (least[k1], x1, least[k2], x2, (k1 + k2, (x1 + x2) % 2))
+            for k1, x1, k2, x2 in _grades(kmax, kmax, every)):
+        vecs[total].extend(c.mat.flat_ints() for c in starmap(bracket, product(
+            solve(alg, Kind.QC, k1, x1).basis, solve(alg, Kind.QC, k2, x2).basis)))
+    return {grade: SubspaceBasis.span(alg.dim ** 2, v) for grade, v in vecs.items()}
 
 
 def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """QC + [QC, QC] sits inside GDer and is closed under the bracket."""
+    """QC + [QC, QC] sits inside GDer and is closed under the bracket.
+
+    The pieces depend on k itself, not only on alpha^k, so both walks take
+    every grade; the bracket walk keeps the first grade of each triple of
+    piece values (the two inputs and the target).
+    """
     _require_valid(alg)
     d = alg.dim
-    sp = _Spaces(alg)
+    every = list(range(kmax + 1))
     bracket = cache(supercommutator)
-    pieces = _qc_plus_brackets(sp, kmax, bracket)
-    keyed = {(k, xi): ((piece, xi), tuple(GradedEndo(_unflatten(d, v), xi) for v in piece.rows))
-             for (k, xi), piece in pieces.items()}
+    pieces = _qc_plus_brackets(alg, kmax, bracket)
+    bases = {grade: tuple(GradedEndo(_unflatten(d, v), grade[1]) for v in piece.rows)
+             for grade, piece in pieces.items()}
 
-    def into_piece(g):
-        grade = _total(g)[0]
-        return keyed[grade][0], pieces[grade]
+    def total(g):
+        return sum(g[0::2]), sum(g[1::2]) % 2
 
+    firsts = {}
+    for g in _grades(kmax, kmax, every):
+        firsts.setdefault((pieces[g[:2]], g[1], pieces[g[2:]], g[3], pieces[total(g)]), g)
     claims = [
         _claim("33.S_in_GDer", _first_failure(
-            _levels(kmax), lambda g: (keyed[g],), sp.into(Kind.GDER), _same, sp.member)),
+            _levels(kmax, every), lambda g: (bases[g],), _same, _member(alg, Kind.GDER, 0))),
         _claim("33.S_bracket_closed", _first_failure(
-            _grades(kmax), lambda g: (keyed[g[:2]], keyed[g[2:]]), into_piece, bracket,
-            lambda piece, c: contains(piece, c.mat.flat_ints()))),
+            firsts.values(), lambda g: (bases[g[:2]], bases[g[2:]]), bracket,
+            lambda g, c: contains(pieces[total(g)], c.mat.flat_ints()))),
     ]
     return _report("3.3", claims, solved_dims(alg, kmax))
 
@@ -322,14 +301,14 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         return _report("3.4", claims, solved_dims(alg, kmax))
     z_even, z_odd = center(alg)
     z_full = subspace_sum(z_even, z_odd)
-    sp = _Spaces(alg)
+    least = _least_powers(alg, kmax)
     bracket = cache(supercommutator)
-    inputs = sp.inputs(Kind.C, Kind.QC)
+    inputs = _inputs(alg, Kind.C, Kind.QC)
 
     def outside_center(c):
         return [j for j, col in enumerate(zip(*c.mat.ints[0])) if not contains(z_full, col)]
 
-    bad = _first_failure(_grades(kmax, 2 * kmax), inputs, _nowhere, bracket,
+    bad = _first_failure(_grades(kmax, 2 * kmax, least), inputs, bracket,
                          lambda _, c: not outside_center(c))
     if bad is None:
         claims.append(Claim("34.1.image_in_center", "pass"))
@@ -339,8 +318,7 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
                             witness=(g + (outside_center(c)[0],), _mat_witness(c.mat))))
     if z_full.dim == 0:
         claims.append(_claim("34.2.zero_when_centerless", _first_failure(
-            _grades(kmax, 2 * kmax), inputs, _nowhere, bracket,
-            lambda _, c: c.mat.is_zero())))
+            _grades(kmax, 2 * kmax, least), inputs, bracket, lambda _, c: c.mat.is_zero())))
     else:
         claims.append(Claim("34.2.zero_when_centerless", "skipped",
                             detail="center is nonzero"))
@@ -454,8 +432,10 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     all_basis = basis_by_parity[0] + basis_by_parity[1]
     jordan = cache(jordan_product)
 
+    # J(a, b) = ±J(b, a) is symmetric in (a, b), so the first failing
+    # ordered pair in product order has a no later than b in the basis
     bad = None
-    for da, db in product(all_basis, repeat=2):
+    for da, db in combinations_with_replacement(all_basis, 2):
         sign = -1 if (da.xi and db.xi) else 1
         lhs = jordan(da, db)
         if lhs.mat != jordan(db, da).mat.scale(sign):
@@ -472,22 +452,21 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
                         detail=f"checked {checked} quadruples, seed {seed}",
                         witness=bad))
 
-    sp = _Spaces(alg)
     claims.append(_claim("38.2.QC_jordan_closed", _first_failure(
-        _grades(kmax), sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC), jordan, sp.member)))
+        _grades(kmax, kmax, _least_powers(alg, kmax)), _inputs(alg, Kind.QC, Kind.QC), jordan,
+        _member(alg, Kind.QC, 0))))
     return _report("3.8", claims, solved_dims(alg, kmax))
 
 
 def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Bracket closure of QC versus composition closure and commutativity."""
     _require_valid(alg)
-    sp = _Spaces(alg)
+    pairs = partial(_grades, kmax, kmax, _least_powers(alg, kmax))
     bracket = cache(supercommutator)
-    qc_pairs, into_qc = sp.inputs(Kind.QC, Kind.QC), sp.into(Kind.QC)
-    p1 = _first_failure(_grades(kmax), qc_pairs, into_qc, bracket, sp.member) is None
-    p2 = _first_failure(_grades(kmax), qc_pairs, into_qc, cache(compose), sp.member) is None
-    p3 = _first_failure(_grades(kmax), qc_pairs, _nowhere, bracket,
-                        lambda _, c: c.mat.is_zero()) is None
+    qc_pairs, in_qc = _inputs(alg, Kind.QC, Kind.QC), _member(alg, Kind.QC, 0)
+    p1 = _first_failure(pairs(), qc_pairs, bracket, in_qc) is None
+    p2 = _first_failure(pairs(), qc_pairs, cache(compose), in_qc) is None
+    p3 = _first_failure(pairs(), qc_pairs, bracket, lambda _, c: c.mat.is_zero()) is None
     claims = [Claim("39.predicates", "pass",
                     detail=f"bracket_closed={p1} composition_closed={p2} "
                            f"brackets_vanish={p3}")]

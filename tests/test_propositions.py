@@ -7,7 +7,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from conftest import check_basis_change, mixed_change
+from conftest import check_basis_change, mixed_change, yau_twist
 from hypothesis import given, settings
 
 from nhomlie import propositions
@@ -17,6 +17,7 @@ from nhomlie.fixtures import (
     FIXTURES,
     abelian2,
     aff1,
+    filippov,
     homaff1,
     nonsurjective_abelian2,
     super2,
@@ -167,6 +168,61 @@ def test_each_bracket_is_built_once_per_operand_pair(name, check, monkeypatch):
     check(FIXTURES[name](), 2)
     assert pairs
     assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("build, least", [
+    (threeLie4, [0, 0, 0]),  # alpha = id
+    (homaff1, [0, 1, 2, 3]),  # every power distinct
+    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), [0, 1, 0, 1]),  # alpha^2 = id
+    (lambda: _with_diagonal_alpha(aff1, [1, 0]), [0, 1, 1, 1]),  # alpha^2 = alpha
+    (nonsurjective_abelian2, [0, 1, 1]),  # alpha = 0
+    (lambda: NHomAlgebra(2, 2, (0, 0), {}, Mat.from_rows([[0, -1], [1, 0]])),
+     [0, 1, 2, 3, 0, 1]),  # alpha^4 = id
+], ids=["id", "distinct", "involution", "idempotent", "zero", "rotation"])
+@pytest.mark.parametrize("check", [check_prop31, check_prop32, check_prop39])
+def test_checks_solve_only_at_least_powers(build, least, check, monkeypatch):
+    # a grade whose twist powers are not least repeats an earlier grade's
+    # spaces, so with the dims table built no check solves at another power
+    alg = build()
+    kmax = len(least) - 1
+    assert propositions._least_powers(alg, kmax) == least
+    solved_dims(alg, kmax)
+    calls = _counted(monkeypatch, "solve")
+    check(alg, kmax)
+    assert {args[2] for args in calls} == set(least)
+
+
+def test_least_powers_keep_the_walk_order():
+    least = [0, 1, 2, 1]  # alpha^3 = alpha
+    grades = list(propositions._grades(3, 3, least))
+    assert grades == [g for g in propositions._grades(3, 3, range(4)) if 3 not in g[0::2]]
+    assert list(propositions._grades(3, 6, least))[-4:] == [(2, x1, 2, x2) for x1, x2 in
+                                                          product((0, 1), repeat=2)]
+    assert list(propositions._levels(3, least)) == [(0, 0), (0, 1), (1, 0), (1, 1),
+                                                    (2, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["later", "earlier"])
+@pytest.mark.parametrize("name", ["aff1", "super2"])
+def test_supercommutative_reports_the_first_ordered_pair(name, first, monkeypatch):
+    # break J(a, b) = ±J(b, a) on one pair of basis maps a before b, of one
+    # parity (odd on super2), by changing J(a, b) or J(b, a): the first
+    # failing ordered pair is (a, b)
+    alg = FIXTURES[name]()
+    basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
+    a, b = basis[-2], basis[-1]
+    planted = (a, b) if first else (b, a)
+
+    def fake(d1, d2):
+        value = jordan_product(d1, d2)
+        if (d1, d2) == planted:
+            return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
+        return value
+
+    monkeypatch.setattr(propositions, "jordan_product", fake)
+    claim = check_prop38(alg, 1, samples=0).claim("38.1.supercommutative")
+    assert claim == Claim("38.1.supercommutative", "fail",
+                          witness=((a.xi, b.xi), _mat_witness(fake(a, b).mat)))
 
 
 def test_basis_change_identity_is_trivial():

@@ -19,6 +19,12 @@ could validate it): as they are and as ``<name>~``, transported through
 mixed denominators in the copies.  The same files also go through the
 CLI, whose JSON report renders each witness with ``repr`` and each
 residual entry as a string; those reports are pinned as digests too.
+
+The algebras of ``REPEATING`` have twist powers that repeat in every
+pattern (alpha^2 = id, alpha^2 = alpha, alpha = 0, alpha^4 = id) or not at
+all; their ``props`` and ``decompose`` reports are pinned past kmax 2, at
+kmax 3, and at kmax 4 where d = 2, read from a scratch directory as
+``<name>.json``, with the exit code.
 """
 
 import hashlib
@@ -26,12 +32,21 @@ import pathlib
 import random
 
 import pytest
-from conftest import mixed_change
+from conftest import mixed_change, yau_twist
 
-from nhomlie.algebra import transport, validate
+from nhomlie.algebra import NHomAlgebra, transport, validate
 from nhomlie.cli import main
-from nhomlie.fixtures import CORRUPTED, FIXTURES
+from nhomlie.fixtures import (
+    CORRUPTED,
+    FIXTURES,
+    abelian2,
+    aff1,
+    filippov,
+    homaff1,
+    nonsurjective_abelian2,
+)
 from nhomlie.io import serialize_algebra
+from nhomlie.linalg import Mat
 from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import Kind
 
@@ -291,3 +306,65 @@ def test_cli_validation_report(case, corrupted_dir, monkeypatch, capsys):
     else:
         assert (rc, err) == (1, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_VALIDATION_DIGESTS[case]
+
+
+def _with_alpha(alg, rows):
+    return NHomAlgebra(alg.arity, alg.dim, alg.parity, alg.table_ints, Mat.from_rows(rows))
+
+
+def _signed_filippov3():
+    return yau_twist(filippov(3), [-1, -1, 1, 1])
+
+
+REPEATING = {
+    "filippov3_signs": _signed_filippov3,  # alpha^2 = id
+    "filippov3_signs~": lambda: transport(_signed_filippov3(), random_even_invertible(
+        (0,) * 4, random.Random(TRANSPORT_SEED))),
+    "aff1_idempotent": lambda: _with_alpha(aff1(), [[1, 0], [0, 0]]),  # alpha^2 = alpha
+    "nonsurjective_abelian2": nonsurjective_abelian2,  # alpha = 0
+    "abelian2_rotation": lambda: _with_alpha(abelian2(), [[0, -1], [1, 0]]),  # alpha^4 = id
+    "homaff1": homaff1,  # every power distinct
+}
+
+# "<command><kmax>-<name>": (exit code, SHA-256 of the report)
+REPEATING_DIGESTS = {
+    "decompose3-abelian2_rotation": (0, '32445cbdae5b3e02112053a701b54a7d0224f0c9cb2a78629960a4592084fa41'),
+    "decompose3-aff1_idempotent": (1, 'f4f33c41458282b533b81332b0242cc720c708b1f1e42eaa244f889dd699cf07'),
+    "decompose3-filippov3_signs": (0, 'ca26766d66b62e71541cb8e57c7d9f438ca29252c0684179b79c016f3fc4a8fb'),
+    "decompose3-filippov3_signs~": (0, 'cb1097f20908fbdccb86c37f84f73047fa66f57705fc78a7edf1702c317bc28d'),
+    "decompose3-homaff1": (0, 'da7954ef1a98ca7733cc478fdf9657d85901b20f8358d253795cc94627a2bb93'),
+    "decompose3-nonsurjective_abelian2": (0, 'dc917d2c93178d63740189adebf1579acfc7d1ea135d3e617b0a61d08ba50b8d'),
+    "decompose4-abelian2_rotation": (0, '32445cbdae5b3e02112053a701b54a7d0224f0c9cb2a78629960a4592084fa41'),
+    "decompose4-aff1_idempotent": (1, '488e26f0f9c2053f7b37f1c1836a4adc266a51baafa5e776e905d33da4863ef9'),
+    "decompose4-homaff1": (0, '278c180e8e7dcb0b4cdcebf60727aab9434ac89d93559c624a1822c7cd69a065'),
+    "decompose4-nonsurjective_abelian2": (0, 'dc917d2c93178d63740189adebf1579acfc7d1ea135d3e617b0a61d08ba50b8d'),
+    "props3-abelian2_rotation": (0, '29d121b11acb2c108a8075382a80a52e33ad897e75fab41a08572f770ab9cc84'),
+    "props3-aff1_idempotent": (0, 'bc21214934d8a2e737545f1b1b7dca2a8e40eec15395eb4d1e45a45b1f5d7a2c'),
+    "props3-filippov3_signs": (0, '478e9bee1a9646586fdd3557d9084a31cdf461e3adcdcabc2058c28ff86b226c'),
+    "props3-filippov3_signs~": (0, '0b187c5da8a84e00702495cd88e815dc4d08da8762000de96f537dc8c3a99bfc'),
+    "props3-homaff1": (0, '4ad33f141e2bb73821c4c676903a47940b2e9c996c537a764ac5c488038edf5e'),
+    "props3-nonsurjective_abelian2": (0, '62b15639d35baa1e9822da2a1d77f1f0745cb8aa169ca94b80fb76827e432cad'),
+    "props4-abelian2_rotation": (0, '5ea5c4c379a00e4ef1b7828468eedc281bc42e11f335492341f68bd942aef30a'),
+    "props4-aff1_idempotent": (0, '9f9ddc588412751ae57c699b6b90576afcd406c5facd5cde605baafd16dc6d04'),
+    "props4-homaff1": (0, '5ed17e9bdb6d72310df2cbd7985e8368b8aca4eb604c9bae8a540bef2d45993f'),
+    "props4-nonsurjective_abelian2": (0, '935997514c4d83e2116f5a9d0129efd8ca2247161b4ef1e12ece0923c86c7663'),
+}
+
+
+@pytest.fixture(scope="module")
+def repeating_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("repeating")
+    for name, make in REPEATING.items():
+        alg = make()
+        assert validate(alg).all_ok
+        (out / f"{name}.json").write_text(serialize_algebra(alg), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(REPEATING_DIGESTS))
+def test_repeating_powers_report_digest(case, repeating_dir, monkeypatch, capsys):
+    command, name = case.split("-", 1)
+    monkeypatch.chdir(repeating_dir)
+    rc = main([command[:-1], "--kmax", command[-1], f"{name}.json"])
+    text = capsys.readouterr().out
+    assert (rc, hashlib.sha256(text.encode("utf-8")).hexdigest()) == REPEATING_DIGESTS[case]
