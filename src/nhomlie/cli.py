@@ -34,6 +34,7 @@ from .io import (
     validation_doc,
 )
 from .propositions import (
+    SEED,
     check_prop31,
     check_prop32,
     check_prop33,
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="machine-check the structural propositions")
     common(p)
     p.add_argument("--kmax", type=nonnegative_int, default=2)
-    p.add_argument("--seed", type=int, default=20260811,
+    p.add_argument("--seed", type=int, default=SEED,
                    help="seed for the sampled identity checks")
     p.set_defaults(func=_cmd_props)
 

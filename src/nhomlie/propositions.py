@@ -59,6 +59,8 @@ from .solver import (
     supercommutator,
 )
 
+SEED = 20260811  # seeds every sampled check: 3.8's quadruples, 4.2's witness noise
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -419,7 +421,7 @@ def hom_jordan_walk(alg: NHomAlgebra, quads, jordan):
 
 
 def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
-                 seed: int = 20260811) -> PropReport:
+                 seed: int = SEED) -> PropReport:
     """The half-anticommutator turns the commutant into a Hom-Jordan structure.
 
     The residual is 4-linear, so up to 10^4 basis quadruples, walked one

@@ -5,13 +5,15 @@ import pathlib
 import random
 
 import pytest
-from conftest import apply, basis_value, flatten, unit_vector, vectors
+from conftest import apply, basis_value, flatten, unit_vector, vectors, yau_twist
 
 from nhomlie import extension
 from nhomlie.algebra import bracket, center, derived_subspace, is_homogeneous, transport, validate
 from nhomlie.cli import main
 from nhomlie.extension import build_check, check_prop42, check_prop43, phi
-from nhomlie.fixtures import FIXTURES, abelian2, aff1, corrupt_jacobi, super2, threeLie4
+from nhomlie.fixtures import (
+    FIXTURES, abelian2, aff1, corrupt_jacobi, filippov, homaff1, super2, threeLie4,
+)
 from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, extend_to_complement, rref, vector
 from nhomlie.propositions import _mat_witness, random_even_invertible
 from nhomlie.solver import GradedEndo, Kind, omega, solve
@@ -184,13 +186,36 @@ class TestProp42:
             return (k, xi) not in {(1, 0), (2, 0)} and real(alg, kind, k, xi, endo)
 
         monkeypatch.setattr(extension, "in_space", fake)
-        alg = aff1()
+        # homaff1's twist powers are all distinct, so the walk reaches k = 1 and 2
+        alg = homaff1()
         report = check_prop42(alg, 2)
         claim = report.claim("42.3.image_in_Der")
         assert claim.status == "fail"
         qd = solve(alg, Kind.QDER, 1, 0)
         first = phi(build_check(alg), qd.basis[0], qd.witnesses[0], 1)
         assert claim.witness == ((1, 0), _mat_witness(first.mat))
+
+
+@pytest.mark.parametrize("make, calls", [
+    (threeLie4, {0: 32, 2: 32}),  # alpha = id
+    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), {1: 32, 3: 32}),  # alpha^2 = id
+    (homaff1, {0: 6, 2: 18}),  # every power distinct
+], ids=["threeLie4", "filippov3_signs", "homaff1"])
+def test_decompose_embeds_each_twist_power_once(make, calls, monkeypatch):
+    counted = []
+    real = extension.phi
+
+    def counting(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extension, "phi", counting)
+    for kmax, want in calls.items():
+        counted.clear()
+        alg = make()
+        check_prop42(alg, kmax)
+        check_prop43(alg, kmax)
+        assert len(counted) == want, kmax
 
 
 class TestProp43:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import is_subspace_of, yau_twist
 
 from nhomlie import solver
-from nhomlie.algebra import NHomAlgebra, opened_tensor, validate
+from nhomlie.algebra import NHomAlgebra, center, opened_tensor, validate
 from nhomlie.extension import build_check, phi
 from nhomlie.fixtures import (
     FIXTURES,
@@ -218,6 +219,28 @@ def test_equal_alpha_powers_share_one_object(build, k, j):
     for kind in Kind:
         for xi in (0, 1):
             assert solve(alg, kind, k, xi) is solve(alg, kind, j, xi)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_filippov_closed_forms(n):
+    # A_{n+1}: Der = so(n+1), C = QC = scalars, QDer = GDer = gl(n+1), no center
+    alg = filippov(n)
+    d = n + 1
+    want = {Kind.DER: n * (n + 1) // 2, Kind.ZDER: 0, Kind.C: 1, Kind.QC: 1,
+            Kind.QDER: d * d, Kind.GDER: d * d}
+    for kind, dim in want.items():
+        assert (solve(alg, kind, 0, 0).dim, solve(alg, kind, 0, 1).dim) == (dim, 0), kind
+    assert omega(alg, 1).dim == 0
+    assert [z.dim for z in center(alg)] == [0, 0]
+    # every D is a quasiderivation with witness tr(D) I - D^T (the
+    # generalized cross product), whichever the sign of the bracket
+    negated = NHomAlgebra(n, d, alg.parity, {key: [-x for x in value]
+                                             for key, value in alg.table.items()}, alg.alpha)
+    for i, j in itertools.product(range(d), repeat=2):
+        e_ij = Mat.from_rows([[int((r, c) == (i, j)) for c in range(d)] for r in range(d)])
+        witness = Mat.identity(d).scale(int(i == j)) - e_ij.transpose()
+        for signed in (alg, negated):
+            assert qder_identity_holds(signed, 0, 0, GradedEndo(e_ij, 0), witness), (i, j)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["threeLie4^ext"])
