@@ -450,7 +450,13 @@ class ValidationReport:
 
 
 def validate(alg: NHomAlgebra) -> ValidationReport:
-    """Check all defining axioms on basis tuples, collecting witnesses."""
+    """Check all defining axioms on basis tuples, collecting witnesses.
+
+    Cached on ``alg``.  The multiplicativity failures are those of
+    :func:`multiplicative_failures`, one cached evaluation that the solver
+    reads too, so neither evaluates the axiom twice and they cannot
+    disagree.
+    """
     return alg.cached("validate", lambda: _validate(alg))
 
 
@@ -481,7 +487,6 @@ def _validate(alg: NHomAlgebra) -> ValidationReport:
     even_alpha_ok = not odd
 
     tden = alg.tensor[1]
-    alpha_cols = sparse_columns(alg.alpha)[0]
 
     # The tensor needs no sign check.  Each entry is a stored value times
     # the sign that sorts its tuple: the product of -(-1)^{pq} over its
@@ -492,17 +497,10 @@ def _validate(alg: NHomAlgebra) -> ValidationReport:
     # are absent, as are their swaps; a stored key of that kind is the skew
     # failure recorded above.
 
-    # Multiplicativity on canonical tuples (extends multilinearly): alpha's
-    # slot-0 term with alpha in the other slots, [alpha e_t], against
-    # W = alpha, both over tden aden^(n+1), on the weakly increasing t
-    # only, in combinations_with_replacement order.
-    multiplicative_ok = True
-    alpha_rows = sparse_rows(alg.alpha)[0]
-    for t, lhs, rhs in identity_failures(alg, 1, 0, alpha_rows, aden, {0: 1}, alpha_cols, aden,
-                                         increasing=True):
-        multiplicative_ok = False
-        failures.append(ValidationFailure(
-            "multiplicative", t, _residual(lhs, rhs, tden * aden ** (n + 1))))
+    # multiplicativity: the one cached evaluation the solver also reads
+    multiplicative = multiplicative_failures(alg)
+    failures += multiplicative
+    multiplicative_ok = not multiplicative
 
     # Twisted Jacobi identity on the pairs (xs, ys) of basis tuples, as a
     # map identity; see _jacobi_failures.  When the table is graded-skew
@@ -524,6 +522,30 @@ def _validate(alg: NHomAlgebra) -> ValidationReport:
 
     return ValidationReport(skew_ok, jacobi_ok, multiplicative_ok,
                             even_alpha_ok, degree_ok, tuple(failures))
+
+
+def multiplicative_failures(alg: NHomAlgebra) -> tuple[ValidationFailure, ...]:
+    """The failures of alpha [e_t] = [alpha e_{t_0}, .., alpha e_{t_{n-1}}], cached.
+
+    Decided on the weakly increasing t only, in
+    combinations_with_replacement order: alpha's slot-0 term with alpha in
+    the other slots, [alpha e_t], against W = alpha, both over
+    tden aden^(n+1).  The tensor is graded-skew, so when alpha is even both
+    sides are graded-skew in t with the same signs, and no failure on the
+    other orderings goes unseen.  :func:`validate` and the solver's
+    alpha^k scaling read this one evaluation.
+    """
+    return alg.cached("multiplicative", lambda: tuple(_multiplicative_failures(alg)))
+
+
+def _multiplicative_failures(alg: NHomAlgebra):
+    tden = alg.tensor[1]
+    alpha_rows, aden = sparse_rows(alg.alpha)
+    alpha_cols = sparse_columns(alg.alpha)[0]
+    for t, lhs, rhs in identity_failures(alg, 1, 0, alpha_rows, aden, {0: 1}, alpha_cols, aden,
+                                         increasing=True):
+        yield ValidationFailure("multiplicative", t,
+                                _residual(lhs, rhs, tden * aden ** (alg.arity + 1)))
 
 
 def _jacobi_failures(alg: NHomAlgebra, canonical: bool):

@@ -12,8 +12,9 @@ linear system over the entries of one or more unknown matrices:
 * ``GDer``:  one independent witness per slot plus a right-hand witness.
 
 Unknown matrices are restricted to the homogeneity pattern of parity xi
-and vectorized column-major, blocks in definition order.  Each space is
-read off one pass over its rows: :func:`~nhomlie.linalg.kernel` keeps one
+and vectorized column-major, blocks in definition order.  A space that
+is not alpha^k times the one at k = 0 (see below) is read off one pass
+over its rows: :func:`~nhomlie.linalg.kernel` keeps one
 integer kernel vector per free column, stops reading rows once none is
 free, and returns the joint solution space of all blocks as primitive
 integer rows, each a vector of its reduced row-echelon basis times the
@@ -28,6 +29,21 @@ blocks are the canonical basis of the witnesses of the zero map, kept as
 the space's ``slack``: the freedom in every basis element's witness.  For
 ``QDer`` these are the maps that commute with alpha and kill every
 bracket, whatever k is.
+
+When alpha is even, invertible and multiplicative, a space at a power k
+whose alpha^k is not the identity is not solved from its own rows: it is
+alpha^k times the space at k = 0, witness blocks included (the
+alpha^k-derivations of Sheng, "Representations of Hom-Lie algebras",
+Algebr. Represent. Theory 15 (2012)).  Multiplicativity moves alpha^k out
+of every slot, so each equation on the blocks alpha^k B_b is alpha^k times
+the same equation at k = 0 on the B_b; cancel the invertible alpha^k.  Each
+joint row at 0, a basis element with its witnesses or a slack row with its
+zero leading block, is mapped blockwise by alpha^k and brought to canonical
+form by :func:`~nhomlie.linalg._grown`.  That form is unique, so basis,
+witnesses and slack are those the rows at k would give.  The gate reads
+alpha's evenness, its rank and the one cached multiplicativity evaluation
+that :func:`~nhomlie.algebra.validate` reports, never the Jacobi identity;
+an input that fails it, and every solve at k = 0, reads its rows.
 
 ``_EQUATIONS`` is the one description of these identities, with each
 equation's tuple symmetry: the slot from which a basis tuple may be sorted
@@ -63,13 +79,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import combinations_with_replacement, product
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     NHomAlgebra,
     apply_ints,
     identity_failures,
+    is_alpha_surjective,
     is_homogeneous,
+    multiplicative_failures,
     opened_tensor,
     sparse_columns,
     sparse_rows,
@@ -329,7 +348,15 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
 
     The space depends on k only through alpha^k (Omega not at all), so it
     is cached on ``alg`` under alpha^k, and twist powers with equal alpha^k
-    return the same object.
+    return the same object.  When alpha is even, invertible and
+    multiplicative (:func:`_scales`), the space at an alpha^k other than
+    the identity is alpha^k times the space at k = 0, witnesses and slack
+    included, and is read off that one instead of its own rows:
+    multiplicativity moves alpha^k out of every slot,
+    [alpha^k x_0, .., alpha^k B x_s, ..] = alpha^k [x_0, .., B x_s, ..],
+    so each equation on the blocks alpha^k B_b is alpha^k times the
+    equation at k = 0 on the B_b, and alpha^k B commutes with alpha iff B
+    does; cancel the invertible alpha^k.
     """
     kind = Kind(kind)
     if k < 0:
@@ -341,20 +368,63 @@ def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
 
 
 def _solve_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> EndoSubspace:
-    d = alg.dim
+    power = alg.alpha_power(k)
+    # the identity is the k = 0 key, whose entry is the one being built
+    if not power.is_identity() and _scales(alg):
+        nblocks = _EQUATIONS[kind](alg.arity)[0]
+        pos = allowed_positions(alg.parity, xi)
+        rows = _grown(nblocks * len(pos), [], [],
+                      _scaled_rows(solve(alg, kind, 0, xi), power, pos)).rows
+        return _space(alg.dim, kind, xi, pos, nblocks, rows)
     # the tuple symmetry of _rows needs an even alpha; an input that breaks
     # that axiom (solve does not validate) is solved over every tuple
     rows, nblocks, pos = _rows(alg, kind, k, xi,
                                reduced=is_homogeneous(alg.parity, 0, alg.alpha))
+    return _space(alg.dim, kind, xi, pos, nblocks, kernel(rows, nblocks * len(pos)))
+
+
+def _scales(alg: NHomAlgebra) -> bool:
+    """True when alpha is even, invertible and multiplicative, so that
+    :func:`solve` may scale the spaces at k = 0.
+
+    Evenness keeps alpha^k B of B's parity and lets
+    :func:`~nhomlie.algebra.multiplicative_failures` decide the axiom on
+    weakly increasing tuples; that evaluation is cached and shared with
+    :func:`~nhomlie.algebra.validate`, and the Jacobi identity is not read.
+    """
+    return (is_homogeneous(alg.parity, 0, alg.alpha) and is_alpha_surjective(alg)
+            and not multiplicative_failures(alg))
+
+
+def _scaled_rows(space: EndoSubspace, power: Mat, pos):
+    """The joint rows of ``space``, each block mapped by ``power``, as integer rows.
+
+    A basis element's row is the element and its witness blocks; a slack
+    row is a zero leading block and the slack's blocks.
+    """
+    # QDer holds one witness matrix per row, GDer a tuple, one-block kinds none
+    trailing = (lambda w: (w,)) if space.kind is Kind.QDER else tuple
+    zero = Mat.zero(power.rows, power.cols)
+    joint = [*zip((g.mat for g in space.basis), space.witnesses or ((),) * space.dim),
+             *((zero, w) for w in space.slack)]
+    for lead, witness in joint:
+        mats = [power @ b for b in (lead, *trailing(witness))]
+        den = lcm(*(m.ints[1] for m in mats))
+        yield [m.ints[0][r][c] * (den // m.ints[1]) for m in mats for r, c in pos]
+
+
+def _space(d: int, kind: Kind, xi: int, pos, nblocks: int, rows) -> EndoSubspace:
+    """The space read off the canonical rows of its joint solution space.
+
+    The joint RREF has the leading block first: rows pivoted inside the
+    leading block restrict to the canonical basis of its projection, and
+    their trailing blocks are the minimal-echelon witness representatives;
+    rows pivoted later have zero leading part, and their trailing blocks
+    are the canonical basis of the slack.
+    """
     npos = len(pos)
-    width = nblocks * npos
-    # RREF the joint solution space with the leading block first: rows
-    # pivoted inside the leading block restrict to the canonical basis of
-    # its projection, and their trailing blocks are the minimal-echelon
-    # witness representatives; rows pivoted later have zero leading part,
-    # and their trailing blocks are the canonical basis of the slack.
     basis, witnesses, slack = [], [], []
-    for row in kernel(rows, width):
+    for row in rows:
         lead = next(x for x in row if x)
         blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos], lead)
                        for b in range(1, nblocks))

@@ -3,24 +3,37 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from conftest import is_subspace_of, yau_twist
+from hypothesis import example, given, settings
 
 from nhomlie import solver
-from nhomlie.algebra import NHomAlgebra, center, opened_tensor, validate
+from nhomlie.algebra import (
+    NHomAlgebra,
+    center,
+    invert,
+    is_alpha_surjective,
+    opened_tensor,
+    transport,
+    validate,
+)
 from nhomlie.extension import build_check, phi
 from nhomlie.fixtures import (
     FIXTURES,
     abelian2,
     aff1,
+    corrupt_multiplicative,
     filippov,
     homaff1,
     nonsurjective_abelian2,
     super2,
     threeLie4,
 )
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains, kernel
+from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import (
+    TUPLE_KINDS,
     GradedEndo,
     Kind,
     allowed_positions,
@@ -447,3 +460,155 @@ def test_a_graded_endo_stores_the_hash_of_its_value():
     # the stored hash is no field: equality and repr read the value alone
     assert [f.name for f in dataclasses.fields(GradedEndo)] == ["mat", "xi"]
     assert repr(a) == repr(GradedEndo(m, 1)) and a == GradedEndo(m, 1)
+
+
+def osp12():
+    """osp(1|2) on (h, e, f | x, y) with alpha = id."""
+    terms = {
+        (0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1},
+        (0, 3): {3: 1}, (0, 4): {4: -1}, (1, 4): {3: -1}, (2, 3): {4: -1},
+        (3, 3): {1: 2}, (3, 4): {0: 1}, (4, 4): {2: -2},
+    }
+    table = {args: [value.get(i, 0) for i in range(5)] for args, value in terms.items()}
+    return NHomAlgebra(2, 5, (0, 0, 0, 1, 1), table, Mat.identity(5), name="osp12")
+
+
+def osp12_torus(c):
+    """The diagonal automorphism of osp(1|2) with eigenvalue c on x."""
+    c = F(c)
+    return [1, c * c, 1 / (c * c), c, 1 / c]
+
+
+def osp12yau():
+    return yau_twist(osp12(), osp12_torus(2))
+
+
+@pytest.mark.parametrize("build, dims", [
+    (osp12, {Kind.OMEGA: (13, 12), Kind.DER: (3, 2), Kind.ZDER: (0, 0), Kind.C: (1, 0),
+             Kind.QC: (1, 0), Kind.QDER: (4, 2), Kind.GDER: (4, 2)}),
+    (osp12yau, {Kind.OMEGA: (5, 0), Kind.DER: (1, 0), Kind.ZDER: (0, 0), Kind.C: (1, 0),
+                Kind.QC: (1, 0), Kind.QDER: (2, 0), Kind.GDER: (2, 0)}),
+], ids=["osp12", "osp12yau"])
+def test_osp12_dims(build, dims):
+    # odd maps meet odd arguments here: a prefix sign in _rows that ignored
+    # the parity of the map would give osp(1|2) Der 1|2 and C 0|0
+    alg = build()
+    for kind, want in dims.items():
+        for k in range(3):
+            assert (solve(alg, kind, k, 0).dim, solve(alg, kind, k, 1).dim) == want, (kind, k)
+
+
+def solve_from_rows(alg, kind, k, xi):
+    """The space at k from its own rows and ``kernel``, as k = 0 is solved."""
+    rows, nblocks, pos = solver._rows(alg, kind, k, xi)
+    return solver._space(alg.dim, kind, xi, pos, nblocks, kernel(rows, nblocks * len(pos)))
+
+
+# Yau twists by diagonal automorphisms, for a drawn nonzero c; threeLie4's
+# only ones are signs, so its twist has alpha^2 = id
+AUTOMORPHISMS = {
+    "abelian2": (abelian2, lambda c: [c, 1 - c]),
+    "aff1": (aff1, lambda c: [1, c]),
+    "super2": (super2, lambda c: [1, c]),
+    "threeLie4": (threeLie4, lambda c: [-1, -1, 1, 1]),
+    "osp12": (osp12, osp12_torus),
+}
+
+
+@st.composite
+def scaled_twists(draw):
+    """A Yau twist of a fixture or of osp(1|2), or a ``transport`` copy of one."""
+    build, diag = AUTOMORPHISMS[draw(st.sampled_from(sorted(AUTOMORPHISMS)))]
+    c = draw(st.sampled_from([2, -1, 3, F(1, 2), -2, F(-2, 3)]))
+    alg = yau_twist(build(), diag(c))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 9)))
+        alg = transport(alg, random_even_invertible(alg.parity, rng))
+    return alg
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@settings(max_examples=20)
+@given(alg=scaled_twists())
+@example(alg=transport(osp12yau(), random_even_invertible(osp12().parity, random.Random(0))))
+@example(alg=transport(yau_twist(threeLie4(), [-1, -1, 1, 1]),
+                       random_even_invertible((0,) * 4, random.Random(1))))
+def test_scaled_spaces_are_the_spaces_solved_from_rows(kind, alg):
+    # alpha^k times the space at 0, canonicalized, is the kernel's output
+    # at k: basis, witnesses and slack alike
+    assert validate(alg).all_ok and solver._scales(alg)
+    for k in range(4):
+        for xi in (0, 1):
+            assert solve(alg, kind, k, xi) == solve_from_rows(alg, kind, k, xi), (k, xi)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    real = solver.kernel
+    monkeypatch.setattr(solver, "kernel",
+                        lambda rows, width: calls.append(width) or real(rows, width))
+    return calls
+
+
+def distinct_powers(alg, kmax=3):
+    return len({alg.alpha_power(k) for k in range(kmax + 1)})
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("build", [homaff1, osp12yau], ids=["homaff1", "osp12yau"])
+def test_scaled_algebras_run_kernel_once_per_parity(build, kind, kernel_calls):
+    alg = build()
+    assert distinct_powers(alg) == 4
+    for k in range(4):
+        for xi in (0, 1):
+            solve(alg, kind, k, xi)
+    assert len(kernel_calls) == 2
+
+
+def odd_alpha_draw(seed):
+    """An abelian algebra (so multiplicative) with an odd, invertible alpha."""
+    rng = random.Random(seed)
+    parity = (0, 1, 1)
+    while True:
+        alpha = Mat.from_rows([[rng.randint(-2, 2) for _ in parity] for _ in parity])
+        try:
+            invert(alpha)
+        except ValueError:
+            continue
+        alg = NHomAlgebra(2, 3, parity, {}, alpha)
+        if not validate(alg).even_alpha_ok and distinct_powers(alg) == 4:
+            return alg
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("build", [corrupt_multiplicative, lambda: odd_alpha_draw(0),
+                                   lambda: odd_alpha_draw(1), nonsurjective_abelian2],
+                         ids=["not multiplicative", "odd alpha 0", "odd alpha 1", "alpha = 0"])
+def test_unscaled_algebras_solve_each_power_from_its_rows(build, kind, kernel_calls):
+    alg = build()
+    report = validate(alg)
+    # each input breaks exactly one of the gate's three conditions
+    assert [report.multiplicative_ok, report.even_alpha_ok,
+            is_alpha_surjective(alg)].count(False) == 1
+    assert not solver._scales(alg)
+    for k in range(4):
+        for xi in (0, 1):
+            assert solve(alg, kind, k, xi) == solve_from_rows(alg, kind, k, xi)
+    assert len(kernel_calls) == 2 * distinct_powers(alg)
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+def test_an_identity_power_is_never_scaled(kind, kernel_calls, monkeypatch):
+    # the sign twist of A_4 has alpha^2 = id: k = 2 is the k = 0 entry,
+    # solved from its rows even when it is asked for first
+    alg = yau_twist(filippov(3), [-1, -1, 1, 1])
+    scaled = []
+    real = solver._scaled_rows
+    monkeypatch.setattr(solver, "_scaled_rows", lambda *args: scaled.append(args) or real(*args))
+    for xi in (0, 1):
+        assert solve(alg, kind, 2, xi) is solve(alg, kind, 0, xi)
+    assert (len(kernel_calls), len(scaled)) == (2, 0)
+    for xi in (0, 1):
+        assert solve(alg, kind, 3, xi) is solve(alg, kind, 1, xi)
+    assert (len(kernel_calls), len(scaled)) == (2, 2)
