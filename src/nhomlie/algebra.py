@@ -47,13 +47,16 @@ the arguments and value of :func:`bracket`, and in a validation
 failure's residual.
 
 The constructor only enforces the structural shape (canonical keys, index
-ranges, lengths); the mathematical axioms, including the twisted Jacobi
-identity, are checked by :func:`validate` so that deliberately broken
-inputs can be constructed and reported on.
+ranges, lengths, and for an integer table a positive denominator and
+values in the stored form); the mathematical axioms, including the
+twisted Jacobi identity, are checked by :func:`validate` so that
+deliberately broken inputs can be constructed and reported on.
 
 Every object derived from an algebra is kept by :meth:`NHomAlgebra.cached`
-under the values it depends on; one at twist power k depends on k only
-through alpha^k, so powers with equal alpha^k share one object.
+under the values it depends on, from the structure tensor, the twist
+powers alpha^k and the ``Fraction`` view of the table on; one at twist
+power k depends on k only through alpha^k, so powers with equal alpha^k
+share one object.
 """
 
 from __future__ import annotations
@@ -126,10 +129,11 @@ class NHomAlgebra:
     key with a nonzero bracket maps to its value as sparse integer numerators
     over ``den``, the lcm of the values' denominators.  The constructor takes
     a table of rational vectors, or a pair of that form over any denominator.
+    The tensor, the twist powers, the ``Fraction`` view and every other
+    derived object are kept by :meth:`cached`, the algebra's one store.
     """
 
-    __slots__ = ("arity", "dim", "parity", "table_ints", "alpha", "name",
-                 "_table", "_alpha_pows", "_tensor", "_cache")
+    __slots__ = ("arity", "dim", "parity", "table_ints", "alpha", "name", "_cache")
 
     def __init__(self, arity: int, dim: int, parity: Sequence[int],
                  table: Mapping[Sequence[int], Sequence] | tuple[Mapping, int],
@@ -144,6 +148,8 @@ class NHomAlgebra:
         if (alpha.rows, alpha.cols) != (dim, dim):
             raise ValueError("alpha must be a dim x dim matrix")
         table, den = table if isinstance(table, tuple) else (table, None)
+        if den is not None and (type(den) is not int or den < 1):
+            raise ValueError(f"table denominator must be a positive int, got {den!r}")
         canon = {}
         for key, value in table.items():
             key = tuple(int(i) for i in key)
@@ -157,11 +163,11 @@ class NHomAlgebra:
                 value = vector(value)
                 if len(value) != dim:
                     raise ValueError(f"bracket value for {key} has wrong length")
+            else:
+                _check_sparse(key, value, dim)
             if any(value):
                 canon[key] = value
-        self._table = None
-        if den is None:  # rational values: they are the Fraction view
-            self._table = canon
+        if den is None:  # rational values: numerators over their lcm
             den = lcm(1, *(x.denominator for vec in canon.values() for x in vec))
             canon = {key: tuple((j, x.numerator * (den // x.denominator))
                                 for j, x in enumerate(vec) if x) for key, vec in canon.items()}
@@ -173,8 +179,6 @@ class NHomAlgebra:
                            if g > 1 else canon, den // g)
         self.alpha = alpha
         self.name = name
-        self._alpha_pows: dict[int, Mat] = {0: Mat.identity(dim)}
-        self._tensor: tuple[dict[tuple[int, ...], SparseInts], int] | None = None
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -188,10 +192,9 @@ class NHomAlgebra:
     @property
     def table(self) -> dict[tuple[int, ...], Vector]:
         """The bracket values as ``Fraction`` vectors, built on first read."""
-        if self._table is None:
-            values, den = self.table_ints
-            self._table = {key: _fractions(ints, den, self.dim) for key, ints in values.items()}
-        return self._table
+        values, den = self.table_ints
+        return self.cached("table", lambda: {
+            key: _fractions(ints, den, self.dim) for key, ints in values.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NHomAlgebra):
@@ -222,7 +225,7 @@ class NHomAlgebra:
         :func:`canonicalize_tuple` gives them; those with sign 0 (a repeated
         even index) are left out.
         """
-        if self._tensor is None:
+        def build():
             table, den = self.table_ints
             values = {}
             for key, ints in table.items():
@@ -230,20 +233,27 @@ class NHomAlgebra:
                     sign = canonicalize_tuple(t, self.parity)[1]
                     if sign:
                         values[t] = ints if sign == 1 else tuple((j, -x) for j, x in ints)
-            self._tensor = (dict(sorted(values.items())), den)
-        return self._tensor
+            return dict(sorted(values.items())), den
+        return self.cached("tensor", build)
 
     def alpha_power(self, k: int) -> Mat:
+        """alpha^k; a missing power is built as alpha^(k//2) alpha^(k - k//2),
+        from powers kept in the store, so about log2(k) calls deep."""
         if k < 0:
             raise ValueError("alpha power must be nonnegative")
-        pows = self._alpha_pows
-        if k not in pows:
-            high = max(pows)
-            acc = pows[high]
-            for i in range(high + 1, k + 1):
-                acc = acc @ self.alpha
-                pows[i] = acc
-        return pows[k]
+        return self.cached(("alpha_power", k), lambda: (
+            self.alpha if k == 1 else Mat.identity(self.dim) if k == 0
+            else self.alpha_power(k // 2) @ self.alpha_power(k - k // 2)))
+
+
+def _check_sparse(key: tuple[int, ...], value, dim: int) -> None:
+    """Reject a sparse integer value that is not in the stored form."""
+    idxs = [j for j, _ in value]
+    if any(type(j) is not int or not 0 <= j < dim for j in idxs) or \
+            any(a >= b for a, b in zip(idxs, idxs[1:])):
+        raise ValueError(f"bracket value for {key} needs int indices in range, strictly increasing")
+    if any(type(x) is not int or not x for _, x in value):
+        raise ValueError(f"bracket value for {key} needs nonzero int coefficients")
 
 
 def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:

@@ -26,7 +26,6 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     linear_combination,
-    subspace_intersect,
     subspace_sum,
     extend_to_complement,
 )
@@ -147,6 +146,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     flattened column-major, the solver's order, so the solved spaces embed
     with no elimination (:meth:`EndoSubspace.as_subspace`).
     """
+    least = _least_powers(alg, kmax)
     z_even, z_odd = center(alg)
     if z_even.dim or z_odd.dim:
         claims = [
@@ -169,7 +169,6 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
     bad = None
     dims = {}
-    least = _least_powers(alg, kmax)
     for k, xi in _levels(kmax, least):
         qd = solve(alg, Kind.QDER, k, xi)
         images = [phi(text, g, w, k).mat.vec_ints() for g, w in zip(qd.basis, qd.witnesses)]
@@ -177,10 +176,13 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)
         c_sub = solve(ext, Kind.DER, k, xi).as_subspace(d2)
         dims[k, xi] = f"{a_sub.dim}+{b_sub.dim}={c_sub.dim}"
-        if bad is None and subspace_intersect(a_sub, b_sub).dim != 0:
-            bad = ((k, xi), "intersection is nonzero")
-        elif bad is None and subspace_sum(a_sub, b_sub) != c_sub:
-            bad = ((k, xi), "sum does not exhaust the derivation space")
+        if bad is None:
+            # A meets B in zero exactly when dim(A + B) = dim A + dim B
+            both = subspace_sum(a_sub, b_sub)
+            if both.dim < a_sub.dim + b_sub.dim:
+                bad = ((k, xi), "intersection is nonzero")
+            elif both != c_sub:
+                bad = ((k, xi), "sum does not exhaust the derivation space")
     claims.append(Claim("43.direct_sum", "fail" if bad else "pass",
                         detail="; ".join(f"k={k} xi={xi}: {dims[least[k], xi]}"
                                          for k in range(kmax + 1) for xi in (0, 1)),

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -437,6 +438,59 @@ class TestConstructor:
         alg = NHomAlgebra(2, 2, (0, 0), {(0, 1): (0, 0)}, Mat.identity(2))
         assert alg.table == {}
 
+    @pytest.mark.parametrize("table, message", [
+        (({(0, 1): ((1, 1),)}, -1), "table denominator must be a positive int, got -1"),
+        (({(0, 1): ((1, 1),)}, 0), "table denominator must be a positive int, got 0"),
+        (({(0, 1): ((1, 1),)}, F(1)), "table denominator must be a positive int, got Fraction"),
+        (({(0, 1): ((1, 1), (1, 2))}, 3), "(0, 1) needs int indices in range, strictly increasing"),
+        (({(0, 1): ((1, 1), (0, 2))}, 3), "(0, 1) needs int indices in range, strictly increasing"),
+        (({(0, 1): ((2, 1),)}, 3), "(0, 1) needs int indices in range, strictly increasing"),
+        (({(0, 1): ((-1, 1),)}, 3), "(0, 1) needs int indices in range, strictly increasing"),
+        (({(0, 1): ((F(1), 1),)}, 3), "(0, 1) needs int indices in range, strictly increasing"),
+        (({(0, 1): ((1, 0),)}, 3), "(0, 1) needs nonzero int coefficients"),
+        (({(0, 1): ((1, F(1, 2)),)}, 3), "(0, 1) needs nonzero int coefficients"),
+    ], ids=["den_negative", "den_zero", "den_fraction", "index_repeated", "index_decreasing",
+            "index_past_dim", "index_negative", "index_fraction", "coeff_zero", "coeff_fraction"])
+    def test_integer_table_is_checked(self, table, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NHomAlgebra(2, 2, (0, 0), table, Mat.identity(2))
+
+
+class TestStore:
+    def test_slots_are_the_inputs_and_the_store(self):
+        assert NHomAlgebra.__slots__ == ("arity", "dim", "parity", "table_ints", "alpha", "name",
+                                         "_cache")
+
+    def test_tensor_powers_and_view_are_read_through_the_store(self, monkeypatch):
+        keys = []
+        real = NHomAlgebra.cached
+        monkeypatch.setattr(NHomAlgebra, "cached",
+                            lambda alg, key, build: keys.append(key) or real(alg, key, build))
+        alg = homaff1()
+        for read in (lambda: alg.tensor, lambda: alg.alpha_power(3), lambda: alg.table):
+            keys.clear()
+            first = read()
+            assert keys, "built outside the store"
+            keys.clear()
+            assert read() is first
+            assert len(keys) == 1  # a hit is one store lookup
+        assert alg.alpha_power(3) == Mat.from_rows([[1, 0], [0, 8]])
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_table_view_is_the_rational_table_given(self, name, monkeypatch):
+        given = []
+        real = NHomAlgebra.__init__
+
+        def recording(alg, arity, dim, parity, table, *args, **kwargs):
+            given.append(table)
+            real(alg, arity, dim, parity, table, *args, **kwargs)
+
+        monkeypatch.setattr(NHomAlgebra, "__init__", recording)
+        alg = FIXTURES[name]()
+        (table,) = given
+        assert alg.table == {tuple(key): vector(value) for key, value in table.items()
+                             if any(value)}
+
 
 class TestCenterAndDerived:
     def test_abelian_center_is_everything(self):
@@ -478,6 +532,11 @@ class TestAlphaPower:
 
     def test_identity_alpha_stays_identity(self):
         assert aff1().alpha_power(5) == Mat.identity(2)
+
+    def test_high_powers_are_built_from_halves(self):
+        # built from alpha^(k//2) and alpha^(k - k//2), not k calls deep
+        assert aff1().alpha_power(5000) == Mat.identity(2)
+        assert homaff1().alpha_power(3000) == Mat(2, 2, (((1, 0), (0, 2 ** 3000)), 1))
 
     def test_surjectivity(self):
         assert is_alpha_surjective(aff1())

@@ -179,6 +179,51 @@ class TestProp42:
         assert check_prop42(super2(), 1).passed
 
 
+    def test_parity_witness_is_the_first_failing_grade(self, monkeypatch):
+        alg = homaff1()
+        text = build_check(alg)
+        qd = solve(alg, Kind.QDER, 1, 0)
+        # the first image at k = 1 is diag(1, 0, 0, 2), an image at no other grade
+        planted = phi(text, qd.basis[0], qd.witnesses[0], 1).mat
+        real = extension.is_homogeneous
+        monkeypatch.setattr(extension, "is_homogeneous",
+                            lambda parity, xi, mat: mat != planted and real(parity, xi, mat))
+        claim = check_prop42(alg, 2).claim("42.1.parity_preserving")
+        assert claim.status == "fail"
+        assert claim.witness == ((1, 0), _mat_witness(planted))
+
+    def test_injective_witness_is_the_first_failing_grade(self, monkeypatch):
+        real = extension.phi
+
+        def collapsing(text, endo, witness, k):
+            img = real(text, endo, witness, k)
+            return GradedEndo(Mat.zero(4, 4), img.xi) if k == 2 else img
+
+        monkeypatch.setattr(extension, "phi", collapsing)
+        claim = check_prop42(homaff1(), 2).claim("42.2.injective")
+        assert claim.status == "fail"
+        # (k, xi, dim QDer, dim of the image span)
+        assert claim.witness == ((2, 0, 2, 0), ())
+
+    def test_witness_independence_witness_is_the_first_failing_grade(self, monkeypatch):
+        real = extension.phi
+
+        def unprojected(text, endo, witness, k):
+            # from k = 1 on, the witness is embedded without the projection
+            # onto [N, N], so its slack part shows
+            img = real(text, endo, witness, k)
+            return img if k == 0 else GradedEndo(extension._block_diagonal(endo.mat, witness),
+                                                 img.xi)
+
+        monkeypatch.setattr(extension, "phi", unprojected)
+        alg = homaff1()
+        claim = check_prop42(alg, 2).claim("42.2.witness_independent")
+        assert claim.status == "fail"
+        # the seeded draws are -3, -3 for the two basis maps at k = 0, then
+        # -1 for the first at k = 1; the slack there is diag(1, 0)
+        assert solve(alg, Kind.QDER, 1, 0).slack == (Mat.from_rows([[1, 0], [0, 0]]),)
+        assert claim.witness == ((1, 0), (("-1", "0"), ("0", "0")))
+
     def test_image_in_der_witness_is_the_first_failing_grade(self, monkeypatch):
         real = extension.in_space
 
@@ -220,7 +265,15 @@ def test_decompose_embeds_each_twist_power_once(make, calls, monkeypatch):
 
 class TestProp43:
     def test_direct_sum_witness_is_the_first_failing_grade(self, monkeypatch):
-        monkeypatch.setattr(extension, "subspace_sum", lambda a, b: None)
+        # the sum grown by the identity, which is not a derivation of the
+        # extension, keeps A and B independent but overshoots Der(ext)
+        real = extension.subspace_sum
+
+        def grown(a, b):
+            both = real(a, b)
+            return real(both, SubspaceBasis.span(both.ambient_dim, [Mat.identity(4).vec_ints()]))
+
+        monkeypatch.setattr(extension, "subspace_sum", grown)
         claim = check_prop43(aff1(), 2).claim("43.direct_sum")
         assert claim.status == "fail"
         assert claim.witness == (((0, 0), "sum does not exhaust the derivation space"),)

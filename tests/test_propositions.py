@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from nhomlie import propositions
 from nhomlie.algebra import NHomAlgebra, center, transport, validate
-from nhomlie.extension import check_prop43
+from nhomlie.extension import check_prop42, check_prop43
 from nhomlie.fixtures import (
     FIXTURES,
     abelian2,
@@ -23,7 +23,7 @@ from nhomlie.fixtures import (
     super2,
     threeLie4,
 )
-from nhomlie.linalg import Mat, linear_combination
+from nhomlie.linalg import Mat, SubspaceBasis, linear_combination
 from nhomlie.propositions import (
     Claim,
     _hom_jordan_residual,
@@ -80,6 +80,29 @@ def test_prop34_zero_claim_skipped_with_center():
     report = check_prop34(abelian2(), 1)
     assert report.claim("34.1.image_in_center").status == "pass"
     assert report.claim("34.2.zero_when_centerless").status == "skipped"
+
+
+def test_image_in_center_witness_is_the_first_failing_grade(monkeypatch):
+    # abelian2 is all center, so [C, QC] lands in it; with the center faked
+    # to zero, the first nonzero bracket fails 34.1 at its first nonzero
+    # column, and 34.2, now ungated, reports the same grade and map
+    monkeypatch.setattr(propositions, "center",
+                        lambda alg: (SubspaceBasis.zero(alg.dim), SubspaceBasis.zero(alg.dim)))
+    report = check_prop34(abelian2(), 2)
+    # [E00, E10] = -E10 at grade (k1, xi1, k2, xi2) = (0, 0, 0, 0), column 0
+    witness = (("0", "0"), ("-1", "0"))
+    assert report.claim("34.1.image_in_center") == Claim(
+        "34.1.image_in_center", "fail", witness=((0, 0, 0, 0, 0), witness))
+    assert report.claim("34.2.zero_when_centerless") == Claim(
+        "34.2.zero_when_centerless", "fail", witness=((0, 0, 0, 0), witness))
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS + [check_prop42, check_prop43])
+@pytest.mark.parametrize("build", [homaff1, nonsurjective_abelian2, abelian2])
+def test_negative_kmax_is_refused(check, build):
+    # nonsurjective_abelian2 reaches 3.4's skip path, abelian2 4.3's
+    with pytest.raises(ValueError, match="twist power must be nonnegative"):
+        check(build(), -1)
 
 
 def test_prop39_equivalence_gated_by_center():
