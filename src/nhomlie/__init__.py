@@ -12,6 +12,7 @@ from .linalg import (  # noqa: F401
     subspace_sum,
 )
 from .algebra import (  # noqa: F401
+    InvalidAlgebra,
     NHomAlgebra,
     ValidationReport,
     bracket,

@@ -470,6 +470,15 @@ def validate(alg: NHomAlgebra) -> ValidationReport:
     return alg.cached("validate", lambda: _validate(alg))
 
 
+class InvalidAlgebra(ValueError):
+    """The algebra fails an axiom that a check presupposes (:func:`_require_valid`)."""
+
+
+def _require_valid(alg: NHomAlgebra) -> None:
+    if not validate(alg).all_ok:
+        raise InvalidAlgebra("algebra does not satisfy its axioms")
+
+
 def _validate(alg: NHomAlgebra) -> ValidationReport:
     d, n = alg.dim, alg.arity
     parity = alg.parity

@@ -1,11 +1,12 @@
 """Command-line driver.
 
 :func:`main` is the one driver.  It reads the input file once and hashes
-those bytes, refuses an algebra that fails its axioms (exit 2) for the
-commands in :data:`NEEDS_VALID`, runs the command, and emits its report
-in the canonical JSON envelope on stdout (or ``--out``); ``extend`` emits
-the extension as an algebra file instead.  Each command maps
-``(args, alg)`` to ``(body, passed)`` and formats nothing itself.
+those bytes, runs the command, and emits its report in the canonical JSON
+envelope on stdout (or ``--out``); ``extend`` emits the extension as an
+algebra file instead.  Each command maps ``(args, alg)`` to
+``(body, passed)`` and formats nothing itself.  The checks behind
+``props``, ``extend`` and ``decompose`` refuse an algebra that fails its
+axioms before any output (``InvalidAlgebra``), which ``main`` maps to exit 2.
 
 Exit code 0 means every requested check passed, 1 means a mathematical
 check failed (the report is still emitted), 2 means the input could not
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import center, validate
+from .algebra import InvalidAlgebra, center, validate
 from .extension import build_check, check_prop42, check_prop43
 from .io import (
     PrecheckError,
@@ -46,9 +47,6 @@ from .propositions import (
 from .solver import TUPLE_KINDS, Kind, solve
 
 KIND_NAMES = [k.value for k in Kind]
-
-# commands whose checks presuppose the axioms
-NEEDS_VALID = frozenset({"props", "extend", "decompose"})
 
 
 def nonnegative_int(text: str) -> int:
@@ -167,9 +165,6 @@ def main(argv=None) -> int:
         with open(args.file, "rb") as fh:
             raw = fh.read()
         alg = parse_algebra(args.file, raw)
-        if args.command in NEEDS_VALID and not validate(alg).all_ok:
-            print("input algebra does not satisfy its axioms", file=sys.stderr)
-            return 2
         body, passed = args.func(args, alg)
         text = body if args.command == "extend" else canonical_json(report_envelope(
             args.command, args.file, digest_bytes(raw), body, passed))
@@ -178,6 +173,9 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+    except InvalidAlgebra:
+        print("input algebra does not satisfy its axioms", file=sys.stderr)
+        return 2
     except (OSError, SchemaError, PrecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

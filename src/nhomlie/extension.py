@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import NHomAlgebra, center, derived_subspace, invert, is_homogeneous, validate
+from .algebra import (NHomAlgebra, _require_valid, center, derived_subspace, invert,
+                      is_homogeneous, validate)
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -44,15 +45,15 @@ class TExtension:
 def build_check(alg: NHomAlgebra) -> TExtension:
     """Construct the two-block extension and validate it end to end.
 
-    The result is cached on ``alg``, so every check on one source algebra
-    shares one extension, with its validation and solver caches.
+    A source that fails its axioms raises ``InvalidAlgebra``.  The result is
+    cached on ``alg``, so every check on one source algebra shares one
+    extension, with its validation and solver caches.
     """
     return alg.cached("build_check", lambda: _build_check(alg))
 
 
 def _build_check(alg: NHomAlgebra) -> TExtension:
-    if not validate(alg).all_ok:
-        raise ValueError("source algebra does not satisfy its axioms")
+    _require_valid(alg)
     d, n = alg.dim, alg.arity
     values, den = alg.table_ints
     table = {key: tuple((j + d, x) for j, x in ints) for key, ints in values.items()}

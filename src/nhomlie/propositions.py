@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations_with_replacement, product, starmap
 
-from .algebra import NHomAlgebra, center, invert, is_alpha_surjective, validate
-from .io import _ratio_str
+from .algebra import NHomAlgebra, _require_valid, center, invert, is_alpha_surjective
+from .io import mat_doc
 from .linalg import (
     Mat,
     SubspaceBasis,
@@ -88,17 +88,11 @@ class PropReport:
 
 
 def _mat_witness(mat: Mat) -> tuple:
-    grid, den = mat.ints
-    return tuple(tuple(_ratio_str(x, den) for x in row) for row in grid)
+    return tuple(map(tuple, mat_doc(mat)))
 
 
 def _report(prop: str, claims: list[Claim], dims=()) -> PropReport:
     return PropReport(prop, tuple(sorted(claims, key=lambda c: c.claim_id)), tuple(dims))
-
-
-def _require_valid(alg: NHomAlgebra):
-    if not validate(alg).all_ok:
-        raise ValueError("algebra does not satisfy its axioms")
 
 
 def solved_dims(alg: NHomAlgebra, kmax: int):
@@ -107,6 +101,9 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
     The table is built once per algebra and kmax; every check of one
     ``props`` command reports the same table.
     """
+    if kmax < 0:
+        raise ValueError("twist power must be nonnegative")
+
     def build():
         out = []
         for xi in (0, 1):
@@ -121,9 +118,11 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
 def _least_powers(alg: NHomAlgebra, kmax: int) -> list[int]:
     """For each k <= kmax, the least j with alpha^j = alpha^k.
 
-    Every check reads it before its first walk or skip, so a negative kmax,
-    which would walk no grade and pass every claim, is refused here.
+    Every check reads it before its first walk or skip, so each check is
+    refused here on an algebra that fails its axioms (``InvalidAlgebra``)
+    and on a negative kmax, which would walk no grade and pass every claim.
     """
+    _require_valid(alg)
     if kmax < 0:
         raise ValueError("twist power must be nonnegative")
     first = {}
@@ -182,11 +181,12 @@ def _first_failure(grades, inputs, op, holds):
     return None
 
 
-def _claim(claim_id: str, failure, detail: str = "") -> Claim:
+def _claim(claim_id: str, failure, detail: str = "",
+           witness=lambda g, value: (g, _mat_witness(value.mat))) -> Claim:
+    """A claim from a :func:`_first_failure` result; ``witness(g, value)`` renders a failure."""
     if failure is None:
         return Claim(claim_id, "pass", detail)
-    g, value = failure
-    return Claim(claim_id, "fail", detail, (g, _mat_witness(value.mat)))
+    return Claim(claim_id, "fail", detail, witness(*failure))
 
 
 def _same(endo: GradedEndo) -> GradedEndo:
@@ -195,7 +195,6 @@ def _same(endo: GradedEndo) -> GradedEndo:
 
 def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
-    _require_valid(alg)
     least = _least_powers(alg, kmax)
     pairs, levels = partial(_grades, kmax, kmax, least), partial(_levels, kmax - 1, least)
     bracket = cache(supercommutator)
@@ -216,7 +215,6 @@ def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
 def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """The six inclusion statements tying Der, C, QC, QDer and GDer together."""
-    _require_valid(alg)
     n = alg.arity
     least = _least_powers(alg, kmax)
     bracket = cache(supercommutator)
@@ -270,7 +268,6 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     every grade; the bracket walk keeps the first grade of each triple of
     piece values (the two inputs and the target).
     """
-    _require_valid(alg)
     d = alg.dim
     every = list(range(kmax + 1))
     bracket = cache(supercommutator)
@@ -301,7 +298,6 @@ def _unflatten(d: int, row) -> Mat:
 
 def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """[C, QC] lands in Hom(N, Z(N)) when alpha is onto; zero when Z(N) = 0."""
-    _require_valid(alg)
     least = _least_powers(alg, kmax)
     claims = []
     if not is_alpha_surjective(alg):
@@ -318,12 +314,8 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
     bad = _first_failure(_grades(kmax, 2 * kmax, least), inputs, bracket,
                          lambda _, c: not outside_center(c))
-    if bad is None:
-        claims.append(Claim("34.1.image_in_center", "pass"))
-    else:
-        g, c = bad
-        claims.append(Claim("34.1.image_in_center", "fail",
-                            witness=(g + (outside_center(c)[0],), _mat_witness(c.mat))))
+    claims.append(_claim("34.1.image_in_center", bad, witness=lambda g, c: (
+        g + (outside_center(c)[0],), _mat_witness(c.mat))))
     if z_full.dim == 0:  # a column lies in Z = 0 only when zero: 34.1's walk decides
         claims.append(_claim("34.2.zero_when_centerless", bad))
     else:
@@ -433,7 +425,6 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     rotation class at a time, imply the ``samples`` random ones; past that,
     those are drawn and evaluated.
     """
-    _require_valid(alg)
     least = _least_powers(alg, kmax)
     claims = []
     basis_by_parity = {0: list(omega(alg, 0).basis), 1: list(omega(alg, 1).basis)}
@@ -468,7 +459,6 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
 def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Bracket closure of QC versus composition closure and commutativity."""
-    _require_valid(alg)
     pairs = partial(_grades, kmax, kmax, _least_powers(alg, kmax))
     bracket = cache(supercommutator)
     qc_pairs, in_qc = _inputs(alg, Kind.QC, Kind.QC), _member(alg, Kind.QC, 0)

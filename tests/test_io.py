@@ -269,10 +269,11 @@ class TestCli:
         assert piped["input"]["digest"] == hashlib.sha256(raw).hexdigest()
         assert {**piped, "input": None} == {**from_file, "input": None}
 
+    @pytest.mark.parametrize("name", ["corrupt_jacobi", "corrupt_multiplicative"])
     @pytest.mark.parametrize("command", ["props", "extend", "decompose"])
-    def test_invalid_algebra_exits_two_before_any_output(self, command, tmp_path, capsys):
-        f = tmp_path / "corrupt_jacobi.json"
-        f.write_text(serialize_algebra(CORRUPTED["corrupt_jacobi"]()))
+    def test_invalid_algebra_exits_two_before_any_output(self, command, name, tmp_path, capsys):
+        f = tmp_path / f"{name}.json"
+        f.write_text(serialize_algebra(CORRUPTED[name]()))
         assert main([command, str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "input algebra does not satisfy its axioms\n"

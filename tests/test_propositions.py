@@ -11,7 +11,7 @@ from conftest import check_basis_change, mixed_change, yau_twist
 from hypothesis import given, settings
 
 from nhomlie import propositions
-from nhomlie.algebra import NHomAlgebra, center, transport, validate
+from nhomlie.algebra import InvalidAlgebra, NHomAlgebra, center, transport, validate
 from nhomlie.extension import check_prop42, check_prop43
 from nhomlie.fixtures import (
     FIXTURES,
@@ -97,12 +97,25 @@ def test_image_in_center_witness_is_the_first_failing_grade(monkeypatch):
         "34.2.zero_when_centerless", "fail", witness=((0, 0, 0, 0), witness))
 
 
-@pytest.mark.parametrize("check", ALL_CHECKS + [check_prop42, check_prop43])
+@pytest.mark.parametrize("check", ALL_CHECKS + [check_prop42, check_prop43, solved_dims])
 @pytest.mark.parametrize("build", [homaff1, nonsurjective_abelian2, abelian2])
 def test_negative_kmax_is_refused(check, build):
     # nonsurjective_abelian2 reaches 3.4's skip path, abelian2 4.3's
     with pytest.raises(ValueError, match="twist power must be nonnegative"):
         check(build(), -1)
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS + [check_prop42, check_prop43])
+def test_invalid_algebra_is_refused_before_any_skip(check):
+    # [e0, e1] = e1 with alpha = diag(2, 3, 1) breaks multiplicativity, and
+    # e2 spans the center: 4.3's center gate must not answer "skipped" first
+    alg = NHomAlgebra(2, 3, (0, 0, 0), {(0, 1): (0, 1, 0)},
+                      Mat.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 1]]))
+    assert not validate(alg).all_ok
+    assert center(alg)[0].dim == 1
+    with pytest.raises(InvalidAlgebra) as exc:
+        check(alg, 2)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_prop39_equivalence_gated_by_center():
