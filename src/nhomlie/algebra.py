@@ -18,9 +18,10 @@ Every slot term is read from one primitive, :func:`opened_tensor`, which
 pushes the support through the row supports of alpha^k in all slots but
 one: its entry v is the bracket [alpha^k e_{v_0}, .., e_{v_s}, ..,
 alpha^k e_{v_{n-1}}].  The solver reads its constraint rows from it by
-lookup, and :func:`summed_slot_terms` pushes it on through the rows of a
-map D in slot s, which gives a weighted sum of the slot terms of D on the
-tuples it reaches and nowhere else.  Every space of the solver and both
+lookup in :func:`opened_index`, which lists its entries by their slots
+other than s, and :func:`summed_slot_terms` pushes it on through the rows
+of a map D in slot s, which gives a weighted sum of the slot terms of D on
+the tuples it reaches and nowhere else.  Every space of the solver and both
 identity axioms have one form: that sum equals some map W applied to
 [e_t], and :func:`identity_failures` is its one evaluator.  So the cost of
 :func:`validate` and of the membership tests of the solver follows the
@@ -56,7 +57,9 @@ Every object derived from an algebra is kept by :meth:`NHomAlgebra.cached`
 under the values it depends on, from the structure tensor, the twist
 powers alpha^k and the ``Fraction`` view of the table on; one at twist
 power k depends on k only through alpha^k, so powers with equal alpha^k
-share one object.
+share one object.  The opened tensor at slot s is kept under
+``("opened", alpha^k, s)`` and its index by the other slots under
+``("opened_index", alpha^k, s)``.
 """
 
 from __future__ import annotations
@@ -300,6 +303,22 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
         slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
         return _pushed(values, slot_rows, alg.dim)
     return alg.cached(("opened", power, s), build)
+
+
+def opened_index(alg: NHomAlgebra, k: int,
+                 s: int) -> dict[tuple[int, ...], list[tuple[int, SparseInts]]]:
+    """The entries of :func:`opened_tensor` at slot s keyed by their other slots.
+
+    Maps v[:s] + v[s+1:] to the pairs (v_s, entry v), in increasing v_s, so
+    every entry that differs from a tuple t at slot s alone is found by one
+    lookup of t without its slot s.  Cached on ``alg`` under (alpha^k, s).
+    """
+    def build():
+        index: dict[tuple[int, ...], list[tuple[int, SparseInts]]] = {}
+        for v, value in opened_tensor(alg, k, s).items():
+            index.setdefault(v[:s] + v[s + 1:], []).append((v[s], value))
+        return index
+    return alg.cached(("opened_index", alg.alpha_power(k), s), build)
 
 
 def _pushed(values: Mapping[tuple[int, ...], SparseInts],

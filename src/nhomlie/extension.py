@@ -26,6 +26,7 @@ from .algebra import (NHomAlgebra, _require_valid, center, derived_subspace, inv
 from .linalg import (
     Mat,
     SubspaceBasis,
+    _grown,
     linear_combination,
     subspace_sum,
     extend_to_complement,
@@ -121,7 +122,7 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
                 bad_parity = ((k, xi), _mat_witness(img.mat))
             if bad_der is None and not in_space(ext, Kind.DER, k, xi, img):
                 bad_der = ((k, xi), _mat_witness(img.mat))
-        stacked = SubspaceBasis.span(d2, [g.mat.vec_ints() for g in images])
+        stacked = _grown(d2, [], [], (g.mat.vec_ints() for g in images))
         if bad_inject is None and stacked.dim != qd.dim:
             bad_inject = ((k, xi, qd.dim, stacked.dim), ())
         if bad_witness is None and qd.slack:
@@ -173,7 +174,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     for k, xi in _levels(kmax, least):
         qd = solve(alg, Kind.QDER, k, xi)
         images = [phi(text, g, w, k).mat.vec_ints() for g, w in zip(qd.basis, qd.witnesses)]
-        a_sub = SubspaceBasis.span(d2, images)
+        a_sub = _grown(d2, [], [], images)
         b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)
         c_sub = solve(ext, Kind.DER, k, xi).as_subspace(d2)
         dims[k, xi] = f"{a_sub.dim}+{b_sub.dim}={c_sub.dim}"

@@ -22,12 +22,12 @@ list of its (column, value) pairs, and keeps the nullspace itself instead
 of pivots: one primitive integer vector per free column, stored over the
 columns retired so far (its own entry first, then its entries at the
 retired columns in retirement order), which hold all of its support.  A
-dependent row costs one dot product per vector over the row's nonzeros; a
-retirement costs, for each vector it updates, one scaling of that vector
-plus the nonzeros of the retired column's vector; rows past full rank are
-never read, and the vectors left at the end, written out at the full
-width, are the nullspace's reduced basis.  No floating point appears
-anywhere.
+dependent row costs one dot product, over the row's nonzeros, per vector
+nonzero at one of its retired columns; a retirement costs, for each vector
+it updates, one scaling of that vector plus the nonzeros of the retired
+column's vector; rows past full rank are never read, and the vectors left
+at the end, written out at the full width, are the nullspace's reduced
+basis.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -131,10 +131,20 @@ class Mat:
         return Mat(self.rows, other.cols, (_int_matmul(a, b, other.cols), da * db))
 
     def __add__(self, other: "Mat") -> "Mat":
-        return linear_combination((1, 1), (self, other))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return linear_combination((1, -1), (self, other))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """``self + sign * other``, summed over the two grids in one pass."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        (a, da), (b, db) = self.ints, other.ints
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return Mat(self.rows, self.cols, (tuple(
+            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), den))
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -350,18 +360,37 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
     update, so an update costs one scaling of v_f plus those entries, and
     the vectors it does not update gain a zero at the new place.  The full
     width is written out only for the returned basis.
+
+    Each place also keeps the set of the stored v_f that are nonzero there,
+    and a row is dotted only with the union of those sets over its retired
+    columns (every stored vector once the union holds them all): any other
+    v_f is zero wherever the row is nonzero but at free columns, where only
+    v_f itself is nonzero.  The sets stay exact at the cost of the update:
+    a retirement takes v_i out of the sets of its places and adds the
+    updated vectors to the sets of v_i's places, the only places where an
+    update can change an entry, and an updated vector that cancels at one
+    of them is taken out again.  So when the columns fall into blocks that
+    no row joins, a vector's support stays inside its own block and a row
+    inside one block never meets the vectors of another, while a system
+    with one dense block dots every row with every vector, as before.
     """
     vecs: dict[int, list[int]] = {}  # the stored v_f; every other free v_f is e_f
     retired: list[int] = []  # the retired columns, in retirement order
     place: dict[int, int] = {}  # retired column -> its index in every stored vector
+    held: list[set[int]] = [set()]  # place -> the f whose stored v_f is nonzero there
     if width:  # with no column free, no row is read
         for row in rows:
             at = [(place[j], x) for j, x in row if x and j in place]
             dots = {}
             if at:
                 places, vals = zip(*at)
-                for f, v in vecs.items():
-                    d = sum(map(mul, map(v.__getitem__, places), vals))
+                met = set()  # the only v_f that can be nonzero at the row's places
+                for p in places:
+                    met |= held[p]
+                    if len(met) == len(vecs):
+                        break
+                for f in met:
+                    d = sum(map(mul, map(vecs[f].__getitem__, places), vals))
                     if d:
                         dots[f] = d
             for f, x in row:  # at a free column f, only v_f is nonzero
@@ -380,12 +409,20 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
             nz = [(p, x) for p, x in enumerate(vi) if p and x] + [(new, vi[0])]
             for v in vecs.values():
                 v.append(0)
+            # the updated v_f are nonzero at v_i's places, but where they cancel
+            held.append(set())
+            for p, _ in nz:
+                held[p].discard(i)
+                held[p].update(dots)
             for f, df in dots.items():
                 g = gcd(di, df) if di > 0 else -gcd(di, df)  # so that a > 0
                 a, b = di // g, df // g
                 vf = [a * x for x in vecs.get(f) or [1] + [0] * new]
                 for p, x in nz:
-                    vf[p] -= b * x
+                    y = vf[p] - b * x
+                    vf[p] = y
+                    if not y:
+                        held[p].discard(f)
                 vecs[f] = _primitive(vf)
             if len(retired) == width:
                 break

@@ -38,7 +38,7 @@ from .algebra import NHomAlgebra, _require_valid, center, invert, is_alpha_surje
 from .io import mat_doc
 from .linalg import (
     Mat,
-    SubspaceBasis,
+    _grown,
     combined_ints,
     contains,
     linear_combination,
@@ -258,7 +258,7 @@ def _qc_plus_brackets(alg: NHomAlgebra, kmax: int, bracket):
             for k1, x1, k2, x2 in _grades(kmax, kmax, every)):
         vecs[total].extend(c.mat.flat_ints() for c in starmap(bracket, product(
             solve(alg, Kind.QC, k1, x1).basis, solve(alg, Kind.QC, k2, x2).basis)))
-    return {grade: SubspaceBasis.span(alg.dim ** 2, v) for grade, v in vecs.items()}
+    return {grade: _grown(alg.dim ** 2, [], [], v) for grade, v in vecs.items()}
 
 
 def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:

@@ -50,12 +50,15 @@ equation's tuple symmetry: the slot from which a basis tuple may be sorted
 without changing the row space (all of t for Der, C, QC, QDer and ZDer's
 VALUE equation, t[1:] for ZDer's slot equation, none for GDer).
 :func:`_rows` turns it into rows over each equation's weakly increasing
-representatives.  The rows are integer numerators built from the structure
-tensor, which holds only the tuples with a nonzero bracket and is read by
-lookup: a VALUE term reads the tensor itself, and the slot-s term of
-unknown column (j, t[s]) is the entry t[:s] + (j,) + t[s+1:] of
-:func:`~nhomlie.algebra.opened_tensor` at slot s, the tensor with alpha^k
-in every other slot, times the prefix sign.  Each (tuple, equation) is
+representatives, visiting only the tuples a term reaches: the tensor's
+support for a VALUE term, and for a slot-s term the tuples one slot-s step
+from an entry of :func:`~nhomlie.algebra.opened_tensor` at slot s, the
+tensor with alpha^k in every other slot; every other tuple gives zero
+rows.  The rows are integer numerators read by lookup: a VALUE term reads
+the tensor itself, and the slot-s term of unknown column (j, t[s]) is the
+entry t[:s] + (j,) + t[s+1:] of the opened tensor, times the prefix sign,
+found with the others of its tuple by one lookup of t without slot s in
+:func:`~nhomlie.algebra.opened_index`.  Each (tuple, equation) is
 summed sparsely, component by component, and each nonzero component becomes
 one row: the list of its nonzero (column, value) pairs, which is the one
 row form :func:`~nhomlie.linalg.kernel` reads.  :func:`in_space` and
@@ -78,18 +81,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import combinations_with_replacement, product
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     NHomAlgebra,
+    _is_increasing,
     apply_ints,
     identity_failures,
     is_alpha_surjective,
     is_homogeneous,
     multiplicative_failures,
-    opened_tensor,
+    opened_index,
     sparse_columns,
     sparse_rows,
     summed_slot_terms,
@@ -230,13 +233,6 @@ def _commutation_rows(alg: NHomAlgebra, posidx, offset: int):
     return rows
 
 
-def _tuples(d: int, n: int, sorted_from: int):
-    """Basis n-tuples in product order, only those weakly increasing from
-    slot ``sorted_from`` on (every tuple when it is n)."""
-    return (head + tail for head in product(range(d), repeat=sorted_from)
-            for tail in combinations_with_replacement(range(d), n - sorted_from))
-
-
 def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
     """Sparse integer rows of the equations of ``kind`` over its vectorized blocks.
 
@@ -248,6 +244,17 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
     den(alpha^k)^(n-1), and every commutation row the rational row times
     den(alpha).  Returns (an iterator over the rows, block count, positions);
     ``solve`` consumes the rows as they are built.
+
+    Only the tuples that can give a nonzero row are visited: the tensor's
+    support when an equation has a VALUE term, and, for each slot s with a
+    slot term, the tuples that agree with an entry v of the tensor opened
+    at slot s outside slot s and hold at slot s a column c with (v_s, c) an
+    allowed position.  On every other tuple each term of each equation
+    reads zero, so the rows are the nonzero rows of the walk over every
+    tuple, in the same order.  Every slot term is read from
+    :func:`~nhomlie.algebra.opened_index`, which lists the entries of the
+    opened tensor by their other slots, so the reached tuples and each
+    term's entries are found by lookup.
 
     With ``reduced``, each equation is read only on its representative
     tuples: those weakly increasing from its ``sorted_from`` slot on (every
@@ -289,16 +296,26 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
     colpos = [[] for _ in range(d)]
     for m, (r, c) in enumerate(pos):
         colpos[c].append((r, m))
+    # the vector index of each position (r, c), None where it is not allowed
+    at = [[posidx.get((r, c)) for c in range(d)] for r in range(d)]
     values = alg.tensor[0]
     parity = alg.parity
     # slot terms are entries of the opened tensors, over the tensor's
     # denominator times den(alpha^k)^(n-1); VALUE terms are lifted to it
     lift = alg.alpha_power(k).ints[1] ** (n - 1)
-    opened = {s: opened_tensor(alg, k, s) for eq in equations
-              for b, s, _ in eq.terms if s is not VALUE}
+    terms = [s for eq in equations for _, s, _ in eq.terms]
+    index = {s: opened_index(alg, k, s) for s in terms if s is not VALUE}
+    # the tuples a term reaches: the support, and every tuple one slot-s
+    # step from an opened entry v, with (v_s, t_s) an allowed position
+    reached = set(values) if VALUE in terms else set()
+    for s, entries_of in index.items():
+        for other, entries in entries_of.items():
+            cols = {c for j, _ in entries for c in range(d) if at[j][c] is not None}
+            reached.update(other[:s] + (c,) + other[s:] for c in cols)
+    reached = sorted(t for t in reached if _is_increasing(t[start:]))
 
     def rows():
-        for t in _tuples(d, n, start):
+        for t in reached:
             # t is a representative of the equations sorted from slot first on
             first = n - 1 if reduced else 0
             while first and t[first - 1] <= t[first]:
@@ -317,12 +334,14 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
                                 comp = comps[l]
                                 comp[off + m] = comp.get(off + m, 0) + x
                         continue
-                    head, tail = t[:s], t[s + 1:]
+                    head = t[:s]
                     w = -c if xi and sum(map(parity.__getitem__, head)) & 1 else c
-                    slot = opened[s]
-                    for j, m in colpos[t[s]]:
+                    for j, entry in index[s].get(head + t[s + 1:], ()):
+                        m = at[j][t[s]]
+                        if m is None:
+                            continue
                         col = off + m
-                        for l, x in slot.get(head + (j,) + tail, ()):
+                        for l, x in entry:
                             comp = comps[l]
                             comp[col] = comp.get(col, 0) + w * x
                 for comp in comps:

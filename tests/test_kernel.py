@@ -10,6 +10,9 @@ The solver's integer constraint rows are compared with the same rows built
 in ``Fraction`` arithmetic through ``bracket``, scaled by one denominator
 for each kind of row, and the rows ``solve`` reads,
 over tuple-orbit representatives only, with the rows over every tuple.
+Those rows, read only on the tuples a term reaches, are compared row for
+row with the nonzero rows of a walk over every tuple, on these algebras
+and on drawn ones.
 The algebras are aff1, homaff1, super2 and threeLie4, three Heisenberg
 algebras on which QDer and GDer are proper subspaces of Omega (so a map
 of Omega can lack a witness), and a copy of each transported through
@@ -23,7 +26,7 @@ same map plus a random alpha-commuting perturbation (mostly a non-member).
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 import hypothesis.strategies as st
@@ -479,29 +482,33 @@ def test_rows_are_the_reference_over_one_denominator(name, kind):
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 @pytest.mark.parametrize("name", ["threeLie4", "homheis4", "superheis3"])
 def test_rows_evaluate_no_bracket(name, kind, monkeypatch):
-    # slot terms are read from the opened tensors, so no bracket is
-    # evaluated, and every k and xi of one algebra reads the same
-    # opened tensor of each (k, s): one built and cached for a non-identity
-    # alpha^k, the tensor itself otherwise
+    # slot terms are read from the opened tensors' indexes, so no bracket is
+    # evaluated, and every k and xi of one algebra reads the same index of
+    # each (k, s), which lists exactly the entries of the opened tensor (the
+    # tensor itself when alpha^k is the identity) by their other slots
     source = ALGEBRAS[name]
     alg = NHomAlgebra(source.arity, source.dim, source.parity, source.table, source.alpha)
-    real_bracket, real_opened = algebra.bracket, solver.opened_tensor
-    brackets, opened = [], {}
+    real_bracket, real_index = algebra.bracket, solver.opened_index
+    brackets, indexes = [], {}
     monkeypatch.setattr(algebra, "bracket", lambda *a: brackets.append(a) or real_bracket(*a))
 
-    def opened_tensor(given, k, s):
-        out = real_opened(given, k, s)
-        opened.setdefault((k, s), []).append(out)
+    def opened_index(given, k, s):
+        out = real_index(given, k, s)
+        indexes.setdefault((k, s), []).append(out)
         return out
 
-    monkeypatch.setattr(solver, "opened_tensor", opened_tensor)
+    monkeypatch.setattr(solver, "opened_index", opened_index)
     for k, xi in product(range(3), (0, 1)):
         list(_rows(alg, kind, k, xi)[0])
     assert brackets == []
-    assert opened
-    for (k, s), got in opened.items():
+    assert indexes
+    for (k, s), got in indexes.items():
         assert all(x is got[0] for x in got), (k, s)
-        assert (got[0] is alg.tensor[0]) == alg.alpha_power(k).is_identity(), (k, s)
+        entries = sorted((other[:s] + (j,) + other[s:], value)
+                         for other, pairs in got[0].items() for j, value in pairs)
+        opened = opened_tensor(alg, k, s)
+        assert entries == list(opened.items()), (k, s)
+        assert (opened is alg.tensor[0]) == alg.alpha_power(k).is_identity(), (k, s)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -574,12 +581,51 @@ def test_zder_reads_its_value_equation_over_sorted_tuples():
     assert solve(alg, Kind.ZDER, 0, 0).dim == 0
 
 
+def walked_rows(alg, kind, k, xi, tuples=None, reduced=False):
+    """The rows of ``kind`` from a walk over ``tuples`` (every tuple, in
+    product order, by default), each slot term looked up in the opened
+    tensor entry by entry and zero rows left out, followed by the
+    commutation rows.  With ``reduced``, each equation is read only on the
+    tuples weakly increasing from its ``sorted_from`` slot on."""
+    d, n = alg.dim, alg.arity
+    nblocks, equations = _EQUATIONS[kind](n)
+    pos = allowed_positions(alg.parity, xi)
+    npos = len(pos)
+    posidx = {rc: m for m, rc in enumerate(pos)}
+    values = alg.tensor[0]
+    lift = alg.alpha_power(k).ints[1] ** (n - 1)
+    rows = []
+    for t in product(range(d), repeat=n) if tuples is None else tuples:
+        for eq in equations:
+            if reduced and not is_representative(t, eq.sorted_from):
+                continue
+            comps = [{} for _ in range(d)]
+            for b, s, c in eq.terms:
+                if s is VALUE:
+                    terms = [(l, (l, j), c * v * lift)
+                             for j, v in values.get(t, ()) for l in range(d)]
+                else:
+                    w = -c if xi and sum(alg.parity[i] for i in t[:s]) % 2 else c
+                    opened = opened_tensor(alg, k, s)
+                    terms = [(l, (j, t[s]), w * x) for j in range(d)
+                             for l, x in opened.get(t[:s] + (j,) + t[s + 1:], ())]
+                for l, rc, x in terms:
+                    if rc in posidx:
+                        col = b * npos + posidx[rc]
+                        comps[l][col] = comps[l].get(col, 0) + x
+            rows += [row for row in ([(col, x) for col, x in comp.items() if x]
+                                     for comp in comps) if row]
+    for b in range(nblocks):
+        rows += solver._commutation_rows(alg, posidx, b * npos)
+    return rows
+
+
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind, monkeypatch):
-    # the full path is pinned to the Fraction reference above; for each
-    # equation on its own, fed only its representative tuples in product
-    # order, it must give the reduced stream
+    # the full walk is pinned to the Fraction reference above; for each
+    # equation on its own, walked over its representative tuples only in
+    # product order, it must give the reduced stream
     alg = ALGEBRAS[name]
     nblocks, equations = _EQUATIONS[kind](alg.arity)
     if kind is Kind.GDER:
@@ -591,18 +637,62 @@ def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind,
             with monkeypatch.context() as m:
                 m.setitem(solver._EQUATIONS, kind, lambda n: (nblocks, [eq]))
                 reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
-                m.setattr(solver, "_tuples", lambda d, n, start: iter(reps))
-                expected = list(_rows(alg, kind, k, xi)[0])
-            assert reduced == expected, (k, xi)
+                assert reduced == walked_rows(alg, kind, k, xi, reps), (k, xi)
             if kind is Kind.GDER:
                 assert reduced == list(_rows(alg, kind, k, xi)[0]), (k, xi)
     # all equations together: offered every tuple, each equation's own
     # filter keeps the stream that the representatives alone give
     for k, xi in product(range(3), (0, 1)):
-        reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_tuples", lambda d, n, start: product(range(d), repeat=n))
-            assert list(_rows(alg, kind, k, xi, reduced=True)[0]) == reduced, (k, xi)
+        assert list(_rows(alg, kind, k, xi, reduced=True)[0]) == \
+            walked_rows(alg, kind, k, xi, reduced=True), (k, xi)
+
+
+def assert_reached_rows_are_the_walked_rows(alg, kind):
+    for k, xi, reduced in product(range(3), (0, 1), (False, True)):
+        assert list(_rows(alg, kind, k, xi, reduced)[0]) == \
+            walked_rows(alg, kind, k, xi, reduced=reduced), (k, xi, reduced)
+
+
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+@pytest.mark.parametrize("name", sorted(ORBIT_ALGEBRAS))
+def test_reached_tuples_give_the_full_walks_nonzero_rows(name, kind):
+    # _rows visits only the tuples its terms reach; its stream must be the
+    # walk over every tuple with the zero rows left out, row for row
+    assert_reached_rows_are_the_walked_rows(ORBIT_ALGEBRAS[name], kind)
+
+
+@st.composite
+def drawn_algebras(draw):
+    """Mixed-parity algebras with n <= 4 and d^n <= 256, bracketless or with
+    a few drawn brackets, and an identity, even invertible, even singular or
+    odd alpha.  They need not satisfy the axioms: the row stream is read
+    off the tensor whatever it holds."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    parity = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    keys = list(combinations_with_replacement(range(d), n))
+    value = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    table = {key: draw(value) for key in draw(st.lists(st.sampled_from(keys), max_size=4))}
+    style = draw(st.sampled_from(["identity", "invertible", "singular", "odd"]))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    grid = [[F(int(r == c)) for c in range(d)] for r in range(d)]
+    if style != "identity":
+        for r, c in product(range(d), repeat=2):
+            if style == "odd" or parity[r] == parity[c]:
+                if style != "invertible" or r < c:
+                    grid[r][c] = draw(entry)
+                elif r == c:
+                    grid[r][c] = draw(entry.filter(bool))
+        if style == "singular":
+            grid[draw(st.integers(0, d - 1))] = [F(0)] * d
+    return NHomAlgebra(n, d, parity, table, Mat.from_rows(grid), name=style)
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn_algebras())
+@pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
+def test_reached_tuples_give_the_full_walks_nonzero_rows_on_drawn_algebras(kind, alg):
+    assert_reached_rows_are_the_walked_rows(alg, kind)
 
 
 def test_odd_alpha_is_solved_over_every_tuple():

@@ -18,6 +18,7 @@ from nhomlie.linalg import (
     contains,
     extend_to_complement,
     kernel,
+    linear_combination,
     rref,
     subspace_intersect,
     subspace_sum,
@@ -234,9 +235,18 @@ def test_linear_operations_match_entrywise_arithmetic(data):
     ma, mb = Mat.from_rows(a, cols=c), Mat.from_rows(b, cols=c)
     assert (ma + mb).entries == tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
     assert (ma - mb).entries == tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a, b))
+    # the two-grid sum and difference keep the reduced form of the n-ary sum
+    assert (ma + mb).ints == linear_combination((1, 1), (ma, mb)).ints
+    assert (ma - mb).ints == linear_combination((1, -1), (ma, mb)).ints
     assert ma.scale(s).entries == tuple(tuple(s * x for x in u) for u in a)
     assert (-ma).entries == tuple(tuple(-x for x in u) for u in a)
     assert ma.is_zero() == all(x == 0 for u in a for x in u)
+
+
+def test_sum_and_difference_refuse_a_shape_mismatch():
+    for op in (Mat.__add__, Mat.__sub__):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(Mat.zero(1, 2), Mat.zero(2, 1))
 
 
 @given(st.data())
@@ -535,6 +545,74 @@ def test_kernel_stops_at_the_row_that_retires_the_last_free_column():
 
     assert kernel(stream(), 3) == ()
     assert kernel(iter(stream, None), 0) == ()  # nothing is free: no row is read
+
+
+@st.composite
+def blocked_systems(draw, max_blocks=4, full_rank=False, nonzero=False):
+    """Columns dealt into up to ``max_blocks`` disjoint blocks, rows drawn
+    inside one block each (generators, then combinations of them), and the
+    blocks' rows interleaved in a drawn order.  With ``full_rank`` each
+    block's generators hold an upper triangular block with a nonzero
+    diagonal, so the stream reaches full rank; with ``nonzero`` every
+    generator entry is nonzero."""
+    width = draw(st.integers(1, 12))
+    owner = draw(st.lists(st.integers(0, max_blocks - 1), min_size=width, max_size=width))
+    entry = st.integers(-3, 3).filter(bool) if nonzero else st.integers(-3, 3)
+    rows = []
+    for b in sorted(set(owner)):
+        cols = [j for j in range(width) if owner[j] == b]
+        row = st.lists(entry, min_size=len(cols), max_size=len(cols))
+        gens = draw(st.lists(row, min_size=1, max_size=len(cols)))
+        if full_rank:
+            gens += [[0] * i + draw(row)[i:] for i in range(len(cols))]
+            for i, g in enumerate(gens[-len(cols):]):
+                g[i] = g[i] or 1
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+        for values in gens + [[sum(c * g[i] for c, g in zip(cs, gens)) for i in range(len(cols))]
+                              for cs in draw(st.lists(coeffs, max_size=3))]:
+            out = [0] * width
+            for j, x in zip(cols, values):
+                out[j] = x
+            rows.append(out)
+    return draw(st.permutations(rows)), width
+
+
+@given(blocked_systems())
+def test_kernel_of_interleaved_column_blocks_matches_the_reference(case):
+    rows, width = case
+    assert_reference_kernel(kernel(map(sparse, rows), width), rows, width)
+
+
+@given(blocked_systems(max_blocks=1, nonzero=True))
+def test_kernel_of_one_dense_block_matches_the_reference(case):
+    rows, width = case
+    assert_reference_kernel(kernel(map(sparse, rows), width), rows, width)
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_kernel_of_no_rows_is_every_unit_vector(width):
+    basis = kernel(iter(()), width)
+    assert basis == full_space(width).rows
+    assert_reference_kernel(basis, [], width)
+
+
+@given(blocked_systems(full_rank=True))
+def test_kernel_of_interleaved_blocks_stops_at_the_row_of_full_rank(case):
+    # the blocks reach full rank together at one row, the last one any
+    # kernel must read; no row after it is read
+    rows, width = case
+    full = next(i for i in range(len(rows)) if len(ref_span(width, rows[:i + 1])) == width)
+    read = []
+
+    def stream():
+        for i, row in enumerate(rows):
+            if i > full:
+                raise AssertionError(f"row {i} read after full rank at row {full}")
+            read.append(i)
+            yield sparse(row)
+
+    assert kernel(stream(), width) == ()
+    assert read[-1] == full
 
 
 @given(row_lists(rat_entries))
