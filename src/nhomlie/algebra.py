@@ -74,6 +74,7 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     Vector,
+    _grown,
     kernel,
     rref,
     vector,
@@ -671,8 +672,7 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     values = alg.table_ints[0]
     for t, row in zip(values, map(dict, values.values())):
         by_parity[alg.tuple_parity(t)].append([row.get(j, 0) for j in range(d)])
-    return (SubspaceBasis.span(d, by_parity[EVEN]),
-            SubspaceBasis.span(d, by_parity[ODD]))
+    return _grown(d, [], [], by_parity[EVEN]), _grown(d, [], [], by_parity[ODD])
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:

@@ -100,6 +100,15 @@ def _block_diagonal(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows + b.rows, a.cols + b.cols, (grid, da * db))
 
 
+def _embedded(alg: NHomAlgebra, k: int, xi: int):
+    """QDer at (k, xi), phi of its basis pairs and their span, cached for 4.2 and 4.3."""
+    def build():
+        qd = solve(alg, Kind.QDER, k, xi)
+        images = [phi(build_check(alg), g, w, k) for g, w in zip(qd.basis, qd.witnesses)]
+        return qd, images, _grown((2 * alg.dim) ** 2, [], [], (g.mat.vec_ints() for g in images))
+    return alg.cached(("embedded", alg.alpha_power(k), xi), build)
+
+
 def check_prop42(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Parity preservation, injectivity, witness independence, image in Der.
 
@@ -111,18 +120,15 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """
     text = build_check(alg)
     ext = text.ext
-    d2 = (2 * alg.dim) ** 2
     rng = random.Random(SEED)
     bad_parity = bad_inject = bad_witness = bad_der = None
     for k, xi in _levels(kmax, _least_powers(alg, kmax)):
-        qd = solve(alg, Kind.QDER, k, xi)
-        images = [phi(text, g, w, k) for g, w in zip(qd.basis, qd.witnesses)]
+        qd, images, stacked = _embedded(alg, k, xi)
         for img in images:
             if bad_parity is None and not is_homogeneous(ext.parity, xi, img.mat):
                 bad_parity = ((k, xi), _mat_witness(img.mat))
             if bad_der is None and not in_space(ext, Kind.DER, k, xi, img):
                 bad_der = ((k, xi), _mat_witness(img.mat))
-        stacked = _grown(d2, [], [], (g.mat.vec_ints() for g in images))
         if bad_inject is None and stacked.dim != qd.dim:
             bad_inject = ((k, xi, qd.dim, stacked.dim), ())
         if bad_witness is None and qd.slack:
@@ -156,8 +162,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
             Claim("43.direct_sum", "skipped", detail="center of the base is nonzero"),
         ]
         return _report("4.3", claims)
-    text = build_check(alg)
-    ext = text.ext
+    ext = build_check(alg).ext
     d = alg.dim
     d2 = (2 * d) ** 2
     claims = []
@@ -172,9 +177,7 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     bad = None
     dims = {}
     for k, xi in _levels(kmax, least):
-        qd = solve(alg, Kind.QDER, k, xi)
-        images = [phi(text, g, w, k).mat.vec_ints() for g, w in zip(qd.basis, qd.witnesses)]
-        a_sub = _grown(d2, [], [], images)
+        a_sub = _embedded(alg, k, xi)[2]
         b_sub = solve(ext, Kind.ZDER, k, xi).as_subspace(d2)
         c_sub = solve(ext, Kind.DER, k, xi).as_subspace(d2)
         dims[k, xi] = f"{a_sub.dim}+{b_sub.dim}={c_sub.dim}"

@@ -372,7 +372,7 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
     of them is taken out again.  So when the columns fall into blocks that
     no row joins, a vector's support stays inside its own block and a row
     inside one block never meets the vectors of another, while a system
-    with one dense block dots every row with every vector, as before.
+    with one dense block dots every row with every vector.
     """
     vecs: dict[int, list[int]] = {}  # the stored v_f; every other free v_f is e_f
     retired: list[int] = []  # the retired columns, in retirement order

@@ -48,9 +48,10 @@ an input that fails it, and every solve at k = 0, reads its rows.
 ``_EQUATIONS`` is the one description of these identities, with each
 equation's tuple symmetry: the slot from which a basis tuple may be sorted
 without changing the row space (all of t for Der, C, QC, QDer and ZDer's
-VALUE equation, t[1:] for ZDer's slot equation, none for GDer).
-:func:`_rows` turns it into rows over each equation's weakly increasing
-representatives, visiting only the tuples a term reaches: the tensor's
+VALUE equation, t[1:] for ZDer's slot equation, none for GDer), which alone
+decides the tuples each equation is read on.  :func:`_rows` turns it into
+rows over each equation's weakly increasing representatives (every tuple
+when alpha is not even), visiting only the tuples a term reaches: the tensor's
 support for a VALUE term, and for a slot-s term the tuples one slot-s step
 from an entry of :func:`~nhomlie.algebra.opened_tensor` at slot s, the
 tensor with alpha^k in every other slot; every other tuple gives zero
@@ -59,7 +60,7 @@ the tensor itself, and the slot-s term of unknown column (j, t[s]) is the
 entry t[:s] + (j,) + t[s+1:] of the opened tensor, times the prefix sign,
 found with the others of its tuple by one lookup of t without slot s in
 :func:`~nhomlie.algebra.opened_index`.  Each (tuple, equation) is
-summed sparsely, component by component, and each nonzero component becomes
+summed sparsely over the components a term reaches; each nonzero one becomes
 one row: the list of its nonzero (column, value) pairs, which is the one
 row form :func:`~nhomlie.linalg.kernel` reads.  :func:`in_space` and
 :func:`qder_identity_holds` re-evaluate each definition on the integer
@@ -78,6 +79,7 @@ of what Omega's basis gives as witnesses.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -184,12 +186,12 @@ def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
 # (block b, slot s, coefficient c).  A slot term is c times the prefix sign
 # of slot s times [alpha^k e_{t_0}, ..., B_b e_{t_s}, ..., alpha^k e_{t_{n-1}}];
 # a VALUE term is c times B_b [e_{t_0}, ..., e_{t_{n-1}}].  Every block also
-# commutes with alpha.  ``sorted_from`` is the equation's tuple symmetry: the
-# first slot from which t may be sorted without changing the row space (see
-# :func:`_rows`), n if none may be.  Der, C, QC and QDer sort all of t; ZDer
-# sorts all of t in its VALUE equation D[e_t] = 0 and only t[1:] in its slot
-# equation (whose one term singles out slot 0); GDer sorts nothing (each slot
-# has its own block).  Only :func:`solve` reads representatives.
+# commutes with alpha.  ``sorted_from`` is the equation's tuple symmetry, the
+# first slot from which t may be sorted without changing the row space (n if
+# none may be): :func:`_rows` reads the equation on the t sorted from there,
+# or on every t when alpha is not even.  Der, C, QC and QDer sort all of t;
+# ZDer sorts all of t in D[e_t] = 0 and t[1:] in its slot equation (its one
+# term singles out slot 0); GDer sorts nothing (each slot has its own block).
 VALUE = None
 
 
@@ -233,7 +235,7 @@ def _commutation_rows(alg: NHomAlgebra, posidx, offset: int):
     return rows
 
 
-def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
+def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     """Sparse integer rows of the equations of ``kind`` over its vectorized blocks.
 
     Each row is the list of its nonzero (column, value) pairs, the row form of
@@ -251,44 +253,45 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
     at slot s outside slot s and hold at slot s a column c with (v_s, c) an
     allowed position.  On every other tuple each term of each equation
     reads zero, so the rows are the nonzero rows of the walk over every
-    tuple, in the same order.  Every slot term is read from
+    representative, in the same order.  Every slot term is read from
     :func:`~nhomlie.algebra.opened_index`, which lists the entries of the
     opened tensor by their other slots, so the reached tuples and each
     term's entries are found by lookup.
 
-    With ``reduced``, each equation is read only on its representative
-    tuples: those weakly increasing from its ``sorted_from`` slot on (every
-    tuple when that is n).  The row space does not change.  Swap the
-    adjacent entries t_i and t_{i+1} (both at or after ``sorted_from``).
-    By the graded skew symmetry of the bracket, the VALUE term gets the factor
-    -(-1)^(|e_{t_i}| |e_{t_{i+1}}|), and so does a slot term with the
-    unknown in neither slot (alpha^k is even, so its images keep the
-    parities of their arguments).  A slot term with the unknown in slot i
-    or i + 1 becomes the term of the other slot: the graded swap adds
+    Each equation is read only on its representatives: the tuples weakly
+    increasing from its ``sorted_from`` slot on (all tuples when that is n, or
+    when alpha is not even, which ``solve`` does not rule out).  The row space
+    does not change.  Swap the adjacent entries t_i and t_{i+1} (both at or
+    after ``sorted_from``).  By the graded skew symmetry of the bracket, the
+    VALUE term gets the factor -(-1)^(|e_{t_i}| |e_{t_{i+1}}|), and so does a
+    slot term with the unknown in neither slot (alpha^k is even, so its images
+    keep the parities of their arguments).  A slot term with the unknown in
+    slot i or i + 1 becomes the term of the other slot: the graded swap adds
     (-1)^(xi |e|), e the entry that moves across the unknown, and the prefix
-    sign changes by the same (-1)^(xi |e|), so the factor is again the
-    common one.  A permutation of t therefore permutes the slot terms of
-    each equation and keeps its VALUE term, all times one sign.  Each
-    permuted equation is then plus or minus a representative's equation
-    (Der and QDer sum their slot terms; C's slot s goes to another slot;
-    ZDer's slot equation keeps slot 0 in place, and its VALUE equation has
-    no slot term to move) or, for QC, a difference of two of them:
-    slot a minus slot b is (slot 0 minus slot b) minus (slot 0 minus
-    slot a).  :func:`~nhomlie.linalg.kernel` returns the canonical form of
-    the nullspace, so equal row spaces give equal bases.
+    sign changes by the same (-1)^(xi |e|), so the factor is again the common
+    one.  A permutation of t therefore permutes the slot terms of each equation
+    and keeps its VALUE term, all times one sign.  Each permuted equation is
+    then plus or minus a representative's equation (Der and QDer sum their slot
+    terms; C's slot s goes to another slot; ZDer's slot equation keeps slot 0
+    in place, and its VALUE equation has no slot term to move) or, for QC, a
+    difference of two of them: slot a minus slot b is (slot 0 minus slot b)
+    minus (slot 0 minus slot a).  :func:`~nhomlie.linalg.kernel` returns the
+    canonical form of the nullspace, so equal row spaces give equal bases.
 
     The slot-s term of unknown column (j, t[s]) is the prefix sign
     (-1)^(xi |t[:s]|) times the bracket [alpha^k e_{t_0}, ..., e_j, ...,
     alpha^k e_{t_{n-1}}], which is the entry t[:s] + (j,) + t[s+1:] of
     :func:`~nhomlie.algebra.opened_tensor` at slot s; it is read by
     lookup, so no bracket is evaluated here.  Each (tuple, equation) is
-    summed in one sparse dict per component, and the component's nonzero
-    entries are its row, so no row is ever written out at the full width.
+    summed in one sparse dict per component a term reaches; their nonzero
+    entries are its rows, in component order, never at the full width.
     """
     d, n = alg.dim, alg.arity
     nblocks, equations = _EQUATIONS[kind](n)
+    if not is_homogeneous(alg.parity, 0, alg.alpha):
+        equations = [eq._replace(sorted_from=n) for eq in equations]
     # every tuple that is a representative of some equation
-    start = max((eq.sorted_from for eq in equations), default=n) if reduced else n
+    start = max((eq.sorted_from for eq in equations), default=n)
     pos = allowed_positions(alg.parity, xi)
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
@@ -316,15 +319,11 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
 
     def rows():
         for t in reached:
-            # t is a representative of the equations sorted from slot first on
-            first = n - 1 if reduced else 0
-            while first and t[first - 1] <= t[first]:
-                first -= 1
             value = values.get(t, ())
             for eq in equations:
-                if eq.sorted_from < first:
+                if not _is_increasing(t[eq.sorted_from:]):
                     continue
-                comps = [{} for _ in range(d)]  # component -> {column: coefficient}
+                comps = defaultdict(dict)  # component -> {column: coefficient}
                 for b, s, c in eq.terms:
                     off = b * npos
                     if s is VALUE:
@@ -344,8 +343,8 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int, reduced=False):
                         for l, x in entry:
                             comp = comps[l]
                             comp[col] = comp.get(col, 0) + w * x
-                for comp in comps:
-                    row = [(col, x) for col, x in comp.items() if x]
+                for l in sorted(comps):
+                    row = [(col, x) for col, x in comps[l].items() if x]
                     if row:
                         yield row
         for b in range(nblocks):
@@ -395,10 +394,7 @@ def _solve_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> EndoSubspa
         rows = _grown(nblocks * len(pos), [], [],
                       _scaled_rows(solve(alg, kind, 0, xi), power, pos)).rows
         return _space(alg.dim, kind, xi, pos, nblocks, rows)
-    # the tuple symmetry of _rows needs an even alpha; an input that breaks
-    # that axiom (solve does not validate) is solved over every tuple
-    rows, nblocks, pos = _rows(alg, kind, k, xi,
-                               reduced=is_homogeneous(alg.parity, 0, alg.alpha))
+    rows, nblocks, pos = _rows(alg, kind, k, xi)
     return _space(alg.dim, kind, xi, pos, nblocks, kernel(rows, nblocks * len(pos)))
 
 

@@ -32,12 +32,13 @@ from math import lcm
 import hypothesis.strategies as st
 import pytest
 from conftest import apply, basis_value, col, dense, mixed_change, sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from nhomlie import algebra, solver
 from nhomlie.algebra import (
     NHomAlgebra,
     bracket,
+    is_homogeneous,
     opened_tensor,
     sparse_rows,
     summed_slot_terms,
@@ -281,12 +282,14 @@ def unit_slot_bracket(name, k, t, s, r):
     return bracket(alg, args)
 
 
-def ref_rows(name, kind, k, xi):
+def ref_rows(name, kind, k, xi, reduced=False):
     """``(equation rows, commutation rows)`` of ``kind`` in ``Fraction`` arithmetic.
 
     The order is that of the solver's rows: tuple, equation, component, then
     the commutation rows of each block; unknowns are the blocks' allowed
-    positions.  Zero rows are dropped.
+    positions.  Zero rows are dropped.  With ``reduced``, each equation is
+    read only on the tuples weakly increasing from its ``sorted_from`` slot
+    on.
     """
     alg = ALGEBRAS[name]
     d, n = alg.dim, alg.arity
@@ -296,6 +299,8 @@ def ref_rows(name, kind, k, xi):
     eq_rows = []
     for t in product(range(d), repeat=n):
         for eq in equations:
+            if reduced and not is_representative(t, eq.sorted_from):
+                continue
             block = [[F(0)] * width for _ in range(d)]
             for b, s, c in eq.terms:
                 for m, (r, cc) in enumerate(pos):
@@ -463,20 +468,23 @@ def test_qder_identity_matches_reference(name, data):
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_are_the_reference_over_one_denominator(name, kind):
     # every equation row is over tden den(alpha^k)^(n-1), every commutation
-    # row over den(alpha)
+    # row over den(alpha); _rows reads each equation on its representatives
+    # (alpha is even here), and the walk over every tuple reads them all
     alg = ALGEBRAS[name]
+    assert is_homogeneous(alg.parity, 0, alg.alpha)
     tden = lcm(1, *(x.denominator for value in alg.table.values() for x in value))
     aden = lcm(1, *(x.denominator for row in alg.alpha.entries for x in row))
     for k, xi in product(range(3), (0, 1)):
         kden = lcm(1, *(x.denominator for row in alg.alpha_power(k).entries for x in row))
-        eq_rows, comm_rows = ref_rows(name, kind, k, xi)
         factor = tden * kden ** (alg.arity - 1)
-        expected = ([sparse([x * factor for x in row]) for row in eq_rows] +
-                    [sparse([x * aden for x in row]) for row in comm_rows])
-        rows = list(_rows(alg, kind, k, xi)[0])
-        assert all(type(j) is int and type(x) is int for row in rows for j, x in row)
-        # the same nonzero entries at the same columns, in the same rows
-        assert [sorted(row) for row in rows] == expected
+        for rows, reduced in ((list(_rows(alg, kind, k, xi)[0]), True),
+                              (walked_rows(alg, kind, k, xi), False)):
+            eq_rows, comm_rows = ref_rows(name, kind, k, xi, reduced)
+            expected = ([sparse([x * factor for x in row]) for row in eq_rows] +
+                        [sparse([x * aden for x in row]) for row in comm_rows])
+            assert all(type(j) is int and type(x) is int for row in rows for j, x in row)
+            # the same nonzero entries at the same columns, in the same rows
+            assert [sorted(row) for row in rows] == expected, (k, xi, reduced)
 
 
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
@@ -545,10 +553,11 @@ def test_rows_over_representatives_span_the_full_rows(name, kind):
     # sorting a tuple only permutes the slot terms of its equations, with
     # one sign, so the representatives' rows span every tuple's rows
     alg = ORBIT_ALGEBRAS[name]
+    assert is_homogeneous(alg.parity, 0, alg.alpha)
     for k, xi in product(range(3), (0, 1)):
-        full, nblocks, pos = _rows(alg, kind, k, xi)
-        full = list(full)
-        reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
+        reduced, nblocks, pos = _rows(alg, kind, k, xi)
+        reduced = list(reduced)
+        full = walked_rows(alg, kind, k, xi)
         width = nblocks * len(pos)
         assert SubspaceBasis.span(width, [dense(row, width) for row in reduced]) == \
             SubspaceBasis.span(width, [dense(row, width) for row in full]), (k, xi)
@@ -572,9 +581,9 @@ def test_zder_reads_its_value_equation_over_sorted_tuples():
     # is symmetric in all of t and gives 288 rows over every tuple (12 per
     # ordered pair in one block) but 144 over the sorted ones
     alg = so3_sum(4)
-    full, nblocks, pos = _rows(alg, Kind.ZDER, 0, 0)
-    full = list(full)
-    reduced = list(_rows(alg, Kind.ZDER, 0, 0, reduced=True)[0])
+    reduced, nblocks, pos = _rows(alg, Kind.ZDER, 0, 0)
+    reduced = list(reduced)
+    full = walked_rows(alg, Kind.ZDER, 0, 0)
     assert (len(full), len(reduced)) == (576, 432)
     width = nblocks * len(pos)
     assert kernel(reduced, width) == kernel(full, width)
@@ -623,10 +632,11 @@ def walked_rows(alg, kind, k, xi, tuples=None, reduced=False):
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind, monkeypatch):
-    # the full walk is pinned to the Fraction reference above; for each
+    # the walks are pinned to the Fraction reference above; for each
     # equation on its own, walked over its representative tuples only in
-    # product order, it must give the reduced stream
+    # product order, it must give the stream of _rows (alpha is even here)
     alg = ALGEBRAS[name]
+    assert is_homogeneous(alg.parity, 0, alg.alpha)
     nblocks, equations = _EQUATIONS[kind](alg.arity)
     if kind is Kind.GDER:
         assert [eq.sorted_from for eq in equations] == [alg.arity]
@@ -636,20 +646,22 @@ def test_rows_over_representatives_are_the_full_rows_of_those_tuples(name, kind,
         for k, xi in product(range(3), (0, 1)):
             with monkeypatch.context() as m:
                 m.setitem(solver._EQUATIONS, kind, lambda n: (nblocks, [eq]))
-                reduced = list(_rows(alg, kind, k, xi, reduced=True)[0])
+                reduced = list(_rows(alg, kind, k, xi)[0])
                 assert reduced == walked_rows(alg, kind, k, xi, reps), (k, xi)
             if kind is Kind.GDER:
-                assert reduced == list(_rows(alg, kind, k, xi)[0]), (k, xi)
+                assert reduced == walked_rows(alg, kind, k, xi), (k, xi)
     # all equations together: offered every tuple, each equation's own
     # filter keeps the stream that the representatives alone give
     for k, xi in product(range(3), (0, 1)):
-        assert list(_rows(alg, kind, k, xi, reduced=True)[0]) == \
+        assert list(_rows(alg, kind, k, xi)[0]) == \
             walked_rows(alg, kind, k, xi, reduced=True), (k, xi)
 
 
 def assert_reached_rows_are_the_walked_rows(alg, kind):
-    for k, xi, reduced in product(range(3), (0, 1), (False, True)):
-        assert list(_rows(alg, kind, k, xi, reduced)[0]) == \
+    # representatives when alpha is even, every tuple when it is not
+    reduced = is_homogeneous(alg.parity, 0, alg.alpha)
+    for k, xi in product(range(3), (0, 1)):
+        assert list(_rows(alg, kind, k, xi)[0]) == \
             walked_rows(alg, kind, k, xi, reduced=reduced), (k, xi, reduced)
 
 
@@ -688,8 +700,15 @@ def drawn_algebras(draw):
     return NHomAlgebra(n, d, parity, table, Mat.from_rows(grid), name=style)
 
 
+def odd_alpha_algebra():
+    """A ternary algebra whose alpha has an odd entry, so it is not even."""
+    alpha = Mat.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    return NHomAlgebra(3, 3, (0, 1, 1), {(0, 1, 2): (0, 0, -1)}, alpha, name="odd")
+
+
 @settings(max_examples=25, deadline=None)
-@given(drawn_algebras())
+@given(alg=drawn_algebras())
+@example(alg=odd_alpha_algebra())
 @pytest.mark.parametrize("kind", TUPLE_KINDS, ids=str)
 def test_reached_tuples_give_the_full_walks_nonzero_rows_on_drawn_algebras(kind, alg):
     assert_reached_rows_are_the_walked_rows(alg, kind)
@@ -698,12 +717,11 @@ def test_reached_tuples_give_the_full_walks_nonzero_rows_on_drawn_algebras(kind,
 def test_odd_alpha_is_solved_over_every_tuple():
     # the tuple symmetry needs an even alpha; solve does not validate, so an
     # input with an odd alpha entry keeps the answer of the full system
-    alpha = Mat.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-    alg = NHomAlgebra(3, 3, (0, 1, 1), {(0, 1, 2): (0, 0, -1)}, alpha)
+    alg = odd_alpha_algebra()
     rows, nblocks, pos = _rows(alg, Kind.QDER, 1, 0)
     width = nblocks * len(pos)
     full = kernel(rows, width)
-    assert kernel(_rows(alg, Kind.QDER, 1, 0, reduced=True)[0], width) != full
+    assert kernel(walked_rows(alg, Kind.QDER, 1, 0, reduced=True), width) != full
     npos = len(pos)
     projected = SubspaceBasis.span(npos, [v[:npos] for v in full])
     space = solve(alg, Kind.QDER, 1, 0)
