@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -499,9 +500,14 @@ def test_osp12_dims(build, dims):
 
 
 def solve_from_rows(alg, kind, k, xi):
-    """The space at k from its own rows and ``kernel``, as k = 0 is solved."""
-    rows, nblocks, pos = solver._rows(alg, kind, k, xi)
-    return solver._space(alg.dim, kind, xi, pos, nblocks, kernel(rows, nblocks * len(pos)))
+    """The space at k from the rows of every tuple and ``kernel``: each
+    equation's ``sorted_from`` is set to n, so no tuple symmetry is used."""
+    nblocks, equations = solver._EQUATIONS[kind](alg.arity)
+    every = [eq._replace(sorted_from=alg.arity) for eq in equations]
+    with mock.patch.dict(solver._EQUATIONS, {kind: lambda n: (nblocks, every)}):
+        rows, nblocks, pos = solver._rows(alg, kind, k, xi)
+        return solver._space(alg.dim, kind, xi, pos, nblocks,
+                             kernel(rows, nblocks * len(pos)))
 
 
 # Yau twists by diagonal automorphisms, for a drawn nonzero c; threeLie4's
