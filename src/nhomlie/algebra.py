@@ -76,7 +76,6 @@ from .linalg import (
     Vector,
     _grown,
     kernel,
-    rref,
     vector,
 )
 
@@ -654,14 +653,9 @@ def _center(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
                 for l, x in values.get((i,) + rest, ()):
                     comps[l].append((pos, x))
             rows.extend(comps)
-        # spread over the increasing idxs, a reduced basis stays reduced
-        vecs = []
-        for v in kernel(rows, len(idxs)):
-            full = [0] * d
-            for pos, i in enumerate(idxs):
-                full[i] = v[pos]
-            vecs.append(tuple(full))
-        out.append(SubspaceBasis(d, tuple(vecs)))
+        # mapped to the increasing idxs, a reduced basis stays reduced
+        out.append(SubspaceBasis(d, tuple(tuple((idxs[pos], x) for pos, x in v)
+                                          for v in kernel(rows, len(idxs)))))
     return out[0], out[1]
 
 
@@ -669,14 +663,13 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Per-parity span of all brackets of basis elements."""
     d = alg.dim
     by_parity = {EVEN: [], ODD: []}
-    values = alg.table_ints[0]
-    for t, row in zip(values, map(dict, values.values())):
-        by_parity[alg.tuple_parity(t)].append([row.get(j, 0) for j in range(d)])
-    return _grown(d, [], [], by_parity[EVEN]), _grown(d, [], [], by_parity[ODD])
+    for t, value in alg.table_ints[0].items():
+        by_parity[alg.tuple_parity(t)].append(value)
+    return _grown(d, (), by_parity[EVEN]), _grown(d, (), by_parity[ODD])
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:
-    return rref(alg.alpha).rank == alg.dim
+    return _grown(alg.dim, (), sparse_rows(alg.alpha)[0]).dim == alg.dim
 
 
 def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
@@ -713,12 +706,11 @@ def invert(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    grid, den = m.ints
-    # [m | identity] as numerators over den
-    aug = tuple(row + tuple(den if j == i else 0 for j in range(n))
-                for i, row in enumerate(grid))
-    res = rref(Mat(n, 2 * n, (aug, den)))
-    if res.pivots != tuple(range(n)):
+    rows, den = sparse_rows(m)
+    # [m | identity] as numerators over den: its reduced rows are [c_i e_i | c_i row i of m^-1]
+    s = _grown(2 * n, (), (row + ((n + i, den),) for i, row in enumerate(rows)))
+    if s.leads != tuple(range(n)):
         raise ValueError("matrix is singular")
-    inv, inv_den = res.reduced.ints
-    return Mat(n, n, (tuple(row[n:] for row in inv), inv_den))
+    inv_den = lcm(*(row[0][1] for row in s.rows))
+    return Mat.from_vec_pairs(n, [((c - n) * n + i, x * (inv_den // row[0][1]))
+                                  for i, row in enumerate(s.rows) for c, x in row[1:]], inv_den)

@@ -72,7 +72,7 @@ def _build_check(alg: NHomAlgebra) -> TExtension:
     cols = u_even.rows + u_odd.rows + der_even.rows + der_odd.rows
     if len(cols) != d:
         raise ValueError("complement construction did not produce a direct sum")
-    change = Mat(d, d, (cols, 1)).transpose()
+    change = Mat.from_vec_pairs(d, [(c * d + i, x) for c, col in enumerate(cols) for i, x in col], 1)
     change_inv = invert(change)
     n_u = u_even.dim + u_odd.dim
     selector = Mat(d, d, (((0,) * d,) * n_u + Mat.identity(d).ints[0][n_u:], 1))
@@ -105,7 +105,7 @@ def _embedded(alg: NHomAlgebra, k: int, xi: int):
     def build():
         qd = solve(alg, Kind.QDER, k, xi)
         images = [phi(build_check(alg), g, w, k) for g, w in zip(qd.basis, qd.witnesses)]
-        return qd, images, _grown((2 * alg.dim) ** 2, [], [], (g.mat.vec_ints() for g in images))
+        return qd, images, _grown((2 * alg.dim) ** 2, (), (g.mat.vec_pairs() for g in images))
     return alg.cached(("embedded", alg.alpha_power(k), xi), build)
 
 
@@ -167,9 +167,8 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     d2 = (2 * d) ** 2
     claims = []
 
-    second = Mat.identity(2 * d).ints[0][d:]
     ok = center(ext) == tuple(
-        SubspaceBasis(2 * d, tuple(e for e, p in zip(second, alg.parity) if p == par))
+        SubspaceBasis(2 * d, tuple(((d + i, 1),) for i, p in enumerate(alg.parity) if p == par))
         for par in (0, 1))
     claims.append(Claim("43.center_of_ext", "pass" if ok else "fail",
                         detail="center of the extension is the second block"))

@@ -12,8 +12,9 @@ byte-identical and reports are reproducible run to run.
 
 Every document the CLI emits is built here, and every rational in it is
 written by one formatter, :func:`_ratio_str`, from an integer pair: a
-matrix's numerators over its denominator, a subspace row's entries over
-its leading entry, and a validation residual's ``Fraction`` entries, the
+matrix's numerators over its denominator, a subspace row's nonzero values
+over its leading value (written out here at the full width, the one place
+a subspace row is), and a validation residual's ``Fraction`` entries, the
 only rationals of a report not held as integers.
 """
 
@@ -249,8 +250,9 @@ def mat_doc(m: Mat) -> list:
 
 
 def subspace_doc(s: SubspaceBasis) -> list:
-    """The basis rows scaled to leading entry 1, read off the primitive rows."""
-    return [[_ratio_str(x, row[j]) for x in row] for row, j in zip(s.rows, s.leads)]
+    """The basis rows at the full width, each over its leading value."""
+    return [[_ratio_str(entries.get(c, 0), row[0][1]) for c in range(s.ambient_dim)]
+            for row, entries in zip(s.rows, map(dict, s.rows))]
 
 
 def dims_doc(dims) -> dict:

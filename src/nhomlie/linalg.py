@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 A matrix stores one form, :attr:`Mat.ints`: a grid of integer numerators
 over one positive common denominator, reduced so that the denominator is
@@ -8,41 +8,42 @@ and hash equal; a matrix stores its hash on first use.  Matrix arithmetic (produ
 run on that form in Python ints.  A matrix builds a ``Fraction`` only
 where rational entries come in (:meth:`Mat.from_rows`) and where they are
 read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
-itself.  A subspace stores its unique reduced row-echelon basis as
-primitive integer rows with positive leading entries, so equal subspaces
-compare equal; rational vectors become integer rows only where they come
-in.  That basis is also the state every elimination works on:
-:func:`_reduce` clears each of its leads from an incoming row in one pass,
-which decides membership, and :func:`_insert` adds a row that does not
-reduce to zero and clears its lead from the other rows.  Spans, sums,
-intersections, complements and :func:`rref` grow a canonical basis this
-way, so every stored row is a row of that unique form and its size is
-bounded by the form itself.  :func:`kernel` reads sparse rows, each the
-list of its (column, value) pairs, and keeps the nullspace itself instead
-of pivots: one primitive integer vector per free column, stored over the
-columns retired so far (its own entry first, then its entries at the
-retired columns in retirement order), which hold all of its support.  A
-dependent row costs one dot product, over the row's nonzeros, per vector
-nonzero at one of its retired columns; a retirement costs, for each vector
-it updates, one scaling of that vector plus the nonzeros of the retired
-column's vector; rows past full rank are never read, and the vectors left
-at the end, written out at the full width, are the nullspace's reduced
-basis.  No floating point appears anywhere.
+itself.  Every other row has one form: its nonzero (column, value) pairs
+with integer values.  A subspace stores its unique reduced row-echelon
+basis as such rows, columns increasing so the lead first, each primitive
+with a positive leading entry, so equal subspaces compare equal.  That
+basis, held as one ``{column: value}`` dict per lead, is also the state
+every elimination works on: :func:`_reduce` clears each of its leads from
+an incoming row in one pass over the nonzeros, which decides membership,
+and :func:`_insert` adds a row that does not reduce to zero and clears its
+lead from the other rows.  Spans, sums, complements and inverses grow a
+canonical basis this way, so every stored row is a row of that unique
+form and its size is bounded by the form itself; only a report writes a
+row out at the full width.  :func:`kernel` reads rows as pairs in any
+order and keeps the nullspace itself instead of pivots: one primitive
+integer vector per free column, stored over the columns retired so far
+(its own entry first, then its entries at the retired columns in
+retirement order), which hold all of its support.  A dependent row costs
+one dot product, over the row's nonzeros, per vector nonzero at one of its
+retired columns; a retirement costs, for each vector it updates, one
+scaling of that vector plus the nonzeros of the retired column's vector;
+rows past full rank are never read, and the vectors left at the end, as
+canonical rows, are the nullspace's reduced basis.  No floating point
+appears anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
+Row = tuple[tuple[int, int], ...]  # nonzero (column, value) pairs, columns increasing
 
 
 def as_scalar(value) -> Fraction:
@@ -106,6 +107,15 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, (((0,) * cols,) * rows, 1))
 
+    @classmethod
+    def from_vec_pairs(cls, n: int, pairs: Iterable[tuple[int, int]], den: int) -> "Mat":
+        """The n x n matrix with the (column-major index, numerator) ``pairs``
+        over ``den``, zero elsewhere: the inverse of :meth:`vec_pairs`."""
+        grid = [[0] * n for _ in range(n)]
+        for i, x in pairs:
+            grid[i % n][i // n] = x
+        return cls(n, n, (tuple(map(tuple, grid)), den))
+
     _hash = None  # not a field: stored on first use, as value caches hash operands often
 
     def __hash__(self):
@@ -164,13 +174,12 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(map(any, self.ints[0]))
 
-    def flat_ints(self) -> list[int]:
-        """Row-major numerators: the flattening times the denominator."""
-        return [x for row in self.ints[0] for x in row]
-
-    def vec_ints(self) -> list[int]:
-        """Column-major numerators, the solver's order for unknown matrices."""
-        return [x for col in zip(*self.ints[0]) for x in col]
+    def vec_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero numerators as (column-major index, numerator) pairs, in
+        index order: the solver's order for unknown matrices."""
+        n = self.rows
+        return tuple((c * n + r, x) for c, col in enumerate(zip(*self.ints[0]))
+                     for r, x in enumerate(col) if x)
 
 
 @lru_cache(maxsize=None)
@@ -241,86 +250,91 @@ def _int_row(row: Sequence) -> list[int]:
     """
     row = [x if isinstance(x, (int, Fraction)) else as_scalar(x) for x in row]
     den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """``row`` divided by the gcd of its entries (a zero row as it is)."""
+    row = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _lead(row: Sequence[int]) -> int | None:
-    """The column of the first nonzero entry of ``row``; None for a zero row."""
-    return next(compress(range(len(row)), row), None)
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its values, signed so that its lead is positive."""
+    g = gcd(*row.values()) if row[min(row)] > 0 else -gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g != 1 else row
 
 
-def _reduce(basis: Sequence[Sequence[int]], leads: Sequence[int],
-            row: Sequence[int]) -> Sequence[int]:
-    """``row`` with the lead of every canonical ``basis`` row cleared.
-
-    Canonical rows are zero at each other's leads, so clearing one lead
-    only scales the row's entries at the other leads: one pass clears
-    them all, and the rows to clear are those whose lead is nonzero in
-    ``row`` as it comes in.  The result is zero iff ``row`` lies in the
-    span of ``basis``.
-    """
-    for p, j in compress(zip(basis, leads), map(row.__getitem__, leads)):
-        b = row[j]
-        g = gcd(p[j], b)
-        am, bm = p[j] // g, b // g
-        if am == 1:
-            row = [x - bm * y for x, y in zip(row, p)]
+def _take(row: dict[int, int], f: int, p: dict[int, int]) -> None:
+    """``row -= f p`` in place, dropping the columns where it cancels."""
+    for c, y in p.items():
+        z = row.get(c, 0) - f * y
+        if z:
+            row[c] = z
         else:
-            row = [am * x - bm * y for x, y in zip(row, p)]
+            del row[c]
+
+
+def _reduce(basis: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+    """A positive multiple of ``row`` with the lead of every canonical row cleared.
+
+    ``basis`` maps each lead to its row as ``{column: value}``, the form of
+    ``row``.  Canonical rows are zero at each other's leads, so the row p of
+    lead j is taken ``row[j] / p[j]`` times, read off ``row`` as it comes
+    in: one pass over the nonzeros met clears every lead, over the least
+    multiple of ``row`` that keeps it integral.  The result is empty iff
+    ``row`` lies in the span of ``basis``.
+    """
+    met = [(j, x) for j, x in row.items() if j in basis]
+    m = lcm(*(basis[j][j] // gcd(basis[j][j], x) for j, x in met))
+    row = {c: m * x for c, x in row.items()}
+    for j, x in met:
+        _take(row, m * x // basis[j][j], basis[j])
     return row
 
 
-def _insert(basis: list, leads: list[int], row: Sequence[int]) -> bool:
-    """Grow the canonical ``basis`` (``leads`` alongside) by ``row``; True if it grew.
+def _insert(basis: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Grow the canonical ``basis`` (as :func:`_reduce` reads it) by ``row``; True if it grew.
 
     The reduced row is made primitive with a positive lead, its lead is
-    cleared from the other rows (each kept primitive) and it goes in at
-    its place in lead order, so ``basis`` stays the reduced row-echelon
-    form of its span and each entry stays bounded by that form.
+    cleared from the other rows (each kept primitive, and replaced, never
+    changed, so they may be shared), and it goes in under its lead, so
+    ``basis`` stays the reduced row-echelon form of its span.
     """
-    row = _reduce(basis, leads, row)
-    j = _lead(row)
-    if j is None:
+    row = _reduce(basis, row)
+    if not row:
         return False
-    g = gcd(*row) if row[j] > 0 else -gcd(*row)
-    if g != 1:
-        row = [x // g for x in row]
-    a = row[j]
-    for i, p in enumerate(basis):
-        b = p[j]
-        if b:
-            g = gcd(a, b)
-            am, bm = a // g, b // g
-            basis[i] = _primitive([am * x - bm * y for x, y in zip(p, row)])
-    i = bisect(leads, j)
-    leads.insert(i, j)
-    basis.insert(i, row)
+    row = _primitive(row)
+    j = min(row)
+    for i, p in basis.items():
+        if j in p:
+            g = gcd(row[j], p[j])
+            a = row[j] // g
+            q = {c: a * x for c, x in p.items()}
+            _take(q, p[j] // g, row)
+            basis[i] = _primitive(q)
+    basis[j] = row
     return True
 
 
-def _grown(width: int, basis: list, leads: list[int],
-           rows: Iterable[Sequence[int]]) -> "SubspaceBasis":
-    """The span of the canonical ``basis`` (``leads`` alongside) and the integer ``rows``."""
+def _grown(width: int, basis: Iterable[Row],
+           rows: Iterable[Iterable[tuple[int, int]]]) -> "SubspaceBasis":
+    """The span of the canonical rows ``basis`` and the integer ``rows``.
+
+    Each of ``rows`` is a sequence of (column, value) pairs at distinct
+    columns, in any order; zero values may be left out.
+    """
+    held = {row[0][0]: dict(row) for row in basis}
     for row in rows:
-        _insert(basis, leads, row)
-    return SubspaceBasis(width, tuple(map(tuple, basis)))
+        _insert(held, {c: x for c, x in row if x})
+    return SubspaceBasis(width, tuple(tuple(sorted(held[j].items())) for j in sorted(held)))
 
 
 def kernel(rows: Iterable[Sequence[tuple[int, int]]],
-           width: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of ``{v : r v = 0 for every row r}``, as integer rows.
+           width: int) -> tuple[Row, ...]:
+    """Basis of ``{v : r v = 0 for every row r}``, as canonical rows.
 
     Each row is a sequence of its (column, value) pairs, in any order, at
     distinct columns; zero values may be left out.  Each basis vector is a
     primitive integer row with a positive leading entry, and together they
-    are the nullspace's reduced row-echelon basis in the canonical form of
-    :class:`SubspaceBasis`.
+    are the nullspace's reduced row-echelon basis in the canonical row form
+    of :class:`SubspaceBasis`.
 
     The elimination keeps the kernel, not the pivots.  Every column is
     free at first; each free column f holds a vector v_f, the unit vector
@@ -358,8 +372,8 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
     retirement gives column i the next place; v_i's nonzero entries, in
     the places after the retirement, are listed once and shared by every
     update, so an update costs one scaling of v_f plus those entries, and
-    the vectors it does not update gain a zero at the new place.  The full
-    width is written out only for the returned basis.
+    the vectors it does not update gain a zero at the new place.  The
+    returned basis is read off the stored vectors, never at the full width.
 
     Each place also keeps the set of the stored v_f that are nonzero there,
     and a row is dotted only with the union of those sets over its retired
@@ -423,16 +437,12 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
                     vf[p] = y
                     if not y:
                         held[p].discard(f)
-                vecs[f] = _primitive(vf)
+                g = gcd(*vf)
+                vecs[f] = [x // g for x in vf] if g > 1 else vf
             if len(retired) == width:
                 break
-    basis = []
-    for f in sorted(set(range(width)).difference(place)):
-        out = [0] * width
-        for c, x in zip([f] + retired, vecs.get(f, (1,))):
-            out[c] = x
-        basis.append(tuple(out))
-    return tuple(basis)
+    return tuple(tuple(sorted((c, x) for c, x in zip([f] + retired, vecs.get(f, (1,))) if x))
+                 for f in sorted(set(range(width)).difference(place)))
 
 
 class RrefResult(NamedTuple):
@@ -443,10 +453,10 @@ class RrefResult(NamedTuple):
 
 def rref(m: Mat) -> RrefResult:
     """Unique reduced row-echelon form of ``m`` over the rationals."""
-    s = _grown(m.cols, [], [], m.ints[0])
-    den = lcm(*(r[c] for r, c in zip(s.rows, s.leads)))  # each row is over its pivot
-    grid = tuple(tuple(x * (den // r[c]) for x in r) for r, c in zip(s.rows, s.leads))
-    grid += ((0,) * m.cols,) * (m.rows - s.dim)
+    s = _grown(m.cols, (), (enumerate(row) for row in m.ints[0]))
+    den = lcm(*(row[0][1] for row in s.rows))  # each row is over its pivot
+    grid = tuple(tuple(dict(row).get(c, 0) * (den // row[0][1]) for c in range(m.cols))
+                 for row in s.rows) + ((0,) * m.cols,) * (m.rows - s.dim)
     return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
 
 
@@ -458,28 +468,30 @@ def rref(m: Mat) -> RrefResult:
 class SubspaceBasis:
     """A subspace of F^n held as its reduced row-echelon basis.
 
-    Each row is a primitive integer row with a positive leading entry.  The
-    form is unique, and checked on construction, so equal subspaces compare
-    equal.
+    Each row is the tuple of its nonzero (column, value) pairs in
+    increasing column order, so its lead first: a primitive integer row
+    with a positive leading entry.  The form is unique, and checked on
+    construction, so equal subspaces compare equal.
     """
 
     ambient_dim: int
-    rows: IntGrid
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
         for row in self.rows:
-            if len(row) != self.ambient_dim:
-                raise ValueError("basis row length does not match ambient dimension")
-            if not set(map(type, row)) <= {int}:
-                raise ValueError("basis rows must hold ints")
+            if not (row and all(type(c) is int and type(x) is int and x for c, x in row)
+                    and 0 <= row[0][0] and row[-1][0] < self.ambient_dim
+                    and all(p[0] < q[0] for p, q in zip(row, row[1:]))):
+                raise ValueError("basis rows must hold nonzero ints at increasing columns"
+                                 " inside the ambient dimension")
         leads = self.leads
-        for i, (row, j) in enumerate(zip(self.rows, leads)):
-            if j is None or row[j] < 0 or gcd(*row) != 1 or (i and j <= leads[i - 1]):
+        at_lead = set(leads)
+        for i, row in enumerate(self.rows):
+            if row[0][1] < 0 or gcd(*(x for _, x in row)) != 1 or (i and leads[i] <= leads[i - 1]):
                 raise ValueError("basis rows must be primitive, with positive leading"
                                  " entries in increasing columns")
-        # each row is nonzero at its own lead, so it must be zero at the others
-        for row in self.rows:
-            if sum(map(bool, map(row.__getitem__, leads))) != 1:
+            # each row holds its own lead, so it must hold no other
+            if sum(c in at_lead for c, _ in row) != 1:
                 raise ValueError("a pivot column is not cleared in the other basis rows")
 
     @classmethod
@@ -487,7 +499,7 @@ class SubspaceBasis:
         rows = list(map(_int_row, vectors))
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("spanning vector length does not match ambient dimension")
-        return _grown(ambient_dim, [], [], rows)
+        return _grown(ambient_dim, (), map(enumerate, rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -496,24 +508,30 @@ class SubspaceBasis:
     @cached_property
     def leads(self) -> tuple[int, ...]:
         """The leading column of each row."""
-        return tuple(map(_lead, self.rows))
+        return tuple(row[0][0] for row in self.rows)
+
+    @cached_property
+    def _by_lead(self) -> dict[int, dict[int, int]]:
+        """Each row as ``{column: value}`` under its lead, the form :func:`_reduce` reads."""
+        return {row[0][0]: dict(row) for row in self.rows}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def contains(a: SubspaceBasis, v: Sequence) -> bool:
-    """True iff ``v`` lies in the span of ``a``."""
-    if len(v) != a.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    return not any(_reduce(a.rows, a.leads, _int_row(v)))
+def contains(a: SubspaceBasis, v: Iterable[tuple[int, int]]) -> bool:
+    """True iff the integer row ``v``, given as (column, value) pairs, lies in the span of ``a``."""
+    row = {c: x for c, x in v if x}
+    if row and not 0 <= min(row) <= max(row) < a.ambient_dim:
+        raise ValueError("vector column outside the ambient dimension")
+    return not _reduce(a._by_lead, row)
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return _grown(a.ambient_dim, list(a.rows), list(a.leads), b.rows)
+    return _grown(a.ambient_dim, a.rows, b.rows)
 
 
 def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -526,9 +544,9 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
-    both = _grown(2 * n, [row + row for row in a.rows], list(a.leads),
-                  (row + (0,) * n for row in b.rows))
-    return SubspaceBasis(n, tuple(row[n:] for row, j in zip(both.rows, both.leads) if j >= n))
+    both = _grown(2 * n, (row + tuple((c + n, x) for c, x in row) for row in a.rows), b.rows)
+    return SubspaceBasis(n, tuple(tuple((c - n, x) for c, x in row)
+                                  for row in both.rows if row[0][0] >= n))
 
 
 def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> SubspaceBasis:
@@ -543,16 +561,13 @@ def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> Subspa
     if allowed and not 0 <= allowed[0] <= allowed[-1] < n:
         raise ValueError(f"allowed coordinates must lie in range({n})")
     allowed_set = set(allowed)
-    for row in inner.rows:
-        if any(x and j not in allowed_set for j, x in enumerate(row)):
-            raise ValueError("inner subspace is not supported on the allowed coordinates")
-    basis, leads = list(inner.rows), list(inner.leads)
-    units = _identity_grid(n)
+    if any(c not in allowed_set for row in inner.rows for c, _ in row):
+        raise ValueError("inner subspace is not supported on the allowed coordinates")
+    basis = dict(inner._by_lead)
     chosen = []
-    target = len(allowed)
     for i in allowed:
-        if len(basis) == target:
+        if len(basis) == len(allowed):
             break
-        if _insert(basis, leads, units[i]):
-            chosen.append(units[i])
+        if _insert(basis, {i: 1}):
+            chosen.append(((i, 1),))
     return SubspaceBasis(n, tuple(chosen))

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations_with_replacement, product, starmap
 
-from .algebra import NHomAlgebra, _require_valid, center, invert, is_alpha_surjective
+from .algebra import (NHomAlgebra, _require_valid, center, invert, is_alpha_surjective,
+                      sparse_columns)
 from .io import mat_doc
 from .linalg import (
     Mat,
@@ -251,14 +252,14 @@ def _qc_plus_brackets(alg: NHomAlgebra, kmax: int, bracket):
     (least k1, x1, least k2, x2, total).
     """
     every, least = list(range(kmax + 1)), _least_powers(alg, kmax)
-    vecs = {grade: [g.mat.flat_ints() for g in solve(alg, Kind.QC, *grade).basis]
+    vecs = {grade: [g.mat.vec_pairs() for g in solve(alg, Kind.QC, *grade).basis]
             for grade in _levels(kmax, every)}
     for k1, x1, k2, x2, total in dict.fromkeys(
             (least[k1], x1, least[k2], x2, (k1 + k2, (x1 + x2) % 2))
             for k1, x1, k2, x2 in _grades(kmax, kmax, every)):
-        vecs[total].extend(c.mat.flat_ints() for c in starmap(bracket, product(
+        vecs[total].extend(c.mat.vec_pairs() for c in starmap(bracket, product(
             solve(alg, Kind.QC, k1, x1).basis, solve(alg, Kind.QC, k2, x2).basis)))
-    return {grade: _grown(alg.dim ** 2, [], [], v) for grade, v in vecs.items()}
+    return {grade: _grown(alg.dim ** 2, (), v) for grade, v in vecs.items()}
 
 
 def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
@@ -272,7 +273,8 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     every = list(range(kmax + 1))
     bracket = cache(supercommutator)
     pieces = _qc_plus_brackets(alg, kmax, bracket)
-    bases = {grade: tuple(GradedEndo(_unflatten(d, v), grade[1]) for v in piece.rows)
+    bases = {grade: tuple(GradedEndo(Mat.from_vec_pairs(d, row, row[0][1]), grade[1])
+                          for row in piece.rows)
              for grade, piece in pieces.items()}
 
     def total(g):
@@ -286,14 +288,9 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
             _levels(kmax, every), lambda g: (bases[g],), _same, _member(alg, Kind.GDER, 0))),
         _claim("33.S_bracket_closed", _first_failure(
             firsts.values(), lambda g: (bases[g[:2]], bases[g[2:]]), bracket,
-            lambda g, c: contains(pieces[total(g)], c.mat.flat_ints()))),
+            lambda g, c: contains(pieces[total(g)], c.mat.vec_pairs()))),
     ]
     return _report("3.3", claims, solved_dims(alg, kmax))
-
-
-def _unflatten(d: int, row) -> Mat:
-    lead = next(x for x in row if x)
-    return Mat(d, d, (tuple(row[i * d:(i + 1) * d] for i in range(d)), lead))
 
 
 def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
@@ -310,7 +307,7 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     inputs = _inputs(alg, Kind.C, Kind.QC)
 
     def outside_center(c):
-        return [j for j, col in enumerate(zip(*c.mat.ints[0])) if not contains(z_full, col)]
+        return [j for j, col in enumerate(sparse_columns(c.mat)[0]) if not contains(z_full, col)]
 
     bad = _first_failure(_grades(kmax, 2 * kmax, least), inputs, bracket,
                          lambda _, c: not outside_center(c))

@@ -16,10 +16,11 @@ and vectorized column-major, blocks in definition order.  A space that
 is not alpha^k times the one at k = 0 (see below) is read off one pass
 over its rows: :func:`~nhomlie.linalg.kernel` keeps one
 integer kernel vector per free column, stops reading rows once none is
-free, and returns the joint solution space of all blocks as primitive
-integer rows, each a vector of its reduced row-echelon basis times the
-vector's leading entry, so every block is built as integer numerators over
-that entry.
+free, and returns the joint solution space of all blocks as canonical
+rows: the nonzero (column, value) pairs of each vector of its reduced
+row-echelon basis times the vector's leading entry.  :func:`_space` deals
+each pair to its block by ``column // npos`` and builds every block as
+integer numerators over that entry.
 ``QDer`` and ``GDer`` are solved jointly with their witnesses in that one
 RREF and projected onto the leading block; the witness blocks of the rows
 that lead in it are the witness representatives aligned with the returned
@@ -103,8 +104,8 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     _grown,
-    _reduce,
     commutes_with,
+    contains,
     kernel,
     product_sum,
 )
@@ -165,14 +166,14 @@ class EndoSubspace:
         return len(self.basis)
 
     def as_subspace(self, ambient_dim: int) -> SubspaceBasis:
-        """The space as column-major flattened vectors (:meth:`Mat.vec_ints`).
+        """The space as column-major flattened vectors (:meth:`Mat.vec_pairs`).
 
         A solved basis is the canonical basis of its space over the
         column-major allowed positions (see :func:`solve`), and those
         positions keep their order in the column-major flattening, so the
         basis embeds as it is, with no elimination.
         """
-        return SubspaceBasis(ambient_dim, tuple(tuple(g.mat.vec_ints()) for g in self.basis))
+        return SubspaceBasis(ambient_dim, tuple(g.mat.vec_pairs() for g in self.basis))
 
 
 def allowed_positions(parity: Sequence[int], xi: int) -> list[tuple[int, int]]:
@@ -353,14 +354,6 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     return rows(), nblocks, pos
 
 
-def _mat_from_positions(d: int, pos, coeffs, den: int) -> Mat:
-    """The d x d matrix with integer numerators ``coeffs`` at ``pos``, over ``den``."""
-    grid = [[0] * d for _ in range(d)]
-    for (r, c), x in zip(pos, coeffs):
-        grid[r][c] = x
-    return Mat(d, d, (tuple(map(tuple, grid)), den))
-
-
 def solve(alg: NHomAlgebra, kind: Kind | str, k: int, xi: int) -> EndoSubspace:
     """Canonical basis of the requested space at twist power k and parity xi.
 
@@ -391,7 +384,7 @@ def _solve_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> EndoSubspa
     if not power.is_identity() and _scales(alg):
         nblocks = _EQUATIONS[kind](alg.arity)[0]
         pos = allowed_positions(alg.parity, xi)
-        rows = _grown(nblocks * len(pos), [], [],
+        rows = _grown(nblocks * len(pos), (),
                       _scaled_rows(solve(alg, kind, 0, xi), power, pos)).rows
         return _space(alg.dim, kind, xi, pos, nblocks, rows)
     rows, nblocks, pos = _rows(alg, kind, k, xi)
@@ -412,7 +405,8 @@ def _scales(alg: NHomAlgebra) -> bool:
 
 
 def _scaled_rows(space: EndoSubspace, power: Mat, pos):
-    """The joint rows of ``space``, each block mapped by ``power``, as integer rows.
+    """The joint rows of ``space``, each block mapped by ``power``, as integer
+    (column, value) pairs.
 
     A basis element's row is the element and its witness blocks; a slack
     row is a zero leading block and the slack's blocks.
@@ -425,7 +419,8 @@ def _scaled_rows(space: EndoSubspace, power: Mat, pos):
     for lead, witness in joint:
         mats = [power @ b for b in (lead, *trailing(witness))]
         den = lcm(*(m.ints[1] for m in mats))
-        yield [m.ints[0][r][c] * (den // m.ints[1]) for m in mats for r, c in pos]
+        yield [(b * len(pos) + i, x * (den // m.ints[1])) for b, m in enumerate(mats)
+               for i, x in enumerate(m.ints[0][r][c] for r, c in pos) if x]
 
 
 def _space(d: int, kind: Kind, xi: int, pos, nblocks: int, rows) -> EndoSubspace:
@@ -435,17 +430,21 @@ def _space(d: int, kind: Kind, xi: int, pos, nblocks: int, rows) -> EndoSubspace
     leading block restrict to the canonical basis of its projection, and
     their trailing blocks are the minimal-echelon witness representatives;
     rows pivoted later have zero leading part, and their trailing blocks
-    are the canonical basis of the slack.
+    are the canonical basis of the slack.  A pair at column b npos + m is
+    block b's entry at ``pos[m]``, over the row's leading value.
     """
     npos = len(pos)
+    flat = [c * d + r for r, c in pos]  # each position's column-major index
     basis, witnesses, slack = [], [], []
     for row in rows:
-        lead = next(x for x in row if x)
-        blocks = tuple(_mat_from_positions(d, pos, row[b * npos:(b + 1) * npos], lead)
-                       for b in range(1, nblocks))
-        witness = blocks[0] if kind is Kind.QDER else blocks
-        if any(row[:npos]):
-            basis.append(GradedEndo(_mat_from_positions(d, pos, row[:npos], lead), xi))
+        blocks = [[] for _ in range(nblocks)]
+        for col, x in row:
+            b, m = divmod(col, npos)
+            blocks[b].append((flat[m], x))
+        lead, *witness = (Mat.from_vec_pairs(d, block, row[0][1]) for block in blocks)
+        witness = witness[0] if kind is Kind.QDER else tuple(witness)
+        if blocks[0]:
+            basis.append(GradedEndo(lead, xi))
             witnesses.append(witness)
         else:
             slack.append(witness)
@@ -492,8 +491,13 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         # GDer) need a witness, whatever their denominator
         reached, span = _witness_span(alg, kind, k, xi)
         weights = dict.fromkeys(range(n) if kind is Kind.QDER else (0,), 1)
-        row = _laid_out(reached, summed_slot_terms(alg, k, xi, drows, weights), d)
-        return row is not None and not any(_reduce(span.rows, span.leads, row))
+        row = []
+        for t, term in summed_slot_terms(alg, k, xi, drows, weights).items():
+            if any(term):
+                if t not in reached:  # no witness reaches t
+                    return False
+                row.extend((reached[t] + l, x) for l, x in enumerate(term) if x)
+        return contains(span, row)
 
     # each identity of the kind as (slot weights, W): the weighted sum of
     # D's slot terms equals W [e_t], where W is D itself or zero
@@ -516,8 +520,9 @@ def _witness_span(alg: NHomAlgebra, kind: Kind, k: int, xi: int) -> tuple[dict, 
 
     Witnesses lie in Omega and enter linearly, so these are the span of what
     Omega's basis maps W give: W [e_t], and for GDer W's slot-s terms for
-    s = 1..n-1, each over its own denominator, laid out d components per
-    tuple that ``reached`` numbers in product order.
+    s = 1..n-1, each over its own denominator, as (column, value) pairs with
+    d columns per tuple: ``reached`` maps each tuple a contribution is
+    nonzero at, in product order, to the column of its first component.
     """
     return alg.cached(("witness", kind, xi, alg.alpha_power(k)),
                       lambda: _witness_span_uncached(alg, kind, k, xi))
@@ -532,21 +537,10 @@ def _witness_span_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
         contributions.append({t: apply_ints(wcols, value, d) for t, value in values.items()})
         contributions.extend(summed_slot_terms(alg, k, xi, wrows, {s: 1}) for s in slots)
     reached = sorted({t for terms in contributions for t, term in terms.items() if any(term)})
-    reached = {t: i for i, t in enumerate(reached)}
-    rows = (_laid_out(reached, terms, d) for terms in contributions)
-    return reached, _grown(len(reached) * d, [], [], rows)
-
-
-def _laid_out(reached: dict, terms: dict, d: int) -> list[int] | None:
-    """``terms`` laid out d per ``reached`` tuple; None if nonzero at another tuple."""
-    row = [0] * (len(reached) * d)
-    for t, term in terms.items():
-        i = reached.get(t)
-        if i is not None:
-            row[i * d:(i + 1) * d] = term
-        elif any(term):
-            return None
-    return row
+    reached = {t: i * d for i, t in enumerate(reached)}
+    rows = ([(reached[t] + l, x) for t, term in terms.items() for l, x in enumerate(term) if x]
+            for terms in contributions)
+    return reached, _grown(len(reached) * d, (), rows)
 
 
 def qder_identity_holds(alg: NHomAlgebra, k: int, xi: int, endo: GradedEndo,

@@ -8,8 +8,11 @@ increasing tuple, the reference for ``algebra.transport``;
 ``mixed_change`` is a basis change whose copies carry mixed denominators,
 and ``check_basis_change`` compares the solved dimensions of an algebra
 and of such a copy (acceptance criterion 6).  ``nullspace``
-and ``full_space`` build subspaces that only the tests need, and
-``vectors`` reads a subspace basis back as ``Fraction`` vectors.
+and ``full_space`` build subspaces that only the tests need,
+``vectors`` reads a subspace basis back as ``Fraction`` vectors and
+``widened`` as integer rows at the full width, and ``pairs`` gives a
+rational vector as the integer (column, value) row that ``contains``
+reads.
 ``yau_twist`` composes an algebra with a diagonal morphism.
 """
 
@@ -19,7 +22,7 @@ from itertools import combinations_with_replacement
 import hypothesis
 
 from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert, transport
-from nhomlie.linalg import Mat, SubspaceBasis, _reduce, kernel
+from nhomlie.linalg import Mat, SubspaceBasis, _int_row, contains, kernel
 from nhomlie.propositions import Claim, _report, solved_dims
 
 hypothesis.settings.register_profile(
@@ -51,7 +54,7 @@ def unit_vector(n, i):
 def is_subspace_of(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return not any(any(_reduce(b.rows, b.leads, row)) for row in a.rows)
+    return all(contains(b, row) for row in a.rows)
 
 
 def flatten(m):
@@ -69,14 +72,25 @@ def nullspace(m):
     return SubspaceBasis(m.cols, kernel(map(sparse, m.ints[0]), m.cols))
 
 
+def pairs(v):
+    """A rational vector as the (column, value) pairs of its primitive integer row."""
+    return sparse(_int_row(v))
+
+
 def full_space(n):
     """The whole of F^n, as its canonical subspace basis."""
-    return SubspaceBasis(n, Mat.identity(n).ints[0])
+    return SubspaceBasis(n, tuple(((i, 1),) for i in range(n)))
+
+
+def widened(s):
+    """The basis rows of ``s`` written out at the full width, as integer tuples."""
+    return tuple(tuple(dense(row, s.ambient_dim)) for row in s.rows)
 
 
 def vectors(s):
     """The basis of ``s`` as ``Fraction`` vectors with leading entry 1."""
-    return tuple(tuple(Fraction(x, row[j]) for x in row) for row, j in zip(s.rows, s.leads))
+    return tuple(tuple(Fraction(x, row[0][1]) for x in dense(row, s.ambient_dim))
+                 for row in s.rows)
 
 
 def dense(row, width):

@@ -12,7 +12,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import check_basis_change, is_subspace_of, unit_vector
+from conftest import check_basis_change, dense, is_subspace_of, unit_vector
 
 from nhomlie.algebra import center, validate
 from nhomlie.cli import main
@@ -142,9 +142,9 @@ def test_criterion_5_extension_decomposition():
     alg = ALGS["aff1"]
     text = build_check(alg)
     qd = solve(alg, Kind.QDER, 0, 0)
-    images = [phi(text, g, w, 0).mat.vec_ints() for g, w in zip(qd.basis, qd.witnesses)]
+    images = [phi(text, g, w, 0).mat.vec_pairs() for g, w in zip(qd.basis, qd.witnesses)]
     from nhomlie.linalg import SubspaceBasis, subspace_intersect, subspace_sum
-    a_sub = SubspaceBasis.span(16, images)
+    a_sub = SubspaceBasis.span(16, [dense(v, 16) for v in images])
     b_sub = solve(text.ext, Kind.ZDER, 0, 0).as_subspace(16)
     c_sub = solve(text.ext, Kind.DER, 0, 0).as_subspace(16)
     dims_ok = (a_sub.dim, b_sub.dim, c_sub.dim) == (4, 6, 10)
@@ -203,7 +203,7 @@ def test_criterion_7_cross_validation():
                         for r, c in pos:
                             grid[r][c] = rng.randint(-4, 4)
                         cand = Mat.from_rows(grid, cols=d)
-                        if contains(span, cand.vec_ints()):
+                        if contains(span, cand.vec_pairs()):
                             continue
                         outside += 1
                         if in_space(alg, kind, k, xi, GradedEndo(cand, xi)):

@@ -155,7 +155,7 @@ class TestWitnessSlack:
             flat = [flatten(w) for w in slack]
             assert SubspaceBasis.span(d * d, flat).dim == len(slack)
             # canonical form, in the canonical order
-            SubspaceBasis(d * d, tuple(tuple(w.vec_ints()) for w in slack))
+            SubspaceBasis(d * d, tuple(w.vec_pairs() for w in slack))
             # no direction is missing: count the maps commuting with alpha
             # that kill the derived part, as a kernel inside Omega
             basis = omega(alg, xi).basis
@@ -273,7 +273,7 @@ class TestProp43:
 
         def grown(a, b):
             both = real(a, b)
-            return real(both, SubspaceBasis.span(both.ambient_dim, [Mat.identity(4).vec_ints()]))
+            return real(both, SubspaceBasis(both.ambient_dim, (Mat.identity(4).vec_pairs(),)))
 
         monkeypatch.setattr(extension, "subspace_sum", grown)
         claim = check_prop43(aff1(), 2).claim("43.direct_sum")

@@ -723,7 +723,7 @@ def test_odd_alpha_is_solved_over_every_tuple():
     full = kernel(rows, width)
     assert kernel(walked_rows(alg, Kind.QDER, 1, 0, reduced=True), width) != full
     npos = len(pos)
-    projected = SubspaceBasis.span(npos, [v[:npos] for v in full])
+    projected = SubspaceBasis.span(npos, [dense(v, width)[:npos] for v in full])
     space = solve(alg, Kind.QDER, 1, 0)
     assert SubspaceBasis.span(npos, [[g.mat.ints[0][r][c] for r, c in pos]
                                      for g in space.basis]) == projected

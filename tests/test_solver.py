@@ -6,7 +6,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from conftest import is_subspace_of, yau_twist
+from conftest import dense, is_subspace_of, yau_twist
 from hypothesis import example, given, settings
 
 from nhomlie import solver
@@ -195,7 +195,7 @@ class TestInSpace:
                         for r, c in pos:
                             grid[r][c] = rng.randint(-3, 3)
                         cand = Mat.from_rows(grid, cols=alg.dim)
-                        if contains(span, cand.vec_ints()):
+                        if contains(span, cand.vec_pairs()):
                             continue
                         found += 1
                         assert not in_space(alg, kind, 0, xi, GradedEndo(cand, xi)), \
@@ -267,9 +267,9 @@ def test_as_subspace_embeds_the_solved_basis_as_it_is(name):
         for k in range(3):
             for xi in (0, 1):
                 sp = solve(alg, kind, k, xi)
-                flat = [g.mat.vec_ints() for g in sp.basis]
-                assert sp.as_subspace(d2) == SubspaceBasis.span(d2, flat)
-                assert sp.as_subspace(d2).rows == tuple(map(tuple, flat))
+                flat = [g.mat.vec_pairs() for g in sp.basis]
+                assert sp.as_subspace(d2) == SubspaceBasis.span(d2, [dense(v, d2) for v in flat])
+                assert sp.as_subspace(d2).rows == tuple(flat)
 
 
 class TestGrading:
@@ -284,7 +284,7 @@ class TestGrading:
                         for da in solve(alg, kind, k, xi).basis:
                             for db in solve(alg, kind, s, eta).basis:
                                 c = supercommutator(da, db)
-                                assert contains(target, c.mat.vec_ints())
+                                assert contains(target, c.mat.vec_pairs())
 
     def test_twist_raises_the_level(self):
         for name in ("homaff1", "aff1", "super2"):
