@@ -7,8 +7,6 @@ from .linalg import (  # noqa: F401
     SubspaceBasis,
     contains,
     extend_to_complement,
-    rref,
-    subspace_intersect,
     subspace_sum,
 )
 from .algebra import (  # noqa: F401

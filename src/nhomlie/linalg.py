@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -242,19 +242,6 @@ def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
 # integer elimination
 # ---------------------------------------------------------------------------
 
-def _int_row(row: Sequence) -> list[int]:
-    """Scale a rational row to a primitive integer row (same projective row).
-
-    Entries other than ints and Fractions go through :func:`as_scalar`, so
-    a float raises TypeError.
-    """
-    row = [x if isinstance(x, (int, Fraction)) else as_scalar(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
-    row = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """``row`` divided by the gcd of its values, signed so that its lead is positive."""
     g = gcd(*row.values()) if row[min(row)] > 0 else -gcd(*row.values())
@@ -445,21 +432,6 @@ def kernel(rows: Iterable[Sequence[tuple[int, int]]],
                  for f in sorted(set(range(width)).difference(place)))
 
 
-class RrefResult(NamedTuple):
-    reduced: Mat
-    pivots: tuple[int, ...]
-    rank: int
-
-
-def rref(m: Mat) -> RrefResult:
-    """Unique reduced row-echelon form of ``m`` over the rationals."""
-    s = _grown(m.cols, (), (enumerate(row) for row in m.ints[0]))
-    den = lcm(*(row[0][1] for row in s.rows))  # each row is over its pivot
-    grid = tuple(tuple(dict(row).get(c, 0) * (den // row[0][1]) for c in range(m.cols))
-                 for row in s.rows) + ((0,) * m.cols,) * (m.rows - s.dim)
-    return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -495,13 +467,6 @@ class SubspaceBasis:
                 raise ValueError("a pivot column is not cleared in the other basis rows")
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "SubspaceBasis":
-        rows = list(map(_int_row, vectors))
-        if any(len(row) != ambient_dim for row in rows):
-            raise ValueError("spanning vector length does not match ambient dimension")
-        return _grown(ambient_dim, (), map(enumerate, rows))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls(ambient_dim, ())
 
@@ -532,21 +497,6 @@ def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return _grown(a.ambient_dim, a.rows, b.rows)
-
-
-def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Zassenhaus: echelonize [A|A] over [B|0]; zero-left rows span a ∩ b.
-
-    The rows [A|A] are already canonical, so they are the starting basis.
-    The zero-left rows of the reduced basis are already reduced, so their
-    right halves are the canonical basis of the intersection.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    n = a.ambient_dim
-    both = _grown(2 * n, (row + tuple((c + n, x) for c, x in row) for row in a.rows), b.rows)
-    return SubspaceBasis(n, tuple(tuple((c - n, x) for c, x in row)
-                                  for row in both.rows if row[0][0] >= n))
 
 
 def extend_to_complement(inner: SubspaceBasis, allowed: Sequence[int]) -> SubspaceBasis:

@@ -12,17 +12,22 @@ and ``full_space`` build subspaces that only the tests need,
 ``vectors`` reads a subspace basis back as ``Fraction`` vectors and
 ``widened`` as integer rows at the full width, and ``pairs`` gives a
 rational vector as the integer (column, value) row that ``contains``
-reads.
+reads.  ``int_row``, ``span``, ``subspace_intersect`` and ``rref`` are
+the rational-vector entry points that only the tests call: ``span`` and
+``subspace_intersect`` build canonical subspaces, ``rref`` the reduced
+row-echelon form of a matrix.
 ``yau_twist`` composes an algebra with a diagonal morphism.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
+from typing import NamedTuple
 
 import hypothesis
 
 from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert, transport
-from nhomlie.linalg import Mat, SubspaceBasis, _int_row, contains, kernel
+from nhomlie.linalg import Mat, SubspaceBasis, _grown, as_scalar, contains, kernel
 from nhomlie.propositions import Claim, _report, solved_dims
 
 hypothesis.settings.register_profile(
@@ -72,9 +77,60 @@ def nullspace(m):
     return SubspaceBasis(m.cols, kernel(map(sparse, m.ints[0]), m.cols))
 
 
+def int_row(row):
+    """Scale a rational row to a primitive integer row (same projective row).
+
+    Entries other than ints and Fractions go through ``as_scalar``, so a
+    float raises TypeError.
+    """
+    row = [x if isinstance(x, (int, Fraction)) else as_scalar(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def pairs(v):
     """A rational vector as the (column, value) pairs of its primitive integer row."""
-    return sparse(_int_row(v))
+    return sparse(int_row(v))
+
+
+def span(n, vectors):
+    """The canonical basis of the span of rational ``vectors`` of length n."""
+    rows = list(map(int_row, vectors))
+    if any(len(row) != n for row in rows):
+        raise ValueError("spanning vector length does not match ambient dimension")
+    return _grown(n, (), map(enumerate, rows))
+
+
+def subspace_intersect(a, b):
+    """Zassenhaus: echelonize [A|A] over [B|0]; zero-left rows span a ∩ b.
+
+    The rows [A|A] are already canonical, so they are the starting basis.
+    The zero-left rows of the reduced basis are already reduced, so their
+    right halves are the canonical basis of the intersection.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    n = a.ambient_dim
+    both = _grown(2 * n, (row + tuple((c + n, x) for c, x in row) for row in a.rows), b.rows)
+    return SubspaceBasis(n, tuple(tuple((c - n, x) for c, x in row)
+                                  for row in both.rows if row[0][0] >= n))
+
+
+class RrefResult(NamedTuple):
+    reduced: Mat
+    pivots: tuple
+    rank: int
+
+
+def rref(m):
+    """Unique reduced row-echelon form of ``m`` over the rationals."""
+    s = _grown(m.cols, (), (enumerate(row) for row in m.ints[0]))
+    den = lcm(*(row[0][1] for row in s.rows))  # each row is over its pivot
+    grid = tuple(tuple(dict(row).get(c, 0) * (den // row[0][1]) for c in range(m.cols))
+                 for row in s.rows) + ((0,) * m.cols,) * (m.rows - s.dim)
+    return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
 
 
 def full_space(n):

@@ -12,7 +12,8 @@ import pathlib
 import random
 
 import pytest
-from conftest import check_basis_change, dense, is_subspace_of, unit_vector
+from conftest import (check_basis_change, dense, is_subspace_of, span, subspace_intersect,
+                      unit_vector)
 
 from nhomlie.algebra import center, validate
 from nhomlie.cli import main
@@ -143,15 +144,15 @@ def test_criterion_5_extension_decomposition():
     text = build_check(alg)
     qd = solve(alg, Kind.QDER, 0, 0)
     images = [phi(text, g, w, 0).mat.vec_pairs() for g, w in zip(qd.basis, qd.witnesses)]
-    from nhomlie.linalg import SubspaceBasis, subspace_intersect, subspace_sum
-    a_sub = SubspaceBasis.span(16, [dense(v, 16) for v in images])
+    from nhomlie.linalg import subspace_sum
+    a_sub = span(16, [dense(v, 16) for v in images])
     b_sub = solve(text.ext, Kind.ZDER, 0, 0).as_subspace(16)
     c_sub = solve(text.ext, Kind.DER, 0, 0).as_subspace(16)
     dims_ok = (a_sub.dim, b_sub.dim, c_sub.dim) == (4, 6, 10)
     split_ok = subspace_intersect(a_sub, b_sub).dim == 0 and \
         subspace_sum(a_sub, b_sub) == c_sub
     even, odd = center(text.ext)
-    center_ok = even == SubspaceBasis.span(4, [unit_vector(4, 2), unit_vector(4, 3)]) \
+    center_ok = even == span(4, [unit_vector(4, 2), unit_vector(4, 3)]) \
         and odd.dim == 0
     report_ok = check_prop43(alg, KMAX).passed and check_prop42(alg, KMAX).passed
     ok = dims_ok and split_ok and center_ok and report_ok

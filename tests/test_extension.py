@@ -5,7 +5,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import apply, basis_value, flatten, unit_vector, vectors, yau_twist
+from conftest import apply, basis_value, flatten, rref, span, unit_vector, vectors, yau_twist
 
 from nhomlie import extension
 from nhomlie.algebra import bracket, center, derived_subspace, is_homogeneous, transport, validate
@@ -14,7 +14,7 @@ from nhomlie.extension import build_check, check_prop42, check_prop43, phi
 from nhomlie.fixtures import (
     FIXTURES, abelian2, aff1, corrupt_jacobi, filippov, homaff1, super2, threeLie4,
 )
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, extend_to_complement, rref, vector
+from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, extend_to_complement, vector
 from nhomlie.propositions import _mat_witness, random_even_invertible
 from nhomlie.solver import GradedEndo, Kind, omega, solve
 
@@ -153,7 +153,7 @@ class TestWitnessSlack:
                 assert commutes_with(w, alg.alpha)
                 assert not any(x for v in derived for x in apply(w, v))
             flat = [flatten(w) for w in slack]
-            assert SubspaceBasis.span(d * d, flat).dim == len(slack)
+            assert span(d * d, flat).dim == len(slack)
             # canonical form, in the canonical order
             SubspaceBasis(d * d, tuple(w.vec_pairs() for w in slack))
             # no direction is missing: count the maps commuting with alpha

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from conftest import mixed_change, vectors
+from conftest import mixed_change, span, vectors
 from hypothesis import example, given
 
 from nhomlie import cli
@@ -31,7 +31,7 @@ from nhomlie.io import (
     serialize_algebra,
     subspace_doc,
 )
-from nhomlie.linalg import Mat, SubspaceBasis
+from nhomlie.linalg import Mat
 from nhomlie.propositions import random_even_invertible
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
@@ -401,7 +401,7 @@ def test_mat_doc_formats_each_entry_from_the_integer_form(m):
 @given(doc_matrices())
 @example(Mat.from_rows([[2, -4, 6], [0, 3, -1], [1, 0, 0]]))
 def test_subspace_doc_formats_each_entry_from_the_primitive_rows(m):
-    s = SubspaceBasis.span(m.cols, m.entries)
+    s = span(m.cols, m.entries)
     assert subspace_doc(s) == [[str(x) for x in v] for v in vectors(s)]
 
 

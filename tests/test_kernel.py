@@ -31,7 +31,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply, basis_value, col, dense, mixed_change, sparse
+from conftest import apply, basis_value, col, dense, mixed_change, span, sparse
 from hypothesis import example, given, settings
 
 from nhomlie import algebra, solver
@@ -46,7 +46,7 @@ from nhomlie.algebra import (
 )
 from nhomlie.extension import build_check
 from nhomlie.fixtures import aff1, homaff1, super2, threeLie4
-from nhomlie.linalg import Mat, SubspaceBasis, kernel
+from nhomlie.linalg import Mat, kernel
 from nhomlie.solver import (
     _EQUATIONS,
     TUPLE_KINDS,
@@ -559,8 +559,8 @@ def test_rows_over_representatives_span_the_full_rows(name, kind):
         reduced = list(reduced)
         full = walked_rows(alg, kind, k, xi)
         width = nblocks * len(pos)
-        assert SubspaceBasis.span(width, [dense(row, width) for row in reduced]) == \
-            SubspaceBasis.span(width, [dense(row, width) for row in full]), (k, xi)
+        assert span(width, [dense(row, width) for row in reduced]) == \
+            span(width, [dense(row, width) for row in full]), (k, xi)
         assert kernel(reduced, width) == kernel(full, width), (k, xi)
 
 
@@ -723,7 +723,7 @@ def test_odd_alpha_is_solved_over_every_tuple():
     full = kernel(rows, width)
     assert kernel(walked_rows(alg, Kind.QDER, 1, 0, reduced=True), width) != full
     npos = len(pos)
-    projected = SubspaceBasis.span(npos, [dense(v, width)[:npos] for v in full])
+    projected = span(npos, [dense(v, width)[:npos] for v in full])
     space = solve(alg, Kind.QDER, 1, 0)
-    assert SubspaceBasis.span(npos, [[g.mat.ints[0][r][c] for r, c in pos]
+    assert span(npos, [[g.mat.ints[0][r][c] for r, c in pos]
                                      for g in space.basis]) == projected

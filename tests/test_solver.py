@@ -6,7 +6,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from conftest import dense, is_subspace_of, yau_twist
+from conftest import dense, is_subspace_of, span, yau_twist
 from hypothesis import example, given, settings
 
 from nhomlie import solver
@@ -31,7 +31,7 @@ from nhomlie.fixtures import (
     super2,
     threeLie4,
 )
-from nhomlie.linalg import Mat, SubspaceBasis, commutes_with, contains, kernel
+from nhomlie.linalg import Mat, commutes_with, contains, kernel
 from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import (
     TUPLE_KINDS,
@@ -268,7 +268,7 @@ def test_as_subspace_embeds_the_solved_basis_as_it_is(name):
             for xi in (0, 1):
                 sp = solve(alg, kind, k, xi)
                 flat = [g.mat.vec_pairs() for g in sp.basis]
-                assert sp.as_subspace(d2) == SubspaceBasis.span(d2, [dense(v, d2) for v in flat])
+                assert sp.as_subspace(d2) == span(d2, [dense(v, d2) for v in flat])
                 assert sp.as_subspace(d2).rows == tuple(flat)
 
 
