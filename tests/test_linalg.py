@@ -1,5 +1,7 @@
 import dataclasses
+from bisect import bisect
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 import hypothesis.strategies as st
@@ -14,6 +16,8 @@ from nhomlie.algebra import NHomAlgebra, center, invert, is_alpha_surjective, tr
 from nhomlie.fixtures import FIXTURES
 from nhomlie.linalg import (
     Mat,
+    _grown,
+    _insert,
     SubspaceBasis,
     contains,
     extend_to_complement,
@@ -821,3 +825,86 @@ def test_from_rows_rejects_a_column_count_the_rows_do_not_have():
     with pytest.raises(ValueError):
         Mat.from_rows([[1, 2]], cols=3)
     assert Mat.from_rows([[1, 2]], cols=2) == Mat.from_rows([[1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse row form against the dense elimination it
+# replaced: the same canonical rows, grown row by row, and the same verdicts
+# ---------------------------------------------------------------------------
+
+def dense_reduce(basis, leads, row):
+    """``row`` with the lead of every canonical dense ``basis`` row cleared, one row at a time."""
+    for p, j in compress(zip(basis, leads), map(row.__getitem__, leads)):
+        g = gcd(p[j], row[j])
+        am, bm = p[j] // g, row[j] // g
+        row = [am * x - bm * y for x, y in zip(row, p)]
+    return row
+
+
+def dense_insert(basis, leads, row):
+    """Grow the canonical dense ``basis`` (``leads`` alongside) by ``row``; True if it grew."""
+    row = dense_reduce(basis, leads, row)
+    j = next(compress(range(len(row)), row), None)
+    if j is None:
+        return False
+    g = gcd(*row) if row[j] > 0 else -gcd(*row)
+    row = [x // g for x in row]
+    for i, p in enumerate(basis):
+        if p[j]:
+            g = gcd(row[j], p[j])
+            q = [row[j] // g * x - p[j] // g * y for x, y in zip(p, row)]
+            basis[i] = [x // gcd(*q) for x in q]
+    i = bisect(leads, j)
+    leads.insert(i, j)
+    basis.insert(i, row)
+    return True
+
+
+@st.composite
+def row_systems(draw):
+    """Integer rows of one width: drawn rows (no rows, zero rows and rows
+    repeated up to scale among them), one-column rows mixed with a few full
+    ones, planted column blocks, or one dense block."""
+    shape = draw(st.sampled_from(["drawn", "one-column", "blocks", "dense"]))
+    if shape == "drawn":
+        return draw(row_lists(int_entries))
+    if shape == "blocks":
+        return draw(blocked_systems())
+    if shape == "dense":
+        return draw(blocked_systems(max_blocks=1, nonzero=True))
+    width = draw(st.integers(1, 8))
+    unit = st.tuples(st.integers(0, width - 1), int_entries.filter(bool))
+    rows = [dense([pair], width) for pair in draw(st.lists(unit, max_size=10))]
+    rows += draw(st.lists(st.lists(int_entries, min_size=width, max_size=width), max_size=3))
+    return draw(st.permutations(rows)), width
+
+
+@given(row_systems(), st.data())
+def test_sparse_rows_grow_the_dense_references_canonical_rows(case, data):
+    rows, width = case
+    basis, leads = [], []
+    held = {}
+    for row in rows:
+        assert _insert(held, {j: x for j, x in sparse(row)}) == dense_insert(basis, leads, row)
+        assert sorted(held) == leads
+        assert [dense(sorted(held[j].items()), width) for j in leads] == basis
+    assert widened(_grown(width, (), map(sparse, rows))) == tuple(map(tuple, basis))
+    # grown on from a canonical start, as subspace_sum grows
+    cut = data.draw(st.integers(0, len(rows)))
+    start = _grown(width, (), map(sparse, rows[:cut]))
+    assert _grown(width, start.rows, map(sparse, rows[cut:])) == \
+        _grown(width, (), map(sparse, rows))
+
+
+@given(row_systems(), st.data())
+def test_contains_matches_the_dense_reduction(case, data):
+    rows, width = case
+    s = _grown(width, (), map(sparse, rows))
+    basis = [list(row) for row in widened(s)]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)]
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+    outside = [x + y for x, y in zip(member, shift)]
+    assert contains(s, sparse(member))
+    for v in (member, outside):
+        assert contains(s, sparse(v)) == (not any(dense_reduce(basis, list(s.leads), v)))
