@@ -20,6 +20,11 @@ mixed denominators in the copies.  The same files also go through the
 CLI, whose JSON report renders each witness with ``repr`` and each
 residual entry as a string; those reports are pinned as digests too.
 
+super2 with the odd twist that swaps its two basis vectors is pinned
+in-process, as the concatenated canonical JSON of the ``solve`` report
+entry of every kind, both parities and k <= 1: with an odd alpha, the
+solver must read every tuple, not only the sorted representatives.
+
 The algebras of ``REPEATING`` have twist powers that repeat in every
 pattern (alpha^2 = id, alpha^2 = alpha, alpha = 0, alpha^4 = id) or not at
 all; their ``props`` and ``decompose`` reports are pinned past kmax 2, at
@@ -44,11 +49,12 @@ from nhomlie.fixtures import (
     filippov,
     homaff1,
     nonsurjective_abelian2,
+    super2,
 )
-from nhomlie.io import serialize_algebra
+from nhomlie.io import canonical_json, endospace_doc, serialize_algebra
 from nhomlie.linalg import Mat
 from nhomlie.propositions import random_even_invertible
-from nhomlie.solver import Kind
+from nhomlie.solver import Kind, solve
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRANSPORT_SEED = 2016
@@ -368,3 +374,15 @@ def test_repeating_powers_report_digest(case, repeating_dir, monkeypatch, capsys
     rc = main([command[:-1], "--kmax", command[-1], f"{name}.json"])
     text = capsys.readouterr().out
     assert (rc, hashlib.sha256(text.encode("utf-8")).hexdigest()) == REPEATING_DIGESTS[case]
+
+
+ODD_ALPHA_DIGEST = "2ca855162e9e116715e05a48b4d4e5c4db3af15010088f2c2183a819cbe63bbd"
+
+
+def test_odd_alpha_solve_reports_digest():
+    # swapping the even and the odd basis vector is an odd alpha; on the
+    # sorted representatives alone its spaces come out wrong
+    alg = _with_alpha(super2(), [[0, 1], [1, 0]])
+    text = "".join(canonical_json(endospace_doc(solve(alg, kind, k, xi)))
+                   for kind in Kind for xi in (0, 1) for k in (0, 1))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ODD_ALPHA_DIGEST
