@@ -72,7 +72,8 @@ def _build_check(alg: NHomAlgebra) -> TExtension:
     cols = u_even.rows + u_odd.rows + der_even.rows + der_odd.rows
     if len(cols) != d:
         raise ValueError("complement construction did not produce a direct sum")
-    change = Mat.from_vec_pairs(d, [(c * d + i, x) for c, col in enumerate(cols) for i, x in col], 1)
+    change = Mat.from_vec_pairs(d, [(c * d + i, x) for c, col in enumerate(cols)
+                                    for i, x in col], 1)
     change_inv = invert(change)
     n_u = u_even.dim + u_odd.dim
     selector = Mat(d, d, (((0,) * d,) * n_u + Mat.identity(d).ints[0][n_u:], 1))

@@ -13,9 +13,9 @@ byte-identical and reports are reproducible run to run.
 Every document the CLI emits is built here, and every rational in it is
 written by one formatter, :func:`_ratio_str`, from an integer pair: a
 matrix's numerators over its denominator, a subspace row's nonzero values
-over its leading value (written out here at the full width, the one place
-a subspace row is), and a validation residual's ``Fraction`` entries, the
-only rationals of a report not held as integers.
+over its leading value (the one place a subspace row is written out at the
+full width), and a validation residual's ``Fraction`` entries, the only
+rationals of a report not held as integers.
 """
 
 from __future__ import annotations

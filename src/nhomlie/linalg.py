@@ -486,7 +486,7 @@ class SubspaceBasis:
 
 
 def contains(a: SubspaceBasis, v: Iterable[tuple[int, int]]) -> bool:
-    """True iff the integer row ``v``, given as (column, value) pairs, lies in the span of ``a``."""
+    """True iff the integer row ``v``, as (column, value) pairs, lies in the span of ``a``."""
     row = {c: x for c, x in v if x}
     if row and not 0 <= min(row) <= max(row) < a.ambient_dim:
         raise ValueError("vector column outside the ambient dimension")

@@ -245,7 +245,7 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
 
 def _qc_plus_brackets(alg: NHomAlgebra, kmax: int, bracket):
-    """Graded pieces of QC + [QC, QC] at every level, as flattened-matrix subspaces.
+    """Graded pieces of QC + [QC, QC] at every level, as column-major flattened subspaces.
 
     A bracket set depends on the grade's powers through their least powers,
     but lands in the piece of the exact total, so each set is added once per

@@ -433,18 +433,18 @@ def _space(d: int, kind: Kind, xi: int, pos, nblocks: int, rows) -> EndoSubspace
     are the canonical basis of the slack.  A pair at column b npos + m is
     block b's entry at ``pos[m]``, over the row's leading value.
     """
-    npos = len(pos)
-    flat = [c * d + r for r, c in pos]  # each position's column-major index
+    # each joint column's block, column // npos, and column-major index in it
+    place = [(b, c * d + r) for b in range(nblocks) for r, c in pos]
     basis, witnesses, slack = [], [], []
     for row in rows:
         blocks = [[] for _ in range(nblocks)]
         for col, x in row:
-            b, m = divmod(col, npos)
-            blocks[b].append((flat[m], x))
-        lead, *witness = (Mat.from_vec_pairs(d, block, row[0][1]) for block in blocks)
-        witness = witness[0] if kind is Kind.QDER else tuple(witness)
+            b, i = place[col]
+            blocks[b].append((i, x))
+        witness = tuple(Mat.from_vec_pairs(d, block, row[0][1]) for block in blocks[1:])
+        witness = witness[0] if kind is Kind.QDER else witness
         if blocks[0]:
-            basis.append(GradedEndo(lead, xi))
+            basis.append(GradedEndo(Mat.from_vec_pairs(d, blocks[0], row[0][1]), xi))
             witnesses.append(witness)
         else:
             slack.append(witness)
