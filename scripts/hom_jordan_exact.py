@@ -19,19 +19,18 @@ the quadruple and the residual, and then exits 1.
 
 import pathlib
 import sys
-from functools import cache
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nhomlie.fixtures import FIXTURES  # noqa: E402
-from nhomlie.propositions import hom_jordan_walk, rotation_classes  # noqa: E402
-from nhomlie.solver import jordan_product, omega  # noqa: E402
+from nhomlie.propositions import SparseEndo, hom_jordan_walk, rotation_classes  # noqa: E402
+from nhomlie.solver import omega  # noqa: E402
 
 
 def exact_failure(alg):
     """Basis quadruples walked, and the first failure's (parities, residual) or ()."""
-    basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
-    return hom_jordan_walk(alg, rotation_classes(basis), cache(jordan_product))
+    basis = [SparseEndo.of(e) for xi in (0, 1) for e in omega(alg, xi).basis]
+    return hom_jordan_walk(alg, rotation_classes(basis))
 
 
 def main() -> int:

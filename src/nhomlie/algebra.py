@@ -266,10 +266,12 @@ def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
             for c in range(m.cols)], den
 
 
-def sparse_rows(m: Mat) -> tuple[list[SparseInts], int]:
-    """The rows of ``m``'s integer form as sparse vectors, and its denominator."""
-    grid, den = m.ints
-    return [tuple((c, x) for c, x in enumerate(row) if x) for row in grid], den
+def sparse_rows(m: Mat) -> tuple[tuple[SparseInts, ...], int]:
+    """The rows of ``m``'s integer form as sparse vectors, and its denominator.
+
+    The rows are :attr:`~nhomlie.linalg.Mat.row_pairs`, built once per matrix.
+    """
+    return m.row_pairs, m.ints[1]
 
 
 def apply_ints(cols: Sequence[SparseInts], vec: SparseInts, dim: int) -> list[int]:

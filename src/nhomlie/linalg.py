@@ -3,9 +3,16 @@
 A matrix stores one form, :attr:`Mat.ints`: a grid of integer numerators
 over one positive common denominator, reduced so that the denominator is
 the lcm of the entries' denominators.  Equal matrices therefore compare
-and hash equal; a matrix stores its hash on first use.  Matrix arithmetic (products, sums, scaling,
-:func:`product_sum`, :func:`linear_combination`) and :func:`commutes_with`
-run on that form in Python ints.  A matrix builds a ``Fraction`` only
+and hash equal; a matrix stores its hash on first use.  Matrix arithmetic
+(products, sums, scaling, :func:`linear_combination`) and
+:func:`commutes_with` run on that form in Python ints.  A matrix also
+keeps the nonzero (column, value) pairs of each row, :attr:`Mat.row_pairs`,
+built on first use.  :func:`product_sum`, ``(a b + sign * b a) / divisor``,
+reads them through one kernel, :func:`product_rows`, which visits only the
+nonzeros of each operand: a single-entry factor costs one row of the other.
+The kernel returns the reduced form as such rows, and
+:func:`row_combination` sums matrices in it, so prop 3.8 multiplies and
+combines maps without building a ``Mat``.  A matrix builds a ``Fraction`` only
 where rational entries come in (:meth:`Mat.from_rows`) and where they are
 read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
 itself.  Every other row has one form: its nonzero (column, value) pairs
@@ -44,6 +51,7 @@ from typing import Iterable, Sequence
 IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 Row = tuple[tuple[int, int], ...]  # nonzero (column, value) pairs, columns increasing
+Rows = tuple[Row, ...]  # a matrix as its rows
 
 
 def as_scalar(value) -> Fraction:
@@ -108,6 +116,17 @@ class Mat:
         return cls(rows, cols, (((0,) * cols,) * rows, 1))
 
     @classmethod
+    def from_row_pairs(cls, cols: int, rows: Sequence[Row], den: int) -> "Mat":
+        """The matrix with the nonzero ``rows`` over ``den``: the inverse of :attr:`row_pairs`."""
+        grid = []
+        for row in rows:
+            out = [0] * cols
+            for c, x in row:
+                out[c] = x
+            grid.append(tuple(out))
+        return cls(len(grid), cols, (tuple(grid), den))
+
+    @classmethod
     def from_vec_pairs(cls, n: int, pairs: Iterable[tuple[int, int]], den: int) -> "Mat":
         """The n x n matrix with the (column-major index, numerator) ``pairs``
         over ``den``, zero elsewhere: the inverse of :meth:`vec_pairs`."""
@@ -128,6 +147,12 @@ class Mat:
         """The entries as ``Fraction``s, built on first use."""
         grid, den = self.ints
         return tuple(tuple(Fraction(x, den) for x in row) for row in grid)
+
+    @cached_property
+    def row_pairs(self) -> Rows:
+        """Each row's nonzero (column, numerator) pairs, over ``ints``' denominator,
+        built on first use."""
+        return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in self.ints[0])
 
     def is_identity(self) -> bool:
         grid, den = self.ints
@@ -206,36 +231,83 @@ def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
     rows, cols = mats[0].rows, mats[0].cols
     if any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ValueError("shape mismatch")
-    return Mat(rows, cols, combined_ints(coeffs, mats))
-
-
-def combined_ints(coeffs: Sequence[int], mats: Sequence[Mat]) -> tuple[IntGrid, int]:
-    """The integer form of ``sum(c * m)``, unreduced, over the lcm of the denominators.
-
-    Each entry is summed in one pass over the zipped grids.  A caller that
-    only needs to know whether the sum vanishes reads the grid without
-    building a :class:`Mat`.
-    """
     den = lcm(*(m.ints[1] for m in mats))
     factors = [c * (den // m.ints[1]) for c, m in zip(coeffs, mats)]
     grid = tuple(tuple(sum(map(mul, factors, entries)) for entries in zip(*rows))
                  for rows in zip(*(m.ints[0] for m in mats)))
-    return grid, den
+    return Mat(rows, cols, (grid, den))
+
+
+def _reduced(rows: list[Row], den: int, g: int) -> tuple[Rows, int]:
+    """Nonzero rows over ``den`` divided through by ``g``, the gcd of ``den`` and
+    their values: the reduction :class:`Mat` makes of its grid."""
+    if g > 1:
+        if not any(rows):
+            return tuple(rows), 1
+        return tuple([tuple([(c, x // g) for c, x in row]) for row in rows]), den // g
+    return tuple(rows), den
+
+
+def product_rows(a: Rows, da: int, b: Rows, db: int, sign: int,
+                 divisor: int = 1) -> tuple[Rows, int]:
+    """``(a b + sign * b a) / divisor`` for square ``a`` over ``da`` and ``b`` over ``db``.
+
+    Both operands and the result are given by their nonzero rows
+    (:attr:`Mat.row_pairs`) and a denominator, and the result is reduced as
+    :attr:`Mat.ints` is, so equal products compare and hash equal.  Row i of
+    ``a b`` is the sum of the rows k of ``b`` times the entries (i, k) of
+    ``a``, so each nonzero of ``a`` costs one pass over one row of ``b``,
+    and the same for ``b a``; ``sign`` 0 leaves the plain product ``a b``.
+    """
+    n = len(a)
+    den = da * db * divisor
+    g = den
+    out = []
+    for ra, rb in zip(a, b):
+        if not ra and not (sign and rb):
+            out.append(())
+            continue
+        acc = [0] * n
+        for k, x in ra:
+            for j, y in b[k]:
+                acc[j] += x * y
+        if sign:
+            for k, x in rb:
+                x *= sign
+                for j, y in a[k]:
+                    acc[j] += x * y
+        out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
+        if g > 1:
+            g = gcd(g, *acc)
+    return _reduced(out, den, g)
+
+
+def row_combination(coeffs: Sequence[int], mats: Sequence[tuple[Rows, int]]) -> tuple[Rows, int]:
+    """``sum(c * m)`` over integer coefficients and square matrices of one size given
+    as (nonzero rows, denominator), over the lcm of the denominators and reduced
+    as :attr:`Mat.ints` is."""
+    den = lcm(*(d for _, d in mats))
+    terms = [(c * (den // d), rows) for c, (rows, d) in zip(coeffs, mats) if c]
+    n = len(mats[0][0])
+    g = den
+    out = []
+    for i in range(n):
+        acc = [0] * n
+        for f, rows in terms:
+            for j, x in rows[i]:
+                acc[j] += f * x
+        out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
+        if g > 1:
+            g = gcd(g, *acc)
+    return _reduced(out, den, g)
 
 
 def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
-    """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, in one integer pass."""
+    """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, by :func:`product_rows`."""
     if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
         raise ValueError("product_sum needs two square matrices of one size")
-    (na, da), (nb, db) = a.ints, b.ints
-    bt = tuple(zip(*nb))
-    at = tuple(zip(*na))
-    grid = tuple(
-        tuple(sum(map(mul, ra, cb)) + sign * sum(map(mul, rb, ca))
-              for cb, ca in zip(bt, at))
-        for ra, rb in zip(na, nb)
-    )
-    return Mat(a.rows, a.cols, (grid, da * db * divisor))
+    rows, den = product_rows(a.row_pairs, a.ints[1], b.row_pairs, b.ints[1], sign, divisor)
+    return Mat.from_row_pairs(a.cols, rows, den)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
@@ -600,18 +599,11 @@ def alpha_twist(alg: NHomAlgebra, endo: GradedEndo) -> GradedEndo:
 
 
 def hom_associator(alg: NHomAlgebra, d1: GradedEndo, d2: GradedEndo,
-                   d3: GradedEndo, jordan=jordan_product, twist=None) -> GradedEndo:
-    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product.
-
-    ``jordan`` and ``twist`` (by default :func:`jordan_product` and
-    :func:`alpha_twist` on ``alg``) evaluate the inner operations, so a
-    caller that builds many associators can share value-keyed caches of
-    them across associators.
-    """
+                   d3: GradedEndo) -> GradedEndo:
+    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product."""
     for e in (d1, d2, d3):
         if not commutes_with(e.mat, alg.alpha):
             raise ValueError("hom associator requires commutation with alpha")
-    twist = twist or partial(alpha_twist, alg)
-    left = jordan(jordan(d1, d2), twist(d3))
-    right = jordan(twist(d1), jordan(d2, d3))
+    left = jordan_product(jordan_product(d1, d2), alpha_twist(alg, d3))
+    right = jordan_product(alpha_twist(alg, d1), jordan_product(d2, d3))
     return GradedEndo(left.mat - right.mat, left.xi)

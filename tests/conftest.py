@@ -17,11 +17,14 @@ the rational-vector entry points that only the tests call: ``span`` and
 ``subspace_intersect`` build canonical subspaces, ``rref`` the reduced
 row-echelon form of a matrix.
 ``yau_twist`` composes an algebra with a diagonal morphism.
+``dense_product_sum`` is the dense grid loop that ``linalg.product_sum``
+replaced, the reference for its sparse kernel.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 import hypothesis
@@ -50,6 +53,19 @@ def yau_twist(alg, diag):
     table = {key: [x * c for x, c in zip(value, diag)] for key, value in alg.table.items()}
     alpha = Mat.from_rows([[c if i == j else 0 for j in range(alg.dim)] for i, c in enumerate(diag)])
     return NHomAlgebra(alg.arity, alg.dim, alg.parity, table, alpha)
+
+
+def dense_product_sum(a, b, sign, divisor=1):
+    """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, one dot product per entry."""
+    (na, da), (nb, db) = a.ints, b.ints
+    bt = tuple(zip(*nb))
+    at = tuple(zip(*na))
+    grid = tuple(
+        tuple(sum(map(mul, ra, cb)) + sign * sum(map(mul, rb, ca))
+              for cb, ca in zip(bt, at))
+        for ra, rb in zip(na, nb)
+    )
+    return Mat(a.rows, a.cols, (grid, da * db * divisor))
 
 
 def unit_vector(n, i):

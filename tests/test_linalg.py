@@ -7,8 +7,8 @@ from math import gcd
 import hypothesis.strategies as st
 import pytest
 from conftest import (
-    apply, dense, full_space, is_subspace_of, mixed_change, nullspace, pairs, rref, span, sparse,
-    subspace_intersect, unit_vector, vectors, widened,
+    apply, dense, dense_product_sum, full_space, is_subspace_of, mixed_change, nullspace, pairs,
+    rref, span, sparse, subspace_intersect, unit_vector, vectors, widened,
 )
 from hypothesis import given, settings
 
@@ -23,6 +23,9 @@ from nhomlie.linalg import (
     extend_to_complement,
     kernel,
     linear_combination,
+    product_rows,
+    product_sum,
+    row_combination,
     subspace_sum,
     vector,
 )
@@ -243,6 +246,44 @@ def test_linear_operations_match_entrywise_arithmetic(data):
     assert ma.scale(s).entries == tuple(tuple(s * x for x in u) for u in a)
     assert (-ma).entries == tuple(tuple(-x for x in u) for u in a)
     assert ma.is_zero() == all(x == 0 for u in a for x in u)
+
+
+@st.composite
+def shaped_squares(draw, n):
+    """n x n rational matrices: zero, with one nonzero entry, or dense."""
+    shape = draw(st.sampled_from(["zero", "single", "dense"]))
+    if shape == "dense":
+        return Mat.from_rows(draw(grid(n, n)), cols=n)
+    entries = [[F(0)] * n for _ in range(n)]
+    if shape == "single" and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[i][j] = draw(mixed_rationals.filter(bool))
+    return Mat.from_rows(entries, cols=n)
+
+
+@given(st.data())
+def test_product_sum_matches_the_dense_grid_loop(data):
+    # sign 0 is the plain product; odd-odd Jordan products take sign -1
+    n = data.draw(st.integers(0, 5))
+    a, b = data.draw(shaped_squares(n)), data.draw(shaped_squares(n))
+    sign, divisor = data.draw(st.sampled_from([-1, 0, 1])), data.draw(st.integers(1, 3))
+    expected = dense_product_sum(a, b, sign, divisor)
+    got = product_sum(a, b, sign, divisor)
+    assert got == expected and got.ints == expected.ints and hash(got) == hash(expected)
+    # the kernel's rows are already the reduced form of the product
+    assert product_rows(a.row_pairs, a.ints[1], b.row_pairs, b.ints[1], sign, divisor) == \
+        (expected.row_pairs, expected.ints[1])
+    assert Mat.from_row_pairs(n, a.row_pairs, a.ints[1]) == a
+
+
+@given(st.data())
+def test_row_combination_matches_linear_combination(data):
+    n = data.draw(st.integers(0, 5))
+    mats = data.draw(st.lists(shaped_squares(n), min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(mats), max_size=len(mats)))
+    expected = linear_combination(coeffs, mats)
+    assert row_combination(coeffs, [(m.row_pairs, m.ints[1]) for m in mats]) == \
+        (expected.row_pairs, expected.ints[1])
 
 
 def test_sum_and_difference_refuse_a_shape_mismatch():

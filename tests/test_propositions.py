@@ -26,9 +26,9 @@ from nhomlie.fixtures import (
 from nhomlie.linalg import Mat, SubspaceBasis, linear_combination
 from nhomlie.propositions import (
     Claim,
+    SparseEndo,
     _hom_jordan_residual,
     _mat_witness,
-    _random_homogeneous,
     check_prop31,
     check_prop32,
     check_prop33,
@@ -247,18 +247,20 @@ def test_supercommutative_reports_the_first_ordered_pair(name, first, monkeypatc
     alg = FIXTURES[name]()
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
     a, b = basis[-2], basis[-1]
-    planted = (a, b) if first else (b, a)
+    planted = tuple(map(SparseEndo.of, (a, b) if first else (b, a)))
+    real = propositions._jordan
 
-    def fake(d1, d2):
-        value = jordan_product(d1, d2)
-        if (d1, d2) == planted:
-            return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
+    def fake(u, v):
+        value = real(u, v)
+        if (u, v) == planted:
+            return SparseEndo.of(GradedEndo(value.as_mat() + Mat.identity(alg.dim), value.xi))
         return value
 
-    monkeypatch.setattr(propositions, "jordan_product", fake)
+    monkeypatch.setattr(propositions, "_jordan", fake)
     claim = check_prop38(alg, 1, samples=0).claim("38.1.supercommutative")
+    lhs = fake(SparseEndo.of(a), SparseEndo.of(b)).as_mat()
     assert claim == Claim("38.1.supercommutative", "fail",
-                          witness=((a.xi, b.xi), _mat_witness(fake(a, b).mat)))
+                          witness=((a.xi, b.xi), _mat_witness(lhs)))
 
 
 def test_basis_change_identity_is_trivial():
@@ -361,9 +363,95 @@ def test_hom_jordan_failure_records_a_rebuildable_witness(monkeypatch):
     assert claim.detail == f"checked {first + 1} quadruples, seed 7"
 
 
+def _ops_algebra(name):
+    """Identity alpha (aff1, super2 and a dense copy of super2) and non-identity
+    alpha: homaff1, its mixed copy, and super2 twisted by 2, whose commutant
+    keeps super2's odd maps."""
+    alg = FIXTURES[name.split("~")[0]]()
+    if name == "super2~dense":
+        return transport(alg, random_even_invertible(alg.parity, random.Random(3)))
+    if name == "super2~twice":
+        return yau_twist(alg, (2, 2))
+    return transport(alg, mixed_change(alg.parity)) if name.endswith("~mixed") else alg
+
+
+OPS_ALGEBRAS = {name: _ops_algebra(name) for name in (
+    "aff1", "super2", "super2~dense", "homaff1", "homaff1~mixed", "super2~twice")}
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(sorted(OPS_ALGEBRAS)), data=st.data())
+def test_sparse_prop38_operations_match_the_mat_operations(name, data):
+    # the walk's Jordan product, twist and associator on sparse maps against
+    # the solver's operations on Mats; maps are zero, one basis map (a single
+    # entry on the fixtures) or a dense combination, of either parity
+    alg = OPS_ALGEBRAS[name]
+    by_parity = {xi: omega(alg, xi).basis for xi in (0, 1)}
+
+    def draw_map():
+        xi = data.draw(st.sampled_from([xi for xi in (0, 1) if by_parity[xi]]))
+        basis = by_parity[xi]
+        shape = data.draw(st.sampled_from(["zero", "single", "dense"]))
+        if shape == "zero":
+            return GradedEndo(Mat.zero(alg.dim, alg.dim), xi)
+        if shape == "single":
+            return data.draw(st.sampled_from(basis))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                    max_size=len(basis)))
+        return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
+
+    x, y, z = draw_map(), draw_map(), draw_map()
+    sx, sy, sz = map(SparseEndo.of, (x, y, z))
+    assert propositions._jordan(sx, sy) == SparseEndo.of(jordan_product(x, y))
+    assert propositions._twist(alg.alpha, sx) == SparseEndo.of(alpha_twist(alg, x))
+    jordan, twist = cache(propositions._jordan), cache(partial(propositions._twist, alg.alpha))
+    assert propositions._hom_associator(sx, sy, sz, jordan, twist) == \
+        SparseEndo.of(hom_associator(alg, x, y, z))
+    assert sx.as_mat() == x.mat
+
+
+def test_sparse_twist_refuses_a_non_commuting_map():
+    alg = homaff1()
+    x = GradedEndo(Mat.from_rows([[0, 1], [0, 0]]), 0)
+    with pytest.raises(ValueError, match="commute with alpha") as mat_error:
+        alpha_twist(alg, x)
+    with pytest.raises(ValueError, match="commute with alpha") as sparse_error:
+        propositions._twist(alg.alpha, SparseEndo.of(x))
+    assert str(sparse_error.value) == str(mat_error.value)
+    # the walk twists every map of a quadruple, so it refuses one too
+    u = SparseEndo.of(omega(alg, 0).basis[0])
+    with pytest.raises(ValueError, match="commute with alpha"):
+        propositions.hom_jordan_walk(alg, [(1, (u, u, SparseEndo.of(x), u))])
+
+
+@pytest.mark.parametrize("name", sorted(OPS_ALGEBRAS))
+def test_sparse_draw_matches_the_textbook_draw(name):
+    # the same calls to the generator, so the same samples for every seed
+    alg = OPS_ALGEBRAS[name]
+    by_parity = {xi: omega(alg, xi).basis for xi in (0, 1)}
+    sparse = {xi: [SparseEndo.of(e) for e in basis] for xi, basis in by_parity.items()}
+    for seed in range(5):
+        rng, textbook = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            assert propositions._random_homogeneous(rng, sparse) == \
+                SparseEndo.of(_random_homogeneous(textbook, by_parity))
+        assert rng.getstate() == textbook.getstate()
+
+
 def _fixture(name, mixed):
     alg = FIXTURES[name]()
     return transport(alg, mixed_change(alg.parity)) if mixed else alg
+
+
+def _random_homogeneous(rng, basis_by_parity):
+    """The textbook draw of a sample: ``propositions._random_homogeneous``'s
+    calls to ``rng``, in its order, with the map built as a ``Mat``."""
+    xi = rng.choice([xi for xi in (0, 1) if basis_by_parity[xi]])
+    basis = basis_by_parity[xi]
+    coeffs = [rng.randint(-3, 3) for _ in basis]
+    if not any(coeffs):
+        coeffs[rng.randrange(len(coeffs))] = 1
+    return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
 
 def reference_prop38_claims(alg, samples, seed):
@@ -432,19 +520,30 @@ PLANTS = [(3, 2, 1, 0), (0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (1, 1, 3, 2)]
 
 
 def _plant_associator(alg, monkeypatch, indices=PLANTS[0]):
-    """Add the identity to the associator of one (J(a, b), T(w), T(c)) of basis maps."""
+    """Add the identity to the associator of one (J(a, b), T(w), T(c)) of basis maps.
+
+    The fault goes into both forms of the associator: ``hom_associator``,
+    which the textbook loop calls, and the walk's ``_hom_associator``.
+    """
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
     a, b, c, w = (basis[i % len(basis)] for i in indices)
     planted = (jordan_product(a, b).mat, alpha_twist(alg, w).mat, alpha_twist(alg, c).mat)
-    real = propositions.hom_associator
+    real, real_sparse = propositions.hom_associator, propositions._hom_associator
 
-    def fake(alg_, d1, d2, d3, *ops):
-        value = real(alg_, d1, d2, d3, *ops)
+    def fake(alg_, d1, d2, d3):
+        value = real(alg_, d1, d2, d3)
         if (d1.mat, d2.mat, d3.mat) == planted:
             return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
         return value
 
+    def fake_sparse(u, v, t, *ops):
+        value = real_sparse(u, v, t, *ops)
+        if (u.as_mat(), v.as_mat(), t.as_mat()) == planted:
+            return SparseEndo.of(GradedEndo(value.as_mat() + Mat.identity(alg.dim), value.xi))
+        return value
+
     monkeypatch.setattr(propositions, "hom_associator", fake)
+    monkeypatch.setattr(propositions, "_hom_associator", fake_sparse)
 
 
 def _assert_planted_term_like_the_textbook_loop(name, mixed, indices, monkeypatch):
@@ -489,24 +588,24 @@ def test_prop38_evaluates_each_basis_term_once(monkeypatch):
         alg = FIXTURES[name]()
         basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
         twist = cache(partial(alpha_twist, alg))
-        triples = {(jordan_product(a, b), twist(w), twist(c))
+        triples = {tuple(map(SparseEndo.of, (jordan_product(a, b), twist(w), twist(c))))
                    for a, b, c, w in product(basis, repeat=4)}
         assert len(triples) == distinct
         with monkeypatch.context() as patch:
-            calls = _counted(patch, "hom_associator")
+            calls = _counted(patch, "_hom_associator")
             draws = _counted(patch, "_random_homogeneous")
             claim = check_prop38(alg, 1, samples=5).claim("38.1.hom_jordan_identity")
         assert claim.status == "pass"
         assert claim.detail == "checked 261 quadruples, seed 20260811"
         assert len(calls) == distinct
-        assert {args[1:4] for args in calls} == triples
+        assert {args[:3] for args in calls} == triples
         assert draws == []
 
 
 def test_prop38_draws_and_evaluates_samples_past_the_basis_bound(monkeypatch):
     # threeLie4 has 16^4 basis quadruples: four draws and at most three
     # associators per sample
-    calls = _counted(monkeypatch, "hom_associator")
+    calls = _counted(monkeypatch, "_hom_associator")
     draws = _counted(monkeypatch, "_random_homogeneous")
     claim = check_prop38(FIXTURES["threeLie4"](), 1, samples=5).claim(
         "38.1.hom_jordan_identity")
@@ -549,25 +648,35 @@ def test_exact_hom_jordan_script_reports_a_planted_term(mixed, monkeypatch):
 
 
 def _rotation_terms(alg):
-    """The walk's associator term, and a term that is no associator: J(a, b) T(w) T(c)."""
+    """The walk's associator term, and a term that is no associator: J(a, b) T(w) T(c).
+
+    Both take and give sparse maps and compute on ``Mat``s.
+    """
     jordan = cache(jordan_product)
     twist = cache(partial(alpha_twist, alg))
 
+    def endo(u):
+        return GradedEndo(u.as_mat(), u.xi)
+
     def associator(a, b, c, w):
-        return hom_associator(alg, jordan(a, b), twist(w), twist(c)).mat
+        a, b, c, w = map(endo, (a, b, c, w))
+        return SparseEndo.of(hom_associator(alg, jordan(a, b), twist(w), twist(c)))
 
     def composite(a, b, c, w):
-        return jordan(a, b).mat @ twist(w).mat @ twist(c).mat
+        a, b, c, w = map(endo, (a, b, c, w))
+        return SparseEndo.of(GradedEndo(jordan(a, b).mat @ twist(w).mat @ twist(c).mat,
+                                        (a.xi + b.xi + c.xi + w.xi) % 2))
 
     return associator, composite
 
 
 def _assert_residual_rotation_invariant(alg, rng):
     """R(x, y, z, w) == R(y, z, x, w) for every term: the walk's reduction rests on it."""
-    by_parity = {xi: list(omega(alg, xi).basis) for xi in (0, 1)}
+    by_parity = {xi: [SparseEndo.of(e) for e in omega(alg, xi).basis] for xi in (0, 1)}
     basis = by_parity[0] + by_parity[1]
     quads = list(product(basis, repeat=4)) if len(basis) ** 4 <= 10 ** 4 else []
-    quads += [[_random_homogeneous(rng, by_parity) for _ in range(4)] for _ in range(5)]
+    quads += [[propositions._random_homogeneous(rng, by_parity) for _ in range(4)]
+              for _ in range(5)]
     associator, composite = _rotation_terms(alg)
     nonzero = 0
     for x, y, z, w in quads:
