@@ -69,22 +69,11 @@ def _cmd_center(args, alg):
 def _cmd_solve(args, alg):
     kind = Kind(args.kind)
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
-    docs = []
-    dims = []
-    # grades whose alpha powers coincide share one solved space: render it
-    # once and share its lists
-    rendered = {}
     # Omega's identities do not involve the twist, so it has one grade per parity
     kmax = args.kmax if kind in TUPLE_KINDS else 0
-    for xi in parities:
-        for k in range(kmax + 1):
-            space = solve(alg, kind, k, xi)
-            dims.append((kind.value, k, xi, space.dim))
-            entry = rendered.get(space)
-            if entry is None:
-                entry = rendered[space] = endospace_doc(space)
-            docs.append({**entry, "k": k})
-    return {"dims": dims_doc(sorted(dims)), "spaces": docs}, True
+    grades = [(k, solve(alg, kind, k, xi)) for xi in parities for k in range(kmax + 1)]
+    dims = sorted((kind.value, k, space.xi, space.dim) for k, space in grades)
+    return {"dims": dims_doc(dims), "spaces": endospace_doc(grades)}, True
 
 
 def _cmd_props(args, alg):

@@ -16,6 +16,19 @@ matrix's numerators over its denominator, a subspace row's nonzero values
 over its leading value (the one place a subspace row is written out at the
 full width), and a validation residual's ``Fraction`` entries, the only
 rationals of a report not held as integers.
+
+Most documents are dicts and lists that :func:`canonical_json` encodes
+with ``json.dumps``.  The ``spaces`` list of a ``solve`` report, nearly all
+of its bytes, is written as canonical JSON text instead
+(:func:`endospace_doc`, a :class:`JsonText`), straight from each matrix's
+integer rows: a memo per report maps each distinct (row, denominator) to
+its text, so a row repeated across matrices, spaces and grades is
+formatted once, and a space repeated at several grades (equal alpha^k) is
+written once and reused with only its ``k`` changed.  The text is the
+bytes ``json.dumps`` would give for the same lists: its strings are
+rationals, ``-?[0-9]+(/[0-9]+)?``, which need no escaping.
+:func:`canonical_json` writes a dict's sorted top-level keys itself and
+copies a :class:`JsonText` value verbatim.
 """
 
 from __future__ import annotations
@@ -225,8 +238,31 @@ def algebra_to_doc(alg: NHomAlgebra) -> dict:
     }
 
 
+class JsonText(str):
+    """A value already written as canonical JSON text.  As the value of a
+    top-level key it is copied verbatim by :func:`canonical_json`; nested
+    deeper, ``json.dumps`` would encode it as a string."""
+
+
+# json.dumps(value, sort_keys=True, separators=(",", ":")), with one encoder
+# for every call instead of a new one each time
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """``doc`` as canonical JSON text with one trailing newline.
+
+    A dict, whose keys must be strings, is written key by key in sorted
+    order: a :class:`JsonText` value as it is, every other value as
+    ``json.dumps`` with sorted keys and compact separators writes it, so
+    the bytes are those of ``json.dumps`` on the whole document with each
+    :class:`JsonText` replaced by the value it writes.
+    """
+    if not isinstance(doc, dict):
+        return _dumps(doc) + "\n"
+    return "{" + ",".join(
+        f"{_dumps(key)}:{value if type(value) is JsonText else _dumps(value)}"
+        for key, value in sorted(doc.items())) + "}\n"
 
 
 def serialize_algebra(alg: NHomAlgebra) -> str:
@@ -259,19 +295,60 @@ def dims_doc(dims) -> dict:
     return {f"{kind}/{k}/{xi}": dim for kind, k, xi, dim in dims}
 
 
-def endospace_doc(space: EndoSubspace) -> dict:
-    doc = {
-        "kind": space.kind.value,
-        "xi": space.xi,
-        "dim": space.dim,
-        "basis": [mat_doc(g.mat) for g in space.basis],
-    }
+def _row_text(row, den: int) -> str:
+    """One matrix row over ``den`` as a JSON list of rational strings."""
+    return "[" + ",".join([f'"{_ratio_str(x, den)}"' if x else '"0"' for x in row]) + "]"
+
+
+def _mat_text(m: Mat, lines: dict) -> str:
+    """The text of :func:`mat_doc` of ``m``; ``lines`` maps each (row,
+    denominator) met so far to its text and gains the rows it lacks."""
+    grid, den = m.ints
+    out = []
+    for row in grid:
+        text = lines.get((row, den))
+        if text is None:
+            text = lines[row, den] = _row_text(row, den)
+        out.append(text)
+    return "[" + ",".join(out) + "]"
+
+
+def _space_text(space: EndoSubspace, lines: dict) -> tuple[str, str]:
+    """The text of one ``solve`` report entry of ``space``, split where the
+    value of its ``"k"`` member goes, keys in sorted order."""
+    def mats(ms):
+        return "[" + ",".join([_mat_text(m, lines) for m in ms]) + "]"
+
+    head = f'{{"basis":{mats(g.mat for g in space.basis)},"dim":{space.dim},"k":'
+    tail = f',"kind":{_dumps(space.kind.value)}'
     if space.witnesses is not None:
         if space.kind is Kind.QDER:
-            doc["witnesses"] = [mat_doc(w) for w in space.witnesses]
+            tail += f',"witnesses":{mats(space.witnesses)}'
         else:
-            doc["witnesses"] = [[mat_doc(w) for w in ws] for ws in space.witnesses]
-    return doc
+            tail += f',"witnesses":[{",".join(map(mats, space.witnesses))}]'
+    return head, f'{tail},"xi":{space.xi}}}'
+
+
+def endospace_doc(grades) -> JsonText:
+    """The ``spaces`` list of a ``solve`` report as canonical JSON text: the
+    entry of each ``(k, space)`` of ``grades``, in order.
+
+    An entry is the space's ``kind``, ``xi``, ``dim``, ``basis`` (one
+    :func:`mat_doc` per element), and for QDer and GDer its ``witnesses``
+    (QDer one matrix per element, GDer a list of n), with ``k``.  Grades
+    whose alpha powers coincide share one solved space; its text is written
+    once and reused with only ``k`` changed, and every distinct row is
+    formatted once per report.
+    """
+    lines = {}  # (row, denominator) -> its text
+    split = {}  # space -> its text around the value of "k"
+    entries = []
+    for k, space in grades:
+        parts = split.get(space)
+        if parts is None:
+            parts = split[space] = _space_text(space, lines)
+        entries.append(str(k).join(parts))
+    return JsonText("[" + ",".join(entries) + "]")
 
 
 def validation_doc(report: ValidationReport) -> dict:

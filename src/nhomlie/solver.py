@@ -247,13 +247,14 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     den(alpha).  Returns (an iterator over the rows, block count, positions);
     ``solve`` consumes the rows as they are built.
 
-    Only the tuples that can give a nonzero row are visited: the tensor's
-    support when an equation has a VALUE term, and, for each slot s with a
-    slot term, the tuples that agree with an entry v of the tensor opened
-    at slot s outside slot s and hold at slot s a column c with (v_s, c) an
-    allowed position.  On every other tuple each term of each equation
-    reads zero, so the rows are the nonzero rows of the walk over every
-    representative, in the same order.  Every slot term is read from
+    Only the representatives (below) that can give a nonzero row are
+    visited, and no other tuple is built: the tensor's support when an
+    equation has a VALUE term, and, for each slot s with a slot term, the
+    tuples that agree with an entry v of the tensor opened at slot s outside
+    slot s and hold at slot s a column c with (v_s, c) an allowed position.
+    On every other tuple each term of each equation reads zero, so the rows
+    are the nonzero rows of the walk over every representative, in the same
+    order.  Every slot term is read from
     :func:`~nhomlie.algebra.opened_index`, which lists the entries of the
     opened tensor by their other slots, so the reached tuples and each
     term's entries are found by lookup.
@@ -308,20 +309,30 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     lift = alg.alpha_power(k).ints[1] ** (n - 1)
     terms = [s for eq in equations for _, s, _ in eq.terms]
     index = {s: opened_index(alg, k, s) for s in terms if s is not VALUE}
-    # the tuples a term reaches: the support, and every tuple one slot-s
-    # step from an opened entry v, with (v_s, t_s) an allowed position
-    reached = set(values) if VALUE in terms else set()
+    # the representatives a term reaches: those in the support, and every
+    # t = other[:s] + (c,) + other[s:] one slot-s step from an opened entry
+    # v, with (v_s, c) an allowed position; t[start:] is weakly increasing
+    # when other's part of it is and, for s >= start, c lies between its
+    # neighbours there
+    reached = {t for t in values if _is_increasing(t[start:])} if VALUE in terms else set()
     for s, entries_of in index.items():
         for other, entries in entries_of.items():
-            cols = {c for j, _ in entries for c in range(d) if at[j][c] is not None}
+            if not _is_increasing(other[start - 1 if s < start else start:]):
+                continue
+            lo = other[s - 1] if start < s else 0
+            hi = other[s] if start <= s < n - 1 else d - 1
+            cols = {c for j, _ in entries for c in range(lo, hi + 1) if at[j][c] is not None}
             reached.update(other[:s] + (c,) + other[s:] for c in cols)
-    reached = sorted(t for t in reached if _is_increasing(t[start:]))
+    reached = sorted(reached)
+    # t[start:] is increasing, so only an equation sorted from before start
+    # has more to test
+    checked = [(eq, eq.sorted_from < start) for eq in equations]
 
     def rows():
         for t in reached:
             value = values.get(t, ())
-            for eq in equations:
-                if not _is_increasing(t[eq.sorted_from:]):
+            for eq, check in checked:
+                if check and not _is_increasing(t[eq.sorted_from:]):
                     continue
                 comps = defaultdict(dict)  # component -> {column: coefficient}
                 for b, s, c in eq.terms:

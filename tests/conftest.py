@@ -18,7 +18,9 @@ the rational-vector entry points that only the tests call: ``span`` and
 row-echelon form of a matrix.
 ``yau_twist`` composes an algebra with a diagonal morphism.
 ``dense_product_sum`` is the dense grid loop that ``linalg.product_sum``
-replaced, the reference for its sparse kernel.
+replaced, the reference for its sparse kernel.  ``ref_endospace_doc`` is
+the dict form of a ``solve`` report entry that ``io.endospace_doc`` once
+built, the reference for its text writer.
 """
 
 from fractions import Fraction
@@ -32,6 +34,7 @@ import hypothesis
 from nhomlie.algebra import NHomAlgebra, bracket, canonicalize_tuple, invert, transport
 from nhomlie.linalg import Mat, SubspaceBasis, _grown, as_scalar, contains, kernel
 from nhomlie.propositions import Claim, _report, solved_dims
+from nhomlie.solver import Kind
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True
@@ -66,6 +69,27 @@ def dense_product_sum(a, b, sign, divisor=1):
         for ra, rb in zip(na, nb)
     )
     return Mat(a.rows, a.cols, (grid, da * db * divisor))
+
+
+def ref_endospace_doc(space):
+    """A ``solve`` report entry of ``space`` without its ``k``, as a dict:
+    the basis, and the QDer or GDer witnesses, as lists of rows of
+    ``Fraction`` strings."""
+    def mat(m):
+        return [[str(x) for x in row] for row in m.entries]
+
+    doc = {
+        "kind": space.kind.value,
+        "xi": space.xi,
+        "dim": space.dim,
+        "basis": [mat(g.mat) for g in space.basis],
+    }
+    if space.witnesses is not None:
+        if space.kind is Kind.QDER:
+            doc["witnesses"] = [mat(w) for w in space.witnesses]
+        else:
+            doc["witnesses"] = [[mat(w) for w in ws] for ws in space.witnesses]
+    return doc
 
 
 def unit_vector(n, i):

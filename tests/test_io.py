@@ -3,36 +3,43 @@ import json
 import os
 import pathlib
 import random
+import re
 import time
 from fractions import Fraction
+from functools import cache
 
 import hypothesis.strategies as st
 import pytest
-from conftest import mixed_change, span, vectors
+from conftest import mixed_change, ref_endospace_doc, span, vectors
 from hypothesis import example, given
 
-from nhomlie import cli
 from nhomlie.algebra import NHomAlgebra, transport, validate
 from nhomlie.cli import main
 from nhomlie.fixtures import CORRUPTED, FIXTURES
 from nhomlie.io import (
     MAX_DECIMAL_EXPONENT,
     MAX_LITERAL_CHARS,
+    JsonText,
     PrecheckError,
     SchemaError,
     _ratio_str,
     _rational_pair,
+    _row_text,
+    _space_text,
     algebra_from_doc,
     canonical_json,
+    digest_bytes,
     endospace_doc,
     mat_doc,
     parse_algebra,
     parse_rational,
+    report_envelope,
     serialize_algebra,
     subspace_doc,
 )
 from nhomlie.linalg import Mat
 from nhomlie.propositions import random_even_invertible
+from nhomlie.solver import TUPLE_KINDS, Kind, solve
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "nhomlie" / "data"
 
@@ -236,11 +243,11 @@ class TestCli:
         # alpha = id, so every twist power solves to the same space per parity
         rendered = []
 
-        def counting(space):
+        def counting(space, lines):
             rendered.append(space.xi)
-            return endospace_doc(space)
+            return _space_text(space, lines)
 
-        monkeypatch.setattr(cli, "endospace_doc", counting)
+        monkeypatch.setattr("nhomlie.io._space_text", counting)
         assert main(["solve", str(DATA / "super2.json"), "--kind", "QDer",
                      "--kmax", "2"]) == 0
         assert sorted(rendered) == [0, 1]
@@ -403,6 +410,114 @@ def test_mat_doc_formats_each_entry_from_the_integer_form(m):
 def test_subspace_doc_formats_each_entry_from_the_primitive_rows(m):
     s = span(m.cols, m.entries)
     assert subspace_doc(s) == [[str(x) for x in v] for v in vectors(s)]
+
+
+# ---------------------------------------------------------------------------
+# the text writer of ``solve`` reports against the dict form it replaced
+# ---------------------------------------------------------------------------
+
+DIFF_KMAX = 11  # so k has two digits
+DIFF_NAMES = [*sorted(FIXTURES), *(f"{name}~" for name in sorted(FIXTURES)), "super2~odd"]
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+COMPACT = {"sort_keys": True, "separators": (",", ":")}
+
+
+@cache
+def diff_algebra(name):
+    """A fixture; ``<name>~``, the fixture through a dense even basis change;
+    or ``super2~odd``, super2 with the odd twist that swaps its two basis
+    vectors.  Built once, so its solved spaces are shared between tests."""
+    if name == "super2~odd":
+        alg = FIXTURES["super2"]()
+        return NHomAlgebra(alg.arity, alg.dim, alg.parity, alg.table_ints,
+                           Mat.from_rows([[0, 1], [1, 0]]))
+    alg = FIXTURES[name.rstrip("~")]()
+    if name.endswith("~"):
+        alg = transport(alg, random_even_invertible(alg.parity, random.Random(2016)))
+    return alg
+
+
+def solve_grades(alg, kind):
+    """The (k, space) of a ``solve --kmax 11`` report, in report order."""
+    kmax = DIFF_KMAX if kind in TUPLE_KINDS else 0
+    return [(k, solve(alg, kind, k, xi)) for xi in (0, 1) for k in range(kmax + 1)]
+
+
+def ref_spaces(grades):
+    return [{**ref_endospace_doc(space), "k": k} for k, space in grades]
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=str)
+@pytest.mark.parametrize("name", DIFF_NAMES)
+def test_space_text_is_json_dumps_of_the_reference(name, kind):
+    grades = solve_grades(diff_algebra(name), kind)
+    text = endospace_doc(grades)
+    assert type(text) is JsonText
+    assert text == json.dumps(ref_spaces(grades), **COMPACT)
+    # grades in another order read the same
+    assert endospace_doc(grades[::-1]) == json.dumps(ref_spaces(grades[::-1]), **COMPACT)
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=str)
+@pytest.mark.parametrize("name", DIFF_NAMES)
+def test_solve_report_is_the_reference_envelope(name, kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw = serialize_algebra(diff_algebra(name)).encode()
+    path = f"{name}.json"
+    (tmp_path / path).write_bytes(raw)
+    assert main(["solve", path, "--kind", kind.value, "--kmax", str(DIFF_KMAX)]) == 0
+    grades = solve_grades(diff_algebra(name), kind)
+    body = {"dims": {f"{kind}/{k}/{space.xi}": space.dim for k, space in grades},
+            "spaces": ref_spaces(grades)}
+    envelope = report_envelope("solve", path, digest_bytes(raw), body, True)
+    want = json.dumps(envelope, **COMPACT) + "\n"
+    assert capsys.readouterr().out == want == canonical_json(envelope)
+
+
+def leaves(x):
+    return [y for v in x for y in leaves(v)] if isinstance(x, list) else [x]
+
+
+def test_differential_cases_reach_the_edge_cases():
+    entries = [entry for name in DIFF_NAMES for kind in Kind
+               for entry in json.loads(endospace_doc(solve_grades(diff_algebra(name), kind)))]
+    strings = [x for entry in entries for x in leaves([entry["basis"], entry.get("witnesses", [])])]
+    assert all(RATIONAL.fullmatch(x) for x in strings)
+    assert any(entry["dim"] == 0 for entry in entries)
+    assert max(entry["k"] for entry in entries) == DIFF_KMAX
+    for kind in ("QDer", "GDer"):
+        assert any(x != "0" for entry in entries if entry["kind"] == kind
+                   for x in leaves(entry["witnesses"]))
+    assert any(x.startswith("-") and "/" not in x for x in strings)
+    assert any(x.startswith("-") and "/" in x for x in strings)
+    assert any("/" in x and not x.startswith("-") for x in strings)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=6), st.integers(1, 10**6))
+@example([0, -3, 6, 4, 5], 6)
+@example([], 1)
+def test_row_writer_emits_only_rational_literals(row, den):
+    text = _row_text(tuple(row), den)
+    strings = json.loads(text)
+    assert all(RATIONAL.fullmatch(x) for x in strings)
+    assert strings == [str(Fraction(x, den)) for x in row]
+    # such strings need no escaping, so the text is what json.dumps writes
+    assert text == json.dumps(strings, **COMPACT)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5), st.data())
+def test_canonical_json_copies_pre_written_values(doc, data):
+    written = data.draw(st.sets(st.sampled_from(sorted(doc)))) if doc else set()
+    mixed = {key: JsonText(json.dumps(value, **COMPACT)) if key in written else value
+             for key, value in doc.items()}
+    assert canonical_json(mixed) == json.dumps(doc, **COMPACT) + "\n"
 
 
 def reparsed(alg):

@@ -22,8 +22,10 @@ residual entry as a string; those reports are pinned as digests too.
 
 super2 with the odd twist that swaps its two basis vectors is pinned
 in-process, as the concatenated canonical JSON of the ``solve`` report
-entry of every kind, both parities and k <= 1: with an odd alpha, the
-solver must read every tuple, not only the sorted representatives.
+entry of every kind, both parities and k <= 1, each entry in the dict
+form of ``conftest.ref_endospace_doc``, without its ``k``: with an odd
+alpha, the solver must read every tuple, not only the sorted
+representatives.
 
 The algebras of ``REPEATING`` have twist powers that repeat in every
 pattern (alpha^2 = id, alpha^2 = alpha, alpha = 0, alpha^4 = id) or not at
@@ -37,7 +39,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import mixed_change, yau_twist
+from conftest import mixed_change, ref_endospace_doc, yau_twist
 
 from nhomlie.algebra import NHomAlgebra, transport, validate
 from nhomlie.cli import main
@@ -51,7 +53,7 @@ from nhomlie.fixtures import (
     nonsurjective_abelian2,
     super2,
 )
-from nhomlie.io import canonical_json, endospace_doc, serialize_algebra
+from nhomlie.io import canonical_json, serialize_algebra
 from nhomlie.linalg import Mat
 from nhomlie.propositions import random_even_invertible
 from nhomlie.solver import Kind, solve
@@ -383,6 +385,6 @@ def test_odd_alpha_solve_reports_digest():
     # swapping the even and the odd basis vector is an odd alpha; on the
     # sorted representatives alone its spaces come out wrong
     alg = _with_alpha(super2(), [[0, 1], [1, 0]])
-    text = "".join(canonical_json(endospace_doc(solve(alg, kind, k, xi)))
+    text = "".join(canonical_json(ref_endospace_doc(solve(alg, kind, k, xi)))
                    for kind in Kind for xi in (0, 1) for k in (0, 1))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ODD_ALPHA_DIGEST
