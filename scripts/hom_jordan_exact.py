@@ -23,13 +23,13 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nhomlie.fixtures import FIXTURES  # noqa: E402
-from nhomlie.propositions import SparseEndo, hom_jordan_walk, rotation_classes  # noqa: E402
+from nhomlie.propositions import hom_jordan_walk, rotation_classes  # noqa: E402
 from nhomlie.solver import omega  # noqa: E402
 
 
 def exact_failure(alg):
     """Basis quadruples walked, and the first failure's (parities, residual) or ()."""
-    basis = [SparseEndo.of(e) for xi in (0, 1) for e in omega(alg, xi).basis]
+    basis = [e for xi in (0, 1) for e in omega(alg, xi).basis]
     return hom_jordan_walk(alg, rotation_classes(basis))
 
 

@@ -116,13 +116,7 @@ def canonicalize_tuple(indices: Sequence[int], parity: Sequence[int]) -> tuple[t
 
 def is_homogeneous(parity: Sequence[int], xi: int, mat: Mat) -> bool:
     """True iff ``mat`` maps each basis element of parity p into parity p + xi."""
-    grid = mat.ints[0]
-    d = len(parity)
-    for r in range(d):
-        for c in range(d):
-            if parity[r] != parity[c] ^ xi and grid[r][c]:
-                return False
-    return True
+    return all(parity[r] == parity[c] ^ xi for r, row in enumerate(mat.nz) for c, _ in row)
 
 
 class NHomAlgebra:
@@ -259,19 +253,9 @@ def _check_sparse(key: tuple[int, ...], value, dim: int) -> None:
         raise ValueError(f"bracket value for {key} needs nonzero int coefficients")
 
 
-def sparse_columns(m: Mat) -> tuple[list[SparseInts], int]:
+def sparse_columns(m: Mat) -> tuple[tuple[SparseInts, ...], int]:
     """The columns of ``m``'s integer form as sparse vectors, and its denominator."""
-    grid, den = m.ints
-    return [tuple((r, row[c]) for r, row in enumerate(grid) if row[c])
-            for c in range(m.cols)], den
-
-
-def sparse_rows(m: Mat) -> tuple[tuple[SparseInts, ...], int]:
-    """The rows of ``m``'s integer form as sparse vectors, and its denominator.
-
-    The rows are :attr:`~nhomlie.linalg.Mat.row_pairs`, built once per matrix.
-    """
-    return m.row_pairs, m.ints[1]
+    return m.transpose().nz, m.den
 
 
 def apply_ints(cols: Sequence[SparseInts], vec: SparseInts, dim: int) -> list[int]:
@@ -301,7 +285,7 @@ def opened_tensor(alg: NHomAlgebra, k: int, s: int) -> dict[tuple[int, ...], Spa
         return values
 
     def build():
-        slot_rows = [sparse_rows(power)[0]] * alg.arity
+        slot_rows = [power.nz] * alg.arity
         slot_rows[s] = [((i, 1),) for i in range(alg.dim)]
         return _pushed(values, slot_rows, alg.dim)
     return alg.cached(("opened", power, s), build)
@@ -410,7 +394,7 @@ def identity_failures(alg: NHomAlgebra, k: int, xi: int,
     """
     values, d = alg.tensor[0], alg.dim
     terms = summed_slot_terms(alg, k, xi, drows, weights, increasing)
-    lift = dden * alg.alpha_power(k).ints[1] ** (alg.arity - 1)
+    lift = dden * alg.alpha_power(k).den ** (alg.arity - 1)
     zero = [0] * d
     for t in sorted(terms.keys() | (alg.table_ints[0] if increasing else values).keys()):
         lhs = [x * lift for x in apply_ints(wcols, values.get(t, ()), d)]
@@ -439,9 +423,9 @@ def bracket(alg: NHomAlgebra, args: Sequence[Sequence[Fraction]]) -> Vector:
     for a in args:
         if len(a) != d:
             raise ValueError("argument length does not match algebra dimension")
-        (row,), a_den = Mat.from_rows([a]).ints
-        terms = [(t + (j,), c * x) for t, c in terms for j, x in enumerate(row) if x]
-        den *= a_den
+        m = Mat.from_rows([a])
+        terms = [(t + (j,), c * x) for t, c in terms for j, x in m.nz[0]]
+        den *= m.den
     acc = [0] * d
     for t, c in terms:
         for j, v in values.get(t, ()):
@@ -520,9 +504,9 @@ def _validate(alg: NHomAlgebra) -> ValidationReport:
         if off:
             degree_ok = False
             failures.append(ValidationFailure("degree", key, _fractions(off, sden, d)))
-    grid, aden = alg.alpha.ints
-    odd = [ValidationFailure("even_alpha", (r, c), (Fraction(grid[r][c], aden),))
-           for r, c in product(range(d), repeat=2) if parity[r] != parity[c] and grid[r][c]]
+    aden = alg.alpha.den
+    odd = [ValidationFailure("even_alpha", (r, c), (Fraction(x, aden),))
+           for r, row in enumerate(alg.alpha.nz) for c, x in row if parity[r] != parity[c]]
     failures += odd
     even_alpha_ok = not odd
 
@@ -580,7 +564,7 @@ def multiplicative_failures(alg: NHomAlgebra) -> tuple[ValidationFailure, ...]:
 
 def _multiplicative_failures(alg: NHomAlgebra):
     tden = alg.tensor[1]
-    alpha_rows, aden = sparse_rows(alg.alpha)
+    alpha_rows, aden = alg.alpha.nz, alg.alpha.den
     alpha_cols = sparse_columns(alg.alpha)[0]
     for t, lhs, rhs in identity_failures(alg, 1, 0, alpha_rows, aden, {0: 1}, alpha_cols, aden,
                                          increasing=True):
@@ -602,7 +586,7 @@ def _jacobi_failures(alg: NHomAlgebra, canonical: bool):
     """
     d, n = alg.dim, alg.arity
     values, tden = alg.tensor
-    wden = tden * alg.alpha.ints[1] ** (n - 1)
+    wden = tden * alg.alpha.den ** (n - 1)
     last = opened_tensor(alg, 1, n - 1)
     weights = dict.fromkeys(range(n), 1)
     for xs in _jacobi_prefixes(alg, canonical):
@@ -671,7 +655,7 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:
-    return _grown(alg.dim, (), sparse_rows(alg.alpha)[0]).dim == alg.dim
+    return _grown(alg.dim, (), alg.alpha.nz).dim == alg.dim
 
 
 def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
@@ -690,7 +674,7 @@ def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:
         raise ValueError("basis-change matrix must be even")
     p_inv = invert(p)
     values, tden = alg.tensor
-    prows, pden = sparse_rows(p)
+    prows, pden = p.nz, p.den
     inv_cols, inv_den = sparse_columns(p_inv)
     den = tden * pden ** n * inv_den
     new_table = {}
@@ -708,7 +692,7 @@ def invert(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows, den = sparse_rows(m)
+    rows, den = m.nz, m.den
     # [m | identity] as numerators over den: its reduced rows are [c_i e_i | c_i row i of m^-1]
     s = _grown(2 * n, (), (row + ((n + i, den),) for i, row in enumerate(rows)))
     if s.leads != tuple(range(n)):

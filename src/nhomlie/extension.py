@@ -76,7 +76,7 @@ def _build_check(alg: NHomAlgebra) -> TExtension:
                                     for i, x in col], 1)
     change_inv = invert(change)
     n_u = u_even.dim + u_odd.dim
-    selector = Mat(d, d, (((0,) * d,) * n_u + Mat.identity(d).ints[0][n_u:], 1))
+    selector = Mat(d, d, ((),) * n_u + Mat.identity(d).nz[n_u:], 1)
     projection = change @ selector @ change_inv
     return TExtension(alg, ext, projection)
 
@@ -94,11 +94,10 @@ def phi(text: TExtension, endo: GradedEndo, witness: Mat, k: int) -> GradedEndo:
 
 def _block_diagonal(a: Mat, b: Mat) -> Mat:
     """The block-diagonal matrix with ``a`` top left and ``b`` bottom right."""
-    (ga, da), (gb, db) = a.ints, b.ints
-    za, zb = (0,) * b.cols, (0,) * a.cols
-    grid = tuple(tuple(db * x for x in row) + za for row in ga) + \
-        tuple(zb + tuple(da * x for x in row) for row in gb)
-    return Mat(a.rows + b.rows, a.cols + b.cols, (grid, da * db))
+    da, db, shift = a.den, b.den, a.cols
+    return Mat(a.rows + b.rows, a.cols + b.cols,
+               tuple(tuple([(c, db * x) for c, x in row]) for row in a.nz)
+               + tuple(tuple([(shift + c, da * x) for c, x in row]) for row in b.nz), da * db)
 
 
 def _embedded(alg: NHomAlgebra, k: int, xi: int):

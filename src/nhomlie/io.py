@@ -12,17 +12,18 @@ byte-identical and reports are reproducible run to run.
 
 Every document the CLI emits is built here, and every rational in it is
 written by one formatter, :func:`_ratio_str`, from an integer pair: a
-matrix's numerators over its denominator, a subspace row's nonzero values
-over its leading value (the one place a subspace row is written out at the
-full width), and a validation residual's ``Fraction`` entries, the only
-rationals of a report not held as integers.
+matrix's nonzero numerators over its denominator, a subspace row's nonzero
+values over its leading value, and a validation residual's ``Fraction``
+entries, the only rationals of a report not held as integers.  The
+writers here are the one place a matrix row or a subspace row is written
+out at the full width, with a ``"0"`` at every column its pairs lack.
 
 Most documents are dicts and lists that :func:`canonical_json` encodes
 with ``json.dumps``.  The ``spaces`` list of a ``solve`` report, nearly all
 of its bytes, is written as canonical JSON text instead
 (:func:`endospace_doc`, a :class:`JsonText`), straight from each matrix's
-integer rows: a memo per report maps each distinct (row, denominator) to
-its text, so a row repeated across matrices, spaces and grades is
+integer rows: a memo per report maps each distinct (row, denominator,
+width) to its text, so a row repeated across matrices, spaces and grades is
 formatted once, and a space repeated at several grades (equal alpha^k) is
 written once and reused with only its ``k`` changed.  The text is the
 bytes ``json.dumps`` would give for the same lists: its strings are
@@ -158,7 +159,8 @@ def algebra_from_doc(doc, name: str = "") -> NHomAlgebra:
             raise SchemaError(f"alpha row must have length {dim}", f"alpha[{i}]")
         rows.append([_rational_pair(x, "alpha[{}][{}]", i, j) for j, x in enumerate(row)])
     den = lcm(1, *(d for row in rows for _, d in row))
-    alpha = Mat(dim, dim, (tuple(tuple(x * (den // d) for x, d in row) for row in rows), den))
+    alpha = Mat(dim, dim, tuple(tuple([(j, x * (den // d)) for j, (x, d) in enumerate(row) if x])
+                                for row in rows), den)
 
     brackets = doc["brackets"]
     if not isinstance(brackets, list):
@@ -278,11 +280,15 @@ def digest_bytes(raw: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 def mat_doc(m: Mat) -> list:
-    """The entries as strings: each distinct row is formatted once and its
-    copies share that list, and a zero is written without a gcd."""
-    grid, den = m.ints
-    lines = {row: [_ratio_str(x, den) if x else "0" for x in row] for row in set(grid)}
-    return list(map(lines.__getitem__, grid))
+    """The entries as strings, each row at the full width: each distinct row
+    is formatted once and its copies share that list, and a zero is written
+    without a gcd."""
+    lines = {}
+    for row in set(m.nz):
+        line = lines[row] = ["0"] * m.cols
+        for c, x in row:
+            line[c] = _ratio_str(x, m.den)
+    return list(map(lines.__getitem__, m.nz))
 
 
 def subspace_doc(s: SubspaceBasis) -> list:
@@ -295,20 +301,24 @@ def dims_doc(dims) -> dict:
     return {f"{kind}/{k}/{xi}": dim for kind, k, xi, dim in dims}
 
 
-def _row_text(row, den: int) -> str:
-    """One matrix row over ``den`` as a JSON list of rational strings."""
-    return "[" + ",".join([f'"{_ratio_str(x, den)}"' if x else '"0"' for x in row]) + "]"
+def _row_text(row, den: int, width: int) -> str:
+    """One matrix row, its nonzero (column, value) pairs over ``den``, as a
+    JSON list of ``width`` rational strings."""
+    cells = ['"0"'] * width
+    for c, x in row:
+        cells[c] = f'"{_ratio_str(x, den)}"'
+    return "[" + ",".join(cells) + "]"
 
 
 def _mat_text(m: Mat, lines: dict) -> str:
     """The text of :func:`mat_doc` of ``m``; ``lines`` maps each (row,
-    denominator) met so far to its text and gains the rows it lacks."""
-    grid, den = m.ints
+    denominator, width) met so far to its text and gains the rows it lacks."""
+    den, width = m.den, m.cols
     out = []
-    for row in grid:
-        text = lines.get((row, den))
+    for row in m.nz:
+        text = lines.get((row, den, width))
         if text is None:
-            text = lines[row, den] = _row_text(row, den)
+            text = lines[row, den, width] = _row_text(row, den, width)
         out.append(text)
     return "[" + ",".join(out) + "]"
 

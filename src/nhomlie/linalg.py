@@ -1,35 +1,33 @@
 """Exact linear algebra over the rationals.
 
-A matrix stores one form, :attr:`Mat.ints`: a grid of integer numerators
-over one positive common denominator, reduced so that the denominator is
-the lcm of the entries' denominators.  Equal matrices therefore compare
-and hash equal; a matrix stores its hash on first use.  Matrix arithmetic
-(products, sums, scaling, :func:`linear_combination`) and
-:func:`commutes_with` run on that form in Python ints.  A matrix also
-keeps the nonzero (column, value) pairs of each row, :attr:`Mat.row_pairs`,
-built on first use.  :func:`product_sum`, ``(a b + sign * b a) / divisor``,
-reads them through one kernel, :func:`product_rows`, which visits only the
-nonzeros of each operand: a single-entry factor costs one row of the other.
-The kernel returns the reduced form as such rows, and
-:func:`row_combination` sums matrices in it, so prop 3.8 multiplies and
-combines maps without building a ``Mat``.  A matrix builds a ``Fraction`` only
-where rational entries come in (:meth:`Mat.from_rows`) and where they are
-read out (:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form
-itself.  Every other row has one form: its nonzero (column, value) pairs
-with integer values.  A subspace stores its unique reduced row-echelon
-basis as such rows, columns increasing so the lead first, each primitive
-with a positive leading entry, so equal subspaces compare equal.  That
-basis, held as one ``{column: value}`` dict per lead, is also the state
-every elimination works on: :func:`_reduce` clears each of its leads from
-an incoming row in one pass over the nonzeros, which decides membership,
-and :func:`_insert` adds a row that does not reduce to zero and clears its
-lead from the other rows.  Spans, sums, complements and inverses grow a
-canonical basis this way, so every stored row is a row of that unique
-form and its size is bounded by the form itself; only a report writes a
-row out at the full width.  :func:`kernel` reads rows as pairs in any
-order and keeps the nullspace itself instead of pivots: one primitive
-integer vector per free column, stored over the columns retired so far
-(its own entry first, then its entries at the retired columns in
+Every row has one form: its nonzero (column, value) pairs with integer
+values, columns increasing.  A matrix, :class:`Mat`, stores its rows in
+that form over one positive common denominator, reduced so that the
+denominator is the lcm of the entries' denominators; the constructor
+checks the rows and makes that one reduction, so equal matrices compare
+and hash equal, and a matrix stores its hash on first use.  Products go
+through one kernel, :func:`product_rows`, which visits only the nonzeros
+of each operand, so a single-entry factor costs one row of the other:
+``@``, :func:`product_sum` (``(a b + sign * b a) / divisor``) and
+:func:`commutes_with` (``a b - b a = 0``).  Sums and scalings run on the
+rows too, :func:`linear_combination` summing any number of matrices in
+one pass.  A matrix builds a ``Fraction`` only where rational entries come
+in (:meth:`Mat.from_rows`) and where they are read out
+(:attr:`Mat.entries`); :mod:`nhomlie.io` formats the integer form itself
+and is the only place a matrix is written out at the full width.  A
+subspace stores its unique reduced row-echelon basis as such rows, lead
+first, each primitive with a positive leading entry, so equal subspaces
+compare equal.  That basis, held as one ``{column: value}`` dict per lead,
+is also the state every elimination works on: :func:`_reduce` clears each
+of its leads from an incoming row in one pass over the nonzeros, which
+decides membership, and :func:`_insert` adds a row that does not reduce to
+zero and clears its lead from the other rows.  Spans, sums, complements
+and inverses grow a canonical basis this way, so every stored row is a row
+of that unique form and its size is bounded by the form itself; only a
+report writes a row out at the full width.  :func:`kernel` reads rows as
+pairs in any order and keeps the nullspace itself instead of pivots: one
+primitive integer vector per free column, stored over the columns retired
+so far (its own entry first, then its entries at the retired columns in
 retirement order), which hold all of its support.  A dependent row costs
 one dot product, over the row's nonzeros, per vector nonzero at one of its
 retired columns; a retirement costs, for each vector it updates, one
@@ -48,7 +46,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-IntGrid = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 Row = tuple[tuple[int, int], ...]  # nonzero (column, value) pairs, columns increasing
 Rows = tuple[Row, ...]  # a matrix as its rows
@@ -69,28 +66,47 @@ def vector(values: Iterable) -> Vector:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable dense rational matrix, row-major.
+    """Immutable rational matrix: each row's nonzero (column, numerator) pairs over ``den``.
 
-    ``ints = (numerator rows, denominator)`` is its only stored form; it is
-    reduced on construction, so equal matrices compare and hash equal.
+    ``nz`` holds one :data:`Row` per row: a tuple of (column, value)
+    pairs, columns in ``range(cols)`` and strictly increasing, values
+    nonzero ints; ``den`` is a positive int.  The constructor checks both,
+    in time linear in the nonzeros, and divides the values and ``den`` by
+    their gcd, so equal matrices compare and hash equal.
     """
 
     rows: int
     cols: int
-    ints: tuple[IntGrid, int]
+    nz: Rows
+    den: int
 
     def __post_init__(self):
-        grid, den = self.ints
-        if self.rows < 0 or self.cols < 0:
+        nz, cols, den = self.nz, self.cols, self.den
+        if self.rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(grid) != self.rows or any(len(r) != self.cols for r in grid):
-            raise ValueError("entry grid does not match declared shape")
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        g = gcd(den, *(x for row in grid for x in row)) if den > 1 else 1
+        if type(nz) is not tuple or len(nz) != self.rows:
+            raise ValueError("rows do not match the declared row count")
+        if type(den) is not int or den < 1:
+            raise ValueError("denominator must be a positive int")
+        g = den  # the gcd of den and the values read so far
+        for row in nz:
+            if type(row) is not tuple:
+                raise ValueError("each row must be a tuple of (column, value) pairs")
+            last = -1
+            for pair in row:
+                if type(pair) is not tuple:
+                    raise ValueError("each row must be a tuple of (column, value) pairs")
+                c, x = pair  # a ValueError unless a pair
+                if type(c) is not int or type(x) is not int or not x or not last < c < cols:
+                    raise ValueError("rows must hold nonzero int values at int columns"
+                                     " in range(cols), strictly increasing")
+                last = c
+            if g > 1 and row:
+                g = gcd(g, *[x for _, x in row])
         if g > 1:
-            object.__setattr__(self, "ints", (
-                tuple(tuple(x // g for x in row) for row in grid), den // g))
+            object.__setattr__(self, "nz", tuple(
+                tuple([(c, x // g) for c, x in row]) for row in nz))
+            object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "Mat":
@@ -99,215 +115,165 @@ class Mat:
             width = len(grid[0])
             if cols is not None and cols != width:
                 raise ValueError(f"rows have {width} entries, not the declared {cols} columns")
+            if any(len(row) != width for row in grid):
+                raise ValueError("rows of different lengths")
         elif cols is not None:
             width = cols
         else:
             raise ValueError("column count required for a matrix with no rows")
         den = lcm(*(x.denominator for row in grid for x in row))
-        return cls(len(grid), width, (
-            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid), den))
+        return cls(len(grid), width, tuple(
+            tuple([(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x])
+            for row in grid), den)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, (_identity_grid(n), 1))
+        return cls(n, n, _identity_rows(n), 1)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, (((0,) * cols,) * rows, 1))
-
-    @classmethod
-    def from_row_pairs(cls, cols: int, rows: Sequence[Row], den: int) -> "Mat":
-        """The matrix with the nonzero ``rows`` over ``den``: the inverse of :attr:`row_pairs`."""
-        grid = []
-        for row in rows:
-            out = [0] * cols
-            for c, x in row:
-                out[c] = x
-            grid.append(tuple(out))
-        return cls(len(grid), cols, (tuple(grid), den))
+        return cls(rows, cols, ((),) * rows, 1)
 
     @classmethod
     def from_vec_pairs(cls, n: int, pairs: Iterable[tuple[int, int]], den: int) -> "Mat":
         """The n x n matrix with the (column-major index, numerator) ``pairs``
         over ``den``, zero elsewhere: the inverse of :meth:`vec_pairs`."""
-        grid = [[0] * n for _ in range(n)]
+        rows = [[] for _ in range(n)]
         for i, x in pairs:
-            grid[i % n][i // n] = x
-        return cls(n, n, (tuple(map(tuple, grid)), den))
+            if x:
+                rows[i % n].append((i // n, x))
+        return cls(n, n, tuple(tuple(sorted(row)) for row in rows), den)
 
     _hash = None  # not a field: stored on first use, as value caches hash operands often
 
     def __hash__(self):
         if self._hash is None:  # set directly: a cached_property would take a lock
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.ints)))
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.nz, self.den)))
         return self._hash
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as ``Fraction``s, built on first use."""
-        grid, den = self.ints
-        return tuple(tuple(Fraction(x, den) for x in row) for row in grid)
-
-    @cached_property
-    def row_pairs(self) -> Rows:
-        """Each row's nonzero (column, numerator) pairs, over ``ints``' denominator,
-        built on first use."""
-        return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in self.ints[0])
+        zero, den = Fraction(0), self.den
+        out = []
+        for row in self.nz:
+            entries = [zero] * self.cols
+            for c, x in row:
+                entries[c] = Fraction(x, den)
+            out.append(tuple(entries))
+        return tuple(out)
 
     def is_identity(self) -> bool:
-        grid, den = self.ints
-        return den == 1 and self.rows == self.cols and grid == _identity_grid(self.rows)
+        return self.den == 1 and self.rows == self.cols and self.nz == _identity_rows(self.rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        a, da = self.ints
-        b, db = other.ints
-        return Mat(self.rows, other.cols, (_int_matmul(a, b, other.cols), da * db))
+        return Mat(self.rows, other.cols, product_rows(self.nz, other.nz, other.cols),
+                   self.den * other.den)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._plus(other, 1)
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "Mat", sign: int) -> "Mat":
-        """``self + sign * other``, summed over the two grids in one pass."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        (a, da), (b, db) = self.ints, other.ints
-        den = lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        return Mat(self.rows, self.cols, (tuple(
-            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), den))
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = as_scalar(c)
-        a, den = self.ints
+        if not c:
+            return Mat.zero(self.rows, self.cols)
         num = c.numerator
-        return Mat(self.rows, self.cols,
-                   (tuple(tuple(num * x for x in row) for row in a), den * c.denominator))
+        return Mat(self.rows, self.cols, tuple(tuple([(j, num * x) for j, x in row])
+                                               for row in self.nz), self.den * c.denominator)
 
     def transpose(self) -> "Mat":
-        grid, den = self.ints
-        return Mat(self.cols, self.rows,
-                   (tuple(zip(*grid)) if grid else ((),) * self.cols, den))
+        cols = [[] for _ in range(self.cols)]
+        for r, row in enumerate(self.nz):
+            for c, x in row:
+                cols[c].append((r, x))
+        return Mat(self.cols, self.rows, tuple(map(tuple, cols)), self.den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.ints[0]))
+        return not any(self.nz)
 
     def vec_pairs(self) -> tuple[tuple[int, int], ...]:
         """The nonzero numerators as (column-major index, numerator) pairs, in
         index order: the solver's order for unknown matrices."""
         n = self.rows
-        return tuple((c * n + r, x) for c, col in enumerate(zip(*self.ints[0]))
-                     for r, x in enumerate(col) if x)
+        return tuple(sorted((c * n + r, x) for r, row in enumerate(self.nz) for c, x in row))
 
 
 @lru_cache(maxsize=None)
-def _identity_grid(n: int) -> IntGrid:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _identity_rows(n: int) -> Rows:
+    return tuple(((i, 1),) for i in range(n))
 
 
-def _int_matmul(a: IntGrid, b: IntGrid, cols: int) -> IntGrid:
-    """Integer grid product; ``cols`` is the column count of ``b``."""
-    bt = tuple(zip(*b)) if b else ((),) * cols
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+def product_rows(a: Rows, b: Rows, width: int, sign: int = 0) -> Rows:
+    """The nonzero rows of ``a b + sign * b a``; ``b`` has ``width`` columns.
 
-
-def commutes_with(a: Mat, b: Mat) -> bool:
-    """True iff ``a b == b a``; decided on the integer forms, at once for an identity."""
-    if a.is_identity() or b.is_identity():
-        return True
-    (na, _), (nb, _) = a.ints, b.ints
-    return _int_matmul(na, nb, b.cols) == _int_matmul(nb, na, a.cols)
-
-
-def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
-    """``sum(c * m)`` over integer coefficients and same-shape matrices, in one integer pass."""
-    rows, cols = mats[0].rows, mats[0].cols
-    if any((m.rows, m.cols) != (rows, cols) for m in mats):
-        raise ValueError("shape mismatch")
-    den = lcm(*(m.ints[1] for m in mats))
-    factors = [c * (den // m.ints[1]) for c, m in zip(coeffs, mats)]
-    grid = tuple(tuple(sum(map(mul, factors, entries)) for entries in zip(*rows))
-                 for rows in zip(*(m.ints[0] for m in mats)))
-    return Mat(rows, cols, (grid, den))
-
-
-def _reduced(rows: list[Row], den: int, g: int) -> tuple[Rows, int]:
-    """Nonzero rows over ``den`` divided through by ``g``, the gcd of ``den`` and
-    their values: the reduction :class:`Mat` makes of its grid."""
-    if g > 1:
-        if not any(rows):
-            return tuple(rows), 1
-        return tuple([tuple([(c, x // g) for c, x in row]) for row in rows]), den // g
-    return tuple(rows), den
-
-
-def product_rows(a: Rows, da: int, b: Rows, db: int, sign: int,
-                 divisor: int = 1) -> tuple[Rows, int]:
-    """``(a b + sign * b a) / divisor`` for square ``a`` over ``da`` and ``b`` over ``db``.
-
-    Both operands and the result are given by their nonzero rows
-    (:attr:`Mat.row_pairs`) and a denominator, and the result is reduced as
-    :attr:`Mat.ints` is, so equal products compare and hash equal.  Row i of
-    ``a b`` is the sum of the rows k of ``b`` times the entries (i, k) of
-    ``a``, so each nonzero of ``a`` costs one pass over one row of ``b``,
-    and the same for ``b a``; ``sign`` 0 leaves the plain product ``a b``.
+    Row i of ``a b`` is the sum of the rows k of ``b`` times the entries
+    (i, k) of ``a``, so each nonzero of ``a`` costs one pass over one row
+    of ``b``, and the same for ``b a``, which needs both square of one
+    size; ``sign`` 0 leaves the plain product, of any shapes that chain.
+    The values are integers over the product of the operands'
+    denominators, not reduced: :class:`Mat` reduces them.
     """
-    n = len(a)
-    den = da * db * divisor
-    g = den
     out = []
-    for ra, rb in zip(a, b):
-        if not ra and not (sign and rb):
+    for i, ra in enumerate(a):
+        rb = b[i] if sign else ()
+        if not ra and not rb:
             out.append(())
             continue
-        acc = [0] * n
+        acc = [0] * width
         for k, x in ra:
             for j, y in b[k]:
                 acc[j] += x * y
-        if sign:
-            for k, x in rb:
-                x *= sign
-                for j, y in a[k]:
-                    acc[j] += x * y
+        for k, x in rb:
+            x *= sign
+            for j, y in a[k]:
+                acc[j] += x * y
         out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
-        if g > 1:
-            g = gcd(g, *acc)
-    return _reduced(out, den, g)
+    return tuple(out)
 
 
-def row_combination(coeffs: Sequence[int], mats: Sequence[tuple[Rows, int]]) -> tuple[Rows, int]:
-    """``sum(c * m)`` over integer coefficients and square matrices of one size given
-    as (nonzero rows, denominator), over the lcm of the denominators and reduced
-    as :attr:`Mat.ints` is."""
-    den = lcm(*(d for _, d in mats))
-    terms = [(c * (den // d), rows) for c, (rows, d) in zip(coeffs, mats) if c]
-    n = len(mats[0][0])
-    g = den
-    out = []
-    for i in range(n):
-        acc = [0] * n
-        for f, rows in terms:
-            for j, x in rows[i]:
-                acc[j] += f * x
-        out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
-        if g > 1:
-            g = gcd(g, *acc)
-    return _reduced(out, den, g)
+def _square_pair(a: Mat, b: Mat, name: str) -> int:
+    """The size of ``a`` and ``b``, which must be square matrices of one size."""
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
+        raise ValueError(f"{name} needs two square matrices of one size")
+    return a.rows
+
+
+def commutes_with(a: Mat, b: Mat) -> bool:
+    """True iff ``a b == b a``, square matrices of one size; at once for an identity."""
+    n = _square_pair(a, b, "commutes_with")
+    return a.is_identity() or b.is_identity() or not any(product_rows(a.nz, b.nz, n, -1))
 
 
 def product_sum(a: Mat, b: Mat, sign: int, divisor: int = 1) -> Mat:
     """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, by :func:`product_rows`."""
-    if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
-        raise ValueError("product_sum needs two square matrices of one size")
-    rows, den = product_rows(a.row_pairs, a.ints[1], b.row_pairs, b.ints[1], sign, divisor)
-    return Mat.from_row_pairs(a.cols, rows, den)
+    n = _square_pair(a, b, "product_sum")
+    return Mat(n, n, product_rows(a.nz, b.nz, n, sign), a.den * b.den * divisor)
+
+
+def linear_combination(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
+    """``sum(c * m)`` over integer coefficients and same-shape matrices, in one
+    pass over their rows, over the lcm of their denominators."""
+    rows, cols = mats[0].rows, mats[0].cols
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ValueError("shape mismatch")
+    den = lcm(*(m.den for m in mats))
+    terms = [(c * (den // m.den), m.nz) for c, m in zip(coeffs, mats) if c]
+    out = []
+    for i in range(rows):
+        acc = [0] * cols
+        for f, nz in terms:
+            for j, x in nz[i]:
+                acc[j] += f * x
+        out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
+    return Mat(rows, cols, tuple(out), den)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,12 @@ its own sign, and rotating (x, y, z) only reorders them; so of the basis
 quadruples, only those whose index triple is least among its rotations are
 evaluated, and the first failure in product order is always one of them.
 
-3.8's two 38.1 claims hold every value as a :class:`SparseEndo` (rows, den,
-xi): the nonzero (column, value) pairs of each row of its integer form
-over one denominator, reduced as :attr:`Mat.ints` is, so equal values still
-hash equal in the value-keyed caches.  Their Jordan products, twists,
-associators and residuals run on those rows
-(:func:`~nhomlie.linalg.product_rows`,
-:func:`~nhomlie.linalg.row_combination`).  A ``Mat`` is built only for a
-failing claim's witness and for 38.2, whose membership test reads one.
+3.8's claims compute on the solver's operations on graded maps,
+:func:`~nhomlie.solver.jordan_product`, :func:`~nhomlie.solver.alpha_twist`
+and :func:`~nhomlie.solver.hom_associator`, through value-keyed caches.  A
+``Mat`` holds only its nonzero rows, so a product of basis maps with one
+nonzero entry each costs one row of the other factor, and a residual is
+one :func:`~nhomlie.linalg.linear_combination` of its terms' rows.
 """
 
 from __future__ import annotations
@@ -42,19 +40,18 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations_with_replacement, product, starmap
-from typing import NamedTuple
 
 from .algebra import (NHomAlgebra, _require_valid, center, invert, is_alpha_surjective,
                       sparse_columns)
 from .io import mat_doc
-from .linalg import Mat, Rows, _grown, contains, product_rows, row_combination, subspace_sum
+from .linalg import Mat, _grown, contains, linear_combination, subspace_sum
 from .solver import (
     GradedEndo,
     Kind,
     TUPLE_KINDS,
     alpha_twist,
     compose,
-    hom_associator,  # noqa: F401  (re-exported: the Mat form of the walk's _hom_associator)
+    hom_associator,
     in_space,
     jordan_product,
     omega,
@@ -324,90 +321,34 @@ def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     return _report("3.4", claims, solved_dims(alg, kmax))
 
 
-class SparseEndo(NamedTuple):
-    """A graded map as prop 3.8's 38.1 claims hold it: nonzero rows over one denominator.
-
-    ``rows`` is :attr:`Mat.row_pairs` and ``den`` the denominator of
-    :attr:`Mat.ints`, reduced as a ``Mat`` is, so equal maps compare and hash
-    equal and the value-keyed caches store one result per distinct map.
-    """
-
-    rows: Rows
-    den: int
-    xi: int
-
-    @classmethod
-    def of(cls, endo: GradedEndo) -> "SparseEndo":
-        return cls(endo.mat.row_pairs, endo.mat.ints[1], endo.xi)
-
-    def as_mat(self) -> Mat:
-        return Mat.from_row_pairs(len(self.rows), self.rows, self.den)
-
-
-def _jordan(u: SparseEndo, v: SparseEndo) -> SparseEndo:
-    """:func:`~nhomlie.solver.jordan_product` of sparse maps, by :func:`product_rows`."""
-    sign = -1 if (u.xi and v.xi) else 1
-    return SparseEndo(*product_rows(u.rows, u.den, v.rows, v.den, sign, 2), (u.xi + v.xi) % 2)
-
-
-def _twist(alpha: Mat, u: SparseEndo) -> SparseEndo:
-    """:func:`~nhomlie.solver.alpha_twist` of a sparse map, ``u`` itself when alpha is the identity.
-
-    Like it, raises ``ValueError`` for a map that does not commute with alpha.
-    """
-    if alpha.is_identity():
-        return u
-    arows, aden = alpha.row_pairs, alpha.ints[1]
-    rows, den = product_rows(u.rows, u.den, arows, aden, 0)
-    if (rows, den) != product_rows(arows, aden, u.rows, u.den, 0):
-        raise ValueError("alpha twist requires the map to commute with alpha")
-    return SparseEndo(rows, den, u.xi)
-
-
-def _hom_associator(u: SparseEndo, v: SparseEndo, t: SparseEndo, jordan, twist) -> SparseEndo:
-    """:func:`~nhomlie.solver.hom_associator` of sparse maps: J(J(u, v), T(t)) - J(T(u), J(v, t)).
-
-    ``jordan`` and ``twist`` evaluate the inner operations, so the caller
-    can share value-keyed caches of them across associators.  ``twist``
-    refuses a ``t`` or ``u`` that does not commute with alpha.
-    """
-    left = jordan(jordan(u, v), twist(t))
-    right = jordan(twist(u), jordan(v, t))
-    return SparseEndo(*row_combination((1, -1), (left[:2], right[:2])), left.xi)
-
-
-def _hom_jordan_residual(term, x: SparseEndo, y: SparseEndo, z: SparseEndo,
-                         w: SparseEndo) -> Mat | None:
+def _hom_jordan_residual(term, x: GradedEndo, y: GradedEndo, z: GradedEndo,
+                         w: GradedEndo) -> Mat | None:
     """Cyclic associator combination that a Hom-Jordan product must kill, or None if zero.
 
-    ``term(a, b, c, w)`` is the associator of (a*b, twist(w), twist(c)), as a
-    :class:`SparseEndo`.  The sum is decided on the nonzero terms' rows over
-    their lcm denominator; a ``Mat`` is built only when it is nonzero, as
-    the witness.
+    ``term(a, b, c, w)`` is the associator of (a*b, twist(w), twist(c)).
+    The sum is taken over the nonzero terms alone.
     """
     def sgn(e):
         return -1 if (e % 2) else 1
 
-    terms = [(s, m[:2]) for s, m in (
+    terms = [(s, m.mat) for s, m in (
         (sgn(z.xi * (x.xi + w.xi)), term(x, y, z, w)),
         (sgn(x.xi * (y.xi + w.xi)), term(y, z, x, w)),
-        (sgn(y.xi * (z.xi + w.xi)), term(z, x, y, w))) if any(m.rows)]
+        (sgn(y.xi * (z.xi + w.xi)), term(z, x, y, w))) if not m.mat.is_zero()]
     if not terms:
         return None
-    rows, den = row_combination(*zip(*terms))
-    if not any(rows):
-        return None
-    return Mat.from_row_pairs(len(rows), rows, den)
+    residual = linear_combination(*zip(*terms))
+    return None if residual.is_zero() else residual
 
 
-def _random_homogeneous(rng: random.Random, basis_by_parity) -> SparseEndo:
-    """A random homogeneous combination of the sparse basis maps of one parity."""
+def _random_homogeneous(rng: random.Random, basis_by_parity) -> GradedEndo:
+    """A random homogeneous combination of the basis maps of one parity."""
     xi = rng.choice([xi for xi in (0, 1) if basis_by_parity[xi]])
     basis = basis_by_parity[xi]
     coeffs = [rng.randint(-3, 3) for _ in basis]
     if not any(coeffs):
         coeffs[rng.randrange(len(coeffs))] = 1
-    return SparseEndo(*row_combination(coeffs, [g[:2] for g in basis]), xi)
+    return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
 
 def rotation_classes(basis):
@@ -443,25 +384,23 @@ def _hom_jordan_quadruples(basis, basis_by_parity, samples: int, rng: random.Ran
 def hom_jordan_walk(alg: NHomAlgebra, quads):
     """Last position walked and the first failure's (parities, residual), or ().
 
-    ``quads`` yields (position, quadruple), each map a :class:`SparseEndo`.
-    The residual of (x, y, z, w) is the same three signed terms as that of
-    (y, z, x, w), so every rotation of a failing basis quadruple fails with
-    the same residual and the least one comes first in product order:
+    ``quads`` yields (position, quadruple) of graded maps.  The residual
+    of (x, y, z, w) is the same three signed terms as that of (y, z, x, w),
+    so every rotation of a failing basis quadruple fails with the same
+    residual and the least one comes first in product order:
     :func:`rotation_classes` yields only that one.
 
-    A term A(J(a, b), T(w), T(c)) goes through the value J(a, b).  Every
-    value is a :class:`SparseEndo` and every product runs on its rows; the
-    only ``Mat`` built is the residual of a failing quadruple.  The
+    A term A(J(a, b), T(w), T(c)) goes through the value J(a, b).  The
     associator is cached on its operands' values (many J coincide or
     vanish), and its inner Jordan products and twists go through
     value-keyed caches, shared by all associators.
     """
-    jordan = cache(_jordan)
-    twist = cache(partial(_twist, alg.alpha))
+    jordan = cache(jordan_product)
+    twist = cache(partial(alpha_twist, alg))
 
     @cache
     def associator(u, v, t):
-        return _hom_associator(u, v, t, jordan, twist)
+        return hom_associator(alg, u, v, t, jordan, twist)
 
     def term(a, b, c, w):
         return associator(jordan(a, b), twist(w), twist(c))
@@ -481,28 +420,20 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
     The residual is 4-linear, so up to 10^4 basis quadruples, walked one
     rotation class at a time, imply the ``samples`` random ones; past that,
     those are drawn and evaluated.
-
-    Both 38.1 claims hold every map, basis map, sample, product and
-    associator, as a :class:`SparseEndo` and compute on its rows; a ``Mat``
-    is built only for a failing claim's witness.  38.2 takes QC's solved
-    basis maps and their Jordan products as ``Mat``s, which its membership
-    test reads.
     """
     least = _least_powers(alg, kmax)
     claims = []
-    basis_by_parity = {xi: [SparseEndo.of(e) for e in omega(alg, xi).basis] for xi in (0, 1)}
+    basis_by_parity = {xi: list(omega(alg, xi).basis) for xi in (0, 1)}
     all_basis = basis_by_parity[0] + basis_by_parity[1]
-    jordan = cache(_jordan)
+    jordan = cache(jordan_product)
 
     # J(a, b) = ±J(b, a) is symmetric in (a, b), so the first failing
     # ordered pair in product order has a no later than b in the basis
     bad = None
     for da, db in combinations_with_replacement(all_basis, 2):
-        lhs, rhs = jordan(da, db), jordan(db, da)
-        if da.xi and db.xi:
-            rhs = rhs._replace(rows=tuple(tuple((j, -x) for j, x in row) for row in rhs.rows))
-        if lhs != rhs:
-            bad = ((da.xi, db.xi), _mat_witness(lhs.as_mat()))
+        lhs, rhs = jordan(da, db).mat, jordan(db, da).mat
+        if lhs != (-rhs if da.xi and db.xi else rhs):
+            bad = ((da.xi, db.xi), _mat_witness(lhs))
             break
     claims.append(Claim("38.1.supercommutative", "fail" if bad else "pass",
                         witness=bad or ()))
@@ -516,7 +447,7 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
                         witness=bad))
 
     claims.append(_claim("38.2.QC_jordan_closed", _first_failure(
-        _grades(kmax, kmax, least), _inputs(alg, Kind.QC, Kind.QC), cache(jordan_product),
+        _grades(kmax, kmax, least), _inputs(alg, Kind.QC, Kind.QC), jordan,
         _member(alg, Kind.QC, 0))))
     return _report("3.8", claims, solved_dims(alg, kmax))
 

@@ -83,6 +83,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
@@ -96,7 +97,6 @@ from .algebra import (
     multiplicative_failures,
     opened_index,
     sparse_columns,
-    sparse_rows,
     summed_slot_terms,
 )
 from .linalg import (
@@ -217,18 +217,19 @@ def _commutation_rows(alg: NHomAlgebra, posidx, offset: int):
     if alg.alpha.is_identity():
         return []
     d = alg.dim
-    a, _ = alg.alpha.ints
+    a_rows, a_cols = alg.alpha.nz, sparse_columns(alg.alpha)[0]
     rows = []
     for l in range(d):
         for m in range(d):
             row = {}
-            for j in range(d):
+            for j, x in a_cols[m]:
                 col = posidx.get((l, j))
-                if col is not None and a[j][m]:
-                    row[offset + col] = row.get(offset + col, 0) + a[j][m]
+                if col is not None:
+                    row[offset + col] = row.get(offset + col, 0) + x
+            for j, x in a_rows[l]:
                 col = posidx.get((j, m))
-                if col is not None and a[l][j]:
-                    row[offset + col] = row.get(offset + col, 0) - a[l][j]
+                if col is not None:
+                    row[offset + col] = row.get(offset + col, 0) - x
             row = [(col, x) for col, x in row.items() if x]
             if row:
                 rows.append(row)
@@ -306,7 +307,7 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     parity = alg.parity
     # slot terms are entries of the opened tensors, over the tensor's
     # denominator times den(alpha^k)^(n-1); VALUE terms are lifted to it
-    lift = alg.alpha_power(k).ints[1] ** (n - 1)
+    lift = alg.alpha_power(k).den ** (n - 1)
     terms = [s for eq in equations for _, s, _ in eq.terms]
     index = {s: opened_index(alg, k, s) for s in terms if s is not VALUE}
     # the representatives a term reaches: those in the support, and every
@@ -426,11 +427,12 @@ def _scaled_rows(space: EndoSubspace, power: Mat, pos):
     zero = Mat.zero(power.rows, power.cols)
     joint = [*zip((g.mat for g in space.basis), space.witnesses or ((),) * space.dim),
              *((zero, w) for w in space.slack)]
+    at = {p: i for i, p in enumerate(pos)}
     for lead, witness in joint:
         mats = [power @ b for b in (lead, *trailing(witness))]
-        den = lcm(*(m.ints[1] for m in mats))
-        yield [(b * len(pos) + i, x * (den // m.ints[1])) for b, m in enumerate(mats)
-               for i, x in enumerate(m.ints[0][r][c] for r, c in pos) if x]
+        den = lcm(*(m.den for m in mats))
+        yield [(b * len(pos) + at[r, c], x * (den // m.den)) for b, m in enumerate(mats)
+               for r, row in enumerate(m.nz) for c, x in row]
 
 
 def _space(d: int, kind: Kind, xi: int, pos, nblocks: int, rows) -> EndoSubspace:
@@ -494,7 +496,7 @@ def _in_space_uncached(alg, kind, k, xi, endo) -> bool:
         return False
     if kind is Kind.OMEGA:
         return True
-    drows, dden = sparse_rows(endo.mat)
+    drows, dden = endo.mat.nz, endo.mat.den
 
     if kind in (Kind.QDER, Kind.GDER):
         # the leading block's slot terms (every slot for QDer, slot 0 for
@@ -543,7 +545,7 @@ def _witness_span_uncached(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     slots = range(1, alg.arity) if kind is Kind.GDER else ()
     contributions = []
     for w in omega(alg, xi).basis:
-        wcols, wrows = sparse_columns(w.mat)[0], sparse_rows(w.mat)[0]
+        wcols, wrows = sparse_columns(w.mat)[0], w.mat.nz
         contributions.append({t: apply_ints(wcols, value, d) for t, value in values.items()})
         contributions.extend(summed_slot_terms(alg, k, xi, wrows, {s: 1}) for s in slots)
     reached = sorted({t for terms in contributions for t, term in terms.items() if any(term)})
@@ -570,7 +572,7 @@ def _qder_identity_uncached(alg, k, xi, endo, witness) -> bool:
         return False
     if not commutes_with(endo.mat, alg.alpha) or not commutes_with(witness, alg.alpha):
         return False
-    drows, dden = sparse_rows(endo.mat)
+    drows, dden = endo.mat.nz, endo.mat.den
     wcols, wden = sparse_columns(witness)
     weights = dict.fromkeys(range(alg.arity), 1)
     return next(identity_failures(alg, k, xi, drows, dden, weights, wcols, wden), None) is None
@@ -609,12 +611,19 @@ def alpha_twist(alg: NHomAlgebra, endo: GradedEndo) -> GradedEndo:
     return GradedEndo(endo.mat @ alg.alpha, endo.xi)
 
 
-def hom_associator(alg: NHomAlgebra, d1: GradedEndo, d2: GradedEndo,
-                   d3: GradedEndo) -> GradedEndo:
-    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product."""
-    for e in (d1, d2, d3):
-        if not commutes_with(e.mat, alg.alpha):
-            raise ValueError("hom associator requires commutation with alpha")
-    left = jordan_product(jordan_product(d1, d2), alpha_twist(alg, d3))
-    right = jordan_product(alpha_twist(alg, d1), jordan_product(d2, d3))
+def hom_associator(alg: NHomAlgebra, d1: GradedEndo, d2: GradedEndo, d3: GradedEndo,
+                   jordan=jordan_product, twist=None) -> GradedEndo:
+    """(x*y)*twist(z) - twist(x)*(y*z) for the half-anticommutator product.
+
+    ``jordan`` and ``twist`` evaluate the inner Jordan products and twists
+    (:func:`jordan_product` and :func:`alpha_twist` by default), so a caller
+    can share value-keyed caches of them across associators.  The twist
+    refuses a d1 or d3 that does not commute with alpha, and d2 is checked
+    here.
+    """
+    if not commutes_with(d2.mat, alg.alpha):
+        raise ValueError("hom associator requires commutation with alpha")
+    twist = twist or partial(alpha_twist, alg)
+    left = jordan(jordan(d1, d2), twist(d3))
+    right = jordan(twist(d1), jordan(d2, d3))
     return GradedEndo(left.mat - right.mat, left.xi)

@@ -17,8 +17,12 @@ the rational-vector entry points that only the tests call: ``span`` and
 ``subspace_intersect`` build canonical subspaces, ``rref`` the reduced
 row-echelon form of a matrix.
 ``yau_twist`` composes an algebra with a diagonal morphism.
-``dense_product_sum`` is the dense grid loop that ``linalg.product_sum``
-replaced, the reference for its sparse kernel.  ``ref_endospace_doc`` is
+``int_grid`` writes a matrix out as the dense integer grid over its
+denominator that ``Mat`` once stored, and ``grid_mat`` reads such a grid
+back, reduced as that form was; ``grid_matmul``, ``grid_plus``,
+``grid_scale``, ``grid_transpose``, ``grid_linear_combination`` and
+``dense_product_sum`` are the grid operations that ``linalg``'s row
+kernels replaced, the references for them.  ``ref_endospace_doc`` is
 the dict form of a ``solve`` report entry that ``io.endospace_doc`` once
 built, the reference for its text writer.
 """
@@ -58,9 +62,65 @@ def yau_twist(alg, diag):
     return NHomAlgebra(alg.arity, alg.dim, alg.parity, table, alpha)
 
 
+def int_grid(m):
+    """``(numerator grid, denominator)``: ``m``'s numerators at the full width."""
+    return tuple(tuple(dense(row, m.cols)) for row in m.nz), m.den
+
+
+def grid_mat(rows, cols, grid, den):
+    """The matrix of an integer grid over ``den``, divided through by their gcd first."""
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise ValueError("entry grid does not match declared shape")
+    g = gcd(den, *(x for row in grid for x in row))
+    return Mat(rows, cols, tuple(tuple(sparse([x // g for x in row])) for row in grid), den // g)
+
+
+def grid_matmul(a, b):
+    """``a @ b``, one dot product per entry of the grids."""
+    (ga, da), (gb, db) = int_grid(a), int_grid(b)
+    bt = tuple(zip(*gb)) if gb else ((),) * b.cols
+    return grid_mat(a.rows, b.cols, tuple(tuple(sum(map(mul, row, col)) for col in bt)
+                                          for row in ga), da * db)
+
+
+def grid_plus(a, b, sign):
+    """``a + sign * b``, summed over the two grids in one pass."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    (ga, da), (gb, db) = int_grid(a), int_grid(b)
+    den = lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    return grid_mat(a.rows, a.cols, tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb))
+                                          for ra, rb in zip(ga, gb)), den)
+
+
+def grid_scale(m, c):
+    grid, den = int_grid(m)
+    c = Fraction(c)
+    return grid_mat(m.rows, m.cols, tuple(tuple(c.numerator * x for x in row) for row in grid),
+                    den * c.denominator)
+
+
+def grid_transpose(m):
+    grid, den = int_grid(m)
+    return grid_mat(m.cols, m.rows, tuple(zip(*grid)) if grid else ((),) * m.cols, den)
+
+
+def grid_linear_combination(coeffs, mats):
+    """``sum(c * m)`` over integer coefficients, entry by entry over the grids."""
+    rows, cols = mats[0].rows, mats[0].cols
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ValueError("shape mismatch")
+    den = lcm(*(m.den for m in mats))
+    factors = [c * (den // m.den) for c, m in zip(coeffs, mats)]
+    grid = tuple(tuple(sum(map(mul, factors, entries)) for entries in zip(*rows))
+                 for rows in zip(*(int_grid(m)[0] for m in mats)))
+    return grid_mat(rows, cols, grid, den)
+
+
 def dense_product_sum(a, b, sign, divisor=1):
     """``(a b + sign * b a) / divisor`` for square ``a`` and ``b``, one dot product per entry."""
-    (na, da), (nb, db) = a.ints, b.ints
+    (na, da), (nb, db) = int_grid(a), int_grid(b)
     bt = tuple(zip(*nb))
     at = tuple(zip(*na))
     grid = tuple(
@@ -68,7 +128,7 @@ def dense_product_sum(a, b, sign, divisor=1):
               for cb, ca in zip(bt, at))
         for ra, rb in zip(na, nb)
     )
-    return Mat(a.rows, a.cols, (grid, da * db * divisor))
+    return grid_mat(a.rows, a.cols, grid, da * db * divisor)
 
 
 def ref_endospace_doc(space):
@@ -114,7 +174,7 @@ def sparse(row):
 
 def nullspace(m):
     """Canonical basis of ``{v : m v = 0}``, read off ``kernel``."""
-    return SubspaceBasis(m.cols, kernel(map(sparse, m.ints[0]), m.cols))
+    return SubspaceBasis(m.cols, kernel(m.nz, m.cols))
 
 
 def int_row(row):
@@ -166,11 +226,10 @@ class RrefResult(NamedTuple):
 
 def rref(m):
     """Unique reduced row-echelon form of ``m`` over the rationals."""
-    s = _grown(m.cols, (), (enumerate(row) for row in m.ints[0]))
+    s = _grown(m.cols, (), m.nz)
     den = lcm(*(row[0][1] for row in s.rows))  # each row is over its pivot
-    grid = tuple(tuple(dict(row).get(c, 0) * (den // row[0][1]) for c in range(m.cols))
-                 for row in s.rows) + ((0,) * m.cols,) * (m.rows - s.dim)
-    return RrefResult(Mat(m.rows, m.cols, (grid, den)), s.leads, s.dim)
+    rows = tuple(tuple((c, x * (den // row[0][1])) for c, x in row) for row in s.rows)
+    return RrefResult(Mat(m.rows, m.cols, rows + ((),) * (m.rows - s.dim), den), s.leads, s.dim)
 
 
 def full_space(n):

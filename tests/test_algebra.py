@@ -536,7 +536,7 @@ class TestAlphaPower:
     def test_high_powers_are_built_from_halves(self):
         # built from alpha^(k//2) and alpha^(k - k//2), not k calls deep
         assert aff1().alpha_power(5000) == Mat.identity(2)
-        assert homaff1().alpha_power(3000) == Mat(2, 2, (((1, 0), (0, 2 ** 3000)), 1))
+        assert homaff1().alpha_power(3000) == Mat(2, 2, (((0, 1),), ((1, 2 ** 3000),)), 1)
 
     def test_surjectivity(self):
         assert is_alpha_surjective(aff1())

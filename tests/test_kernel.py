@@ -40,7 +40,6 @@ from nhomlie.algebra import (
     bracket,
     is_homogeneous,
     opened_tensor,
-    sparse_rows,
     summed_slot_terms,
     transport,
 )
@@ -394,7 +393,7 @@ def test_in_space_matches_reference_on_omega_basis(name, kind):
     for k, xi in product(range(2), (0, 1)):
         for g in omega(alg, xi).basis:
             assert in_space(alg, kind, k, xi, g) == ref_in_space(name, kind, k, xi, g.mat), \
-                (k, xi, g.mat.ints)
+                (k, xi, g.mat)
 
 
 @pytest.mark.parametrize("name", ["threeLie4~", "homheis4~"])
@@ -437,7 +436,7 @@ def test_drawn_maps_reach_both_rejections():
             m = member + draw([g.mat for g in omega(alg, xi).basis], alg.dim)
             if in_space(alg, kind, k, xi, GradedEndo(m, xi)):
                 continue
-            terms = summed_slot_terms(alg, k, xi, sparse_rows(m)[0], weights)
+            terms = summed_slot_terms(alg, k, xi, m.nz, weights)
             if any(any(term) for t, term in terms.items() if t not in reached):
                 unreached += 1
             else:
@@ -602,7 +601,7 @@ def walked_rows(alg, kind, k, xi, tuples=None, reduced=False):
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
     values = alg.tensor[0]
-    lift = alg.alpha_power(k).ints[1] ** (n - 1)
+    lift = alg.alpha_power(k).den ** (n - 1)
     rows = []
     for t in product(range(d), repeat=n) if tuples is None else tuples:
         for eq in equations:
@@ -725,5 +724,5 @@ def test_odd_alpha_is_solved_over_every_tuple():
     npos = len(pos)
     projected = span(npos, [dense(v, width)[:npos] for v in full])
     space = solve(alg, Kind.QDER, 1, 0)
-    assert span(npos, [[g.mat.ints[0][r][c] for r, c in pos]
+    assert span(npos, [[g.mat.entries[r][c] for r, c in pos]
                                      for g in space.basis]) == projected

@@ -7,8 +7,9 @@ from math import gcd
 import hypothesis.strategies as st
 import pytest
 from conftest import (
-    apply, dense, dense_product_sum, full_space, is_subspace_of, mixed_change, nullspace, pairs,
-    rref, span, sparse, subspace_intersect, unit_vector, vectors, widened,
+    apply, dense, dense_product_sum, full_space, grid_linear_combination, grid_mat, grid_matmul,
+    grid_plus, grid_scale, grid_transpose, int_grid, is_subspace_of, mixed_change, nullspace,
+    pairs, rref, span, sparse, subspace_intersect, unit_vector, vectors, widened,
 )
 from hypothesis import given, settings
 
@@ -19,13 +20,12 @@ from nhomlie.linalg import (
     _grown,
     _insert,
     SubspaceBasis,
+    commutes_with,
     contains,
     extend_to_complement,
     kernel,
     linear_combination,
-    product_rows,
     product_sum,
-    row_combination,
     subspace_sum,
     vector,
 )
@@ -240,50 +240,77 @@ def test_linear_operations_match_entrywise_arithmetic(data):
     ma, mb = Mat.from_rows(a, cols=c), Mat.from_rows(b, cols=c)
     assert (ma + mb).entries == tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
     assert (ma - mb).entries == tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a, b))
-    # the two-grid sum and difference keep the reduced form of the n-ary sum
-    assert (ma + mb).ints == linear_combination((1, 1), (ma, mb)).ints
-    assert (ma - mb).ints == linear_combination((1, -1), (ma, mb)).ints
     assert ma.scale(s).entries == tuple(tuple(s * x for x in u) for u in a)
     assert (-ma).entries == tuple(tuple(-x for x in u) for u in a)
     assert ma.is_zero() == all(x == 0 for u in a for x in u)
 
 
 @st.composite
-def shaped_squares(draw, n):
-    """n x n rational matrices: zero, with one nonzero entry, or dense."""
+def shaped_matrices(draw, rows, cols):
+    """rows x cols rational matrices over mixed denominators, negative entries
+    included: zero, with one nonzero entry, or dense."""
     shape = draw(st.sampled_from(["zero", "single", "dense"]))
     if shape == "dense":
-        return Mat.from_rows(draw(grid(n, n)), cols=n)
-    entries = [[F(0)] * n for _ in range(n)]
-    if shape == "single" and n:
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return Mat.from_rows(draw(grid(rows, cols)), cols=cols)
+    entries = [[F(0)] * cols for _ in range(rows)]
+    if shape == "single" and rows and cols:
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
         entries[i][j] = draw(mixed_rationals.filter(bool))
-    return Mat.from_rows(entries, cols=n)
+    return Mat.from_rows(entries, cols=cols)
 
 
 @given(st.data())
 def test_product_sum_matches_the_dense_grid_loop(data):
     # sign 0 is the plain product; odd-odd Jordan products take sign -1
     n = data.draw(st.integers(0, 5))
-    a, b = data.draw(shaped_squares(n)), data.draw(shaped_squares(n))
+    a, b = data.draw(shaped_matrices(n, n)), data.draw(shaped_matrices(n, n))
     sign, divisor = data.draw(st.sampled_from([-1, 0, 1])), data.draw(st.integers(1, 3))
     expected = dense_product_sum(a, b, sign, divisor)
     got = product_sum(a, b, sign, divisor)
-    assert got == expected and got.ints == expected.ints and hash(got) == hash(expected)
-    # the kernel's rows are already the reduced form of the product
-    assert product_rows(a.row_pairs, a.ints[1], b.row_pairs, b.ints[1], sign, divisor) == \
-        (expected.row_pairs, expected.ints[1])
-    assert Mat.from_row_pairs(n, a.row_pairs, a.ints[1]) == a
+    assert got == expected and (got.nz, got.den) == (expected.nz, expected.den)
+    assert hash(got) == hash(expected)
+    assert commutes_with(a, b) == (product_sum(a, b, -1) == Mat.zero(n, n)) == \
+        (grid_matmul(a, b) == grid_matmul(b, a))
 
 
-@given(st.data())
-def test_row_combination_matches_linear_combination(data):
-    n = data.draw(st.integers(0, 5))
-    mats = data.draw(st.lists(shaped_squares(n), min_size=1, max_size=4))
+def _same_value(got, want):
+    """``got`` and ``want`` are one value: equal, with equal hashes, stored rows and readings."""
+    assert got == want and hash(got) == hash(want)
+    assert (got.rows, got.cols, got.nz, got.den) == (want.rows, want.cols, want.nz, want.den)
+    grid, den = int_grid(got)
+    assert (grid, den) == int_grid(want)
+    assert got.entries == tuple(tuple(F(x, den) for x in row) for row in grid) == want.entries
+    # column-major index order, read off the grid column by column
+    assert got.vec_pairs() == tuple((c * got.rows + r, row[c]) for c in range(got.cols)
+                                    for r, row in enumerate(grid) if row[c])
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 3, 0), (3, 0, 2), (1, 1, 1), None],
+                         ids=["empty", "no_rows", "no_cols", "no_inner", "one", "drawn"])
+@given(data=st.data())
+def test_row_form_matches_the_dense_grid_reference(shape, data):
+    # (r, m, c): a is r x m and b is m x c
+    r, m, c = shape or data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+    a, b = data.draw(shaped_matrices(r, m)), data.draw(shaped_matrices(m, c))
+    _same_value(a @ b, grid_matmul(a, b))  # non-square whenever r, m, c differ
+    _same_value(a.transpose(), grid_transpose(a))
+    same = data.draw(shaped_matrices(r, m))
+    for sign, op in ((1, Mat.__add__), (-1, Mat.__sub__)):
+        _same_value(op(a, same), grid_plus(a, same, sign))
+    s = data.draw(mixed_rationals)
+    _same_value(a.scale(s), grid_scale(a, s))
+    _same_value(-a, grid_scale(a, -1))
+    mats = [a, same] + data.draw(st.lists(shaped_matrices(r, m), max_size=3))
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(mats), max_size=len(mats)))
-    expected = linear_combination(coeffs, mats)
-    assert row_combination(coeffs, [(m.row_pairs, m.ints[1]) for m in mats]) == \
-        (expected.row_pairs, expected.ints[1])
+    _same_value(linear_combination(coeffs, mats), grid_linear_combination(coeffs, mats))
+    # every route to one value gives the same matrix
+    grid_a, den = int_grid(a)
+    routes = [Mat.from_rows(a.entries, cols=m), a @ Mat.identity(m), Mat.identity(r) @ a,
+              grid_mat(r, m, grid_a, den), a.transpose().transpose()]
+    if r == m:
+        routes.append(Mat.from_vec_pairs(r, a.vec_pairs(), a.den))
+    for other in routes:
+        _same_value(other, a)
 
 
 def test_sum_and_difference_refuse_a_shape_mismatch():
@@ -297,7 +324,7 @@ def test_integer_form_is_the_lcm_form(data):
     r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     a = data.draw(grid(r, c))
     m = Mat.from_rows(a, cols=c)
-    nums, den = m.ints
+    nums, den = int_grid(m)
     expected_den = 1
     for x in (x for u in a for x in u):
         expected_den = expected_den * x.denominator // gcd(expected_den, x.denominator)
@@ -305,7 +332,7 @@ def test_integer_form_is_the_lcm_form(data):
     assert tuple(tuple(F(n, den) for n in u) for u in nums) == m.entries
     # a product keeps the same canonical form as a matrix built from its entries
     prod = m @ Mat.identity(c)
-    assert prod.ints == Mat.from_rows(prod.entries, cols=c).ints
+    assert (prod.nz, prod.den) == (m.nz, m.den)
 
 
 @given(st.data())
@@ -314,15 +341,14 @@ def test_equal_values_compare_and_hash_equal_across_construction_paths(data):
     a = data.draw(grid(r, c))
     g = data.draw(st.integers(2, 30))
     m = Mat.from_rows(a, cols=c)
-    nums, den = m.ints
     same = (
-        Mat(r, c, (tuple(tuple(g * x for x in row) for row in nums), g * den)),
+        Mat(r, c, tuple(tuple((j, g * x) for j, x in row) for row in m.nz), g * m.den),
         m @ Mat.identity(c),
         m.scale(g) @ Mat.identity(c).scale(F(1, g)),
         Mat.from_rows(m.entries, cols=c),
     )
     for other in same:
-        assert other == m and hash(other) == hash(m) and other.ints == m.ints
+        assert other == m and hash(other) == hash(m) and (other.nz, other.den) == (m.nz, m.den)
         assert other.entries == tuple(tuple(row) for row in a)
     assert (m.scale(g) == m) == m.is_zero()
 
@@ -338,20 +364,44 @@ def test_a_stored_hash_stays_the_hash_of_the_value(data):
     assert first.entries == second.entries
     assert hash(first) == before == hash(second) == hash(Mat.from_rows(first.entries, cols=c))
     assert hash(third) == before
-    assert before == hash((r, c, first.ints))
-    assert len({first, second, third, Mat(r, c, first.ints)}) == 1
+    assert before == hash((r, c, first.nz, first.den))
+    assert len({first, second, third, Mat(r, c, first.nz, first.den)}) == 1
     # the stored hash is no field: equality and repr read the value alone
-    assert [f.name for f in dataclasses.fields(Mat)] == ["rows", "cols", "ints"]
-    assert repr(first) == repr(Mat(r, c, first.ints))
+    assert [f.name for f in dataclasses.fields(Mat)] == ["rows", "cols", "nz", "den"]
+    assert repr(first) == repr(Mat(r, c, first.nz, first.den))
 
 
 def test_a_matrix_needs_a_positive_denominator():
     with pytest.raises(ValueError):
-        Mat(1, 1, (((1,),), 0))
+        Mat(1, 1, (((0, 1),),), 0)
     with pytest.raises(ValueError):
-        Mat(1, 1, (((1,),), -2))
+        Mat(1, 1, (((0, 1),),), -2)
     with pytest.raises(ValueError):
-        Mat(1, 2, (((1,),), 1))
+        Mat(1, 2, (((0, 1),), ()), 1)
+
+
+@pytest.mark.parametrize("rows, cols, nz, den", [
+    (2, 2, (((0, 1),),), 1),  # one row short
+    (1, 2, (((0, 1),), ()), 1),  # one row too many
+    (1, 2, (((-1, 1),),), 1),  # a negative column
+    (1, 2, (((2, 1),),), 1),  # a column past the last
+    (1, 3, (((1, 1), (0, 2)),), 1),  # columns decreasing
+    (1, 3, (((1, 1), (1, 2)),), 1),  # a column repeated
+    (1, 2, (((0, 0),),), 1),  # a zero value
+    (1, 2, (((0, F(1, 2)),),), 1),  # a value that is no int
+    (1, 2, (((0, True),),), 1),  # a bool, which is no int value
+    (1, 2, (((F(0), 1),),), 1),  # a column that is no int
+    (1, 2, (((0, 1, 2),),), 1),  # a pair of three
+    (1, 2, ([(0, 1)],), 1),  # a row that is no tuple
+    (1, 2, (((0, 1),),), 0),  # a zero denominator
+    (1, 2, (((0, 1),),), -3),  # a negative denominator
+    (1, 2, (((0, 1),),), F(2)),  # a denominator that is no int
+], ids=["short", "long", "negative_col", "col_past_end", "cols_decreasing", "col_repeated",
+        "zero_value", "fraction_value", "bool_value", "fraction_col", "triple", "list_row",
+        "den_zero", "den_negative", "den_fraction"])
+def test_the_constructor_rejects_malformed_rows(rows, cols, nz, den):
+    with pytest.raises(ValueError):
+        Mat(rows, cols, nz, den)
 
 
 def test_identity_detection():

@@ -7,7 +7,8 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from conftest import check_basis_change, mixed_change, yau_twist
+from conftest import (check_basis_change, grid_linear_combination, grid_matmul, grid_scale,
+                      mixed_change, yau_twist)
 from hypothesis import given, settings
 
 from nhomlie import propositions
@@ -26,7 +27,6 @@ from nhomlie.fixtures import (
 from nhomlie.linalg import Mat, SubspaceBasis, linear_combination
 from nhomlie.propositions import (
     Claim,
-    SparseEndo,
     _hom_jordan_residual,
     _mat_witness,
     check_prop31,
@@ -247,18 +247,18 @@ def test_supercommutative_reports_the_first_ordered_pair(name, first, monkeypatc
     alg = FIXTURES[name]()
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
     a, b = basis[-2], basis[-1]
-    planted = tuple(map(SparseEndo.of, (a, b) if first else (b, a)))
-    real = propositions._jordan
+    planted = (a, b) if first else (b, a)
+    real = propositions.jordan_product
 
     def fake(u, v):
         value = real(u, v)
         if (u, v) == planted:
-            return SparseEndo.of(GradedEndo(value.as_mat() + Mat.identity(alg.dim), value.xi))
+            return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
         return value
 
-    monkeypatch.setattr(propositions, "_jordan", fake)
+    monkeypatch.setattr(propositions, "jordan_product", fake)
     claim = check_prop38(alg, 1, samples=0).claim("38.1.supercommutative")
-    lhs = fake(SparseEndo.of(a), SparseEndo.of(b)).as_mat()
+    lhs = fake(a, b).mat
     assert claim == Claim("38.1.supercommutative", "fail",
                           witness=((a.xi, b.xi), _mat_witness(lhs)))
 
@@ -381,10 +381,11 @@ OPS_ALGEBRAS = {name: _ops_algebra(name) for name in (
 
 @settings(max_examples=80)
 @given(name=st.sampled_from(sorted(OPS_ALGEBRAS)), data=st.data())
-def test_sparse_prop38_operations_match_the_mat_operations(name, data):
-    # the walk's Jordan product, twist and associator on sparse maps against
-    # the solver's operations on Mats; maps are zero, one basis map (a single
-    # entry on the fixtures) or a dense combination, of either parity
+def test_prop38_operations_match_the_grid_formulas(name, data):
+    # the Jordan product, twist and associator, the last with the walk's
+    # value-keyed caches, against their formulas on the dense integer grids;
+    # maps are zero, one basis map (a single entry on the fixtures) or a
+    # dense combination, of either parity
     alg = OPS_ALGEBRAS[name]
     by_parity = {xi: omega(alg, xi).basis for xi in (0, 1)}
 
@@ -400,28 +401,35 @@ def test_sparse_prop38_operations_match_the_mat_operations(name, data):
                                     max_size=len(basis)))
         return GradedEndo(linear_combination(coeffs, [g.mat for g in basis]), xi)
 
+    def grid_jordan(u, v):
+        sign = -1 if (u.xi and v.xi) else 1
+        both = grid_linear_combination((1, sign), (grid_matmul(u.mat, v.mat),
+                                                   grid_matmul(v.mat, u.mat)))
+        return GradedEndo(grid_scale(both, F(1, 2)), (u.xi + v.xi) % 2)
+
+    def grid_twist(u):
+        return GradedEndo(grid_matmul(u.mat, alg.alpha), u.xi)
+
     x, y, z = draw_map(), draw_map(), draw_map()
-    sx, sy, sz = map(SparseEndo.of, (x, y, z))
-    assert propositions._jordan(sx, sy) == SparseEndo.of(jordan_product(x, y))
-    assert propositions._twist(alg.alpha, sx) == SparseEndo.of(alpha_twist(alg, x))
-    jordan, twist = cache(propositions._jordan), cache(partial(propositions._twist, alg.alpha))
-    assert propositions._hom_associator(sx, sy, sz, jordan, twist) == \
-        SparseEndo.of(hom_associator(alg, x, y, z))
-    assert sx.as_mat() == x.mat
+    assert jordan_product(x, y) == grid_jordan(x, y)
+    assert alpha_twist(alg, x) == grid_twist(x)
+    left = grid_jordan(grid_jordan(x, y), grid_twist(z))
+    right = grid_jordan(grid_twist(x), grid_jordan(y, z))
+    jordan, twist = cache(jordan_product), cache(partial(alpha_twist, alg))
+    assert hom_associator(alg, x, y, z, jordan, twist) == hom_associator(alg, x, y, z) == \
+        GradedEndo(grid_linear_combination((1, -1), (left.mat, right.mat)), left.xi)
 
 
-def test_sparse_twist_refuses_a_non_commuting_map():
+def test_hom_jordan_walk_refuses_a_non_commuting_map():
+    # the walk twists every map of a quadruple, so it refuses one that does
+    # not commute with alpha, as alpha_twist does
     alg = homaff1()
     x = GradedEndo(Mat.from_rows([[0, 1], [0, 0]]), 0)
-    with pytest.raises(ValueError, match="commute with alpha") as mat_error:
-        alpha_twist(alg, x)
-    with pytest.raises(ValueError, match="commute with alpha") as sparse_error:
-        propositions._twist(alg.alpha, SparseEndo.of(x))
-    assert str(sparse_error.value) == str(mat_error.value)
-    # the walk twists every map of a quadruple, so it refuses one too
-    u = SparseEndo.of(omega(alg, 0).basis[0])
     with pytest.raises(ValueError, match="commute with alpha"):
-        propositions.hom_jordan_walk(alg, [(1, (u, u, SparseEndo.of(x), u))])
+        alpha_twist(alg, x)
+    u = omega(alg, 0).basis[0]
+    with pytest.raises(ValueError, match="commute with alpha"):
+        propositions.hom_jordan_walk(alg, [(1, (u, u, x, u))])
 
 
 @pytest.mark.parametrize("name", sorted(OPS_ALGEBRAS))
@@ -429,12 +437,11 @@ def test_sparse_draw_matches_the_textbook_draw(name):
     # the same calls to the generator, so the same samples for every seed
     alg = OPS_ALGEBRAS[name]
     by_parity = {xi: omega(alg, xi).basis for xi in (0, 1)}
-    sparse = {xi: [SparseEndo.of(e) for e in basis] for xi, basis in by_parity.items()}
     for seed in range(5):
         rng, textbook = random.Random(seed), random.Random(seed)
         for _ in range(8):
-            assert propositions._random_homogeneous(rng, sparse) == \
-                SparseEndo.of(_random_homogeneous(textbook, by_parity))
+            assert propositions._random_homogeneous(rng, by_parity) == \
+                _random_homogeneous(textbook, by_parity)
         assert rng.getstate() == textbook.getstate()
 
 
@@ -522,28 +529,21 @@ PLANTS = [(3, 2, 1, 0), (0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (1, 1, 3, 2)]
 def _plant_associator(alg, monkeypatch, indices=PLANTS[0]):
     """Add the identity to the associator of one (J(a, b), T(w), T(c)) of basis maps.
 
-    The fault goes into both forms of the associator: ``hom_associator``,
-    which the textbook loop calls, and the walk's ``_hom_associator``.
+    The fault goes into ``propositions.hom_associator``, which both the
+    textbook loop and the walk call.
     """
     basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
     a, b, c, w = (basis[i % len(basis)] for i in indices)
     planted = (jordan_product(a, b).mat, alpha_twist(alg, w).mat, alpha_twist(alg, c).mat)
-    real, real_sparse = propositions.hom_associator, propositions._hom_associator
+    real = propositions.hom_associator
 
-    def fake(alg_, d1, d2, d3):
-        value = real(alg_, d1, d2, d3)
+    def fake(alg_, d1, d2, d3, *ops):
+        value = real(alg_, d1, d2, d3, *ops)
         if (d1.mat, d2.mat, d3.mat) == planted:
             return GradedEndo(value.mat + Mat.identity(alg.dim), value.xi)
         return value
 
-    def fake_sparse(u, v, t, *ops):
-        value = real_sparse(u, v, t, *ops)
-        if (u.as_mat(), v.as_mat(), t.as_mat()) == planted:
-            return SparseEndo.of(GradedEndo(value.as_mat() + Mat.identity(alg.dim), value.xi))
-        return value
-
     monkeypatch.setattr(propositions, "hom_associator", fake)
-    monkeypatch.setattr(propositions, "_hom_associator", fake_sparse)
 
 
 def _assert_planted_term_like_the_textbook_loop(name, mixed, indices, monkeypatch):
@@ -588,24 +588,24 @@ def test_prop38_evaluates_each_basis_term_once(monkeypatch):
         alg = FIXTURES[name]()
         basis = list(omega(alg, 0).basis) + list(omega(alg, 1).basis)
         twist = cache(partial(alpha_twist, alg))
-        triples = {tuple(map(SparseEndo.of, (jordan_product(a, b), twist(w), twist(c))))
+        triples = {(jordan_product(a, b), twist(w), twist(c))
                    for a, b, c, w in product(basis, repeat=4)}
         assert len(triples) == distinct
         with monkeypatch.context() as patch:
-            calls = _counted(patch, "_hom_associator")
+            calls = _counted(patch, "hom_associator")
             draws = _counted(patch, "_random_homogeneous")
             claim = check_prop38(alg, 1, samples=5).claim("38.1.hom_jordan_identity")
         assert claim.status == "pass"
         assert claim.detail == "checked 261 quadruples, seed 20260811"
         assert len(calls) == distinct
-        assert {args[:3] for args in calls} == triples
+        assert {args[1:4] for args in calls} == triples
         assert draws == []
 
 
 def test_prop38_draws_and_evaluates_samples_past_the_basis_bound(monkeypatch):
     # threeLie4 has 16^4 basis quadruples: four draws and at most three
     # associators per sample
-    calls = _counted(monkeypatch, "_hom_associator")
+    calls = _counted(monkeypatch, "hom_associator")
     draws = _counted(monkeypatch, "_random_homogeneous")
     claim = check_prop38(FIXTURES["threeLie4"](), 1, samples=5).claim(
         "38.1.hom_jordan_identity")
@@ -650,29 +650,24 @@ def test_exact_hom_jordan_script_reports_a_planted_term(mixed, monkeypatch):
 def _rotation_terms(alg):
     """The walk's associator term, and a term that is no associator: J(a, b) T(w) T(c).
 
-    Both take and give sparse maps and compute on ``Mat``s.
+    Both take and give graded maps.
     """
     jordan = cache(jordan_product)
     twist = cache(partial(alpha_twist, alg))
 
-    def endo(u):
-        return GradedEndo(u.as_mat(), u.xi)
-
     def associator(a, b, c, w):
-        a, b, c, w = map(endo, (a, b, c, w))
-        return SparseEndo.of(hom_associator(alg, jordan(a, b), twist(w), twist(c)))
+        return hom_associator(alg, jordan(a, b), twist(w), twist(c))
 
     def composite(a, b, c, w):
-        a, b, c, w = map(endo, (a, b, c, w))
-        return SparseEndo.of(GradedEndo(jordan(a, b).mat @ twist(w).mat @ twist(c).mat,
-                                        (a.xi + b.xi + c.xi + w.xi) % 2))
+        return GradedEndo(jordan(a, b).mat @ twist(w).mat @ twist(c).mat,
+                          (a.xi + b.xi + c.xi + w.xi) % 2)
 
     return associator, composite
 
 
 def _assert_residual_rotation_invariant(alg, rng):
     """R(x, y, z, w) == R(y, z, x, w) for every term: the walk's reduction rests on it."""
-    by_parity = {xi: [SparseEndo.of(e) for e in omega(alg, xi).basis] for xi in (0, 1)}
+    by_parity = {xi: list(omega(alg, xi).basis) for xi in (0, 1)}
     basis = by_parity[0] + by_parity[1]
     quads = list(product(basis, repeat=4)) if len(basis) ** 4 <= 10 ** 4 else []
     quads += [[propositions._random_homogeneous(rng, by_parity) for _ in range(4)]
