@@ -655,7 +655,9 @@ def derived_subspace(alg: NHomAlgebra) -> tuple[SubspaceBasis, SubspaceBasis]:
 
 
 def is_alpha_surjective(alg: NHomAlgebra) -> bool:
-    return _grown(alg.dim, (), alg.alpha.nz).dim == alg.dim
+    """True iff alpha has full rank; cached, and at once for the identity."""
+    return alg.alpha.is_identity() or alg.cached(
+        "alpha_surjective", lambda: _grown(alg.dim, (), alg.alpha.nz).dim == alg.dim)
 
 
 def transport(alg: NHomAlgebra, p: Mat) -> NHomAlgebra:

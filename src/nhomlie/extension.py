@@ -117,6 +117,22 @@ def check_prop42(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     [N, ..., N], the witnesses of the zero map, which phi must not see.
     Each claim's witness is its first failure in (k, xi) order, walking only
     least twist powers: every space read depends on k through alpha^k alone.
+
+    When alpha scales, only k = 0 is walked, and each claim at k holds
+    exactly when it holds at 0.  Write a = alpha^k, invertible and even,
+    and P for ``derived_projection``.  The QDer pairs (D, W) at k are the
+    pairs (a D0, a W0) at 0, and their slack is a times the slack at 0.
+    phi at k sends (a D0, a W0) to diag(a D0, a W0 P) = diag(a, a) phi(D0,
+    W0), so the images at k span diag(a, a) times the span at 0.
+      - 42.1: diag(a, a) is even, so it keeps the parity of each map.
+      - 42.2 injective: diag(a, a) is invertible, so both dims stay.
+      - 42.2 witness independence: phi(D, W + s) - phi(D, W) is
+        diag(0, s P).  A slack map at k is s = a s0 with s0 in the slack
+        at 0, and a s0 P = 0 exactly when s0 P = 0.  The seeded draws at
+        k = 0 come first, so they are the draws of the walk over every k.
+      - 42.3: the extension's alpha is diag(alpha, alpha), even,
+        invertible and multiplicative, so Der(ext) at k is diag(a, a)
+        Der(ext) at 0.
     """
     text = build_check(alg)
     ext = text.ext
@@ -150,9 +166,11 @@ def check_prop43(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     """Der(ext) splits as the embedded quasiderivations plus ZDer(ext).
 
     Grades are walked as in 4.2; the witness is the first failing grade, and
-    the detail lists every k with its least power's dims.  Maps are compared
-    flattened column-major, the solver's order, so the solved spaces embed
-    with no elimination (:meth:`EndoSubspace.as_subspace`).
+    the detail lists every k with its least power's dims.  When alpha
+    scales, A, B and C at k are diag(alpha^k, alpha^k) times A, B and C at
+    0, one invertible map, which keeps dims, intersections and sums.  Maps
+    are compared flattened column-major, the solver's order, so the solved
+    spaces embed with no elimination (:meth:`EndoSubspace.as_subspace`).
     """
     least = _least_powers(alg, kmax)
     z_even, z_odd = center(alg)

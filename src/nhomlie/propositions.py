@@ -19,7 +19,14 @@ claims or quadruples share it; the caches are dropped when the check
 returns.  Solved spaces depend on a twist power k only through alpha^k, so
 the walks skip every grade with a power k that is not the least with its
 alpha^k (:func:`_least_powers`): it would repeat an earlier grade's checks.
-3.3's pieces depend on k itself, so its walks take every grade.
+When alpha is even, invertible and multiplicative
+(:func:`~nhomlie.solver._scales`), every power walks as k = 0: each space
+at k is alpha^k times the space at 0 (Sheng, "Representations of Hom-Lie
+algebras", Algebr. Represent. Theory 15 (2012)), each operation a check
+applies commutes with that scaling, and each target is mapped onto itself
+by the invertible alpha^k, so a grade's verdict is its k = 0 grade's, which
+comes first in the walk; each check states its argument.  Otherwise 3.3's
+pieces depend on k itself, so its walks take every grade.
 
 3.8's Hom-Jordan residual of (x, y, z, w) is a sum of three terms, each with
 its own sign, and rotating (x, y, z) only reorders them; so of the basis
@@ -49,6 +56,7 @@ from .solver import (
     GradedEndo,
     Kind,
     TUPLE_KINDS,
+    _scales,
     alpha_twist,
     compose,
     hom_associator,
@@ -100,24 +108,30 @@ def solved_dims(alg: NHomAlgebra, kmax: int):
     """Dimension table of every solved space up to twist power kmax.
 
     The table is built once per algebra and kmax; every check of one
-    ``props`` command reports the same table.
+    ``props`` command reports the same table.  When alpha is even,
+    invertible and multiplicative (:func:`~nhomlie.solver._scales`), the
+    space at k is the invertible alpha^k times the space at 0, so each dim
+    is read at k = 0.
     """
     if kmax < 0:
         raise ValueError("twist power must be nonnegative")
 
     def build():
+        scales = _scales(alg)
         out = []
         for xi in (0, 1):
             out.append((Kind.OMEGA.value, 0, xi, omega(alg, xi).dim))
             for kind in TUPLE_KINDS:
                 for k in range(kmax + 1):
-                    out.append((kind.value, k, xi, solve(alg, kind, k, xi).dim))
+                    out.append((kind.value, k, xi, solve(alg, kind, 0 if scales else k, xi).dim))
         return tuple(sorted(out))
     return alg.cached(("dims", kmax), build)
 
 
 def _least_powers(alg: NHomAlgebra, kmax: int) -> list[int]:
-    """For each k <= kmax, the least j with alpha^j = alpha^k.
+    """For each k <= kmax, the power whose grades stand for k's: 0 when alpha
+    scales (:func:`~nhomlie.solver._scales`), else the least j with
+    alpha^j = alpha^k.
 
     Every check reads it before its first walk or skip, so each check is
     refused here on an algebra that fails its axioms (``InvalidAlgebra``)
@@ -126,6 +140,8 @@ def _least_powers(alg: NHomAlgebra, kmax: int) -> list[int]:
     _require_valid(alg)
     if kmax < 0:
         raise ValueError("twist power must be nonnegative")
+    if _scales(alg):
+        return [0] * (kmax + 1)
     first = {}
     return [first.setdefault(alg.alpha_power(k), k) for k in range(kmax + 1)]
 
@@ -137,10 +153,11 @@ def _grades(kmax: int, bound: int, least):
     alpha^(k1 + k2) = alpha^k1 alpha^k2, so a grade whose powers are not
     least repeats the inputs and target of the grade of their least
     powers, which comes earlier in this order; only ``least[k] == k`` is
-    walked.
+    walked.  When alpha scales, ``least`` is all 0 and only k1 = k2 = 0 is.
     """
-    for k1, k2 in product(range(kmax + 1), repeat=2):
-        if k1 + k2 <= bound and least[k1] == k1 and least[k2] == k2:
+    walked = [k for k in range(kmax + 1) if least[k] == k]
+    for k1, k2 in product(walked, repeat=2):
+        if k1 + k2 <= bound:
             for x1, x2 in product((0, 1), repeat=2):
                 yield k1, x1, k2, x2
 
@@ -195,7 +212,11 @@ def _same(endo: GradedEndo) -> GradedEndo:
 
 
 def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal."""
+    """Closure of GDer/QDer/C under the bracket and the twist; ZDer is an ideal.
+
+    When alpha scales: [alpha^k1 A, alpha^k2 B] = alpha^(k1+k2) [A, B] and
+    alpha alpha^k A = alpha^(k+1) A for maps that commute with alpha.
+    """
     least = _least_powers(alg, kmax)
     pairs, levels = partial(_grades, kmax, kmax, least), partial(_levels, kmax - 1, least)
     bracket = cache(supercommutator)
@@ -215,7 +236,13 @@ def check_prop31(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
 
 def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """The six inclusion statements tying Der, C, QC, QDer and GDer together."""
+    """The six inclusion statements tying Der, C, QC, QDer and GDer together.
+
+    When alpha scales: [alpha^k1 A, alpha^k2 B] = alpha^(k1+k2) [A, B] and
+    alpha^k1 A alpha^k2 B = alpha^(k1+k2) A B for maps that commute with
+    alpha, and n alpha^k D witnesses alpha^k D at k exactly when n D
+    witnesses D at 0.
+    """
     n = alg.arity
     least = _least_powers(alg, kmax)
     bracket = cache(supercommutator)
@@ -244,19 +271,20 @@ def check_prop32(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
     return _report("3.2", claims, solved_dims(alg, kmax))
 
 
-def _qc_plus_brackets(alg: NHomAlgebra, kmax: int, bracket):
-    """Graded pieces of QC + [QC, QC] at every level, as column-major flattened subspaces.
+def _qc_plus_brackets(alg: NHomAlgebra, least, walked, bracket):
+    """Graded pieces of QC + [QC, QC] at the levels of ``walked``, as column-major
+    flattened subspaces.
 
     A bracket set depends on the grade's powers through their least powers,
     but lands in the piece of the exact total, so each set is added once per
     (least k1, x1, least k2, x2, total).
     """
-    every, least = list(range(kmax + 1)), _least_powers(alg, kmax)
+    kmax = len(least) - 1
     vecs = {grade: [g.mat.vec_pairs() for g in solve(alg, Kind.QC, *grade).basis]
-            for grade in _levels(kmax, every)}
+            for grade in _levels(kmax, walked)}
     for k1, x1, k2, x2, total in dict.fromkeys(
             (least[k1], x1, least[k2], x2, (k1 + k2, (x1 + x2) % 2))
-            for k1, x1, k2, x2 in _grades(kmax, kmax, every)):
+            for k1, x1, k2, x2 in _grades(kmax, kmax, walked)):
         vecs[total].extend(c.mat.vec_pairs() for c in starmap(bracket, product(
             solve(alg, Kind.QC, k1, x1).basis, solve(alg, Kind.QC, k2, x2).basis)))
     return {grade: _grown(alg.dim ** 2, (), v) for grade, v in vecs.items()}
@@ -267,12 +295,17 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
     The pieces depend on k itself, not only on alpha^k, so both walks take
     every grade; the bracket walk keeps the first grade of each triple of
-    piece values (the two inputs and the target).
+    piece values (the two inputs and the target).  When alpha scales, both
+    take k = 0 alone: QC at k is alpha^k QC at 0 and [QC_k1, QC_k2] is
+    alpha^(k1+k2) [QC_0, QC_0], so the piece at k is alpha^k times the piece
+    at 0, and brackets scale as in 3.1.
     """
     d = alg.dim
-    every = list(range(kmax + 1))
+    least = _least_powers(alg, kmax)
+    # all 0 exactly when alpha scales or kmax = 0
+    walked = least if not any(least) else list(range(kmax + 1))
     bracket = cache(supercommutator)
-    pieces = _qc_plus_brackets(alg, kmax, bracket)
+    pieces = _qc_plus_brackets(alg, least, walked, bracket)
     bases = {grade: tuple(GradedEndo(Mat.from_vec_pairs(d, row, row[0][1]), grade[1])
                           for row in piece.rows)
              for grade, piece in pieces.items()}
@@ -281,11 +314,11 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
         return sum(g[0::2]), sum(g[1::2]) % 2
 
     firsts = {}
-    for g in _grades(kmax, kmax, every):
+    for g in _grades(kmax, kmax, walked):
         firsts.setdefault((pieces[g[:2]], g[1], pieces[g[2:]], g[3], pieces[total(g)]), g)
     claims = [
         _claim("33.S_in_GDer", _first_failure(
-            _levels(kmax, every), lambda g: (bases[g],), _same, _member(alg, Kind.GDER, 0))),
+            _levels(kmax, walked), lambda g: (bases[g],), _same, _member(alg, Kind.GDER, 0))),
         _claim("33.S_bracket_closed", _first_failure(
             firsts.values(), lambda g: (bases[g[:2]], bases[g[2:]]), bracket,
             lambda g, c: contains(pieces[total(g)], c.mat.vec_pairs()))),
@@ -294,7 +327,12 @@ def check_prop33(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
 
 
 def check_prop34(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """[C, QC] lands in Hom(N, Z(N)) when alpha is onto; zero when Z(N) = 0."""
+    """[C, QC] lands in Hom(N, Z(N)) when alpha is onto; zero when Z(N) = 0.
+
+    When alpha scales: [alpha^k1 C, alpha^k2 Q] = alpha^(k1+k2) [C, Q], and
+    Z(N) is alpha-stable, so the invertible alpha^m keeps a column in Z(N)
+    or out of it.
+    """
     least = _least_powers(alg, kmax)
     claims = []
     if not is_alpha_surjective(alg):
@@ -419,7 +457,9 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
     The residual is 4-linear, so up to 10^4 basis quadruples, walked one
     rotation class at a time, imply the ``samples`` random ones; past that,
-    those are drawn and evaluated.
+    those are drawn and evaluated.  38.2 walks grades; when alpha scales,
+    J(alpha^k1 A, alpha^k2 B) = alpha^(k1+k2) J(A, B) for maps that commute
+    with alpha.
     """
     least = _least_powers(alg, kmax)
     claims = []
@@ -453,7 +493,11 @@ def check_prop38(alg: NHomAlgebra, kmax: int = 2, samples: int = 40,
 
 
 def check_prop39(alg: NHomAlgebra, kmax: int = 2) -> PropReport:
-    """Bracket closure of QC versus composition closure and commutativity."""
+    """Bracket closure of QC versus composition closure and commutativity.
+
+    When alpha scales: brackets and compositions scale as in 3.2, and the
+    invertible alpha^(k1+k2) times a map is zero only when the map is.
+    """
     pairs = partial(_grades, kmax, kmax, _least_powers(alg, kmax))
     bracket = cache(supercommutator)
     qc_pairs, in_qc = _inputs(alg, Kind.QC, Kind.QC), _member(alg, Kind.QC, 0)

@@ -106,6 +106,7 @@ from .linalg import (
     commutes_with,
     contains,
     kernel,
+    product_rows,
     product_sum,
 )
 
@@ -295,6 +296,8 @@ def _rows(alg: NHomAlgebra, kind: Kind, k: int, xi: int):
     # every tuple that is a representative of some equation
     start = max((eq.sorted_from for eq in equations), default=n)
     pos = allowed_positions(alg.parity, xi)
+    if not pos:  # no unknowns: every row is empty
+        return iter(()), nblocks, pos
     npos = len(pos)
     posidx = {rc: m for m, rc in enumerate(pos)}
     # the allowed positions (r, c) of each column c, as (r, vector index)
@@ -606,9 +609,15 @@ def alpha_twist(alg: NHomAlgebra, endo: GradedEndo) -> GradedEndo:
     """
     if alg.alpha.is_identity():
         return endo
-    if not commutes_with(endo.mat, alg.alpha):
+    mat, alpha = endo.mat, alg.alpha
+    if mat.rows != alpha.rows:
+        raise ValueError("endomorphism size does not match the algebra")
+    # endo alpha and alpha endo, unreduced over one denominator, so equal
+    # exactly when the matrices are
+    ab = product_rows(mat.nz, alpha.nz, alpha.cols)
+    if ab != product_rows(alpha.nz, mat.nz, mat.cols):
         raise ValueError("alpha twist requires the map to commute with alpha")
-    return GradedEndo(endo.mat @ alg.alpha, endo.xi)
+    return GradedEndo(Mat(mat.rows, mat.cols, ab, mat.den * alpha.den), endo.xi)
 
 
 def hom_associator(alg: NHomAlgebra, d1: GradedEndo, d2: GradedEndo, d3: GradedEndo,

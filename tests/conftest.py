@@ -17,6 +17,8 @@ the rational-vector entry points that only the tests call: ``span`` and
 ``subspace_intersect`` build canonical subspaces, ``rref`` the reduced
 row-echelon form of a matrix.
 ``yau_twist`` composes an algebra with a diagonal morphism.
+``aff1_not_onto`` is aff1 with alpha = diag(2, 0): valid and not onto, so
+the proposition walks visit each of its distinct twist powers.
 ``int_grid`` writes a matrix out as the dense integer grid over its
 denominator that ``Mat`` once stored, and ``grid_mat`` reads such a grid
 back, reduced as that form was; ``grid_matmul``, ``grid_plus``,
@@ -60,6 +62,12 @@ def yau_twist(alg, diag):
     table = {key: [x * c for x, c in zip(value, diag)] for key, value in alg.table.items()}
     alpha = Mat.from_rows([[c if i == j else 0 for j in range(alg.dim)] for i, c in enumerate(diag)])
     return NHomAlgebra(alg.arity, alg.dim, alg.parity, table, alpha)
+
+
+def aff1_not_onto():
+    """aff1, [e0, e1] = e1, with alpha = diag(2, 0): valid, not onto, and every
+    power distinct, with Der, C, QDer and GDer nonzero at each k."""
+    return NHomAlgebra(2, 2, (0, 0), {(0, 1): (0, 1)}, Mat.from_rows([[2, 0], [0, 0]]))
 
 
 def int_grid(m):

@@ -5,7 +5,8 @@ import pathlib
 import random
 
 import pytest
-from conftest import apply, basis_value, flatten, rref, span, unit_vector, vectors, yau_twist
+from conftest import (aff1_not_onto, apply, basis_value, flatten, rref, span, unit_vector,
+                      vectors, yau_twist)
 
 from nhomlie import extension
 from nhomlie.algebra import bracket, center, derived_subspace, is_homogeneous, transport, validate
@@ -178,12 +179,12 @@ class TestProp42:
         assert solve(super2(), Kind.QDER, 0, 1).dim > 0
         assert check_prop42(super2(), 1).passed
 
-
+    # aff1_not_onto's alpha = diag(2, 0) is not onto, so the walks reach k = 1 and 2
     def test_parity_witness_is_the_first_failing_grade(self, monkeypatch):
-        alg = homaff1()
+        alg = aff1_not_onto()
         text = build_check(alg)
         qd = solve(alg, Kind.QDER, 1, 0)
-        # the first image at k = 1 is diag(1, 0, 0, 2), an image at no other grade
+        # the first image at k = 1 is diag(1, 0, 0, 0), an image at no earlier grade
         planted = phi(text, qd.basis[0], qd.witnesses[0], 1).mat
         real = extension.is_homogeneous
         monkeypatch.setattr(extension, "is_homogeneous",
@@ -200,7 +201,7 @@ class TestProp42:
             return GradedEndo(Mat.zero(4, 4), img.xi) if k == 2 else img
 
         monkeypatch.setattr(extension, "phi", collapsing)
-        claim = check_prop42(homaff1(), 2).claim("42.2.injective")
+        claim = check_prop42(aff1_not_onto(), 2).claim("42.2.injective")
         assert claim.status == "fail"
         # (k, xi, dim QDer, dim of the image span)
         assert claim.witness == ((2, 0, 2, 0), ())
@@ -216,7 +217,7 @@ class TestProp42:
                                                  img.xi)
 
         monkeypatch.setattr(extension, "phi", unprojected)
-        alg = homaff1()
+        alg = aff1_not_onto()
         claim = check_prop42(alg, 2).claim("42.2.witness_independent")
         assert claim.status == "fail"
         # the seeded draws are -3, -3 for the two basis maps at k = 0, then
@@ -231,8 +232,7 @@ class TestProp42:
             return (k, xi) not in {(1, 0), (2, 0)} and real(alg, kind, k, xi, endo)
 
         monkeypatch.setattr(extension, "in_space", fake)
-        # homaff1's twist powers are all distinct, so the walk reaches k = 1 and 2
-        alg = homaff1()
+        alg = aff1_not_onto()
         report = check_prop42(alg, 2)
         claim = report.claim("42.3.image_in_Der")
         assert claim.status == "fail"
@@ -243,11 +243,13 @@ class TestProp42:
 
 @pytest.mark.parametrize("make, calls", [
     (threeLie4, {0: 16, 2: 16}),  # alpha = id
-    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), {1: 16, 3: 16}),  # alpha^2 = id
-    (homaff1, {0: 4, 2: 12}),  # every power distinct; each pair again with slack noise
+    # alpha even and invertible: grade 0's count at every kmax
+    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), {0: 8, 1: 8, 3: 8}),  # alpha^2 = id
+    (homaff1, {0: 4, 2: 4}),  # every power distinct; each pair again with slack noise
 ], ids=["threeLie4", "filippov3_signs", "homaff1"])
 def test_decompose_embeds_each_twist_power_once(make, calls, monkeypatch):
-    # 4.3 reads the images that 4.2 embedded at each least power
+    # 4.3 reads the images that 4.2 embedded at each least power, and when
+    # alpha scales every power's verdict is k = 0's
     counted = []
     real = extension.phi
 

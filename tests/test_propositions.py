@@ -7,12 +7,13 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from conftest import (check_basis_change, grid_linear_combination, grid_matmul, grid_scale,
-                      mixed_change, yau_twist)
+from conftest import (aff1_not_onto, check_basis_change, grid_linear_combination, grid_matmul,
+                      grid_scale, mixed_change, yau_twist)
 from hypothesis import given, settings
 
-from nhomlie import propositions
+from nhomlie import propositions, solver
 from nhomlie.algebra import InvalidAlgebra, NHomAlgebra, center, transport, validate
+from nhomlie.cli import main
 from nhomlie.extension import check_prop42, check_prop43
 from nhomlie.fixtures import (
     FIXTURES,
@@ -24,6 +25,7 @@ from nhomlie.fixtures import (
     super2,
     threeLie4,
 )
+from nhomlie.io import serialize_algebra
 from nhomlie.linalg import Mat, SubspaceBasis, linear_combination
 from nhomlie.propositions import (
     Claim,
@@ -208,17 +210,21 @@ def test_each_bracket_is_built_once_per_operand_pair(name, check, monkeypatch):
 
 @pytest.mark.parametrize("build, least", [
     (threeLie4, [0, 0, 0]),  # alpha = id
-    (homaff1, [0, 1, 2, 3]),  # every power distinct
-    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), [0, 1, 0, 1]),  # alpha^2 = id
+    # alpha even and invertible: every power walks as k = 0
+    (homaff1, [0, 0, 0, 0]),  # every power distinct
+    (lambda: yau_twist(filippov(3), [-1, -1, 1, 1]), [0, 0, 0, 0]),  # alpha^2 = id
+    (lambda: NHomAlgebra(2, 2, (0, 0), {}, Mat.from_rows([[0, -1], [1, 0]])),
+     [0] * 6),  # alpha^4 = id
+    # alpha not onto: the least power with each alpha^k
+    (aff1_not_onto, [0, 1, 2]),  # every power distinct
     (lambda: _with_diagonal_alpha(aff1, [1, 0]), [0, 1, 1, 1]),  # alpha^2 = alpha
     (nonsurjective_abelian2, [0, 1, 1]),  # alpha = 0
-    (lambda: NHomAlgebra(2, 2, (0, 0), {}, Mat.from_rows([[0, -1], [1, 0]])),
-     [0, 1, 2, 3, 0, 1]),  # alpha^4 = id
-], ids=["id", "distinct", "involution", "idempotent", "zero", "rotation"])
+], ids=["id", "distinct", "involution", "rotation", "not_onto", "idempotent", "zero"])
 @pytest.mark.parametrize("check", [check_prop31, check_prop32, check_prop39])
 def test_checks_solve_only_at_least_powers(build, least, check, monkeypatch):
     # a grade whose twist powers are not least repeats an earlier grade's
-    # spaces, so with the dims table built no check solves at another power
+    # spaces, and when alpha scales every grade's verdict is its k = 0
+    # grade's, so with the dims table built no check solves at another power
     alg = build()
     kmax = len(least) - 1
     assert propositions._least_powers(alg, kmax) == least
@@ -226,6 +232,38 @@ def test_checks_solve_only_at_least_powers(build, least, check, monkeypatch):
     calls = _counted(monkeypatch, "solve")
     check(alg, kmax)
     assert {args[2] for args in calls} == set(least)
+
+
+SCALED_TWISTS = {
+    "homaff1": homaff1,  # every power distinct
+    "homaff1~": lambda: transport(homaff1(), random_even_invertible((0, 0), random.Random(5))),
+    "filippov3_signs": lambda: yau_twist(filippov(3), [-1, -1, 1, 1]),  # alpha^2 = id
+    "filippov3_negated": lambda: yau_twist(filippov(3), [-1] * 4),  # alpha^2 = id
+    "super2_twist": lambda: yau_twist(super2(), [1, 2]),  # an odd element; powers distinct
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_TWISTS))
+@pytest.mark.parametrize("command", ["props", "decompose"])
+def test_scaled_twists_report_as_the_walk_over_every_power(command, name, tmp_path,
+                                                          monkeypatch, capsys):
+    # alpha scales, so the walks take k = 0 alone and the dims table reads
+    # every dim at 0; with propositions._scales false they take the least
+    # power of each distinct alpha^k again and solve every dim at its k
+    alg = SCALED_TWISTS[name]()
+    assert validate(alg).all_ok and solver._scales(alg)
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_algebra(alg), encoding="utf-8")
+
+    def report():
+        return main([command, "--kmax", "3", str(path)]), capsys.readouterr().out
+
+    reduced = report()
+    monkeypatch.setattr(propositions, "_scales", lambda alg: False)
+    first = {}
+    assert propositions._least_powers(alg, 3) == [
+        first.setdefault(alg.alpha_power(k), k) for k in range(4)] != [0] * 4
+    assert report() == reduced
 
 
 def test_least_powers_keep_the_walk_order():
@@ -316,7 +354,7 @@ def _reject_centroid_levels(monkeypatch, levels):
 
 
 def test_pair_claim_reports_the_first_failing_grade(monkeypatch):
-    alg = homaff1()  # alpha = diag(1, 2): every twist power is a different space
+    alg = aff1_not_onto()  # alpha = diag(2, 0): every twist power is walked
     _reject_centroid_levels(monkeypatch, {1, 2})
     claim = check_prop32(alg, 2).claim("32.1.[Der,C]_in_C")
     assert claim.status == "fail"
